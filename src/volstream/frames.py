@@ -152,13 +152,6 @@ def make_synthetic_frame(
     )
 
 
-def rebuild_payload(frame_id: int, color_bytes: int, depth_bytes: int,
-                    audio_bytes: int, seed: int) -> bytes:
-    """Regenerate the synthetic payload for comparison against a received copy."""
-    return make_synthetic_frame(frame_id, color_bytes, depth_bytes, audio_bytes,
-                                seed).payload
-
-
 def segment_frame(frame: VolumetricFrame, segment_payload_size: int) -> list[Segment]:
     """Split a frame payload into segments of at most ``segment_payload_size``.
 

@@ -13,12 +13,22 @@ Serialization is FIFO per link: a packet's wire time begins when the
 previous packet's ends, which models a switch egress port. Kernel and NIC
 stage delays come from per-node models; the receiving side may be scaled by
 a load factor to emulate a busy host.
+
+Data bursts arrive as pacer progressions and leave as delivered runs
+(``Link.carry``). A burst paced no faster than the link serializes never
+queues, so a run's first and last arrivals can only come from the few
+packets emitted near its ends; only those draw switching jitter, and the
+switch stream is advanced past the rest in one call. Everything else
+(control packets, queued or one-packet bursts, very lossy links, reorder,
+tracing) goes packet by packet through ``Link.traverse``, and both paths
+consume every seeded stream identically.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress, islice
 
 from .errors import ConfigError
 from .stats import mean, percentile_nearest_rank
@@ -161,9 +171,6 @@ class EventQueue:
         heapq.heappush(self._heap, (at_ns, self._seq, fn, args))
         self._seq += 1
 
-    def schedule_in(self, delay_ns: int, fn, *args) -> None:
-        self.schedule(self.now + delay_ns, fn, *args)
-
     def step(self):
         """Fire the next event; returns (time, seq) or None when drained."""
         if not self._heap:
@@ -190,9 +197,11 @@ class EventQueue:
 class Link:
     """Runtime state of one directional link: FIFO egress plus seeded draws.
 
-    ``traverse`` converts a burst of emission instants into arrival instants,
-    applying loss, switching jitter, and optional reorder-as-extra-delay.
-    Counters satisfy delivered + lost == sent at all times.
+    ``carry`` takes a paced burst and returns its delivered runs; ``traverse``
+    converts a list of emission instants into per-packet arrival instants.
+    Both apply loss, switching jitter and optional reorder-as-extra-delay,
+    and both leave counters, the egress queue and every seeded stream in the
+    same state. Counters satisfy delivered + lost == sent at all times.
     """
 
     def __init__(
@@ -214,109 +223,209 @@ class Link:
         self._switch_rng = switch_rng
         self._reorder_rng = reorder_rng
         self._trace = trace
+        # Draw functions, None where the model never draws from that stream.
+        self._loss_random = loss_rng.random if model.loss_rate > 0 and loss_rng else None
+        self._reorder_random = (reorder_rng.random if model.reorder_rate > 0 and reorder_rng
+                                else None)
+        self._switch_random = switch_rng.random if switch_rng is not None else None
+        # Fixed per-packet delay before the egress queue, and after
+        # serialization apart from switching.
+        self._tx_ns = node_tx.tx_sw_ns + node_tx.tx_hw_ns
+        self._after_ns = (model.propagation_ns + node_rx.rx_hw_effective_ns
+                          + node_rx.rx_sw_effective_ns)
         self._busy_until = 0
         self.sent = 0
         self.delivered = 0
         self.lost = 0
         self.reordered = 0
 
+    def carry(self, burst) -> list[tuple[int, int, int, int, int]]:
+        """Carry one paced burst; returns its delivered runs in packet order.
+
+        A run ``(first, end, first_arrival_ns, argmin, last_arrival_ns)``
+        says packets ``first .. end-1`` of the burst all arrived, the
+        earliest at ``first_arrival_ns`` (packet ``argmin``, the lowest index
+        on ties) and the latest at ``last_arrival_ns``.
+
+        A burst paced no faster than the link serializes never queues, so
+        each packet's arrival is its emission plus a fixed delay plus its
+        switching jitter. Only packets emitted within ``slack`` of a run's
+        first or last emission can hold the run's earliest or latest
+        arrival; jitter is drawn for those and skipped past for the rest.
+        Bursts that can queue, links with reorder or a trace, one-packet
+        bursts and links so lossy that most packets would need draws go
+        through ``traverse`` instead.
+        """
+        if burst.count > 1 and self._trace is None and self._reorder_random is None:
+            runs = self._carry_unqueued(burst)
+            if runs is not None:
+                return runs
+        return _runs(self.traverse(burst.emissions, burst.wire_bytes, burst.frame_id,
+                                   burst.segment_index, burst.seq_start,
+                                   burst.stamps if self._trace is not None else None))
+
+    def _carry_unqueued(self, burst):
+        """``carry``'s run path; None when the burst could queue or the link
+        is so lossy that most packets would need their jitter drawn."""
+        m = self.model
+        n = burst.count
+        base = burst.base_ns
+        rate = burst.rate_bps
+        bits = burst.bits0 * NS_PER_S
+        step = burst.step_bits * NS_PER_S
+        spacing = step // rate
+        bw = m.bandwidth_bps
+        ser_full = (burst.full_wire * 8 * NS_PER_S) // bw
+        ser_last = (burst.last_wire * 8 * NS_PER_S) // bw
+        tx_ns = self._tx_ns
+        span = m.hop_delay_max_ns - m.hop_delay_min_ns
+        switch = self._switch_rng
+        jitter = m.hops if span and switch is not None else 0
+        slack = ser_full - ser_last + jitter * (span - 1)
+        loss_rate = m.loss_rate
+        loss_random = self._loss_random
+        # Each run draws for at most two windows of (slack // spacing + 1) packets.
+        expected_runs = 1 + n * loss_rate if loss_random is not None else 1
+        if (spacing == 0 or spacing < ser_full
+                or burst.first_ns + tx_ns < self._busy_until
+                or 2 * (slack // spacing + 1) * expected_runs >= n):
+            return None
+
+        if loss_random is None:
+            lost = []
+        else:
+            loss_draws = list(islice(iter(loss_random, None), n))
+            lost = list(compress(range(n), map(float(loss_rate).__gt__, loss_draws)))
+        after = tx_ns + self._after_ns + m.hops * m.hop_delay_min_ns
+        k_full = after + ser_full
+        k_last = after + ser_last
+        last = n - 1
+        rand = self._switch_random
+        draws = range(jitter)
+        cursor = 0           # first packet whose switching draws are still pending
+        runs = []
+        first = 0
+        for end in lost + [n]:
+            if end == first:
+                first = end + 1
+                continue
+            # Candidates for the earliest arrival are [first, p), for the
+            # latest [q, end); the two windows never overlap.
+            lim = base + (bits + first * step) // rate + slack
+            p = first + 1
+            while p < end and base + (bits + p * step) // rate <= lim:
+                p += 1
+            if p == end:
+                windows = ((first, end),)
+            else:
+                lim = base + (bits + (end - 1) * step) // rate - slack
+                q = end - 1
+                while q > p and base + (bits + (q - 1) * step) // rate >= lim:
+                    q -= 1
+                windows = ((first, p), (q, end))
+            mn = mx = None
+            arg = first
+            for lo, hi in windows:
+                skip = (lo - cursor) * jitter
+                if skip:
+                    switch.getrandbits(64 * skip)
+                for i in range(lo, hi):
+                    a = base + (bits + i * step) // rate + (k_last if i == last else k_full)
+                    for _ in draws:
+                        a += int(rand() * span)
+                    if mn is None or a < mn:
+                        mn = a
+                        arg = i
+                    if mx is None or a > mx:
+                        mx = a
+                cursor = hi
+            runs.append((first, end, mn, arg, mx))
+            first = end + 1
+        skip = (n - cursor) * jitter
+        if skip:
+            switch.getrandbits(64 * skip)
+
+        self.sent += n
+        self.lost += len(lost)
+        self.delivered += n - len(lost)
+        self._busy_until = base + (bits + last * step) // rate + tx_ns + ser_last
+        return runs
+
     def traverse(self, emissions, wire_bytes, frame_id=0, segment_index=0,
                  first_seq=1, stamps=None):
-        """Carry one burst of packets; returns per-packet arrival ns (None = lost).
+        """Carry packets one by one; returns per-packet arrival ns (None = lost).
 
         ``emissions`` must be non-decreasing true-time instants. ``stamps``
         (sender-local send timestamps) are only used for trace rows.
         """
         m = self.model
         loss_rate = m.loss_rate
-        loss_random = self._loss_rng.random if (loss_rate > 0 and self._loss_rng) else None
+        loss_random = self._loss_random
         reorder_rate = m.reorder_rate
-        reorder_random = self._reorder_rng.random if (reorder_rate > 0 and self._reorder_rng) else None
-        switch_random = self._switch_rng.random if self._switch_rng is not None else None
+        reorder_random = self._reorder_random
+        switch_random = self._switch_random
         hops = m.hops
         lo = m.hop_delay_min_ns
         span = m.hop_delay_max_ns - lo
-        tx_ns = self.node_tx.tx_sw_ns + self.node_tx.tx_hw_ns
-        after_ns = m.propagation_ns + self.node_rx.rx_hw_effective_ns + self.node_rx.rx_sw_effective_ns
+        tx_ns = self._tx_ns
+        after_ns = self._after_ns
         bw = m.bandwidth_bps
         busy = self._busy_until
         trace = self._trace
+        bits_ns = 8 * NS_PER_S
+        fixed_sw = hops * lo
+        draws = range(hops) if span and switch_random is not None else ()
+        lost_count = 0
         arrivals = []
         append = arrivals.append
 
-        if loss_random is None and reorder_random is None and trace is None:
-            # Fast path for clean links: no draws besides switching jitter.
-            n = len(emissions)
-            if hops == 1 and span and switch_random is not None:
-                base_after = after_ns + lo
-                for i in range(n):
-                    ready = emissions[i] + tx_ns
-                    start = busy if busy > ready else ready
-                    busy = start + (wire_bytes[i] * 8_000_000_000) // bw
-                    append(busy + base_after + int(switch_random() * span))
-            elif hops and span and switch_random is not None:
-                base_after = after_ns + hops * lo
-                for i in range(n):
-                    ready = emissions[i] + tx_ns
-                    start = busy if busy > ready else ready
-                    busy = start + (wire_bytes[i] * 8_000_000_000) // bw
-                    sw = 0
-                    for _ in range(hops):
-                        sw += int(switch_random() * span)
-                    append(busy + base_after + sw)
-            else:
-                base_after = after_ns + hops * lo
-                for i in range(n):
-                    ready = emissions[i] + tx_ns
-                    start = busy if busy > ready else ready
-                    busy = start + (wire_bytes[i] * 8_000_000_000) // bw
-                    append(busy + base_after)
-            self.sent += n
-            self.delivered += n
-            self._busy_until = busy
-            return arrivals
-
         for i, e in enumerate(emissions):
-            self.sent += 1
             lost = loss_random is not None and loss_random() < loss_rate
             ready = e + tx_ns
             start = busy if busy > ready else ready
-            ser = (wire_bytes[i] * 8 * NS_PER_S) // bw
+            ser = (wire_bytes[i] * bits_ns) // bw
             busy = start + ser
-            if hops:
-                if span and switch_random is not None:
-                    sw = 0
-                    for _ in range(hops):
-                        sw += lo + int(switch_random() * span)
-                else:
-                    sw = hops * lo
-            else:
-                sw = 0
+            sw = fixed_sw
+            for _ in draws:
+                sw += int(switch_random() * span)
             if lost:
-                self.lost += 1
+                lost_count += 1
                 append(None)
-                if trace is not None:
-                    trace(busy, self.name, frame_id, segment_index, first_seq + i,
-                          "lost", self.node_tx.tx_sw_ns, self.node_tx.tx_hw_ns,
-                          start - ready, ser, m.propagation_ns, sw,
-                          self.node_rx.rx_hw_effective_ns, self.node_rx.rx_sw_effective_ns,
-                          e, stamps[i] if stamps else 0)
-                continue
-            arrival = busy + after_ns + sw
-            if reorder_random is not None and reorder_random() < reorder_rate:
-                arrival += m.reorder_extra_ns
-                self.reordered += 1
-            self.delivered += 1
-            append(arrival)
+            else:
+                arrival = busy + after_ns + sw
+                if reorder_random is not None and reorder_random() < reorder_rate:
+                    arrival += m.reorder_extra_ns
+                    self.reordered += 1
+                append(arrival)
             if trace is not None:
-                trace(arrival, self.name, frame_id, segment_index, first_seq + i,
-                      "delivered", self.node_tx.tx_sw_ns, self.node_tx.tx_hw_ns,
+                trace(busy if lost else arrival, self.name, frame_id, segment_index,
+                      first_seq + i, "lost" if lost else "delivered",
+                      self.node_tx.tx_sw_ns, self.node_tx.tx_hw_ns,
                       start - ready, ser, m.propagation_ns, sw,
                       self.node_rx.rx_hw_effective_ns, self.node_rx.rx_sw_effective_ns,
                       e, stamps[i] if stamps else 0)
 
+        self.sent += len(arrivals)
+        self.lost += lost_count
+        self.delivered += len(arrivals) - lost_count
         self._busy_until = busy
         return arrivals
+
+
+def _runs(arrivals) -> list[tuple[int, int, int, int, int]]:
+    """Split per-packet arrivals (None = lost) into ``Link.carry``'s runs."""
+    if None not in arrivals:
+        mn = min(arrivals)
+        return [(0, len(arrivals), mn, arrivals.index(mn), max(arrivals))]
+    runs = []
+    first = 0
+    for stop in [i for i, a in enumerate(arrivals) if a is None] + [len(arrivals)]:
+        if stop > first:
+            run = arrivals[first:stop]
+            mn = min(run)
+            runs.append((first, stop, mn, first + run.index(mn), max(run)))
+        first = stop + 1
+    return runs
 
 
 TRACE_COLUMNS = (

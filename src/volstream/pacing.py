@@ -26,15 +26,23 @@ class RatePacer:
     def busy_until_ns(self) -> int:
         return self._base_ns + (self._bits * NS_PER_S) // self.rate_bps
 
-    def emit(self, now_ns: int, wire_bits: int) -> int:
-        """Charge one packet; returns its emission (serialization start) instant."""
-        start = self.busy_until_ns
-        if now_ns > start:
+    def charge(self, now_ns: int, count: int, step_bits: int, last_bits: int) -> tuple[int, int]:
+        """Charge ``count`` back-to-back packets: ``count - 1`` of ``step_bits``,
+        then one of ``last_bits``.
+
+        Returns ``(base_ns, bits0)``: packet ``i`` starts serializing at
+        ``base_ns + ((bits0 + i * step_bits) * 10**9) // rate_bps``. Only the
+        first packet can rebase the bucket to ``now_ns``; the rest find it
+        draining.
+        """
+        if now_ns > self._base_ns + (self._bits * NS_PER_S) // self.rate_bps:
             self._base_ns = now_ns
             self._bits = 0
-            start = now_ns
-        self._bits += wire_bits
-        return start
+        bits0 = self._bits
+        self._bits = bits0 + (count - 1) * step_bits + last_bits
+        return self._base_ns, bits0
 
-    def idle_at(self, now_ns: int) -> bool:
-        return now_ns >= self.busy_until_ns
+    def emit(self, now_ns: int, wire_bits: int) -> int:
+        """Charge one packet; returns its emission (serialization start) instant."""
+        base, bits0 = self.charge(now_ns, 1, 0, wire_bits)
+        return base + (bits0 * NS_PER_S) // self.rate_bps

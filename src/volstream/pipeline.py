@@ -7,9 +7,11 @@ loss-free path. The event core is strictly single-threaded over the virtual
 clock and every random draw comes from a named seeded stream, so a run is a
 pure function of (config, seed).
 
-Packet bursts are planned arithmetically by the pacers, carried by the link
-models, and delivered to the receiving endpoints as contiguous runs; losses
-split runs and NACK-driven retransmissions fill them back in. After the
+Each packet burst is a pacer progression (first emission, bits per packet,
+rate). ``Link.carry`` turns it into delivered runs, each with its first and
+last arrival and the packet that arrived first, and each run is scheduled as
+one ``ingest_run`` call at its last arrival; losses split runs and
+NACK-driven retransmissions fill them back in. After the
 event queue drains, per-frame records are assembled from the per-node logs
 and written as the CSV report.
 """
@@ -193,33 +195,14 @@ class SimulationRun:
     # -- burst delivery -----------------------------------------------------------
 
     def _deliver_burst(self, lnk: Link, burst, ingest) -> None:
-        arrivals = lnk.traverse(burst.emissions, burst.wire_bytes, burst.frame_id,
-                                burst.segment_index, burst.seq_start, burst.stamps)
         pps = burst.packet_payload_size
         view = memoryview(burst.payload)
-        stamps = burst.stamps
-        n = burst.count
+        seq = burst.seq_start
         schedule = self.evq.schedule
-        i = 0
-        while i < n:
-            if arrivals[i] is None:
-                i += 1
-                continue
-            j = i
-            mn = mx = arrivals[i]
-            stamp = stamps[i]
-            while j + 1 < n and arrivals[j + 1] is not None:
-                j += 1
-                a = arrivals[j]
-                if a < mn:
-                    mn = a
-                    stamp = stamps[j]
-                if a > mx:
-                    mx = a
+        for first, end, mn, arg, mx in lnk.carry(burst):
             schedule(mx, ingest, burst.frame_id, burst.segment_index,
-                     burst.packets_in_segment, burst.seq_start + i, j - i + 1,
-                     view[i * pps:(j + 1) * pps], pps, mn, mx, stamp, burst.flags)
-            i = j + 1
+                     burst.packets_in_segment, seq + first, end - first,
+                     view[first * pps:end * pps], pps, mn, mx, burst.stamp(arg), burst.flags)
 
     def _send_control(self, lnk: Link, ctrl: ControlPacket, handler) -> None:
         size = len(encode_packet(ctrl))

@@ -106,12 +106,6 @@ class RelayNode:
         upstream.on_segment = self._upstream_segment
         upstream.on_frame = self._upstream_frame
 
-    def set_stall(self, stall: StallModel, rng=None) -> None:
-        """Install a processing-stall model for subsequent forwards."""
-        self.stall = stall
-        if rng is not None:
-            self._stall_rng = rng
-
     @property
     def receiver_count(self) -> int:
         return len(self.downstreams)
@@ -179,11 +173,11 @@ class RelayNode:
                 self.backpressure_events += 1
             burst = sender.send_segment(frame_id, segment_index, payload, now_true,
                                         is_final=is_final, end_of_stream=eos)
-            first = burst.emissions[0]
+            first = burst.first_ns
             end_true = sender.pacer.busy_until_ns
             if entry.forward_start_true_ns[r] == 0 or first < entry.forward_start_true_ns[r]:
                 entry.forward_start_true_ns[r] = first
-                entry.forward_start_ns[r] = burst.stamps[0]
+                entry.forward_start_ns[r] = burst.stamp(0)
             if end_true > entry.forward_end_true_ns[r]:
                 entry.forward_end_true_ns[r] = end_true
                 entry.forward_end_ns[r] = sender.clock.local_from_true(end_true)

@@ -6,8 +6,10 @@ sockets, so the same state machines back both the virtual-clock simulation
 and the real-socket runner.
 
 Sender side: frames are segmented, packetized, and emitted through a rate
-pacer; emission instants are planned arithmetically and each packet carries
-a send timestamp from its actual emission instant. Recently sent frames are
+pacer. Each segment's packets form one ``SegmentBurst`` that carries the
+pacer progression (first emission, bits per packet, rate) rather than
+per-packet lists; each packet's send timestamp is its emission instant on
+the sender's clock, derived when needed. Recently sent frames are
 retained so NACKs can be answered; retransmissions share the same pacer and
 get fresh timestamps.
 
@@ -29,19 +31,28 @@ counted separately).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .clock import NodeClock
 from .errors import ConfigError, TransportError
 from .frames import VolumetricFrame, segment_frame
 from .wire import (FLAG_END_OF_STREAM, FLAG_FINAL_SEGMENT, HEADER_SIZE,
                    ControlPacket, PacketType)
-from .pacing import RatePacer
+from .pacing import NS_PER_S, RatePacer
 
 
 @dataclass(slots=True)
 class SegmentBurst:
-    """A planned emission of contiguous packets of one segment."""
+    """A paced emission of contiguous packets of one segment.
+
+    The burst is carried as its pacer progression: packet ``i`` (0-based)
+    starts serializing at ``base_ns + ((bits0 + i * step_bits) * 10**9) //
+    rate_bps`` (``first_ns`` for packet 0), and every packet but the last is
+    ``full_wire`` bytes on the wire. ``clock`` maps those true-time instants
+    to the sender-local send stamps (``None``: stamps equal emissions). The
+    per-packet lists ``emissions``, ``stamps`` and ``wire_bytes`` are built
+    on first use, for socket mode and the per-packet link path.
+    """
 
     frame_id: int
     segment_index: int
@@ -50,11 +61,44 @@ class SegmentBurst:
     count: int
     payload: object            # buffer covering seqs [seq_start, seq_start+count-1]
     packet_payload_size: int
-    emissions: list            # true-time ns per packet
-    stamps: list               # sender-local ns per packet
-    wire_bytes: list           # datagram size incl header, per packet
+    first_ns: int
+    base_ns: int
+    bits0: int
+    step_bits: int             # pacer bits charged per full packet
+    rate_bps: int
+    full_wire: int             # datagram size incl header, all but the last packet
+    last_wire: int
+    clock: NodeClock | None = None
     flags: int = 0
     retransmit: bool = False
+    _emissions: list | None = field(default=None, repr=False, compare=False)
+
+    def stamp(self, i: int) -> int:
+        """Sender-local send timestamp of packet ``i``."""
+        e = self.base_ns + ((self.bits0 + i * self.step_bits) * NS_PER_S) // self.rate_bps
+        return e if self.clock is None else self.clock.local_from_true(e)
+
+    @property
+    def emissions(self) -> list:
+        if self._emissions is None:
+            if self.count == 1:
+                self._emissions = [self.first_ns]
+            else:
+                base, rate = self.base_ns, self.rate_bps
+                bits = self.bits0 * NS_PER_S
+                step = self.step_bits * NS_PER_S
+                self._emissions = [base + (bits + i * step) // rate for i in range(self.count)]
+        return self._emissions
+
+    @property
+    def stamps(self) -> list:
+        if self.clock is None:
+            return self.emissions
+        return [self.clock.local_from_true(e) for e in self.emissions]
+
+    @property
+    def wire_bytes(self) -> list:
+        return [self.full_wire] * (self.count - 1) + [self.last_wire]
 
     def iter_packets(self, stream_id: int):
         """Materialize (emission_ns, DataPacket) pairs; used by socket mode."""
@@ -62,6 +106,7 @@ class SegmentBurst:
 
         view = memoryview(self.payload)
         pps = self.packet_payload_size
+        stamps = self.stamps
         for i in range(self.count):
             yield self.emissions[i], DataPacket(
                 stream_id=stream_id,
@@ -70,7 +115,7 @@ class SegmentBurst:
                 packet_seq=self.seq_start + i,
                 packets_in_segment=self.packets_in_segment,
                 payload=bytes(view[i * pps:(i + 1) * pps]),
-                send_timestamp=self.stamps[i],
+                send_timestamp=stamps[i],
                 flags=self.flags,
             )
 
@@ -172,45 +217,23 @@ class SenderEndpoint:
     def _plan_burst(self, now_true, frame_id, seg_idx, n_in_seg, seq_start, count,
                     payload, flags, retransmit):
         pps = self.packet_payload_size
-        seg_len = len(payload)
         overhead = self.overhead_bits
-        last_plen = seg_len - (seq_start - 2 + count) * pps
+        last_plen = len(payload) - (seq_start - 2 + count) * pps
         if last_plen > pps:
             last_plen = pps
-        wire = [HEADER_SIZE + pps] * count
-        wire[-1] = HEADER_SIZE + last_plen
-
-        # Inlined pacer arithmetic: after the first packet the bucket is
-        # always draining, so only the first emission can rebase to `now`.
-        pacer = self.pacer
-        rate = pacer.rate_bps
-        base = pacer._base_ns
-        bits = pacer._bits
-        start = base + (bits * 1_000_000_000) // rate
-        if now_true > start:
-            base, bits, start = now_true, 0, now_true
-        emissions = [0] * count
-        full_bits = pps * 8 + overhead
-        for i in range(count - 1):
-            emissions[i] = base + (bits * 1_000_000_000) // rate
-            bits += full_bits
-        emissions[count - 1] = base + (bits * 1_000_000_000) // rate
-        bits += last_plen * 8 + overhead
-        pacer._base_ns = base
-        pacer._bits = bits
-
+        step_bits = pps * 8 + overhead
+        base, bits0 = self.pacer.charge(now_true, count, step_bits,
+                                        last_plen * 8 + overhead)
+        rate = self.pacer.rate_bps
         clk = self.clock
-        if clk.true_offset_ns == 0 and clk.drift_ppm == 0:
-            stamps = emissions
-        else:
-            local = clk.local_from_true
-            stamps = [local(e) for e in emissions]
         view = memoryview(payload)[(seq_start - 1) * pps:(seq_start - 1 + count) * pps]
+        # Positional: this runs once per burst, and keywords cost measurably.
         return SegmentBurst(
-            frame_id=frame_id, segment_index=seg_idx, packets_in_segment=n_in_seg,
-            seq_start=seq_start, count=count, payload=view,
-            packet_payload_size=pps, emissions=emissions, stamps=stamps,
-            wire_bytes=wire, flags=flags, retransmit=retransmit,
+            frame_id, seg_idx, n_in_seg, seq_start, count, view, pps,
+            base + (bits0 * NS_PER_S) // rate, base, bits0, step_bits, rate,
+            HEADER_SIZE + pps, HEADER_SIZE + last_plen,
+            None if clk.true_offset_ns == 0 and clk.drift_ppm == 0 else clk,
+            flags, retransmit,
         )
 
     def send_frame(self, frame: VolumetricFrame, now_true_ns: int,
@@ -249,9 +272,9 @@ class SenderEndpoint:
 
         entry = SendLogEntry(
             frame_id=frame.frame_id,
-            first_send_ns=bursts[0].stamps[0],
+            first_send_ns=bursts[0].stamp(0),
             last_send_end_ns=self.clock.local_from_true(self.pacer.busy_until_ns),
-            first_send_true_ns=bursts[0].emissions[0],
+            first_send_true_ns=bursts[0].first_ns,
             last_send_end_true_ns=self.pacer.busy_until_ns,
             packet_count=sum(b.count for b in bursts),
             payload_len=frame.size,
@@ -279,19 +302,20 @@ class SenderEndpoint:
                                  payload, flags, retransmit=False)
         self.packets_sent += n
         end_true = self.pacer.busy_until_ns
+        first = burst.first_ns
         entry = self.send_log.get(frame_id)
         if entry is None:
             entry = SendLogEntry(
                 frame_id=frame_id,
-                first_send_ns=burst.stamps[0],
-                first_send_true_ns=burst.emissions[0],
+                first_send_ns=burst.stamp(0),
+                first_send_true_ns=first,
             )
             self.send_log[frame_id] = entry
             self._retained[frame_id] = {}
             self._evict()
-        elif burst.emissions[0] < entry.first_send_true_ns:
-            entry.first_send_true_ns = burst.emissions[0]
-            entry.first_send_ns = burst.stamps[0]
+        elif first < entry.first_send_true_ns:
+            entry.first_send_true_ns = first
+            entry.first_send_ns = burst.stamp(0)
         if end_true > entry.last_send_end_true_ns:
             entry.last_send_end_true_ns = end_true
             entry.last_send_end_ns = self.clock.local_from_true(end_true)

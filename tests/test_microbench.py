@@ -1,0 +1,76 @@
+"""Microbenchmarks of burst planning and carriage (pytest-benchmark).
+
+Sizes are the two benchmark geometries: 47-packet bursts (one 65,000 B
+segment of 1,400 B packets, ``paper-default``) and 254-packet bursts (256 B
+packets, ``fanout-small``). Rounds are fixed so the whole file stays cheap
+inside the tier-1 run; compare the printed means across revisions.
+"""
+
+import random
+
+import pytest
+
+from volstream.clock import NodeClock
+from volstream.netem import Link, LinkModel, NodeStageModel
+from volstream.transport import SenderEndpoint
+
+ROUNDS = 200
+SEGMENT = bytes(65_000)
+BURSTS = {47: 1_400, 254: 256}     # packets per burst -> packet payload size
+NODE = NodeStageModel(tx_sw_ns=2_000, tx_hw_ns=1_000, rx_sw_ns=4_000, rx_hw_ns=2_000)
+
+
+def _sender(pps):
+    return SenderEndpoint(1, 1_500_000_000, NodeClock("s"), packet_payload_size=pps,
+                          overhead_bits_per_packet=428)
+
+
+def _link(loss=0.0):
+    model = LinkModel(bandwidth_bps=10_000_000_000, distance_km=1.0, hops=2,
+                      loss_rate=loss)
+    return Link("hop2", model, NODE, NODE, loss_rng=random.Random(1),
+                switch_rng=random.Random(2), reorder_rng=random.Random(3))
+
+
+def _fresh_bursts(pps):
+    """Pedantic setup: a new whole-segment burst 10 ms after the last one."""
+    sender = _sender(pps)
+    n = -(-len(SEGMENT) // pps)
+    clock = [0]
+
+    def setup():
+        clock[0] += 10_000_000
+        return (sender._plan_burst(clock[0], 1, 1, n, 1, n, SEGMENT, 0, False),), {}
+    return setup
+
+
+@pytest.mark.parametrize("count", sorted(BURSTS))
+def test_bench_plan_burst(benchmark, count):
+    pps = BURSTS[count]
+    sender = _sender(pps)
+    burst = benchmark.pedantic(sender._plan_burst,
+                               args=(0, 1, 1, count, 1, count, SEGMENT, 0, False),
+                               rounds=ROUNDS, iterations=1)
+    assert burst.count == count
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.001], ids=["clean", "loss0.1pct"])
+@pytest.mark.parametrize("count", sorted(BURSTS))
+def test_bench_carry(benchmark, count, loss):
+    link = _link(loss)
+    benchmark.pedantic(link.carry, setup=_fresh_bursts(BURSTS[count]),
+                       rounds=ROUNDS, iterations=1)
+    assert link.sent == ROUNDS * count
+
+
+@pytest.mark.parametrize("count", sorted(BURSTS))
+def test_bench_traverse_per_packet(benchmark, count):
+    link = _link()
+    plan = _fresh_bursts(BURSTS[count])
+
+    def setup():
+        (burst,), _ = plan()
+        return (burst.emissions, burst.wire_bytes), {}
+
+    arrivals = benchmark.pedantic(link.traverse, setup=setup, rounds=ROUNDS, iterations=1)
+    assert len(arrivals) == count and None not in arrivals

@@ -1,0 +1,75 @@
+"""Golden digests: the sim's reports are a pure function of (config, seed).
+
+Every report CSV of the four canned scenarios (streams cut to 1 s; the probe
+runs as it is) and of one lossy ``paper-default`` variant is pinned by its
+sha256. The pins were computed before bursts were carried as delivered runs,
+on the per-packet link code, so a change to how the sim computes arrivals
+must reproduce the old reports byte for byte.
+
+To re-pin after a deliberate change of the reports, print
+``_csv_digests(...)`` for each case and paste the result.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from volstream.config import apply_overrides, validate
+from volstream.runner import run_experiment
+from volstream.scenarios import scenario_config
+
+ONE_SECOND = {"duration_s": "1"}
+
+CASES = {
+    "paper-default": ("paper-default", ONE_SECOND),
+    "paper-protocol": ("paper-protocol", ONE_SECOND),
+    "paper-probe": ("paper-probe", {}),
+    "bandwidth-sweep": ("bandwidth-sweep", {}),
+    "paper-default-lossy1pct": ("paper-default", {**ONE_SECOND, "hop1.loss_rate": "0.01",
+                                                  "hop2.loss_rate": "0.01"}),
+}
+
+GOLDEN = {
+    "bandwidth-sweep": {
+        "frames_1000000000.csv": "e13ae4f3b859ab796e9ff9f472ba536fc62bced43d4d4f5bb44337ae441f86e4",
+        "frames_10000000000.csv": "64aac8b62bf813d7cebf18574e665aa37cd3ea3b6750af57042b4e8c4d136d28",
+        "frames_2000000000.csv": "5cb573fef4578bea07c8f987ce4167333cfb177749970fa06d91e0a019eba68f",
+        "frames_5000000000.csv": "8a17c39073a9df7fac046b9b2edfface023c8cc386ac637c3563ebe555ff68e9",
+        "summary_1000000000.csv": "c222986b28018d5ef1724409aa1667e471a1dfb8c20cc44824c786bb25f59f93",
+        "summary_10000000000.csv": "271014bccd5b8c34dec8e66ea5fcaa90eb4144ca0765b626a1983dc6f8be741d",
+        "summary_2000000000.csv": "287b0fcfc705dd6631e1229a7dad7c99f5f737576fec43775c92a554bb44143a",
+        "summary_5000000000.csv": "075caf1fd750f067fc50f70b8f48f5cf17c727f5abed308999914e3452ac63aa",
+        "sweep.csv": "31519a4d409b9e9d282f8e7dfbbcc0042e1dfab6e8828244e154532198ce27b2",
+    },
+    "paper-default": {
+        "frames.csv": "7bf213176c829fc55c9f8e7848620f017302d91a194ff5c98e75c0152abc91a7",
+        "summary.csv": "5c459eee258a126047abb947c4ee9ef2d8b6bd3c39d3788cb6a0a1368305b190",
+    },
+    "paper-default-lossy1pct": {
+        "frames.csv": "3c1bffff67ef6b93b9c009c09a2f3de07a309a202d016279f699001dbaedf6c7",
+        "summary.csv": "5880afafd42d2c1969143441210995839c594faf6ad0482a703169bb5d0e5015",
+    },
+    "paper-probe": {
+        "probe.csv": "e64972f113c978ebf80d7e3796be00b12751515314051776a577812a1d639082",
+    },
+    "paper-protocol": {
+        "frames.csv": "0830bcc01a573f85f5f013cccb2d021bcb24fa862934e81ab2a7f877f72a4e9b",
+        "summary.csv": "cccaf104bc3cd34196b57be892baa98111e3000f9ce2af22677f8c08da6bff2c",
+    },
+}
+
+
+def _csv_digests(scenario: str, overrides: dict, out_dir: Path) -> dict[str, str]:
+    cfg = scenario_config(scenario)
+    diags = apply_overrides(cfg, {**overrides, "out_dir": str(out_dir)}) + validate(cfg)
+    assert diags == [], diags
+    run_experiment(cfg, write_outputs=True)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_csvs_match_golden_digests(case, tmp_path):
+    scenario, overrides = CASES[case]
+    assert _csv_digests(scenario, overrides, tmp_path) == GOLDEN[case]
