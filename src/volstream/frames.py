@@ -15,15 +15,17 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ConfigError, InvalidFrameError
 
 DEFAULT_SEGMENT_PAYLOAD_SIZE = 65_000
 DEFAULT_PACKET_PAYLOAD_SIZE = 1_400
 
-# Base block size for synthetic payload generation; one seeded block is
-# tiled to the requested length, so generation cost is one small PRNG draw
-# plus a memory copy even for multi-megabyte frames.
+# Base block size for synthetic payload generation. One seeded block is
+# tiled to the requested length once per (seed, length) and the tiled body is
+# cached; each frame is then its 24-byte tag joined onto that body, so a
+# multi-megabyte frame costs one memory copy.
 _SYNTH_BLOCK = 65_536
 _SYNTH_TAG = struct.Struct(">QIIII")
 
@@ -134,22 +136,24 @@ def make_synthetic_frame(
     total = color_bytes + depth_bytes + audio_bytes
     if total == 0:
         raise InvalidFrameError("frame has no content: all sections are zero bytes")
-    block = bytearray(random.Random(f"payload:{seed}").randbytes(_SYNTH_BLOCK))
-    reps = -(-total // _SYNTH_BLOCK)
     tag = _SYNTH_TAG.pack(seed & 0xFFFFFFFFFFFFFFFF, frame_id,
                           color_bytes, depth_bytes, audio_bytes)[:total]
-    buf = block * reps
-    del buf[total:]
-    buf[:len(tag)] = tag
     return VolumetricFrame(
         frame_id=frame_id,
         color_bytes=color_bytes,
         depth_bytes=depth_bytes,
         audio_bytes=audio_bytes,
-        payload=bytes(buf),
+        payload=tag + _synthetic_body(seed, total),
         capture_start=capture_start,
         capture_end=capture_end,
     )
+
+
+@lru_cache(maxsize=4)
+def _synthetic_body(seed: int, total: int) -> bytes:
+    """Bytes ``[24, total)`` of the seeded block tiled to ``total`` bytes."""
+    block = random.Random(f"payload:{seed}").randbytes(_SYNTH_BLOCK)
+    return (block * -(-total // _SYNTH_BLOCK))[_SYNTH_TAG.size:total]
 
 
 def segment_frame(frame: VolumetricFrame, segment_payload_size: int) -> list[Segment]:

@@ -163,7 +163,7 @@ class SimulationRun:
         return rng
 
     def _make_render(self, r: int):
-        def on_frame(frame_id, payload, log):
+        def on_frame(frame_id, segments, log):
             rec = render_complete(self.render_profile, frame_id,
                                   log.complete_true_ns, self.receiver_clocks[r],
                                   self._rng(f"apprx:{r}"))

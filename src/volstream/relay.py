@@ -147,17 +147,17 @@ class RelayNode:
             self.forward_segment(frame_id, segment_index, payload, is_final, eos,
                                  max(at, now_true))
 
-    def _upstream_frame(self, frame_id, payload, log) -> None:
+    def _upstream_frame(self, frame_id, segments, log) -> None:
         entry = self._log(frame_id)
         entry.upstream_complete_ns = log.complete_ns
         entry.upstream_complete_true_ns = log.complete_true_ns
         if self.policy == "store_forward":
             at = self._gate(frame_id, log.complete_true_ns)
             if self.scheduler is not None and at > log.complete_true_ns:
-                self.scheduler(at, self.forward_frame, frame_id, payload, at,
+                self.scheduler(at, self.forward_frame, frame_id, segments, at,
                                log.end_of_stream)
             else:
-                self.forward_frame(frame_id, payload, max(at, log.complete_true_ns),
+                self.forward_frame(frame_id, segments, max(at, log.complete_true_ns),
                                    log.end_of_stream)
         self._gates.pop(frame_id, None)
 
@@ -186,15 +186,15 @@ class RelayNode:
             out[r] = [burst]
         return out
 
-    def forward_frame(self, frame_id, payload, now_true, eos=False) -> dict[int, object]:
-        """Store-and-forward: replicate a whole reassembled frame."""
-        seg_size = self.downstreams[0].segment_payload_size
-        view = memoryview(payload)
-        total = len(view)
-        count = -(-total // seg_size)
+    def forward_frame(self, frame_id, segments, now_true, eos=False) -> dict[int, object]:
+        """Store-and-forward: replicate a whole frame from its ordered segments.
+
+        Both hops use the same segment size, so the segments that arrived
+        upstream are forwarded as they are, without re-slicing.
+        """
+        count = len(segments)
         out = {r: [] for r in range(self.receiver_count)}
-        for i in range(count):
-            seg_payload = view[i * seg_size:(i + 1) * seg_size]
+        for i, seg_payload in enumerate(segments):
             per_recv = self.forward_segment(frame_id, i + 1, seg_payload,
                                             is_final=(i + 1 == count),
                                             eos=eos, now_true=now_true)

@@ -419,7 +419,7 @@ def run_receiver_role(cfg: ScenarioConfig, out_dir: str, index: int = 0) -> None
         tail_timeout_ns=_ms(t.tail_timeout_ms), max_nack_rounds=t.max_nack_rounds,
         deadline_ns=_ms(t.deadline_ms), retain_payloads=cfg.retain_payloads)
 
-    def on_frame(frame_id, payload, log):
+    def on_frame(frame_id, segments, log):
         app_records[frame_id] = render_complete(render_profile, frame_id,
                                                 log.complete_true_ns, node_clock, rng)
         if log.end_of_stream:

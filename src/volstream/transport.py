@@ -16,9 +16,15 @@ get fresh timestamps.
 Receiver side: packets are tracked per segment as covered seq intervals
 (duplicates are idempotent), gaps trigger NACKs after a persistence delay or
 a frame-tail timeout for a bounded number of rounds, and a frame is handed
-upward exactly once, when every packet of every segment has arrived. The
-per-frame receive log keeps first/last arrival and the embedded timestamp of
-the earliest-arriving packet, which is what the one-way delay metrics use.
+upward exactly once, when every packet of every segment has arrived. Payload
+bytes are never copied on the way: each run keeps a view of the buffer it
+arrived in, a segment that one run covers is that view, and only a segment
+split by loss or retransmission is joined. At frame completion the length
+and crc32 are streamed over the segment buffers in order, ``on_frame``
+receives that list of buffers, and the frame is joined into one ``bytes``
+only when payloads are retained. The per-frame receive log keeps first/last
+arrival and the embedded timestamp of the earliest-arriving packet, which is
+what the one-way delay metrics use.
 
 Timing conventions: a frame's send span runs from the first packet's
 emission start to the last packet's pacer serialization end, so at zero
@@ -164,7 +170,6 @@ class ReceiveEvent:
     kind: str                         # stored | duplicate | late | frame_complete | nack_emitted
     frame_id: int
     log: RecvLogEntry | None = None
-    payload: bytes | None = None
     ranges: tuple = ()
 
 
@@ -278,7 +283,7 @@ class SenderEndpoint:
             last_send_end_true_ns=self.pacer.busy_until_ns,
             packet_count=sum(b.count for b in bursts),
             payload_len=frame.size,
-            payload_checksum=zlib.adler32(frame.payload) if self.compute_crc else 0,
+            payload_checksum=zlib.crc32(frame.payload) if self.compute_crc else 0,
         )
         self.send_log[frame.frame_id] = entry
         self._retained[frame.frame_id] = retained
@@ -424,7 +429,10 @@ class _SegmentState:
             self.covered = merged
         return stored, dup
 
-    def assemble(self) -> bytes:
+    def assemble(self):
+        """The segment's bytes: the one stored view, or the pieces joined."""
+        if len(self.pieces) == 1:
+            return self.pieces[0][2]
         self.pieces.sort(key=lambda p: p[0])
         return b"".join(p[2] for p in self.pieces)
 
@@ -453,7 +461,7 @@ class _FrameState:
         self.tail_deadline: int | None = None
         self.drop_deadline: int | None = None
         self.end_of_stream = False
-        self.seg_payloads: dict[int, bytes] = {}
+        self.seg_payloads: dict[int, object] = {}   # index -> bytes or view
         self.max_seen_seg = 0
         self.incomplete: set[int] = set()
 
@@ -569,7 +577,13 @@ class ReceiverEndpoint:
     def ingest_run(self, frame_id, segment_index, packets_in_segment, seq_start,
                    count, payload, packet_payload_size, arrivals_min_true,
                    arrivals_max_true, stamp_at_min, flags) -> list[ReceiveEvent]:
-        """Batch form of ``on_packet`` for a contiguous run of one segment."""
+        """Batch form of ``on_packet`` for a contiguous run of one segment.
+
+        ``payload`` holds the run's packets back to back. Views of it are
+        kept after the call returns (a segment that this run covers is
+        handed to ``on_segment`` and ``on_frame`` as such a view), so it must
+        be immutable: a receive path that reuses its buffer must copy first.
+        """
         if frame_id in self.dropped:
             self.late_packets += count
             return [ReceiveEvent(kind="late", frame_id=frame_id)]
@@ -654,7 +668,12 @@ class ReceiverEndpoint:
         return events
 
     def _complete(self, state: _FrameState, now_true: int) -> ReceiveEvent:
-        payload = b"".join(state.seg_payloads[i] for i in range(1, state.segment_count + 1))
+        segments = [state.seg_payloads[i] for i in range(1, state.segment_count + 1)]
+        length = crc = 0
+        for buf in segments:
+            length += len(buf)
+            if self.compute_crc:
+                crc = zlib.crc32(buf, crc)
         log = RecvLogEntry(
             frame_id=state.frame_id,
             first_recv_ns=state.first_arr_local,
@@ -667,19 +686,18 @@ class ReceiverEndpoint:
             packets_received=state.packets,
             duplicates=state.duplicates,
             nack_count=state.nack_count,
-            payload_len=len(payload),
-            payload_checksum=zlib.adler32(payload) if self.compute_crc else 0,
+            payload_len=length,
+            payload_checksum=crc,
             end_of_stream=state.end_of_stream,
         )
         self.recv_log[state.frame_id] = log
         self.packets_delivered_upward += state.packets
         if self.retain_payloads:
-            self.payloads[state.frame_id] = payload
+            self.payloads[state.frame_id] = b"".join(segments)
         if self.on_frame is not None:
-            self.on_frame(state.frame_id, payload, log)
+            self.on_frame(state.frame_id, segments, log)
         del self._frames[state.frame_id]
-        return ReceiveEvent(kind="frame_complete", frame_id=state.frame_id,
-                            log=log, payload=payload)
+        return ReceiveEvent(kind="frame_complete", frame_id=state.frame_id, log=log)
 
     # -- gap detection and timers ---------------------------------------------
 

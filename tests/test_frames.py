@@ -1,12 +1,18 @@
+import random
+import struct
+import zlib
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from volstream.clock import NodeClock
 from volstream.errors import ConfigError, InvalidFrameError
 from volstream.frames import (DataPacket, Segment, VolumetricFrame,
                               make_synthetic_frame, packet_count,
                               packetize_segment, required_bandwidth_bps,
                               segment_frame)
+from volstream.transport import ReceiverEndpoint, SenderEndpoint
 
 
 def test_synthetic_frame_reference_section_sizes():
@@ -94,23 +100,66 @@ def test_packetize_concatenation_restores_segment():
         assert p.packets_in_segment == len(packets)
 
 
+# Cap on segments per frame in the geometry below: a 10 MB frame of 1-byte
+# segments would be ten million bursts. Every bound stays reachable.
+MAX_SEGMENTS = 2_000
+
+
 @settings(max_examples=30, deadline=None)
-@given(
-    length=st.integers(min_value=1, max_value=10_000_000),
-    seg_size=st.integers(min_value=1, max_value=200_000),
-    pkt_size=st.integers(min_value=1, max_value=9_000),
-)
-def test_reassembly_identity(length, seg_size, pkt_size):
-    # full segment -> packet -> concatenate round trip over random geometry
-    payload = (b"\x5a\xc3\x01\xfe" * ((length + 3) // 4))[:length]
+@given(data=st.data())
+def test_reassembly_identity(data):
+    # production path: send_frame bursts split into runs at random points,
+    # shuffled, some delivered twice, reassembled by ingest_run
+    length = data.draw(st.integers(min_value=1, max_value=10_000_000), label="length")
+    seg_size = data.draw(st.integers(min_value=max(1, -(-length // MAX_SEGMENTS)),
+                                     max_value=200_000), label="seg_size")
+    pkt_size = data.draw(st.integers(min_value=1, max_value=9_000), label="pkt_size")
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32), label="seed"))
+    payload = rng.randbytes(length)
     frame = VolumetricFrame(1, length, 0, 0, payload=payload)
-    out = []
-    segs = segment_frame(frame, seg_size)
-    assert len(segs) == -(-length // seg_size)
-    for seg in segs:
-        for p in packetize_segment(seg, pkt_size):
-            out.append(p.payload)
-    assert b"".join(bytes(v) for v in out) == payload
+    sender = SenderEndpoint(1, 10**9, NodeClock("s"), segment_payload_size=seg_size,
+                            packet_payload_size=pkt_size)
+    receiver = ReceiverEndpoint(1, NodeClock("r"), deadline_ns=0, retain_payloads=True)
+    bursts = sender.send_frame(frame, 0)
+    assert len(bursts) == -(-length // seg_size)
+    runs = []
+    for b in bursts:
+        cuts = sorted(rng.sample(range(1, b.count), min(rng.randint(0, 3), b.count - 1)))
+        runs += [(b, lo, hi) for lo, hi in zip([0, *cuts], [*cuts, b.count])]
+    runs += rng.sample(runs, min(len(runs), rng.randint(0, 5)))
+    rng.shuffle(runs)
+    for t, (b, lo, hi) in enumerate(runs):
+        view = memoryview(b.payload)[lo * pkt_size:hi * pkt_size]
+        receiver.ingest_run(1, b.segment_index, b.packets_in_segment, b.seq_start + lo,
+                            hi - lo, view, pkt_size, t, t, b.stamp(lo), b.flags)
+    assert receiver.payloads[1] == payload
+    log = receiver.recv_log[1]
+    assert log.payload_checksum == zlib.crc32(payload)
+    assert log.packets_received == sum(b.count for b in bursts)
+
+
+def _tiled_reference(frame_id, color, depth, audio, seed):
+    """Reference synthesis: tile the block, truncate, overwrite the head with the tag."""
+    total = color + depth + audio
+    block = bytearray(random.Random(f"payload:{seed}").randbytes(65_536))
+    tag = struct.pack(">QIIII", seed & 0xFFFFFFFFFFFFFFFF, frame_id,
+                      color, depth, audio)[:total]
+    buf = block * -(-total // 65_536)
+    del buf[total:]
+    buf[:len(tag)] = tag
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("sections,seed", [
+    ((10, 5, 3), 1),                     # total < 24: the tag is truncated
+    ((65_536 * 2, 0, 0), 7),             # exact multiple of the block
+    ((1_400_000, 1_920_000, 200_000), 1),   # paper frame
+    ((1_000, 2_000, 300), 2**64 + 5),    # seed wider than the tag field
+])
+def test_synthetic_frame_matches_tiled_reference(sections, seed):
+    for frame_id in (1, 2):
+        frame = make_synthetic_frame(frame_id, *sections, seed=seed)
+        assert frame.payload == _tiled_reference(frame_id, *sections, seed)
 
 
 def test_segment_and_packet_index_bounds():

@@ -1,9 +1,10 @@
-"""Microbenchmarks of burst planning and carriage (pytest-benchmark).
+"""Microbenchmarks of burst planning, carriage and reassembly (pytest-benchmark).
 
 Sizes are the two benchmark geometries: 47-packet bursts (one 65,000 B
 segment of 1,400 B packets, ``paper-default``) and 254-packet bursts (256 B
-packets, ``fanout-small``). Rounds are fixed so the whole file stays cheap
-inside the tier-1 run; compare the printed means across revisions.
+packets, ``fanout-small``); reassembly uses the 3.52 MB ``paper-default``
+frame of 55 segments. Rounds are fixed so the whole file stays cheap inside
+the tier-1 run; compare the printed means across revisions.
 """
 
 import random
@@ -11,8 +12,10 @@ import random
 import pytest
 
 from volstream.clock import NodeClock
+from volstream.frames import make_synthetic_frame
 from volstream.netem import Link, LinkModel, NodeStageModel
-from volstream.transport import SenderEndpoint
+from volstream.transport import ReceiverEndpoint, SenderEndpoint
+from volstream.wire import FLAG_FINAL_SEGMENT
 
 ROUNDS = 200
 SEGMENT = bytes(65_000)
@@ -74,3 +77,41 @@ def test_bench_traverse_per_packet(benchmark, count):
 
     arrivals = benchmark.pedantic(link.traverse, setup=setup, rounds=ROUNDS, iterations=1)
     assert len(arrivals) == count and None not in arrivals
+
+
+def _ingest(receiver, burst, frame_id=1):
+    return receiver.ingest_run(frame_id, burst.segment_index, burst.packets_in_segment,
+                               burst.seq_start, burst.count, burst.payload,
+                               burst.packet_payload_size, burst.first_ns,
+                               burst.first_ns, 0, burst.flags)
+
+
+def test_bench_ingest_segment(benchmark):
+    # one 47-packet run completes segment 1 of a fresh frame
+    burst = _sender(1_400)._plan_burst(0, 1, 1, 47, 1, 47, SEGMENT, 0, False)
+    receiver = ReceiverEndpoint(1, NodeClock("r"), deadline_ns=0)
+    frame_ids = iter(range(1, ROUNDS + 1))
+
+    def setup():
+        return (receiver, burst, next(frame_ids)), {}
+
+    events = benchmark.pedantic(_ingest, setup=setup, rounds=ROUNDS, iterations=1)
+    assert [e.kind for e in events] == ["stored"]
+    assert receiver.frames_in_flight == ROUNDS
+
+
+def test_bench_ingest_frame(benchmark):
+    # 55 one-run segments complete a 3.52 MB frame, crc32 included
+    bursts = _sender(1_400).send_frame(make_synthetic_frame(1, 3_520_000, 0, 0, seed=1), 0)
+    assert len(bursts) == 55 and bursts[-1].flags & FLAG_FINAL_SEGMENT
+
+    def complete(receiver):
+        for b in bursts:
+            events = _ingest(receiver, b)
+        return events
+
+    def setup():
+        return (ReceiverEndpoint(1, NodeClock("r"), deadline_ns=0),), {}
+
+    events = benchmark.pedantic(complete, setup=setup, rounds=ROUNDS // 4, iterations=1)
+    assert events[-1].kind == "frame_complete"

@@ -1,6 +1,7 @@
 import hashlib
 import os
 
+from volstream import pipeline, transport
 from volstream.frames import make_synthetic_frame
 from volstream.pipeline import run_simulation
 
@@ -220,3 +221,33 @@ def test_clock_offset_correction(small_cfg):
             continue
         assert rec.network_l_uncorrected_ns - rec.network_l_true_ns == 3 * MS
         assert rec.network_l_ns == rec.network_l_true_ns
+
+
+def test_payload_check_catches_one_flipped_byte(small_cfg, monkeypatch):
+    # flip one byte of one segment reassembled at a receiver; the crc32
+    # streamed over its segments must then disagree with the sender's
+    at_receiver, flipped = [False], []
+    assemble = transport._SegmentState.assemble
+    receiver_ingest = pipeline.SimulationRun._receiver_ingest
+
+    def corrupting_assemble(self):
+        data = assemble(self)
+        if not at_receiver[0] or flipped:
+            return data
+        buf = bytearray(data)
+        buf[len(buf) // 2] ^= 0x01
+        flipped.append(1)
+        return bytes(buf)
+
+    def flagged_ingest(self, *args):
+        at_receiver[0] = True
+        try:
+            receiver_ingest(self, *args)
+        finally:
+            at_receiver[0] = False
+
+    monkeypatch.setattr(transport._SegmentState, "assemble", corrupting_assemble)
+    monkeypatch.setattr(pipeline.SimulationRun, "_receiver_ingest", flagged_ingest)
+    result = run_simulation(small_cfg(duration_s=0.2), write_outputs=False)
+    assert flipped
+    assert result.payload_mismatches >= 1

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -335,3 +337,24 @@ def test_conservation_counters():
     assert sender.packets_retransmitted == 0
     assert receiver.packets_received == 72
     assert receiver.packets_delivered_upward == 72
+
+
+def test_frame_completion_allocates_no_payload_copy():
+    # one 3.52 MB frame, 55 x 65,000 B segments arriving as one run each:
+    # segments stay views of the arriving buffers and the crc32 is streamed
+    # over them, so completion allocates nothing frame- or segment-sized
+    frame = _frame()
+    bursts = _sender().send_frame(frame, 0)
+    assert [b.count for b in bursts] == [47] * 54 + [8]
+    receiver = _receiver(retain_payloads=False)
+    tracemalloc.start()
+    try:
+        for b in bursts:
+            receiver.ingest_run(1, b.segment_index, b.packets_in_segment, 1, b.count,
+                                b.payload, 1400, b.first_ns, b.first_ns, 0, b.flags)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    log = receiver.recv_log[1]
+    assert (log.payload_len, log.payload_checksum) == (frame.size, zlib.crc32(frame.payload))
+    assert peak < 1_000_000
