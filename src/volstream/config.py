@@ -20,6 +20,7 @@ from .appemu import CaptureProfile, DurationDist, RenderProfile
 from .errors import ConfigError
 from .netem import LinkModel, NodeStageModel
 from .relay import StallModel
+from .transport import ReceiverEndpoint, SenderEndpoint
 
 NS_PER_MS = 1_000_000
 NS_PER_US = 1_000
@@ -209,6 +210,36 @@ class ScenarioConfig:
     def stall_model(self) -> StallModel:
         return StallModel(probability=self.stall.probability,
                           min_ns=_ms(self.stall.min_ms), max_ns=_ms(self.stall.max_ms))
+
+    def sender_endpoint(self, rate_bps: int, clock) -> SenderEndpoint:
+        """A paced sending endpoint: the sender, or one relay downstream."""
+        t = self.transport
+        return SenderEndpoint(
+            self.stream_id, rate_bps, clock,
+            segment_payload_size=self.segment_payload_size,
+            packet_payload_size=t.packet_payload_size,
+            overhead_bits_per_packet=t.overhead_bits_per_packet,
+            retention_frames=t.retention_frames,
+            max_frame_bytes=t.max_frame_bytes,
+            compute_crc=self.verify_payload,
+        )
+
+    def receiver_endpoint(self, clock, relay: bool = False) -> ReceiverEndpoint:
+        """A receiving endpoint: a final receiver, or the relay's upstream.
+
+        Only final receivers check payloads and retain them; nothing reads
+        the relay's frame checksums.
+        """
+        t = self.transport
+        return ReceiverEndpoint(
+            self.stream_id, clock,
+            nack_delay_ns=_ms(t.nack_delay_ms),
+            tail_timeout_ns=_ms(t.tail_timeout_ms),
+            max_nack_rounds=t.max_nack_rounds,
+            deadline_ns=_ms(t.deadline_ms),
+            retain_payloads=self.retain_payloads and not relay,
+            compute_crc=self.verify_payload and not relay,
+        )
 
     def hop2_pacing(self, receiver: int) -> int:
         rates = self.hop2.pacing_bps

@@ -3,9 +3,9 @@
 A volumetric frame bundles one capture interval's color image, depth image,
 and audio bytes into a single transmission unit. The application layer slices
 the frame payload into fixed-size segments; the transport layer slices each
-segment into packets small enough for a datagram. Both slicings are plain
-contiguous splits, so concatenating the pieces in order reproduces the
-original bytes exactly.
+segment into packets small enough for a datagram (``SegmentBurst.packet``
+in ``transport``). Both slicings are plain contiguous splits, so
+concatenating the pieces in order reproduces the original bytes exactly.
 
 Sizes follow decimal units throughout: 1 Kbyte = 1e3 bytes, 1 Mbyte = 1e6.
 """
@@ -90,9 +90,9 @@ class Segment:
 class DataPacket:
     """Transport-layer wire packet; see ``wire`` for the byte layout.
 
-    ``send_timestamp`` is stamped by the sending endpoint at the packet's
-    actual emission instant (sender-local nanoseconds); packets produced by
-    ``packetize_segment`` carry 0 until an endpoint emits them.
+    ``send_timestamp`` is the packet's emission instant on the sender's
+    clock (sender-local nanoseconds); ``SegmentBurst.packet`` stamps it when
+    socket mode puts the packet on the wire.
     """
 
     stream_id: int
@@ -178,39 +178,6 @@ def segment_frame(frame: VolumetricFrame, segment_payload_size: int) -> list[Seg
         )
         for i in range(count)
     ]
-
-
-def packetize_segment(
-    segment: Segment,
-    packet_payload_size: int,
-    stream_id: int = 0,
-    flags: int = 0,
-) -> list[DataPacket]:
-    """Split one segment into packets of at most ``packet_payload_size``."""
-    if packet_payload_size < 1:
-        raise ConfigError(f"packet_payload_size must be >= 1, got {packet_payload_size}")
-    data = memoryview(segment.payload)
-    n = len(data)
-    count = -(-n // packet_payload_size)
-    return [
-        DataPacket(
-            stream_id=stream_id,
-            frame_id=segment.frame_id,
-            segment_index=segment.segment_index,
-            packet_seq=i + 1,
-            packets_in_segment=count,
-            payload=data[i * packet_payload_size : (i + 1) * packet_payload_size],
-            flags=flags,
-        )
-        for i in range(count)
-    ]
-
-
-def packet_count(payload_len: int, packet_payload_size: int) -> int:
-    """Packets needed for ``payload_len`` bytes at the given packet size."""
-    if packet_payload_size < 1:
-        raise ConfigError(f"packet_payload_size must be >= 1, got {packet_payload_size}")
-    return -(-payload_len // packet_payload_size)
 
 
 def required_bandwidth_bps(frame_bytes: int, fps: float) -> float:

@@ -94,25 +94,6 @@ class NodeStageModel:
         return int(self.rx_hw_ns * self.load_factor)
 
 
-@dataclass(frozen=True)
-class StageBreakdown:
-    """Per-stage delay of one packet, all in ns. Total is the exact sum."""
-
-    tx_sw_ns: int
-    tx_hw_ns: int
-    queue_ns: int
-    serialization_ns: int
-    propagation_ns: int
-    switching_ns: int
-    rx_hw_ns: int
-    rx_sw_ns: int
-
-    @property
-    def total_ns(self) -> int:
-        return (self.tx_sw_ns + self.tx_hw_ns + self.queue_ns + self.serialization_ns
-                + self.propagation_ns + self.switching_ns + self.rx_hw_ns + self.rx_sw_ns)
-
-
 def serialization_ns(packet_bytes: int, bandwidth_bps: int) -> int:
     return (packet_bytes * 8 * NS_PER_S) // bandwidth_bps
 
@@ -125,36 +106,6 @@ def sample_switching_ns(model: LinkModel, rng) -> int:
         return model.hops * lo
     span = hi - lo
     return sum(lo + int(rng.random() * span) for _ in range(model.hops))
-
-
-def packet_delay(
-    link: LinkModel,
-    node_tx: NodeStageModel,
-    node_rx: NodeStageModel,
-    packet_bytes: int,
-    rng=None,
-) -> tuple[bool, StageBreakdown]:
-    """Delay breakdown for one isolated packet on an otherwise idle link.
-
-    Returns ``(delivered, breakdown)``; the loss draw happens before the
-    delay is computed so loss and delay sampling stay aligned across
-    replays. The breakdown is computed for lost packets too (the delay the
-    packet would have seen).
-    """
-    delivered = True
-    if link.loss_rate > 0 and rng is not None and rng.random() < link.loss_rate:
-        delivered = False
-    breakdown = StageBreakdown(
-        tx_sw_ns=node_tx.tx_sw_ns,
-        tx_hw_ns=node_tx.tx_hw_ns,
-        queue_ns=0,
-        serialization_ns=serialization_ns(packet_bytes, link.bandwidth_bps),
-        propagation_ns=link.propagation_ns,
-        switching_ns=sample_switching_ns(link, rng),
-        rx_hw_ns=node_rx.rx_hw_effective_ns,
-        rx_sw_ns=node_rx.rx_sw_effective_ns,
-    )
-    return delivered, breakdown
 
 
 class EventQueue:

@@ -7,13 +7,15 @@ loss-free path. The event core is strictly single-threaded over the virtual
 clock and every random draw comes from a named seeded stream, so a run is a
 pure function of (config, seed).
 
-Each packet burst is a pacer progression (first emission, bits per packet,
-rate). ``Link.carry`` turns it into delivered runs, each with its first and
-last arrival and the packet that arrived first, and each run is scheduled as
-one ``ingest_run`` call at its last arrival; losses split runs and
-NACK-driven retransmissions fill them back in. After the
-event queue drains, per-frame records are assembled from the per-node logs
-and written as the CSV report.
+Both hops (sender -> relay, relay -> each receiver) are a ``Hop`` and run
+the same handlers. Each packet burst is a pacer progression (first
+emission, bits per packet, rate). ``Link.carry`` turns it into delivered
+runs, each with its first and last arrival and the packet that arrived
+first, and each run is scheduled as one ``ingest_run`` call at its last
+arrival; losses split runs and NACK-driven retransmissions fill them back
+in. After the event queue drains, ``receiver_records`` assembles each
+receiver's per-frame records from the per-node logs (socket mode uses it
+too), and they are written as the CSV report.
 """
 
 from __future__ import annotations
@@ -42,6 +44,17 @@ class ReceiverResult:
     summary: RunSummary
     frames_csv: str = ""
     summary_csv: str = ""
+
+
+@dataclass(slots=True)
+class Hop:
+    """One sender-to-receiver hop: its two endpoints and two links."""
+
+    sender: SenderEndpoint
+    forward: Link            # data, sender -> receiver
+    reverse: Link            # ACKs and NACKs, receiver -> sender
+    receiver: ReceiverEndpoint
+    timer_armed: int | None = None   # deadline of the scheduled receiver timer
 
 
 @dataclass
@@ -100,42 +113,17 @@ class SimulationRun:
         self.h2r = [link(f"hop2_rev_r{r}", cfg.hop2, cfg.node_receiver, cfg.node_relay,
                          reverse=True) for r in range(cfg.receivers)]
 
-        t = cfg.transport
-        self.sender = SenderEndpoint(
-            cfg.stream_id, cfg.hop1.pacing_bps[0], self.sender_clock,
-            segment_payload_size=cfg.segment_payload_size,
-            packet_payload_size=t.packet_payload_size,
-            overhead_bits_per_packet=t.overhead_bits_per_packet,
-            retention_frames=t.retention_frames,
-            max_frame_bytes=t.max_frame_bytes,
-            compute_crc=cfg.verify_payload,
-        )
-        recv_kwargs = dict(
-            nack_delay_ns=_ms(t.nack_delay_ms),
-            tail_timeout_ns=_ms(t.tail_timeout_ms),
-            max_nack_rounds=t.max_nack_rounds,
-            deadline_ns=_ms(t.deadline_ms),
-        )
-        self.relay_up = ReceiverEndpoint(cfg.stream_id, self.relay_clock, compute_crc=False,
-                                         **recv_kwargs)
-        self.relay_down = [
-            SenderEndpoint(
-                cfg.stream_id, cfg.hop2_pacing(r), self.relay_clock,
-                segment_payload_size=cfg.segment_payload_size,
-                packet_payload_size=t.packet_payload_size,
-                overhead_bits_per_packet=t.overhead_bits_per_packet,
-                retention_frames=t.retention_frames,
-                max_frame_bytes=t.max_frame_bytes,
-            )
-            for r in range(cfg.receivers)
-        ]
-        self.receivers = [
-            ReceiverEndpoint(cfg.stream_id, self.receiver_clocks[r],
-                             retain_payloads=cfg.retain_payloads,
-                             compute_crc=cfg.verify_payload,
-                             on_frame=self._make_render(r), **recv_kwargs)
-            for r in range(cfg.receivers)
-        ]
+        self.sender = cfg.sender_endpoint(cfg.hop1.pacing_bps[0], self.sender_clock)
+        self.relay_up = cfg.receiver_endpoint(self.relay_clock, relay=True)
+        self.relay_down = [cfg.sender_endpoint(cfg.hop2_pacing(r), self.relay_clock)
+                           for r in range(cfg.receivers)]
+        self.receivers = [cfg.receiver_endpoint(self.receiver_clocks[r])
+                          for r in range(cfg.receivers)]
+        for r, ep in enumerate(self.receivers):
+            ep.on_frame = self._make_render(r)
+        self.hop1 = Hop(self.sender, self.h1f, self.h1r, self.relay_up)
+        self.hop2 = [Hop(self.relay_down[r], self.h2f[r], self.h2r[r], self.receivers[r])
+                     for r in range(cfg.receivers)]
         self.relay = RelayNode(
             self.relay_up, self.relay_down,
             policy=cfg.relay.policy,
@@ -151,7 +139,6 @@ class SimulationRun:
         self.render_profile = cfg.render_profile()
         self.app_tx_records = {}
         self.app_rx_records = [dict() for _ in range(cfg.receivers)]
-        self._timer_armed = {}    # id(endpoint) -> scheduled deadline
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -192,48 +179,74 @@ class SimulationRun:
         for clk in (self.sender_clock, self.relay_clock, *self.receiver_clocks[1:]):
             sync_exchange(clk, master, path, now_ns, rng, max_attempts=k.sync_retries)
 
-    # -- burst delivery -----------------------------------------------------------
+    # -- hops ---------------------------------------------------------------------
+    #
+    # Both hops run the same handlers: bursts from ``hop.sender`` cross
+    # ``hop.forward`` into ``hop.receiver``, whose ACKs and NACKs cross
+    # ``hop.reverse`` back to ``hop.sender``.
 
-    def _deliver_burst(self, lnk: Link, burst, ingest) -> None:
+    def _deliver_burst(self, hop: Hop, burst) -> None:
         pps = burst.packet_payload_size
         view = memoryview(burst.payload)
         seq = burst.seq_start
         schedule = self.evq.schedule
-        for first, end, mn, arg, mx in lnk.carry(burst):
-            schedule(mx, ingest, burst.frame_id, burst.segment_index,
+        for first, end, mn, arg, mx in hop.forward.carry(burst):
+            schedule(mx, self._ingest, hop, burst.frame_id, burst.segment_index,
                      burst.packets_in_segment, seq + first, end - first,
                      view[first * pps:end * pps], pps, mn, mx, burst.stamp(arg), burst.flags)
 
-    def _send_control(self, lnk: Link, ctrl: ControlPacket, handler) -> None:
+    def _ingest(self, hop: Hop, frame_id, seg_idx, n_in_seg, seq_start, count, payload,
+                pps, mn, mx, stamp, flags) -> None:
+        ep = hop.receiver
+        events = ep.ingest_run(
+            frame_id=frame_id, segment_index=seg_idx, packets_in_segment=n_in_seg,
+            seq_start=seq_start, count=count, payload=payload,
+            packet_payload_size=pps, arrivals_min_true=mn, arrivals_max_true=mx,
+            stamp_at_min=stamp, flags=flags)
+        for ev in events:
+            if ev.kind == "frame_complete":
+                ack = ControlPacket(packet_type=PacketType.FRAME_ACK,
+                                    stream_id=self.cfg.stream_id, frame_id=frame_id)
+                self._send_control(hop, ack)
+        for nack in ep.pending_control:
+            self._send_control(hop, nack)
+        ep.pending_control.clear()
+        self._arm_timer(hop)
+
+    def _send_control(self, hop: Hop, ctrl: ControlPacket) -> None:
         size = len(encode_packet(ctrl))
-        arrivals = lnk.traverse([self.evq.now], [size], ctrl.frame_id, 0, 0, None)
+        arrivals = hop.reverse.traverse([self.evq.now], [size], ctrl.frame_id, 0, 0, None)
         if arrivals[0] is not None:
-            self.evq.schedule(arrivals[0], handler, ctrl)
+            self.evq.schedule(arrivals[0], self._control, hop, ctrl)
 
-    # -- endpoint timers ------------------------------------------------------------
+    def _control(self, hop: Hop, ctrl: ControlPacket) -> None:
+        if ctrl.packet_type == PacketType.NACK:
+            for burst in hop.sender.retransmit(ctrl, self.evq.now):
+                self._deliver_burst(hop, burst)
+        elif ctrl.packet_type == PacketType.FRAME_ACK:
+            hop.sender.on_frame_ack(ctrl)
 
-    def _arm_timer(self, ep: ReceiverEndpoint, route) -> None:
-        deadline = ep.next_timer_ns()
+    def _arm_timer(self, hop: Hop) -> None:
+        deadline = hop.receiver.next_timer_ns()
         if deadline is None:
             return
-        key = id(ep)
-        armed = self._timer_armed.get(key)
-        if armed is not None and armed <= deadline:
+        if hop.timer_armed is not None and hop.timer_armed <= deadline:
             return
-        self._timer_armed[key] = deadline
-        self.evq.schedule(max(deadline, self.evq.now), self._timer_fire, ep, route)
+        hop.timer_armed = deadline
+        self.evq.schedule(max(deadline, self.evq.now), self._timer_fire, hop)
 
-    def _timer_fire(self, ep: ReceiverEndpoint, route) -> None:
-        self._timer_armed.pop(id(ep), None)
+    def _timer_fire(self, hop: Hop) -> None:
+        hop.timer_armed = None
+        ep = hop.receiver
         deadline = ep.next_timer_ns()
         if deadline is None:
             return
         if deadline <= self.evq.now:
             for nack in ep.on_timer(self.evq.now):
-                route(nack)
-        self._arm_timer(ep, route)
+                self._send_control(hop, nack)
+        self._arm_timer(hop)
 
-    # -- event handlers --------------------------------------------------------------
+    # -- application events ------------------------------------------------------------
 
     def _capture(self, k: int) -> None:
         frame, rec = capture_tick(self.capture_profile, k + 1, self.evq.now,
@@ -245,79 +258,11 @@ class SimulationRun:
 
     def _handoff(self, frame, eos: bool) -> None:
         for burst in self.sender.send_frame(frame, self.evq.now, end_of_stream=eos):
-            self._deliver_burst(self.h1f, burst, self._relay_ingest)
-
-    def _route_relay_nack(self, nack: ControlPacket) -> None:
-        self._send_control(self.h1r, nack, self._sender_control)
-
-    def _sender_control(self, ctrl: ControlPacket) -> None:
-        if ctrl.packet_type == PacketType.NACK:
-            for burst in self.sender.retransmit(ctrl, self.evq.now):
-                self._deliver_burst(self.h1f, burst, self._relay_ingest)
-        elif ctrl.packet_type == PacketType.FRAME_ACK:
-            self.sender.on_frame_ack(ctrl)
-
-    def _relay_ingest(self, frame_id, seg_idx, n_in_seg, seq_start, count, payload,
-                      pps, mn, mx, stamp, flags) -> None:
-        events = self.relay_up.ingest_run(
-            frame_id=frame_id, segment_index=seg_idx, packets_in_segment=n_in_seg,
-            seq_start=seq_start, count=count, payload=payload,
-            packet_payload_size=pps, arrivals_min_true=mn, arrivals_max_true=mx,
-            stamp_at_min=stamp, flags=flags)
-        for ev in events:
-            if ev.kind == "frame_complete":
-                ack = ControlPacket(packet_type=PacketType.FRAME_ACK,
-                                    stream_id=self.cfg.stream_id, frame_id=frame_id)
-                self._send_control(self.h1r, ack, self._sender_control)
-        for nack in self.relay_up.pending_control:
-            self._route_relay_nack(nack)
-        self.relay_up.pending_control.clear()
-        self._arm_timer(self.relay_up, self._route_relay_nack)
+            self._deliver_burst(self.hop1, burst)
 
     def _relay_emit(self, r: int, bursts) -> None:
         for burst in bursts:
-            self._deliver_burst(self.h2f[r], burst, self._receiver_ingest_fn(r))
-
-    def _receiver_ingest_fn(self, r: int):
-        fn = getattr(self, "_recv_fns", None)
-        if fn is None:
-            fn = self._recv_fns = {}
-        cached = fn.get(r)
-        if cached is None:
-            def ingest(*args, _r=r):
-                self._receiver_ingest(_r, *args)
-            cached = fn[r] = ingest
-        return cached
-
-    def _route_receiver_nack(self, r: int, nack: ControlPacket) -> None:
-        self._send_control(self.h2r[r], nack,
-                           lambda ctrl, _r=r: self._relay_down_control(_r, ctrl))
-
-    def _relay_down_control(self, r: int, ctrl: ControlPacket) -> None:
-        if ctrl.packet_type == PacketType.NACK:
-            for burst in self.relay_down[r].retransmit(ctrl, self.evq.now):
-                self._deliver_burst(self.h2f[r], burst, self._receiver_ingest_fn(r))
-        elif ctrl.packet_type == PacketType.FRAME_ACK:
-            self.relay_down[r].on_frame_ack(ctrl)
-
-    def _receiver_ingest(self, r, frame_id, seg_idx, n_in_seg, seq_start, count,
-                         payload, pps, mn, mx, stamp, flags) -> None:
-        ep = self.receivers[r]
-        events = ep.ingest_run(
-            frame_id=frame_id, segment_index=seg_idx, packets_in_segment=n_in_seg,
-            seq_start=seq_start, count=count, payload=payload,
-            packet_payload_size=pps, arrivals_min_true=mn, arrivals_max_true=mx,
-            stamp_at_min=stamp, flags=flags)
-        for ev in events:
-            if ev.kind == "frame_complete":
-                ack = ControlPacket(packet_type=PacketType.FRAME_ACK,
-                                    stream_id=self.cfg.stream_id, frame_id=frame_id)
-                self._send_control(self.h2r[r], ack,
-                                   lambda ctrl, _r=r: self._relay_down_control(_r, ctrl))
-        for nack in ep.pending_control:
-            self._route_receiver_nack(r, nack)
-        ep.pending_control.clear()
-        self._arm_timer(ep, lambda nack, _r=r: self._route_receiver_nack(_r, nack))
+            self._deliver_burst(self.hop2[r], burst)
 
     # -- run ---------------------------------------------------------------------------
 
@@ -346,28 +291,21 @@ class SimulationRun:
             relay_true_ns=self.relay_clock.true_offset_ns,
             receiver_true_ns=[c.true_offset_ns for c in self.receiver_clocks],
         )
+        logs = RunLogs(
+            app_tx=self.app_tx_records,
+            send_log=self.sender.send_log,
+            relay_recv=self.relay_up.recv_log,
+            relay_dist=self.relay.dist_log,
+            relay_send=[ep.send_log for ep in self.relay_down],
+            recv=[ep.recv_log for ep in self.receivers],
+            app_rx=self.app_rx_records,
+            has_ground_truth=True,
+        )
         results = []
         for r in range(cfg.receivers):
-            logs = RunLogs(
-                app_tx=self.app_tx_records,
-                send_log=self.sender.send_log,
-                relay_recv=self.relay_up.recv_log,
-                relay_dist=self.relay.dist_log,
-                relay_send=[ep.send_log for ep in self.relay_down],
-                recv=[ep.recv_log for ep in self.receivers],
-                app_rx=self.app_rx_records,
-                has_ground_truth=True,
-            )
-            records = []
-            for frame_id in range(1, self.frame_count + 1):
-                if frame_id in self.receivers[r].recv_log and frame_id in self.app_rx_records[r]:
-                    records.append(assemble_record(frame_id, logs, offsets, r,
-                                                   self.anomalies))
-                else:
-                    records.append(dropped_record(frame_id, logs))
-            counts = self._packet_counts(r)
+            records = receiver_records(logs, offsets, r, self.frame_count, self.anomalies)
             results.append(ReceiverResult(records=records,
-                                          summary=summarize(records, counts)))
+                                          summary=summarize(records, self._packet_counts(r))))
         return SimResult(config=cfg, receivers=results, offsets=offsets,
                          anomalies=self.anomalies,
                          trace_rows=self.trace_rows or [],
@@ -391,6 +329,21 @@ class SimulationRun:
             "payload_mismatches": self.payload_mismatches,
             "clock_anomalies": self.anomalies.count,
         }
+
+
+def receiver_records(logs: RunLogs, offsets: OffsetTable, receiver: int,
+                     frame_count: int, anomalies: AnomalyLog | None = None) -> list:
+    """Receiver ``receiver``'s latency record of each frame ``1..frame_count``.
+
+    A frame gets a completed record when every log ``assemble_record``
+    reads holds it, and a dropped record otherwise. Sim and socket mode
+    both assemble their reports here.
+    """
+    tables = (logs.app_tx, logs.send_log, logs.relay_recv, logs.relay_dist,
+              logs.relay_send[receiver], logs.recv[receiver], logs.app_rx[receiver])
+    return [assemble_record(f, logs, offsets, receiver, anomalies)
+            if all(f in t for t in tables) else dropped_record(f, logs)
+            for f in range(1, frame_count + 1)]
 
 
 def run_simulation(cfg: ScenarioConfig, write_outputs: bool = True) -> SimResult:

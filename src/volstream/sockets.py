@@ -1,9 +1,11 @@
 """Real-datagram mode: sender / relay / receiver roles over UDP sockets.
 
-Each role runs as its own process, reuses the same endpoint state machines
-as the simulation, and writes its logs as JSON when it exits. On a single
-host the orchestrator spawns all three roles on loopback, waits for them,
-merges the logs, and produces the same CSV report as a simulation run. For
+Each role runs as its own process, builds its endpoints with the same
+factory as the simulation (``ScenarioConfig.sender_endpoint`` /
+``receiver_endpoint``), and writes its logs as JSON when it exits. On a
+single host the orchestrator spawns all three roles on loopback, waits for
+them, and merges the logs into records with the simulation's
+``receiver_records``, so the CSV report is the same as a simulation run's. For
 multi-host use, start each role by hand with ``--role`` and matching host
 configuration.
 
@@ -35,11 +37,10 @@ from .clock import NodeClock, estimate_offset
 from .config import ScenarioConfig, _ms, render_config
 from .errors import VolstreamError
 from .frames import DataPacket
-from .metrics import (OffsetTable, RunLogs, assemble_record, dropped_record,
-                      summarize, write_report)
+from .metrics import OffsetTable, RunLogs, summarize, write_report
+from .pipeline import receiver_records
 from .relay import DistributionLogEntry, RelayNode
-from .transport import (ReceiverEndpoint, RecvLogEntry, SendLogEntry,
-                        SenderEndpoint)
+from .transport import RecvLogEntry, SendLogEntry
 from .wire import ControlPacket, PacketType, decode_packet, encode_packet
 
 NS_PER_S = 1_000_000_000
@@ -156,14 +157,10 @@ class _SyncResponder(threading.Thread):
 # -- sender role -------------------------------------------------------------------
 
 
-def _burst_packet(burst, i: int, stamp: int, stream_id: int) -> DataPacket:
-    pps = burst.packet_payload_size
-    view = memoryview(burst.payload)
-    return DataPacket(
-        stream_id=stream_id, frame_id=burst.frame_id, segment_index=burst.segment_index,
-        packet_seq=burst.seq_start + i, packets_in_segment=burst.packets_in_segment,
-        payload=bytes(view[i * pps:(i + 1) * pps]), send_timestamp=stamp,
-        flags=burst.flags)
+def _queue_packets(queue, bursts) -> None:
+    """Queue ``(emission_ns, burst, index)`` for each packet of ``bursts``."""
+    for burst in bursts:
+        queue.extend((e, burst, i) for i, e in enumerate(burst.emissions))
 
 
 def run_sender_role(cfg: ScenarioConfig, out_dir: str) -> None:
@@ -171,13 +168,7 @@ def run_sender_role(cfg: ScenarioConfig, out_dir: str) -> None:
     node_clock = NodeClock("sender", "slave")
     offset = _sync_against_master(cfg, clock, "sender")
     profile = cfg.capture_profile()
-    t = cfg.transport
-    ep = SenderEndpoint(
-        cfg.stream_id, cfg.hop1.pacing_bps[0], node_clock,
-        segment_payload_size=cfg.segment_payload_size,
-        packet_payload_size=t.packet_payload_size,
-        overhead_bits_per_packet=t.overhead_bits_per_packet,
-        retention_frames=t.retention_frames, max_frame_bytes=t.max_frame_bytes)
+    ep = cfg.sender_endpoint(cfg.hop1.pacing_bps[0], node_clock)
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.bind((cfg.socket.sender_host, 0))
     sock.settimeout(_POLL_S)
@@ -204,14 +195,12 @@ def run_sender_role(cfg: ScenarioConfig, out_dir: str) -> None:
             frame, rec = capture_tick(profile, k + 1, tick, node_clock, cfg.seed, apptx_rng)
             app_records[frame.frame_id] = rec
             handoff = max(now, rec.capture_end_true_ns)
-            for burst in ep.send_frame(frame, handoff, end_of_stream=(k + 1 == frames)):
-                for i in range(burst.count):
-                    pending.append((burst.emissions[i], burst, i))
+            _queue_packets(pending, ep.send_frame(frame, handoff, end_of_stream=(k + 1 == frames)))
             k += 1
             continue
         if pending and now >= pending[0][0]:
             _, burst, i = pending.popleft()
-            pkt = _burst_packet(burst, i, now, cfg.stream_id)
+            pkt = burst.packet(i, now, cfg.stream_id)
             sock.sendto(encode_packet(pkt), relay_addr)
             if not burst.retransmit:
                 bits = len(pkt.payload) * 8 + ep.overhead_bits
@@ -232,9 +221,7 @@ def run_sender_role(cfg: ScenarioConfig, out_dir: str) -> None:
         except VolstreamError:
             continue
         if isinstance(ctrl, ControlPacket) and ctrl.packet_type == PacketType.NACK:
-            for burst in ep.retransmit(ctrl, clock.now_ns()):
-                for i in range(burst.count):
-                    pending.append((burst.emissions[i], burst, i))
+            _queue_packets(pending, ep.retransmit(ctrl, clock.now_ns()))
             done_sending_at = None
         elif isinstance(ctrl, ControlPacket) and ctrl.packet_type == PacketType.FRAME_ACK:
             ep.on_frame_ack(ctrl)
@@ -264,20 +251,8 @@ def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
     clock = HostClock()
     node_clock = NodeClock("relay", "slave")
     offset = _sync_against_master(cfg, clock, "relay")
-    t = cfg.transport
-    up = ReceiverEndpoint(
-        cfg.stream_id, node_clock, nack_delay_ns=_ms(t.nack_delay_ms),
-        tail_timeout_ns=_ms(t.tail_timeout_ms), max_nack_rounds=t.max_nack_rounds,
-        deadline_ns=_ms(t.deadline_ms))
-    downs = [
-        SenderEndpoint(cfg.stream_id, cfg.hop2_pacing(r), node_clock,
-                       segment_payload_size=cfg.segment_payload_size,
-                       packet_payload_size=t.packet_payload_size,
-                       overhead_bits_per_packet=t.overhead_bits_per_packet,
-                       retention_frames=t.retention_frames,
-                       max_frame_bytes=t.max_frame_bytes)
-        for r in range(cfg.receivers)
-    ]
+    up = cfg.receiver_endpoint(node_clock, relay=True)
+    downs = [cfg.sender_endpoint(cfg.hop2_pacing(r), node_clock) for r in range(cfg.receivers)]
     pending = [deque() for _ in range(cfg.receivers)]
     actions = []
     action_seq = 0
@@ -288,9 +263,7 @@ def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
         action_seq += 1
 
     def emit(r, bursts):
-        for burst in bursts:
-            for i in range(burst.count):
-                pending[r].append((burst.emissions[i], burst, i))
+        _queue_packets(pending[r], bursts)
 
     import random
     relay = RelayNode(up, downs, policy=cfg.relay.policy,
@@ -328,7 +301,7 @@ def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
             q = pending[r]
             while q and q[0][0] <= now:
                 _, burst, i = q.popleft()
-                pkt = _burst_packet(burst, i, clock.now_ns(), cfg.stream_id)
+                pkt = burst.packet(i, clock.now_ns(), cfg.stream_id)
                 down_socks[r].sendto(encode_packet(pkt),
                                      (cfg.socket.receiver_host, recv_addr(r)))
                 busy = True
@@ -413,11 +386,7 @@ def run_receiver_role(cfg: ScenarioConfig, out_dir: str, index: int = 0) -> None
     app_records = {}
     eos_done = [None]
 
-    t = cfg.transport
-    ep = ReceiverEndpoint(
-        cfg.stream_id, node_clock, nack_delay_ns=_ms(t.nack_delay_ms),
-        tail_timeout_ns=_ms(t.tail_timeout_ms), max_nack_rounds=t.max_nack_rounds,
-        deadline_ns=_ms(t.deadline_ms), retain_payloads=cfg.retain_payloads)
+    ep = cfg.receiver_endpoint(node_clock)
 
     def on_frame(frame_id, segments, log):
         app_records[frame_id] = render_complete(render_profile, frame_id,
@@ -552,17 +521,9 @@ def merge_socket_logs(cfg: ScenarioConfig):
         relay_est_ns=relay["offset_ns"],
         receiver_est_ns=[r["offset_ns"] for r in receivers],
     )
-    frames = cfg.frame_count()
     results = []
     for r in range(cfg.receivers):
-        records = []
-        for frame_id in range(1, frames + 1):
-            if frame_id in logs.recv[r] and frame_id in logs.app_rx[r] \
-                    and frame_id in logs.send_log and frame_id in logs.relay_recv \
-                    and frame_id in logs.relay_dist:
-                records.append(assemble_record(frame_id, logs, offsets, r))
-            else:
-                records.append(dropped_record(frame_id, logs))
+        records = receiver_records(logs, offsets, r, cfg.frame_count())
         counts = {
             "hop1_sent": sender["counters"]["packets_sent"],
             "hop1_retransmitted": sender["counters"]["packets_retransmitted"],

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from .clock import NodeClock
 from .errors import ConfigError, TransportError
-from .frames import VolumetricFrame, segment_frame
+from .frames import DataPacket, VolumetricFrame, segment_frame
 from .wire import (FLAG_END_OF_STREAM, FLAG_FINAL_SEGMENT, HEADER_SIZE,
                    ControlPacket, PacketType)
 from .pacing import NS_PER_S, RatePacer
@@ -57,7 +57,9 @@ class SegmentBurst:
     ``full_wire`` bytes on the wire. ``clock`` maps those true-time instants
     to the sender-local send stamps (``None``: stamps equal emissions). The
     per-packet lists ``emissions``, ``stamps`` and ``wire_bytes`` are built
-    on first use, for socket mode and the per-packet link path.
+    on first use, for socket mode and the per-packet link path, and
+    ``packet(i, ...)`` is the one packetizer: it cuts packet ``i`` out of the
+    payload as a wire packet.
     """
 
     frame_id: int
@@ -106,24 +108,12 @@ class SegmentBurst:
     def wire_bytes(self) -> list:
         return [self.full_wire] * (self.count - 1) + [self.last_wire]
 
-    def iter_packets(self, stream_id: int):
-        """Materialize (emission_ns, DataPacket) pairs; used by socket mode."""
-        from .frames import DataPacket
-
-        view = memoryview(self.payload)
+    def packet(self, i: int, stamp: int, stream_id: int) -> DataPacket:
+        """Packet ``i`` of the burst as a wire packet stamped ``stamp``."""
         pps = self.packet_payload_size
-        stamps = self.stamps
-        for i in range(self.count):
-            yield self.emissions[i], DataPacket(
-                stream_id=stream_id,
-                frame_id=self.frame_id,
-                segment_index=self.segment_index,
-                packet_seq=self.seq_start + i,
-                packets_in_segment=self.packets_in_segment,
-                payload=bytes(view[i * pps:(i + 1) * pps]),
-                send_timestamp=stamps[i],
-                flags=self.flags,
-            )
+        return DataPacket(stream_id, self.frame_id, self.segment_index, self.seq_start + i,
+                          self.packets_in_segment, bytes(self.payload[i * pps:(i + 1) * pps]),
+                          stamp, self.flags)
 
 
 @dataclass(slots=True)
@@ -210,10 +200,6 @@ class SenderEndpoint:
         self.frames_acked = 0
         self._retained: dict[int, dict] = {}   # frame_id -> {seg_idx: (payload, n, flags)}
         self._last_frame_id: int | None = None
-        self._closed = False
-
-    def close(self) -> None:
-        self._closed = True
 
     @property
     def pacing_rate_bps(self) -> int:
@@ -249,8 +235,6 @@ class SenderEndpoint:
         (segment_index, packet_seq) order and the send log records the span
         from the first emission start to the last pacer-serialization end.
         """
-        if self._closed:
-            raise TransportError("emission channel closed")
         if frame.size > self.max_frame_bytes:
             raise TransportError(
                 f"frame {frame.frame_id} is {frame.size} bytes, max {self.max_frame_bytes}"
@@ -299,8 +283,6 @@ class SenderEndpoint:
         the per-frame send log aggregates the earliest emission and the
         latest serialization end across its segments.
         """
-        if self._closed:
-            raise TransportError("emission channel closed")
         n = -(-len(payload) // self.packet_payload_size)
         flags = (FLAG_FINAL_SEGMENT if is_final else 0) | (FLAG_END_OF_STREAM if end_of_stream else 0)
         burst = self._plan_burst(now_true_ns, frame_id, segment_index, n, 1, n,
@@ -340,8 +322,6 @@ class SenderEndpoint:
         NACKs for frames that fell out of the retention window count as
         stale and emit nothing. Re-emitted packets carry fresh timestamps.
         """
-        if self._closed:
-            raise TransportError("emission channel closed")
         if nack.packet_type != PacketType.NACK:
             raise TransportError(f"expected NACK, got {nack.packet_type!r}")
         retained = self._retained.get(nack.frame_id)
@@ -494,11 +474,6 @@ class _FrameState:
             for lo, hi in seg.missing():
                 ranges.append((idx, lo, hi))
         return tuple(ranges)
-
-    def next_deadline(self) -> int | None:
-        candidates = [d for d in (self.gap_deadline, self.tail_deadline, self.drop_deadline)
-                      if d is not None]
-        return min(candidates) if candidates else None
 
 
 class ReceiverEndpoint:
@@ -729,8 +704,10 @@ class ReceiverEndpoint:
                              frame_id=state.frame_id, ranges=ranges)
 
     def next_timer_ns(self) -> int | None:
-        deadlines = [d for s in self._frames.values() if (d := s.next_deadline()) is not None]
-        return min(deadlines) if deadlines else None
+        """The earliest gap, tail or drop deadline of any frame in flight."""
+        return min((d for s in self._frames.values()
+                    for d in (s.gap_deadline, s.tail_deadline, s.drop_deadline)
+                    if d is not None), default=None)
 
     def on_timer(self, now_true_ns: int) -> list[ControlPacket]:
         """Fire due timers; returns NACKs to transmit on the reverse path.

@@ -1,5 +1,6 @@
 import pytest
 
+from volstream.clock import NodeClock
 from volstream.config import (ScenarioConfig, apply_overrides, env_overrides,
                               flat_keys, load_config_file, parse_config_text,
                               render_config, validate)
@@ -107,3 +108,34 @@ def test_canned_scenarios_build_and_validate():
 def test_load_config_file_missing(tmp_path):
     with pytest.raises(ConfigError):
         load_config_file(str(tmp_path / "absent.cfg"))
+
+
+@pytest.mark.parametrize("verify,retain", [(True, False), (False, True), (True, True)])
+def test_endpoint_factory_payload_options(verify, retain):
+    # senders and final receivers follow verify_payload (final receivers
+    # also retain_payloads); the relay's upstream never checksums or retains
+    cfg = ScenarioConfig(verify_payload=verify, retain_payloads=retain)
+    clock = NodeClock("n")
+    assert cfg.sender_endpoint(10**9, clock).compute_crc is verify
+    final = cfg.receiver_endpoint(clock)
+    assert (final.compute_crc, final.retain_payloads) == (verify, retain)
+    relay_up = cfg.receiver_endpoint(clock, relay=True)
+    assert (relay_up.compute_crc, relay_up.retain_payloads) == (False, False)
+
+
+def test_endpoint_factory_takes_transport_settings():
+    cfg = ScenarioConfig(stream_id=7, segment_payload_size=8_000)
+    assert apply_overrides(cfg, {
+        "transport.packet_payload_size": "256", "transport.overhead_bits_per_packet": "428",
+        "transport.retention_frames": "3", "transport.max_frame_bytes": "9000",
+        "transport.nack_delay_ms": "1.5", "transport.tail_timeout_ms": "4",
+        "transport.max_nack_rounds": "5", "transport.deadline_ms": "40"}) == []
+    clock = NodeClock("n")
+    s = cfg.sender_endpoint(1_500_000_000, clock)
+    assert (s.stream_id, s.pacing_rate_bps, s.clock) == (7, 1_500_000_000, clock)
+    assert (s.segment_payload_size, s.packet_payload_size, s.overhead_bits,
+            s.retention_frames, s.max_frame_bytes) == (8_000, 256, 428, 3, 9000)
+    for ep in (cfg.receiver_endpoint(clock), cfg.receiver_endpoint(clock, relay=True)):
+        assert (ep.stream_id, ep.clock) == (7, clock)
+        assert (ep.nack_delay_ns, ep.tail_timeout_ns, ep.max_nack_rounds,
+                ep.deadline_ns) == (1_500_000, 4_000_000, 5, 40_000_000)

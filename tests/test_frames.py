@@ -9,8 +9,7 @@ import hypothesis.strategies as st
 from volstream.clock import NodeClock
 from volstream.errors import ConfigError, InvalidFrameError
 from volstream.frames import (DataPacket, Segment, VolumetricFrame,
-                              make_synthetic_frame, packet_count,
-                              packetize_segment, required_bandwidth_bps,
+                              make_synthetic_frame, required_bandwidth_bps,
                               segment_frame)
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
 
@@ -73,28 +72,29 @@ def test_segment_zero_size_is_config_error():
         segment_frame(frame, 0)
 
 
-def _segment_of(payload: bytes, index=1, count=1):
-    return Segment(frame_id=1, segment_index=index, segment_count=count,
-                   payload=payload)
+def _bursts(payload: bytes, packet_payload_size: int):
+    # the production packetizer: one-segment frames sent by a SenderEndpoint
+    sender = SenderEndpoint(1, 10**9, NodeClock("s"), segment_payload_size=65_000,
+                            packet_payload_size=packet_payload_size)
+    return sender.send_frame(VolumetricFrame(1, len(payload), 0, 0, payload=payload), 0)
 
 
 def test_packetize_counts():
-    seg = _segment_of(b"a" * 65_000)
-    assert len(packetize_segment(seg, 1_400)) == 47    # ceil(65000/1400)
-    assert len(packetize_segment(seg, 452)) == 144     # ceil(65000/452)
-    assert len(packetize_segment(_segment_of(b"x"), 1_400)) == 1
-    assert packet_count(65_000, 452) == 144
+    assert [b.count for b in _bursts(b"a" * 65_000, 1_400)] == [47]   # ceil(65000/1400)
+    assert [b.count for b in _bursts(b"a" * 65_000, 452)] == [144]    # ceil(65000/452)
+    assert [b.count for b in _bursts(b"x", 1_400)] == [1]
 
 
 def test_packetize_zero_size_is_config_error():
     with pytest.raises(ConfigError):
-        packetize_segment(_segment_of(b"abc"), 0)
+        _bursts(b"abc", 0)
 
 
 def test_packetize_concatenation_restores_segment():
-    seg = _segment_of(bytes(range(256)) * 20)
-    packets = packetize_segment(seg, 300)
-    assert b"".join(bytes(p.payload) for p in packets) == seg.payload
+    payload = bytes(range(256)) * 20
+    [burst] = _bursts(payload, 300)
+    packets = [burst.packet(i, burst.stamp(i), 1) for i in range(burst.count)]
+    assert b"".join(p.payload for p in packets) == payload
     for i, p in enumerate(packets):
         assert p.packet_seq == i + 1
         assert p.packets_in_segment == len(packets)

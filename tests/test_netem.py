@@ -5,11 +5,33 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from volstream.errors import ConfigError
-from volstream.netem import (EventQueue, Link, LinkModel, NodeStageModel,
-                             packet_delay, run_probe_experiment,
+from volstream.netem import (TRACE_COLUMNS, EventQueue, Link, LinkModel,
+                             NodeStageModel, run_probe_experiment,
                              serialization_ns)
 
 US = 1_000
+
+
+STAGE_COLUMNS = TRACE_COLUMNS[6:14]    # tx_sw_ns .. rx_sw_ns
+
+
+def _one_packet_delay(model, tx, rx, size, emission=1_000):
+    """Delay of one packet over an idle link, and its traced stages.
+
+    Tracing must not change the arrival, and the trace row's stages must
+    add up to the delay exactly.
+    """
+    rows = []
+    plain = Link("l", model, tx, rx).traverse([emission], [size])
+    traced = Link("l", model, tx, rx,
+                  trace=lambda *row: rows.append(row)).traverse([emission], [size])
+    assert plain == traced
+    [row] = rows
+    stages = dict(zip(STAGE_COLUMNS, row[6:14]))
+    delay = traced[0] - emission
+    assert row[0] == traced[0]
+    assert sum(stages.values()) == delay
+    return delay, stages
 
 
 def test_packet_delay_stage_sum():
@@ -19,12 +41,9 @@ def test_packet_delay_stage_sum():
                      hop_delay_min_ns=7_500, hop_delay_max_ns=7_500)
     tx = NodeStageModel(tx_sw_ns=2_000, tx_hw_ns=1_000)
     rx = NodeStageModel(rx_sw_ns=3_000, rx_hw_ns=2_000)
-    delivered, b = packet_delay(link, tx, rx, 1024)
-    assert delivered
-    assert b.serialization_ns == 819            # floor(0.8192 us) at ns resolution
-    assert b.total_ns == 2_000 + 1_000 + 819 + 5_000 + 15_000 + 2_000 + 3_000
-    assert b.total_ns == (b.tx_sw_ns + b.tx_hw_ns + b.queue_ns + b.serialization_ns
-                          + b.propagation_ns + b.switching_ns + b.rx_hw_ns + b.rx_sw_ns)
+    delay, stages = _one_packet_delay(link, tx, rx, 1024)
+    assert stages["serialization_ns"] == 819    # floor(0.8192 us) at ns resolution
+    assert delay == 2_000 + 1_000 + 819 + 5_000 + 15_000 + 2_000 + 3_000
 
 
 def test_whole_frame_serialization_reference_rates():
@@ -32,15 +51,15 @@ def test_whole_frame_serialization_reference_rates():
     assert serialization_ns(3_520_000, 10_000_000_000) == 2_816_000
     link1 = LinkModel(bandwidth_bps=1_000_000_000, hops=0)
     zero = NodeStageModel()
-    _, b = packet_delay(link1, zero, zero, 3_520_000)
-    assert b.total_ns == 28_160_000
+    delay, _ = _one_packet_delay(link1, zero, zero, 3_520_000)
+    assert delay == 28_160_000
 
 
 def test_serialization_only_when_all_other_stages_zero():
     link = LinkModel(bandwidth_bps=2_000_000_000, hops=0)
     zero = NodeStageModel()
-    _, b = packet_delay(link, zero, zero, 500)
-    assert b.total_ns == b.serialization_ns == (500 * 8 * 10**9) // 2_000_000_000
+    delay, stages = _one_packet_delay(link, zero, zero, 500)
+    assert delay == stages["serialization_ns"] == (500 * 8 * 10**9) // 2_000_000_000
 
 
 def test_load_factor_scales_receive_stages():
@@ -86,16 +105,16 @@ def test_scheduling_in_the_past_fails_fast():
 
 
 def test_large_random_schedule_replays_identically():
-    def run_once(seed):
-        rng = random.Random(seed)
-        q = EventQueue()
-        order = []
-        for i in range(1_000_000):
-            q.schedule(rng.randrange(0, 1_000_000), order.append, i)
-        q.run()
-        return order
-
-    assert run_once(1234) == run_once(1234)
+    # a million random times: events fire in ascending time, ties in
+    # insertion order, which is what makes a run replay identically
+    rng = random.Random(1234)
+    q = EventQueue()
+    fired = []
+    times = [rng.randrange(0, 1_000_000) for _ in range(1_000_000)]
+    for i, t in enumerate(times):
+        q.schedule(t, fired.append, i)
+    q.run()
+    assert fired == sorted(range(len(times)), key=times.__getitem__)
 
 
 # -- link runtime ------------------------------------------------------------------

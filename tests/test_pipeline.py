@@ -144,6 +144,29 @@ def test_two_receivers_write_two_reports(tmp_path):
     assert result.receivers[1].summary.frames_completed > 0
 
 
+def test_frame_missing_from_any_log_gets_a_dropped_record(small_cfg):
+    # role logs can lack a frame the final receiver completed (a role that
+    # died early); the record is then dropped, not an assembly error
+    result = run_simulation(small_cfg(receivers=2, duration_s=0.3), write_outputs=False)
+    sim = result.sim
+    assert all(rec.completed for rr in result.receivers for rec in rr.records)
+    for r in range(2):
+        for name in ("app_tx", "send_log", "relay_recv", "relay_dist",
+                     "relay_send", "recv", "app_rx"):
+            logs = pipeline.RunLogs(
+                app_tx=dict(sim.app_tx_records), send_log=dict(sim.sender.send_log),
+                relay_recv=dict(sim.relay_up.recv_log), relay_dist=dict(sim.relay.dist_log),
+                relay_send=[dict(ep.send_log) for ep in sim.relay_down],
+                recv=[dict(ep.recv_log) for ep in sim.receivers],
+                app_rx=[dict(m) for m in sim.app_rx_records])
+            table = getattr(logs, name)
+            del (table[r] if isinstance(table, list) else table)[2]
+            records = pipeline.receiver_records(logs, result.offsets, r, sim.frame_count)
+            frame_ids = list(range(1, sim.frame_count + 1))
+            assert [rec.frame_id for rec in records] == frame_ids
+            assert [rec.completed for rec in records] == [f != 2 for f in frame_ids]
+
+
 def test_identities_hold_over_random_scenarios():
     # ten seeded random configurations; identities must hold at ns resolution
     # on every record, completed or dropped
@@ -228,7 +251,7 @@ def test_payload_check_catches_one_flipped_byte(small_cfg, monkeypatch):
     # streamed over its segments must then disagree with the sender's
     at_receiver, flipped = [False], []
     assemble = transport._SegmentState.assemble
-    receiver_ingest = pipeline.SimulationRun._receiver_ingest
+    ingest = pipeline.SimulationRun._ingest
 
     def corrupting_assemble(self):
         data = assemble(self)
@@ -239,15 +262,15 @@ def test_payload_check_catches_one_flipped_byte(small_cfg, monkeypatch):
         flipped.append(1)
         return bytes(buf)
 
-    def flagged_ingest(self, *args):
-        at_receiver[0] = True
+    def flagged_ingest(self, hop, *args):
+        at_receiver[0] = hop is not self.hop1
         try:
-            receiver_ingest(self, *args)
+            ingest(self, hop, *args)
         finally:
             at_receiver[0] = False
 
     monkeypatch.setattr(transport._SegmentState, "assemble", corrupting_assemble)
-    monkeypatch.setattr(pipeline.SimulationRun, "_receiver_ingest", flagged_ingest)
+    monkeypatch.setattr(pipeline.SimulationRun, "_ingest", flagged_ingest)
     result = run_simulation(small_cfg(duration_s=0.2), write_outputs=False)
     assert flipped
     assert result.payload_mismatches >= 1

@@ -1,10 +1,15 @@
 """Golden digests: the sim's reports are a pure function of (config, seed).
 
 Every report CSV of the four canned scenarios (streams cut to 1 s; the probe
-runs as it is) and of one lossy ``paper-default`` variant is pinned by its
-sha256. The pins were computed before bursts were carried as delivered runs,
-on the per-packet link code, so a change to how the sim computes arrivals
-must reproduce the old reports byte for byte.
+runs as it is) and of three ``paper-default`` variants is pinned by its
+sha256. The variants cover what the canned scenarios leave out: 1% loss on
+both hops; four receivers with 256 B packets (four hop-2 links, senders and
+receivers, and many small runs); and store-and-forward with relay stalls,
+two receivers and offset, drifting sender and relay clocks. The first five
+pins were computed before bursts were carried as delivered runs, on the
+per-packet link code, and the two multi-receiver pins before the two hops
+shared one set of handlers, so a change to how the sim computes arrivals or
+routes a hop must reproduce the old reports byte for byte.
 
 To re-pin after a deliberate change of the reports, print
 ``_csv_digests(...)`` for each case and paste the result.
@@ -28,6 +33,12 @@ CASES = {
     "bandwidth-sweep": ("bandwidth-sweep", {}),
     "paper-default-lossy1pct": ("paper-default", {**ONE_SECOND, "hop1.loss_rate": "0.01",
                                                   "hop2.loss_rate": "0.01"}),
+    "paper-default-4rx-pps256": ("paper-default", {**ONE_SECOND, "receivers": "4",
+                                                   "transport.packet_payload_size": "256"}),
+    "paper-default-storefwd-stall-2rx-skew": ("paper-default", {
+        **ONE_SECOND, "relay.policy": "store_forward", "stall.probability": "0.3",
+        "stall.max_ms": "5", "receivers": "2", "clock.sender_offset_ms": "3.5",
+        "clock.relay_offset_ms": "-1.25", "clock.drift_ppm": "20"}),
 }
 
 GOLDEN = {
@@ -46,9 +57,25 @@ GOLDEN = {
         "frames.csv": "7bf213176c829fc55c9f8e7848620f017302d91a194ff5c98e75c0152abc91a7",
         "summary.csv": "5c459eee258a126047abb947c4ee9ef2d8b6bd3c39d3788cb6a0a1368305b190",
     },
+    "paper-default-4rx-pps256": {
+        "frames.csv": "b8a0b8eb821c9e3117a1eaaaeca37576872b5d8e8de4a854ca4d52cfafc604f7",
+        "frames_r1.csv": "d42a7c01543832946391e405a236118129bef25d0c2d431191604cbe4f0fec6d",
+        "frames_r2.csv": "fe4ab4cfe9983c23425e6c838720304f7ef6f29eb9e04be53c99385ecfa1e509",
+        "frames_r3.csv": "cabf04120ebce6eda29b21fd4fe40eda989b9b83a84f95b69305f1577c4f8491",
+        "summary.csv": "8c307753b2f09ceb78a816a06bc54f3851320a2bb4eb4d9384e3fb1bc32c174a",
+        "summary_r1.csv": "6c949178c60202e835298b5a91e6f5352c8efdb599115e0267877b318c0e93a0",
+        "summary_r2.csv": "620171568a3a8067dd78050adef620c11e0b44d61a4f6d6898da4f493eeda3ee",
+        "summary_r3.csv": "228728852d2a864ab284a602f1f420817aa7e1c6a9983186cf0ff918727e1dd0",
+    },
     "paper-default-lossy1pct": {
         "frames.csv": "3c1bffff67ef6b93b9c009c09a2f3de07a309a202d016279f699001dbaedf6c7",
         "summary.csv": "5880afafd42d2c1969143441210995839c594faf6ad0482a703169bb5d0e5015",
+    },
+    "paper-default-storefwd-stall-2rx-skew": {
+        "frames.csv": "525019b2a69277518ff91ed1da39f24e643c0d8c5c7064617a4ea5ea2c80f8f6",
+        "frames_r1.csv": "1220576a56afa194dea883625a7e3c0fb8ada59093fdd5fe6247fda930eacb7b",
+        "summary.csv": "e05e0b1317cf636ab84fc909c2043e2e2b29258c6de839514d68907e8780455e",
+        "summary_r1.csv": "22b8f629af2d415e15748cd38409f0babf21e45f94c02094685962be16ab098f",
     },
     "paper-probe": {
         "probe.csv": "e64972f113c978ebf80d7e3796be00b12751515314051776a577812a1d639082",
