@@ -439,16 +439,18 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
     s = cfg.stall
     check(0.0 <= s.probability <= 1.0, "stall.probability", s.probability,
           "must be in [0, 1]")
-    check(0 <= s.min_ms <= s.max_ms or (s.min_ms >= 0 and s.max_ms >= s.min_ms),
-          "stall.min_ms", (s.min_ms, s.max_ms), "must satisfy 0 <= min <= max")
+    check(0 <= s.min_ms <= s.max_ms, "stall.min_ms", (s.min_ms, s.max_ms),
+          "must satisfy 0 <= min <= max")
 
-    for hop_name, hop in (("hop1", cfg.hop1), ("hop2", cfg.hop2)):
+    # hop 1 has one sender, hop 2 one sender per receiver
+    for hop_name, hop, rates, what in (
+            ("hop1", cfg.hop1, (1,), "exactly one rate"),
+            ("hop2", cfg.hop2, (1, cfg.receivers), "one rate or one per receiver")):
         for i, rate in enumerate(hop.pacing_bps):
             check(rate > 0, f"{hop_name}.pacing_bps", rate,
                   f"pacing rate #{i} must be > 0")
-        check(len(hop.pacing_bps) in (1, cfg.receivers) or hop_name == "hop1",
-              f"{hop_name}.pacing_bps", hop.pacing_bps,
-              "must list one rate or one per receiver")
+        check(len(hop.pacing_bps) in rates, f"{hop_name}.pacing_bps", hop.pacing_bps,
+              f"must list {what}")
         check(hop.bandwidth_bps > 0, f"{hop_name}.bandwidth_bps", hop.bandwidth_bps,
               "must be > 0")
         check(hop.distance_km >= 0, f"{hop_name}.distance_km", hop.distance_km,

@@ -13,9 +13,10 @@ emission, bits per packet, rate). ``Link.carry`` turns it into delivered
 runs, each with its first and last arrival and the packet that arrived
 first, and each run is scheduled as one ``ingest_run`` call at its last
 arrival; losses split runs and NACK-driven retransmissions fill them back
-in. After the event queue drains, ``receiver_records`` assembles each
-receiver's per-frame records from the per-node logs (socket mode uses it
-too), and they are written as the CSV report.
+in. After the event queue drains, ``receiver_reports`` turns the per-node
+logs, clock offsets and endpoint counters into each receiver's per-frame
+records and summary, which are written as the CSV report. Socket mode
+merges its role logs through the same function.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class SimulationRun:
         self._rngs = {}
         self.trace_rows = [] if cfg.trace.enabled else None
         self.anomalies = AnomalyLog()
-        self.payload_mismatches = 0
 
         self.sender_clock = NodeClock("sender", "slave",
                                       true_offset_ns=_ms(cfg.clock.sender_offset_ms),
@@ -155,11 +155,6 @@ class SimulationRun:
                                   log.complete_true_ns, self.receiver_clocks[r],
                                   self._rng(f"apprx:{r}"))
             self.app_rx_records[r][frame_id] = rec
-            if self.cfg.verify_payload:
-                sent = self.sender.send_log.get(frame_id)
-                if sent is None or sent.payload_len != log.payload_len \
-                        or sent.payload_checksum != log.payload_checksum:
-                    self.payload_mismatches += 1
         return on_frame
 
     # -- clock sync ---------------------------------------------------------------
@@ -195,19 +190,14 @@ class SimulationRun:
                      burst.packets_in_segment, seq + first, end - first,
                      view[first * pps:end * pps], pps, mn, mx, burst.stamp(arg), burst.flags)
 
-    def _ingest(self, hop: Hop, frame_id, seg_idx, n_in_seg, seq_start, count, payload,
-                pps, mn, mx, stamp, flags) -> None:
+    def _ingest(self, hop: Hop, *run) -> None:
+        """Hand one delivered run (``ingest_run``'s arguments) to the hop's receiver."""
         ep = hop.receiver
-        events = ep.ingest_run(
-            frame_id=frame_id, segment_index=seg_idx, packets_in_segment=n_in_seg,
-            seq_start=seq_start, count=count, payload=payload,
-            packet_payload_size=pps, arrivals_min_true=mn, arrivals_max_true=mx,
-            stamp_at_min=stamp, flags=flags)
-        for ev in events:
-            if ev.kind == "frame_complete":
-                ack = ControlPacket(packet_type=PacketType.FRAME_ACK,
-                                    stream_id=self.cfg.stream_id, frame_id=frame_id)
-                self._send_control(hop, ack)
+        log = ep.ingest_run(*run)
+        if log is not None:
+            ack = ControlPacket(packet_type=PacketType.FRAME_ACK,
+                                stream_id=self.cfg.stream_id, frame_id=log.frame_id)
+            self._send_control(hop, ack)
         for nack in ep.pending_control:
             self._send_control(hop, nack)
         ep.pending_control.clear()
@@ -301,34 +291,17 @@ class SimulationRun:
             app_rx=self.app_rx_records,
             has_ground_truth=True,
         )
-        results = []
-        for r in range(cfg.receivers):
-            records = receiver_records(logs, offsets, r, self.frame_count, self.anomalies)
-            results.append(ReceiverResult(records=records,
-                                          summary=summarize(records, self._packet_counts(r))))
-        return SimResult(config=cfg, receivers=results, offsets=offsets,
-                         anomalies=self.anomalies,
+        counters = {"sender": self.sender.counters(), "relay": self.relay.counters(),
+                    "receivers": [ep.counters() for ep in self.receivers]}
+        reports = receiver_reports(logs, offsets, self.frame_count, counters, self.anomalies)
+        return SimResult(config=cfg,
+                         receivers=[ReceiverResult(records, summary)
+                                    for records, summary in reports],
+                         offsets=offsets, anomalies=self.anomalies,
                          trace_rows=self.trace_rows or [],
-                         payload_mismatches=self.payload_mismatches, sim=self)
-
-    def _packet_counts(self, r: int) -> dict:
-        ep = self.receivers[r]
-        return {
-            "hop1_sent": self.h1f.sent,
-            "hop1_delivered": self.h1f.delivered,
-            "hop1_lost": self.h1f.lost,
-            "hop1_retransmitted": self.sender.packets_retransmitted,
-            "hop2_sent": self.h2f[r].sent,
-            "hop2_delivered": self.h2f[r].delivered,
-            "hop2_lost": self.h2f[r].lost,
-            "hop2_retransmitted": self.relay_down[r].packets_retransmitted,
-            "receiver_duplicates": ep.duplicates,
-            "receiver_late_packets": ep.late_packets,
-            "relay_backpressure_events": self.relay.backpressure_events,
-            "relay_stalled_frames": self.relay.stalled_frames,
-            "payload_mismatches": self.payload_mismatches,
-            "clock_anomalies": self.anomalies.count,
-        }
+                         payload_mismatches=sum(summary.packet_counts["payload_mismatches"]
+                                                for _, summary in reports),
+                         sim=self)
 
 
 def receiver_records(logs: RunLogs, offsets: OffsetTable, receiver: int,
@@ -344,6 +317,47 @@ def receiver_records(logs: RunLogs, offsets: OffsetTable, receiver: int,
     return [assemble_record(f, logs, offsets, receiver, anomalies)
             if all(f in t for t in tables) else dropped_record(f, logs)
             for f in range(1, frame_count + 1)]
+
+
+def receiver_reports(logs: RunLogs, offsets: OffsetTable, frame_count: int,
+                     counters: dict, anomalies: AnomalyLog) -> list:
+    """Each receiver's ``(records, summary)``, in sim and socket mode alike.
+
+    ``counters`` holds the endpoints' own counters as the role logs carry
+    them: ``{"sender": SenderEndpoint.counters(), "relay":
+    RelayNode.counters(), "receivers": [ReceiverEndpoint.counters(), ...]}``.
+    The README's Reports section defines each summary counter. ``anomalies``
+    collects the clock anomalies of every receiver's records.
+    """
+    sender, relay = counters["sender"], counters["relay"]
+    reports = []
+    for r, recv_log in enumerate(logs.recv):
+        seen = anomalies.count
+        records = receiver_records(logs, offsets, r, frame_count, anomalies)
+        mismatches = 0
+        for frame_id, got in recv_log.items():
+            sent_log = logs.send_log.get(frame_id)
+            if sent_log is None or (sent_log.payload_len, sent_log.payload_checksum) \
+                    != (got.payload_len, got.payload_checksum):
+                mismatches += 1
+        receiver = counters["receivers"][r]
+        counts = {
+            "payload_mismatches": mismatches,
+            "clock_anomalies": anomalies.count - seen,
+            "receiver_duplicates": receiver["duplicates"],
+            "receiver_late_packets": receiver["late_packets"],
+            "relay_backpressure_events": relay["backpressure_events"],
+            "relay_stalled_frames": relay["stalled_frames"],
+        }
+        for hop, tx, rx in (("hop1", sender, relay),
+                            ("hop2", relay["downstream"][r], receiver)):
+            sent = tx["packets_sent"] + tx["packets_retransmitted"]
+            delivered = rx["packets_received"] + rx["duplicates"] + rx["late_packets"]
+            counts.update({f"{hop}_sent": sent, f"{hop}_delivered": delivered,
+                           f"{hop}_lost": sent - delivered,
+                           f"{hop}_retransmitted": tx["packets_retransmitted"]})
+        reports.append((records, summarize(records, counts)))
+    return reports
 
 
 def run_simulation(cfg: ScenarioConfig, write_outputs: bool = True) -> SimResult:

@@ -66,22 +66,22 @@ class DistributionLogEntry:
 class RelayNode:
     """Replication node between the sender hop and the receiver hops.
 
-    The relay is event-driven: the owner wires ``upstream.on_segment`` /
-    ``on_frame`` to this node and injects ``scheduler(at_ns, fn)`` (to defer
-    forwards past the gate) and ``emit(receiver_idx, bursts)`` (to hand
-    planned bursts to the downstream network).
+    The relay is event-driven: it wires ``upstream.on_segment`` /
+    ``on_frame`` to itself, and the owner injects ``scheduler(at_ns, fn,
+    *args)`` (to defer forwards past the gate) and ``emit(receiver_idx,
+    bursts)`` (to hand planned bursts to the downstream network).
     """
 
     def __init__(
         self,
         upstream: ReceiverEndpoint,
         downstreams: list[SenderEndpoint],
+        scheduler,
+        emit,
         policy: str = "cut_through",
         forward_delay_ns: int = 0,
         stall: StallModel | None = None,
         stall_rng=None,
-        scheduler=None,
-        emit=None,
         queue_high_water_ns: int = 50 * NS_PER_MS,
     ):
         if not downstreams:
@@ -106,14 +106,10 @@ class RelayNode:
         upstream.on_segment = self._upstream_segment
         upstream.on_frame = self._upstream_frame
 
-    @property
-    def receiver_count(self) -> int:
-        return len(self.downstreams)
-
     def _log(self, frame_id: int) -> DistributionLogEntry:
         entry = self.dist_log.get(frame_id)
         if entry is None:
-            n = self.receiver_count
+            n = len(self.downstreams)
             entry = DistributionLogEntry(
                 frame_id=frame_id,
                 forward_start_ns=[0] * n, forward_end_ns=[0] * n,
@@ -140,34 +136,40 @@ class RelayNode:
         if self.policy != "cut_through":
             return
         at = max(self._gate(frame_id, now_true), now_true + self.forward_delay_ns)
-        if self.scheduler is not None and at > now_true:
+        if at > now_true:
             self.scheduler(at, self.forward_segment, frame_id, segment_index,
                            payload, is_final, eos, at)
         else:
-            self.forward_segment(frame_id, segment_index, payload, is_final, eos,
-                                 max(at, now_true))
+            self.forward_segment(frame_id, segment_index, payload, is_final, eos, at)
 
     def _upstream_frame(self, frame_id, segments, log) -> None:
         entry = self._log(frame_id)
         entry.upstream_complete_ns = log.complete_ns
         entry.upstream_complete_true_ns = log.complete_true_ns
         if self.policy == "store_forward":
+            # no segment opened the gate earlier, so it opens at or after now
             at = self._gate(frame_id, log.complete_true_ns)
-            if self.scheduler is not None and at > log.complete_true_ns:
+            if at > log.complete_true_ns:
                 self.scheduler(at, self.forward_frame, frame_id, segments, at,
                                log.end_of_stream)
             else:
-                self.forward_frame(frame_id, segments, max(at, log.complete_true_ns),
-                                   log.end_of_stream)
+                self.forward_frame(frame_id, segments, at, log.end_of_stream)
         self._gates.pop(frame_id, None)
+
+    def counters(self) -> dict:
+        """The upstream endpoint's packet counters, the relay's own, and
+        each downstream sender's, as the run's reports read them."""
+        return {**self.upstream.counters(),
+                "backpressure_events": self.backpressure_events,
+                "stalled_frames": self.stalled_frames,
+                "downstream": [d.counters() for d in self.downstreams]}
 
     # -- forwarding ------------------------------------------------------------
 
     def forward_segment(self, frame_id, segment_index, payload, is_final, eos,
-                        now_true) -> dict[int, object]:
-        """Replicate one segment to every receiver; returns bursts per receiver."""
+                        now_true) -> None:
+        """Replicate one segment to every receiver."""
         entry = self._log(frame_id)
-        out = {}
         for r, sender in enumerate(self.downstreams):
             if sender.pacer.busy_until_ns - now_true > self.queue_high_water_ns:
                 self.backpressure_events += 1
@@ -181,23 +183,15 @@ class RelayNode:
             if end_true > entry.forward_end_true_ns[r]:
                 entry.forward_end_true_ns[r] = end_true
                 entry.forward_end_ns[r] = sender.clock.local_from_true(end_true)
-            if self.emit is not None:
-                self.emit(r, [burst])
-            out[r] = [burst]
-        return out
+            self.emit(r, [burst])
 
-    def forward_frame(self, frame_id, segments, now_true, eos=False) -> dict[int, object]:
+    def forward_frame(self, frame_id, segments, now_true, eos=False) -> None:
         """Store-and-forward: replicate a whole frame from its ordered segments.
 
         Both hops use the same segment size, so the segments that arrived
         upstream are forwarded as they are, without re-slicing.
         """
         count = len(segments)
-        out = {r: [] for r in range(self.receiver_count)}
         for i, seg_payload in enumerate(segments):
-            per_recv = self.forward_segment(frame_id, i + 1, seg_payload,
-                                            is_final=(i + 1 == count),
-                                            eos=eos, now_true=now_true)
-            for r, bursts in per_recv.items():
-                out[r].extend(bursts)
-        return out
+            self.forward_segment(frame_id, i + 1, seg_payload, is_final=(i + 1 == count),
+                                 eos=eos, now_true=now_true)

@@ -2,11 +2,12 @@
 
 Each role runs as its own process, builds its endpoints with the same
 factory as the simulation (``ScenarioConfig.sender_endpoint`` /
-``receiver_endpoint``), and writes its logs as JSON when it exits. On a
-single host the orchestrator spawns all three roles on loopback, waits for
-them, and merges the logs into records with the simulation's
-``receiver_records``, so the CSV report is the same as a simulation run's. For
-multi-host use, start each role by hand with ``--role`` and matching host
+``receiver_endpoint``), and writes its logs and its endpoints' counters as
+JSON when it exits. On a single host the orchestrator spawns all three
+roles on loopback, waits for them, and merges the logs with the
+simulation's ``receiver_reports``, so the records, the summary counters
+and the payload check mean the same as in a simulation run. For multi-host
+use, start each role by hand with ``--role`` and matching host
 configuration.
 
 Timestamps come from a composite clock (wall-clock anchor plus the
@@ -33,14 +34,14 @@ import time
 from collections import deque
 
 from .appemu import AppRxRecord, AppTxRecord, capture_tick, render_complete
-from .clock import NodeClock, estimate_offset
+from .clock import AnomalyLog, NodeClock, estimate_offset
 from .config import ScenarioConfig, _ms, render_config
 from .errors import VolstreamError
 from .frames import DataPacket
-from .metrics import OffsetTable, RunLogs, summarize, write_report
-from .pipeline import receiver_records
+from .metrics import OffsetTable, RunLogs, write_report
+from .pipeline import receiver_reports
 from .relay import DistributionLogEntry, RelayNode
-from .transport import RecvLogEntry, SendLogEntry
+from .transport import ReceiverEndpoint, RecvLogEntry, SenderEndpoint, SendLogEntry
 from .wire import ControlPacket, PacketType, decode_packet, encode_packet
 
 NS_PER_S = 1_000_000_000
@@ -81,6 +82,42 @@ def _write_role_log(out_dir: str, role: str, payload: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"{role}_log.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
+
+
+# Each role's log: its clock offset, its frame_id-keyed logs and its
+# endpoints' counters, in the layout ``merge_socket_logs`` reads.
+
+
+def _write_sender_log(out_dir: str, offset_ns: int, ep: SenderEndpoint,
+                      app_tx: dict) -> None:
+    _write_role_log(out_dir, "sender", {
+        "offset_ns": offset_ns,
+        "send_log": _dump_map(ep.send_log),
+        "app_tx": _dump_map(app_tx),
+        "counters": ep.counters(),
+    })
+
+
+def _write_relay_log(out_dir: str, offset_ns: int, relay: RelayNode) -> None:
+    _write_role_log(out_dir, "relay", {
+        "offset_ns": offset_ns,
+        "recv_log": _dump_map(relay.upstream.recv_log),
+        "dropped": _dump_map(relay.upstream.dropped),
+        "dist_log": _dump_map(relay.dist_log),
+        "send_logs": [_dump_map(d.send_log) for d in relay.downstreams],
+        "counters": relay.counters(),
+    })
+
+
+def _write_receiver_log(out_dir: str, index: int, offset_ns: int, ep: ReceiverEndpoint,
+                        app_rx: dict) -> None:
+    _write_role_log(out_dir, f"receiver{index}", {
+        "offset_ns": offset_ns,
+        "recv_log": _dump_map(ep.recv_log),
+        "dropped": _dump_map(ep.dropped),
+        "app_rx": _dump_map(app_rx),
+        "counters": ep.counters(),
+    })
 
 
 def _read_role_log(out_dir: str, role: str) -> dict:
@@ -233,15 +270,7 @@ def run_sender_role(cfg: ScenarioConfig, out_dir: str) -> None:
             entry.first_send_ns = entry.first_send_true_ns = first
             end = last + (last_bits * NS_PER_S) // ep.pacing_rate_bps
             entry.last_send_end_ns = entry.last_send_end_true_ns = end
-    _write_role_log(out_dir, "sender", {
-        "offset_ns": offset,
-        "send_log": _dump_map(ep.send_log),
-        "app_tx": _dump_map(app_records),
-        "counters": {"packets_sent": ep.packets_sent,
-                     "packets_retransmitted": ep.packets_retransmitted,
-                     "stale_nacks": ep.stale_nacks,
-                     "frames_acked": ep.frames_acked},
-    })
+    _write_sender_log(out_dir, offset, ep, app_records)
 
 
 # -- relay role ---------------------------------------------------------------------
@@ -334,12 +363,12 @@ def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
             except VolstreamError:
                 pkt = None
             if isinstance(pkt, DataPacket):
-                ev = up.on_packet(pkt, clock.now_ns())
-                if ev.kind == "frame_complete":
+                log = up.on_packet(pkt, clock.now_ns())
+                if log is not None:
                     ack = ControlPacket(packet_type=PacketType.FRAME_ACK,
-                                        stream_id=cfg.stream_id, frame_id=ev.frame_id)
+                                        stream_id=cfg.stream_id, frame_id=log.frame_id)
                     up_sock.sendto(encode_packet(ack), src)
-                    if ev.log.end_of_stream:
+                    if log.end_of_stream:
                         eos_seen = True
                 for nack in up.pending_control:
                     up_sock.sendto(encode_packet(nack), src)
@@ -353,17 +382,7 @@ def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
     up_sock.close()
     for s in down_socks:
         s.close()
-    _write_role_log(out_dir, "relay", {
-        "offset_ns": offset,
-        "recv_log": _dump_map(up.recv_log),
-        "dropped": _dump_map(up.dropped),
-        "dist_log": _dump_map(relay.dist_log),
-        "send_logs": [_dump_map(d.send_log) for d in downs],
-        "counters": {"packets_received": up.packets_received,
-                     "duplicates": up.duplicates,
-                     "backpressure_events": relay.backpressure_events,
-                     "stalled_frames": relay.stalled_frames},
-    })
+    _write_relay_log(out_dir, offset, relay)
 
 
 # -- receiver role --------------------------------------------------------------------
@@ -421,27 +440,19 @@ def run_receiver_role(cfg: ScenarioConfig, out_dir: str, index: int = 0) -> None
         except VolstreamError:
             continue
         if isinstance(pkt, DataPacket):
-            ev = ep.on_packet(pkt, clock.now_ns())
+            log = ep.on_packet(pkt, clock.now_ns())
             for nack in ep.pending_control:
                 sock.sendto(encode_packet(nack), src)
             ep.pending_control.clear()
-            if ev.kind == "frame_complete":
+            if log is not None:
                 ack = ControlPacket(packet_type=PacketType.FRAME_ACK,
-                                    stream_id=cfg.stream_id, frame_id=ev.frame_id)
+                                    stream_id=cfg.stream_id, frame_id=log.frame_id)
                 sock.sendto(encode_packet(ack), src)
     ep.finalize()
     if responder is not None:
         responder.stop = True
     sock.close()
-    _write_role_log(out_dir, f"receiver{index}", {
-        "offset_ns": offset,
-        "recv_log": _dump_map(ep.recv_log),
-        "dropped": _dump_map(ep.dropped),
-        "app_rx": _dump_map(app_records),
-        "counters": {"packets_received": ep.packets_received,
-                     "duplicates": ep.duplicates,
-                     "late_packets": ep.late_packets},
-    })
+    _write_receiver_log(out_dir, index, offset, ep, app_records)
 
 
 def run_role(cfg: ScenarioConfig, role: str, role_index: int = 0) -> None:
@@ -497,20 +508,21 @@ def run_socket_orchestrated(cfg: ScenarioConfig):
 
 
 def merge_socket_logs(cfg: ScenarioConfig):
-    """Combine role logs into per-receiver records and write the CSV report."""
+    """Combine role logs into per-receiver records and write the CSV report.
+
+    Returns the (records, summary) pair per receiver, built by the sim's
+    ``receiver_reports`` from the logs and the endpoint counters the roles
+    wrote.
+    """
     out = cfg.out_dir
     sender = _read_role_log(out, "sender")
     relay = _read_role_log(out, "relay")
     receivers = [_read_role_log(out, f"receiver{r}") for r in range(cfg.receivers)]
-
-    def load_dist(mapping):
-        return {int(k): DistributionLogEntry(**v) for k, v in mapping.items()}
-
     logs = RunLogs(
         app_tx=_load_map(sender["app_tx"], AppTxRecord),
         send_log=_load_map(sender["send_log"], SendLogEntry),
         relay_recv=_load_map(relay["recv_log"], RecvLogEntry),
-        relay_dist=load_dist(relay["dist_log"]),
+        relay_dist=_load_map(relay["dist_log"], DistributionLogEntry),
         relay_send=[_load_map(m, SendLogEntry) for m in relay["send_logs"]],
         recv=[_load_map(r["recv_log"], RecvLogEntry) for r in receivers],
         app_rx=[_load_map(r["app_rx"], AppRxRecord) for r in receivers],
@@ -521,19 +533,9 @@ def merge_socket_logs(cfg: ScenarioConfig):
         relay_est_ns=relay["offset_ns"],
         receiver_est_ns=[r["offset_ns"] for r in receivers],
     )
-    results = []
-    for r in range(cfg.receivers):
-        records = receiver_records(logs, offsets, r, cfg.frame_count())
-        counts = {
-            "hop1_sent": sender["counters"]["packets_sent"],
-            "hop1_retransmitted": sender["counters"]["packets_retransmitted"],
-            "receiver_duplicates": receivers[r]["counters"]["duplicates"],
-            "receiver_late_packets": receivers[r]["counters"]["late_packets"],
-            "relay_backpressure_events": relay["counters"]["backpressure_events"],
-            "relay_stalled_frames": relay["counters"]["stalled_frames"],
-        }
-        summary = summarize(records, counts)
-        suffix = "" if r == 0 else f"_r{r}"
-        write_report(records, summary, out, suffix)
-        results.append((records, summary))
-    return results
+    counters = {"sender": sender["counters"], "relay": relay["counters"],
+                "receivers": [r["counters"] for r in receivers]}
+    reports = receiver_reports(logs, offsets, cfg.frame_count(), counters, AnomalyLog())
+    for r, (records, summary) in enumerate(reports):
+        write_report(records, summary, out, "" if r == 0 else f"_r{r}")
+    return reports

@@ -155,14 +155,6 @@ class RecvLogEntry:
         return self.last_recv_ns - self.first_recv_ns
 
 
-@dataclass(slots=True)
-class ReceiveEvent:
-    kind: str                         # stored | duplicate | late | frame_complete | nack_emitted
-    frame_id: int
-    log: RecvLogEntry | None = None
-    ranges: tuple = ()
-
-
 class SenderEndpoint:
     """Paced, retention-backed sending side of one stream hop."""
 
@@ -349,6 +341,12 @@ class SenderEndpoint:
     def on_frame_ack(self, ack: ControlPacket) -> None:
         self.frames_acked += 1
 
+    def counters(self) -> dict:
+        """Packet and frame counters, as the run's reports read them."""
+        return {"packets_sent": self.packets_sent,
+                "packets_retransmitted": self.packets_retransmitted,
+                "stale_nacks": self.stale_nacks, "frames_acked": self.frames_acked}
+
 
 class _SegmentState:
     __slots__ = ("expected", "covered", "pieces", "length", "complete_true_ns")
@@ -518,41 +516,28 @@ class ReceiverEndpoint:
 
     # -- ingestion -----------------------------------------------------------
 
-    def on_packet(self, packet, recv_true_ns: int) -> ReceiveEvent:
+    def on_packet(self, packet, recv_true_ns: int) -> RecvLogEntry | None:
         """Process one decoded data packet arriving at ``recv_true_ns``.
 
-        Duplicates are idempotent. Completion of the frame returns a
-        ``frame_complete`` event carrying the reassembled payload's log.
+        Duplicates are idempotent. Returns the frame's receive log if this
+        packet completed it, else ``None``.
         """
         if packet.stream_id != self.stream_id:
             raise TransportError(
                 f"packet for stream {packet.stream_id} on endpoint {self.stream_id}"
             )
-        events = self.ingest_run(
-            frame_id=packet.frame_id,
-            segment_index=packet.segment_index,
-            packets_in_segment=packet.packets_in_segment,
-            seq_start=packet.packet_seq,
-            count=1,
-            payload=packet.payload,
-            packet_payload_size=max(len(packet.payload), 1),
-            arrivals_min_true=recv_true_ns,
-            arrivals_max_true=recv_true_ns,
-            stamp_at_min=packet.send_timestamp,
-            flags=packet.flags,
-        )
-        for ev in events:
-            if ev.kind in ("frame_complete", "nack_emitted", "late"):
-                return ev
-        for ev in events:
-            if ev.kind == "duplicate":
-                return ev
-        return events[0] if events else ReceiveEvent(kind="stored", frame_id=packet.frame_id)
+        return self.ingest_run(packet.frame_id, packet.segment_index,
+                               packet.packets_in_segment, packet.packet_seq, 1, packet.payload,
+                               max(len(packet.payload), 1), recv_true_ns, recv_true_ns,
+                               packet.send_timestamp, packet.flags)
 
     def ingest_run(self, frame_id, segment_index, packets_in_segment, seq_start,
                    count, payload, packet_payload_size, arrivals_min_true,
-                   arrivals_max_true, stamp_at_min, flags) -> list[ReceiveEvent]:
+                   arrivals_max_true, stamp_at_min, flags) -> RecvLogEntry | None:
         """Batch form of ``on_packet`` for a contiguous run of one segment.
+
+        Returns the frame's receive log if this run completed it, else
+        ``None``; NACKs the run triggered wait in ``pending_control``.
 
         ``payload`` holds the run's packets back to back. Views of it are
         kept after the call returns (a segment that this run covers is
@@ -561,12 +546,12 @@ class ReceiverEndpoint:
         """
         if frame_id in self.dropped:
             self.late_packets += count
-            return [ReceiveEvent(kind="late", frame_id=frame_id)]
+            return None
         done = self.recv_log.get(frame_id)
         if done is not None:
             self.duplicates += count
             done.duplicates += count
-            return [ReceiveEvent(kind="duplicate", frame_id=frame_id)]
+            return None
 
         state = self._frames.get(frame_id)
         if state is None:
@@ -595,11 +580,8 @@ class ReceiverEndpoint:
         state.packets += stored
         state.duplicates += dup
 
-        events = []
         if stored == 0:
-            events.append(ReceiveEvent(kind="duplicate", frame_id=frame_id))
-            return events
-        events.append(ReceiveEvent(kind="stored", frame_id=frame_id))
+            return None
 
         if state.first_arr_true is None or arrivals_min_true < state.first_arr_true:
             state.first_arr_true = arrivals_min_true
@@ -621,8 +603,7 @@ class ReceiverEndpoint:
                                 state.segment_count == segment_index, state.end_of_stream)
 
         if state.is_complete():
-            events.append(self._complete(state, now))
-            return events
+            return self._complete(state, now)
 
         # Re-arm timers: tail timer follows the latest arrival; a visible gap
         # arms the gap timer once until it fires or fills.
@@ -633,16 +614,14 @@ class ReceiverEndpoint:
             if self.nack_delay_ns == 0:
                 nack = self._emit_nack(state)
                 if nack is not None:
-                    events.append(ReceiveEvent(kind="nack_emitted", frame_id=frame_id,
-                                               ranges=nack.ranges))
                     self.pending_control.append(nack)
             elif state.gap_deadline is None:
                 state.gap_deadline = now + self.nack_delay_ns
         elif not has_gap:
             state.gap_deadline = None
-        return events
+        return None
 
-    def _complete(self, state: _FrameState, now_true: int) -> ReceiveEvent:
+    def _complete(self, state: _FrameState, now_true: int) -> RecvLogEntry:
         segments = [state.seg_payloads[i] for i in range(1, state.segment_count + 1)]
         length = crc = 0
         for buf in segments:
@@ -672,7 +651,7 @@ class ReceiverEndpoint:
         if self.on_frame is not None:
             self.on_frame(state.frame_id, segments, log)
         del self._frames[state.frame_id]
-        return ReceiveEvent(kind="frame_complete", frame_id=state.frame_id, log=log)
+        return log
 
     # -- gap detection and timers ---------------------------------------------
 
@@ -753,6 +732,12 @@ class ReceiverEndpoint:
         """End of run: any frame still in flight counts as dropped."""
         for state in list(self._frames.values()):
             self._drop(state)
+
+    def counters(self) -> dict:
+        """Packet counters, as the run's reports read them. Each data packet
+        that arrives counts once: stored, duplicate, or late (frame dropped)."""
+        return {"packets_received": self.packets_received, "duplicates": self.duplicates,
+                "late_packets": self.late_packets}
 
     @property
     def frames_in_flight(self) -> int:

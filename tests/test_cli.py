@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from volstream.cli import EXIT_CONFIG, EXIT_OK, main
 from volstream.config import render_config
 
@@ -79,6 +81,17 @@ def test_env_override_bad_value_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VOLSTREAM_HOP1_LOSS_RATE", "2.0")
     assert main(["run", "--config", path]) == EXIT_CONFIG
     assert "hop1.loss_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rates", ["", "1000000000,2000000000"], ids=["none", "two"])
+def test_hop1_needs_exactly_one_pacing_rate(tmp_path, monkeypatch, capsys, rates):
+    # hop 1 has one sender: no rate, or rates it would ignore, is a config error
+    path = _write_cfg(tmp_path, **{"duration_s": 0.2})
+    monkeypatch.setenv("VOLSTREAM_HOP1_PACING_BPS", rates)
+    assert main(["validate", "--config", path]) == EXIT_CONFIG
+    assert main(["run", "--config", path, "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "hop1.pacing_bps" in err and "Traceback" not in err
 
 
 def test_probe_scenario_runs(tmp_path, capsys):

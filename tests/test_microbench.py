@@ -95,9 +95,10 @@ def test_bench_ingest_segment(benchmark):
     def setup():
         return (receiver, burst, next(frame_ids)), {}
 
-    events = benchmark.pedantic(_ingest, setup=setup, rounds=ROUNDS, iterations=1)
-    assert [e.kind for e in events] == ["stored"]
+    log = benchmark.pedantic(_ingest, setup=setup, rounds=ROUNDS, iterations=1)
+    assert log is None                  # stored, no frame completed
     assert receiver.frames_in_flight == ROUNDS
+    assert (receiver.packets_received, receiver.duplicates) == (47 * ROUNDS, 0)
 
 
 def test_bench_ingest_frame(benchmark):
@@ -107,11 +108,11 @@ def test_bench_ingest_frame(benchmark):
 
     def complete(receiver):
         for b in bursts:
-            events = _ingest(receiver, b)
-        return events
+            log = _ingest(receiver, b)
+        return log
 
     def setup():
         return (ReceiverEndpoint(1, NodeClock("r"), deadline_ns=0),), {}
 
-    events = benchmark.pedantic(complete, setup=setup, rounds=ROUNDS // 4, iterations=1)
-    assert events[-1].kind == "frame_complete"
+    log = benchmark.pedantic(complete, setup=setup, rounds=ROUNDS // 4, iterations=1)
+    assert log is not None and log.frame_id == 1 and log.payload_len == 3_520_000

@@ -61,15 +61,30 @@ def test_loss_recovery_end_to_end_byte_identity(small_cfg):
 
 
 def test_link_conservation_counters(small_cfg):
-    cfg = small_cfg(**{"hop1.loss_rate": 0.03, "hop2.loss_rate": 0.03,
-                       "transport.deadline_ms": 0.0,
-                       "transport.max_nack_rounds": 64})
+    # the summary's hop counters come from the endpoints' own counters: each
+    # must equal what the hop's forward link saw, late packets included
+    cfg = small_cfg(receivers=2, **{"hop1.loss_rate": 0.05, "hop2.loss_rate": 0.05,
+                                    "transport.deadline_ms": 3.0,
+                                    "transport.max_nack_rounds": 64})
     result = run_simulation(cfg, write_outputs=False)
     sim = result.sim
-    for link in (sim.h1f, sim.h1r, sim.h2f[0], sim.h2r[0]):
+    for link in (sim.h1f, sim.h1r, *sim.h2f, *sim.h2r):
         assert link.delivered + link.lost == link.sent
-    # everything the sender endpoint emitted entered the hop-1 link
-    assert sim.h1f.sent == sim.sender.packets_sent + sim.sender.packets_retransmitted
+    hops = [(sim.h1f, sim.sender, sim.relay_up)] + \
+        [(sim.h2f[r], sim.relay_down[r], sim.receivers[r]) for r in range(2)]
+    for link, tx, rx in hops:
+        # everything the sending endpoint emitted entered the link, and
+        # everything the link delivered was stored, a duplicate, or late
+        assert link.sent == tx.packets_sent + tx.packets_retransmitted
+        assert link.delivered == rx.packets_received + rx.duplicates + rx.late_packets
+        assert link.lost > 0 and tx.packets_retransmitted > 0
+    assert sim.relay_up.late_packets > 0
+    assert all(ep.late_packets > 0 for ep in sim.receivers)
+    for r, rr in enumerate(result.receivers):
+        counts = rr.summary.packet_counts
+        for hop, link in (("hop1", sim.h1f), ("hop2", sim.h2f[r])):
+            assert (counts[f"{hop}_sent"], counts[f"{hop}_delivered"], counts[f"{hop}_lost"]) \
+                == (link.sent, link.delivered, link.lost)
 
 
 def test_deadline_drops_are_counted(small_cfg):
@@ -247,15 +262,16 @@ def test_clock_offset_correction(small_cfg):
 
 
 def test_payload_check_catches_one_flipped_byte(small_cfg, monkeypatch):
-    # flip one byte of one segment reassembled at a receiver; the crc32
-    # streamed over its segments must then disagree with the sender's
-    at_receiver, flipped = [False], []
+    # flip one byte of one segment reassembled at receiver 1 of 2; the crc32
+    # streamed over its segments must then disagree with the sender's, and
+    # only receiver 1's summary may count it
+    at_receiver1, flipped = [False], []
     assemble = transport._SegmentState.assemble
     ingest = pipeline.SimulationRun._ingest
 
     def corrupting_assemble(self):
         data = assemble(self)
-        if not at_receiver[0] or flipped:
+        if not at_receiver1[0] or flipped:
             return data
         buf = bytearray(data)
         buf[len(buf) // 2] ^= 0x01
@@ -263,14 +279,19 @@ def test_payload_check_catches_one_flipped_byte(small_cfg, monkeypatch):
         return bytes(buf)
 
     def flagged_ingest(self, hop, *args):
-        at_receiver[0] = hop is not self.hop1
+        at_receiver1[0] = hop is self.hop2[1]
         try:
             ingest(self, hop, *args)
         finally:
-            at_receiver[0] = False
+            at_receiver1[0] = False
 
     monkeypatch.setattr(transport._SegmentState, "assemble", corrupting_assemble)
     monkeypatch.setattr(pipeline.SimulationRun, "_ingest", flagged_ingest)
-    result = run_simulation(small_cfg(duration_s=0.2), write_outputs=False)
+    cfg = small_cfg(receivers=2, duration_s=0.2)
+    result = run_simulation(cfg, write_outputs=True)
     assert flipped
-    assert result.payload_mismatches >= 1
+    assert result.payload_mismatches == 1
+    counts = [[line for line in open(os.path.join(cfg.out_dir, name))
+               if line.startswith("payload_mismatches,")]
+              for name in ("summary.csv", "summary_r1.csv")]
+    assert counts == [["payload_mismatches,0,,,,,,\n"], ["payload_mismatches,1,,,,,,\n"]]

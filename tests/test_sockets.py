@@ -2,21 +2,23 @@
 
 The loopback smoke tests assert functional outcomes (delivery, identities,
 report shape), not absolute latencies: timings on a shared CI host are
-whatever they are. The merge test needs no sockets: it feeds a sim's logs
-through the role-log format into ``merge_socket_logs``.
+whatever they are. The merge tests need no sockets: they write a sim's
+logs with the roles' log writers and merge them with ``merge_socket_logs``.
 """
 
 import csv
+import json
 import os
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from volstream.config import apply_overrides, validate
 from volstream.pipeline import run_simulation
 from volstream.scenarios import scenario_config
-from volstream.sockets import (_dump_map, _write_role_log, merge_socket_logs,
-                               run_socket_orchestrated)
+from volstream.sockets import (_write_receiver_log, _write_relay_log, _write_sender_log,
+                               merge_socket_logs, run_socket_orchestrated)
 
 from conftest import make_small_config
 
@@ -62,7 +64,16 @@ def test_loopback_stream_end_to_end(tmp_path):
         assert Decimal(row["frame_l_ms"]) == (Decimal(row["network_l_ms"])
                                               + Decimal(row["frame_rx_ms"]))
         assert Decimal(row["frame_rx_ms"]) >= 0
-    assert os.path.exists(os.path.join(cfg.out_dir, "summary.csv"))
+    # the summary has every counter row the sim's has, with the same meaning
+    counts = _summary_counts(os.path.join(cfg.out_dir, "summary.csv"))
+    sim_cfg = _socket_cfg(tmp_path, base_port=47410, mode="sim")
+    sim_summary = run_simulation(sim_cfg, write_outputs=False).primary.summary
+    assert set(counts) == {"frames_sent", "frames_completed", "frames_dropped",
+                           *sim_summary.packet_counts}
+    for hop in ("hop1", "hop2"):
+        assert int(counts[f"{hop}_lost"]) == \
+            int(counts[f"{hop}_sent"]) - int(counts[f"{hop}_delivered"])
+    assert counts["payload_mismatches"] == "0"
     for role in ("sender", "relay", "receiver0"):
         assert os.path.exists(os.path.join(cfg.out_dir, f"{role}_log.json"))
 
@@ -92,30 +103,32 @@ def test_loopback_two_receivers(tmp_path):
 # -- record assembly from role logs, without sockets ---------------------------------
 
 
-def _write_sim_role_logs(sim, out_dir):
-    """Write a finished sim's endpoint logs in the socket roles' layout."""
-    _write_role_log(out_dir, "sender", {
-        "offset_ns": sim.sender_clock.estimated_offset_ns,
-        "send_log": _dump_map(sim.sender.send_log),
-        "app_tx": _dump_map(sim.app_tx_records),
-        "counters": {"packets_sent": sim.sender.packets_sent,
-                     "packets_retransmitted": sim.sender.packets_retransmitted},
-    })
-    _write_role_log(out_dir, "relay", {
-        "offset_ns": sim.relay_clock.estimated_offset_ns,
-        "recv_log": _dump_map(sim.relay_up.recv_log),
-        "dist_log": _dump_map(sim.relay.dist_log),
-        "send_logs": [_dump_map(ep.send_log) for ep in sim.relay_down],
-        "counters": {"backpressure_events": sim.relay.backpressure_events,
-                     "stalled_frames": sim.relay.stalled_frames},
-    })
+def _merge_sim_run(tmp_path, overrides, tamper=None):
+    """Run a 1 s ``paper-default`` sim, write its role logs as the socket roles
+    do, let ``tamper(out_dir)`` edit them, and merge them; returns the sim's
+    and the merged report directories and the merged reports."""
+    cfg = scenario_config("paper-default")
+    sim_dir, merged_dir = tmp_path / "sim", tmp_path / "merged"
+    assert apply_overrides(cfg, {"duration_s": "1", "out_dir": str(sim_dir),
+                                 **overrides}) == []
+    sim = run_simulation(cfg).sim
+    out = str(merged_dir)
+    _write_sender_log(out, sim.sender_clock.estimated_offset_ns, sim.sender,
+                      sim.app_tx_records)
+    _write_relay_log(out, sim.relay_clock.estimated_offset_ns, sim.relay)
     for r, ep in enumerate(sim.receivers):
-        _write_role_log(out_dir, f"receiver{r}", {
-            "offset_ns": sim.receiver_clocks[r].estimated_offset_ns,
-            "recv_log": _dump_map(ep.recv_log),
-            "app_rx": _dump_map(sim.app_rx_records[r]),
-            "counters": {"duplicates": ep.duplicates, "late_packets": ep.late_packets},
-        })
+        _write_receiver_log(out, r, sim.receiver_clocks[r].estimated_offset_ns, ep,
+                            sim.app_rx_records[r])
+    if tamper is not None:
+        tamper(out)
+    cfg.out_dir = out
+    return sim_dir, merged_dir, merge_socket_logs(cfg)
+
+
+def _summary_counts(path):
+    """The counter rows of a summary CSV: a name, a value, six empty cells."""
+    with open(path) as fh:
+        return {row[0]: row[1] for row in csv.reader(fh) if row[2:] == [""] * 6}
 
 
 @pytest.mark.parametrize("overrides", [
@@ -127,20 +140,34 @@ def _write_sim_role_logs(sim, out_dir):
      "receivers": "2"},
 ], ids=["paper-default", "3rx-lossy-skewed", "store-forward-stalls-2rx"])
 def test_merged_role_logs_reproduce_sim_frames_csvs(tmp_path, overrides):
-    # socket mode assembles its records from role logs through the same
-    # function as the sim: merging a sim's logs must give the sim's report
-    cfg = scenario_config("paper-default")
-    sim_dir, merged_dir = tmp_path / "sim", tmp_path / "merged"
-    assert apply_overrides(cfg, {"duration_s": "1", "out_dir": str(sim_dir),
-                                 **overrides}) == []
-    result = run_simulation(cfg)
-    cfg.out_dir = str(merged_dir)
-    _write_sim_role_logs(result.sim, cfg.out_dir)
-    merged = merge_socket_logs(cfg)
-    assert len(merged) == cfg.receivers
+    # socket mode builds its records and summary counters from role logs
+    # through the same function as the sim: merging a sim's logs must give
+    # the sim's report, frames and summary alike
+    sim_dir, merged_dir, merged = _merge_sim_run(tmp_path, overrides)
+    receivers = int(overrides.get("receivers", 1))
+    assert len(merged) == receivers
     assert any(rec.completed for records, _ in merged for rec in records)
-    names = sorted(p.name for p in sim_dir.glob("frames*.csv"))
-    assert len(names) == cfg.receivers
-    assert sorted(p.name for p in merged_dir.glob("frames*.csv")) == names
+    names = sorted(p.name for p in sim_dir.glob("*.csv"))
+    assert len(names) == 2 * receivers
+    assert sorted(p.name for p in merged_dir.glob("*.csv")) == names
     for name in names:
         assert (merged_dir / name).read_bytes() == (sim_dir / name).read_bytes(), name
+
+
+def test_merged_report_counts_each_receivers_own_mismatches_and_anomalies(tmp_path):
+    # receiver 0's role log has a clock offset far off, and receiver 1's one
+    # altered crc32: each summary counts only its own receiver's faults
+    def tamper(out):
+        paths = [Path(out) / f"receiver{r}_log.json" for r in (0, 1)]
+        logs = [json.loads(path.read_text()) for path in paths]
+        logs[0]["offset_ns"] -= 1_000_000_000
+        logs[1]["recv_log"]["3"]["payload_checksum"] ^= 1
+        for path, log in zip(paths, logs):
+            path.write_text(json.dumps(log))
+
+    _, merged_dir, merged = _merge_sim_run(tmp_path, {"receivers": "2"}, tamper)
+    first = _summary_counts(merged_dir / "summary.csv")
+    second = _summary_counts(merged_dir / "summary_r1.csv")
+    assert first["payload_mismatches"] == "0" and int(first["clock_anomalies"]) > 0
+    assert second["payload_mismatches"] == "1" and second["clock_anomalies"] == "0"
+    assert [summary.packet_counts["payload_mismatches"] for _, summary in merged] == [0, 1]

@@ -154,22 +154,25 @@ def test_whole_segment_nack_uses_sentinel():
 
 
 def _deliver_frame(sender, receiver, frame, t0=0, drop=None, delay=50_000):
-    """Push a frame's packets through a direct lossy channel; returns events."""
-    events = []
+    """Push a frame's packets through a direct lossy channel; returns what
+    ``on_packet`` returned for each delivered packet."""
+    results = []
     for burst in sender.send_frame(frame, t0):
         for i, (emit_ns, pkt) in enumerate(_packets(burst)):
             if drop and drop(pkt):
                 continue
-            events.append(receiver.on_packet(pkt, emit_ns + delay))
-    return events
+            results.append(receiver.on_packet(pkt, emit_ns + delay))
+    return results
 
 
 def test_in_order_delivery_completes_frame():
     sender, receiver = _sender(), _receiver()
     frame = _frame(size=200_000, seed=9)
-    events = _deliver_frame(sender, receiver, frame)
-    assert events[-1].kind == "frame_complete"
-    log = events[-1].log
+    results = _deliver_frame(sender, receiver, frame)
+    # only the completing packet returns the frame's receive log
+    assert results[:-1] == [None] * (len(results) - 1)
+    log = results[-1]
+    assert log is receiver.recv_log[1]
     assert receiver.payloads[1] == frame.payload
     assert log.recv_span_ns == log.last_recv_ns - log.first_recv_ns
     assert log.packets_received == sender.send_log[1].packet_count
@@ -181,16 +184,18 @@ def test_duplicate_delivery_is_idempotent():
     frame = _frame(size=3000)
     bursts = sender.send_frame(frame, 0)
     packets = [pkt for b in bursts for _, pkt in _packets(b)]
-    assert receiver.on_packet(packets[0], 100).kind == "stored"
-    before = receiver.packets_received
-    assert receiver.on_packet(packets[0], 200).kind == "duplicate"
-    assert receiver.packets_received == before
-    assert receiver.duplicates == 1
+    assert receiver.on_packet(packets[0], 100) is None
+    assert (receiver.packets_received, receiver.duplicates) == (1, 0)    # stored
+    assert receiver.on_packet(packets[0], 200) is None
+    assert (receiver.packets_received, receiver.duplicates) == (1, 1)
     for pkt in packets[1:]:
-        ev = receiver.on_packet(pkt, 300)
-    assert ev.kind == "frame_complete"
+        log = receiver.on_packet(pkt, 300)
+    assert log is receiver.recv_log[1]
+    assert log.duplicates == 1
     # copies delivered after completion also count as duplicates
-    assert receiver.on_packet(packets[0], 400).kind == "duplicate"
+    assert receiver.on_packet(packets[0], 400) is None
+    assert (receiver.packets_received, receiver.duplicates) == (len(packets), 2)
+    assert log.duplicates == 2
 
 
 def test_detect_gaps_examples():
@@ -241,13 +246,13 @@ def test_nack_round_trip_recovers_single_loss():
     assert len(nacks) == 1
     assert nacks[0].ranges == ((2, 3, 3),)
     bursts = sender.retransmit(nacks[0], deadline + 100_000)
-    ev = None
+    log = None
     for burst in bursts:
         for emit_ns, pkt in _packets(burst):
-            ev = receiver.on_packet(pkt, emit_ns + 50_000)
-    assert ev.kind == "frame_complete"
+            log = receiver.on_packet(pkt, emit_ns + 50_000)
+    assert log is receiver.recv_log[1]
     assert receiver.payloads[1] == frame.payload
-    assert ev.log.nack_count == 1
+    assert log.nack_count == 1
     assert sender.send_log[1].retransmit_count == 1
 
 
@@ -269,10 +274,13 @@ def test_rounds_exhausted_drops_frame():
     late = [b for b in sender.retransmit(
         ControlPacket(packet_type=PacketType.NACK, stream_id=1, frame_id=1,
                       ranges=((1, 1, 1),)), t)]
+    received, duplicates, late_count = receiver.packets_received, receiver.duplicates, 0
     for burst in late:
         for emit_ns, p in _packets(burst):
-            assert receiver.on_packet(p, t + 100).kind == "late"
-    assert receiver.late_packets >= 1
+            assert receiver.on_packet(p, t + 100) is None
+            late_count += 1
+    assert late_count >= 1 and receiver.late_packets == late_count
+    assert (receiver.packets_received, receiver.duplicates) == (received, duplicates)
 
 
 def test_deadline_drops_slow_frame():
@@ -324,11 +332,11 @@ def test_lost_tail_segment_is_recovered_by_speculative_nack():
     nacks = receiver.on_timer(deadline)
     assert len(nacks) == 1
     assert nacks[0].ranges == ((2, 1, 0),)
-    ev = None
+    log = None
     for burst in sender.retransmit(nacks[0], deadline):
         for emit_ns, pkt in _packets(burst):
-            ev = receiver.on_packet(pkt, emit_ns + 50_000)
-    assert ev.kind == "frame_complete"
+            log = receiver.on_packet(pkt, emit_ns + 50_000)
+    assert log is receiver.recv_log[1]
     assert receiver.payloads[1] == frame.payload
 
 
