@@ -4,7 +4,8 @@
     volstream run --config lab.cfg [--mode sim|socket] [--role sender|relay|receiver]
     volstream validate --config lab.cfg
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid configuration. Any
+Exit codes: 0 success, 1 runtime failure, also a stream run (written in
+full) in which a receiver completed no frame, 2 invalid configuration. Any
 configuration key can be overridden via ``VOLSTREAM_<KEY>`` environment
 variables (dots become underscores).
 """
@@ -80,27 +81,25 @@ def run(cfg: ScenarioConfig, role: str | None = None, role_index: int = 0,
         if role:
             sockets.run_role(cfg, role, role_index)
             return EXIT_OK
-        results = sockets.run_socket_orchestrated(cfg)
-        if not quiet:
-            for r, (_records, summary) in enumerate(results):
-                print(f"receiver {r}:")
-                print(format_summary_table(summary))
-            print(f"report written under {cfg.out_dir}")
-        return EXIT_OK
-
-    result = run_experiment(cfg, write_outputs=True)
-    if quiet:
-        return EXIT_OK
-    if isinstance(result, SimResult):
-        for r, rr in enumerate(result.receivers):
+        summaries = [summary for _records, summary in sockets.run_socket_orchestrated(cfg)]
+    else:
+        result = run_experiment(cfg, write_outputs=True)
+        summaries = [rr.summary for rr in result.receivers] \
+            if isinstance(result, SimResult) else []
+        if not quiet and isinstance(result, ProbeRunResult):
+            print(format_probe_table(result))
+        elif not quiet and isinstance(result, SweepRunResult):
+            print(format_sweep_table(result))
+    if not quiet:
+        for r, summary in enumerate(summaries):
             print(f"receiver {r}:")
-            print(format_summary_table(rr.summary))
-    elif isinstance(result, ProbeRunResult):
-        print(format_probe_table(result))
-    elif isinstance(result, SweepRunResult):
-        print(format_sweep_table(result))
-    print(f"report written under {cfg.out_dir}")
-    return EXIT_OK
+            print(format_summary_table(summary))
+        print(f"report written under {cfg.out_dir}")
+    failed = [r for r, summary in enumerate(summaries) if summary.frames_completed == 0]
+    for r in failed:
+        print(f"runtime error: receiver {r} completed 0 of {summaries[r].frames_sent} frames",
+              file=sys.stderr)
+    return EXIT_RUNTIME if failed else EXIT_OK
 
 
 def main(argv=None) -> int:

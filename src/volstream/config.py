@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .appemu import CaptureProfile, DurationDist, RenderProfile
 from .errors import ConfigError
 from .netem import LinkModel, NodeStageModel
-from .relay import StallModel
+from .relay import RelayNode, StallModel
 from .transport import ReceiverEndpoint, SenderEndpoint
 
 NS_PER_MS = 1_000_000
@@ -207,9 +207,19 @@ class ScenarioConfig:
             load_factor=node.load_factor,
         )
 
-    def stall_model(self) -> StallModel:
-        return StallModel(probability=self.stall.probability,
-                          min_ns=_ms(self.stall.min_ms), max_ns=_ms(self.stall.max_ms))
+    def relay_node(self, upstream, downstreams, scheduler, emit, stall_rng) -> RelayNode:
+        """The relay over its upstream endpoint and one downstream sender per
+        receiver; ``scheduler`` and ``emit`` come from the mode's driver."""
+        s = self.stall
+        return RelayNode(
+            upstream, downstreams, scheduler, emit,
+            policy=self.relay.policy,
+            forward_delay_ns=_ms(self.relay.forward_delay_ms),
+            stall=StallModel(probability=s.probability, min_ns=_ms(s.min_ms),
+                             max_ns=_ms(s.max_ms)),
+            stall_rng=stall_rng,
+            queue_high_water_ns=_ms(self.relay.queue_high_water_ms),
+        )
 
     def sender_endpoint(self, rate_bps: int, clock) -> SenderEndpoint:
         """A paced sending endpoint: the sender, or one relay downstream."""
@@ -396,6 +406,9 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
 
     c = cfg.capture
     check(c.fps > 0, "capture.fps", c.fps, "must be > 0")
+    if cfg.experiment == "stream" and cfg.duration_s > 0 and c.fps > 0:
+        check(cfg.frame_count() >= 1, "duration_s", cfg.duration_s,
+              "must hold at least one frame at capture.fps")
     check(c.app_tx_ms >= 0, "capture.app_tx_ms", c.app_tx_ms, "must be >= 0")
     check(0 <= c.app_tx_jitter_ms <= c.app_tx_ms, "capture.app_tx_jitter_ms",
           c.app_tx_jitter_ms, "must be in [0, app_tx_ms]")

@@ -7,8 +7,10 @@ loss-free path. The event core is strictly single-threaded over the virtual
 clock and every random draw comes from a named seeded stream, so a run is a
 pure function of (config, seed).
 
-Both hops (sender -> relay, relay -> each receiver) are a ``Hop`` and run
-the same handlers. Each packet burst is a pacer progression (first
+Both hops (sender -> relay, relay -> each receiver) are a ``Hop``, whose
+handlers are the protocol's event handling in both modes, written against a
+driver; the sim's driver is ``SimDriver`` and socket mode's is
+``sockets.SocketDriver``. Each packet burst is a pacer progression (first
 emission, bits per packet, rate). ``Link.carry`` turns it into delivered
 runs, each with its first and last arrival and the packet that arrived
 first, and each run is scheduled as one ``ingest_run`` call at its last
@@ -32,7 +34,6 @@ from .errors import ConfigError
 from .metrics import (OffsetTable, RunLogs, RunSummary, assemble_record,
                       dropped_record, summarize, write_report)
 from .netem import TRACE_COLUMNS, EventQueue, Link
-from .relay import RelayNode
 from .transport import ReceiverEndpoint, SenderEndpoint
 from .wire import ControlPacket, PacketType, encode_packet
 
@@ -49,13 +50,127 @@ class ReceiverResult:
 
 @dataclass(slots=True)
 class Hop:
-    """One sender-to-receiver hop: its two endpoints and two links."""
+    """One sender-to-receiver hop and the protocol's event handling on it.
 
-    sender: SenderEndpoint
-    forward: Link            # data, sender -> receiver
-    reverse: Link            # ACKs and NACKs, receiver -> sender
-    receiver: ReceiverEndpoint
+    Bursts from ``sender`` cross ``forward`` into ``receiver``, whose ACKs
+    and NACKs cross ``reverse`` back. ``driver`` supplies ``now()``,
+    ``schedule(at, fn, *args)``, ``carry(hop, burst)`` and
+    ``send_control(hop, ctrl)``. In the sim ``forward`` and ``reverse`` are
+    ``Link``s; in socket mode they are ``(socket, peer address)`` pairs and
+    a process holds one half of the hop, without ``receiver`` or ``sender``.
+    """
+
+    sender: SenderEndpoint | None
+    forward: object          # data, sender -> receiver
+    reverse: object          # ACKs and NACKs, receiver -> sender
+    receiver: ReceiverEndpoint | None
+    driver: object
     timer_armed: int | None = None   # deadline of the scheduled receiver timer
+
+    def deliver(self, bursts) -> None:
+        for burst in bursts:
+            self.driver.carry(self, burst)
+
+    def ingest(self, *run) -> None:
+        """Hand one delivered run (``ingest_run``'s arguments) to the receiver."""
+        ep = self.receiver
+        log = ep.ingest_run(*run)
+        if log is not None:
+            ack = ControlPacket(packet_type=PacketType.FRAME_ACK,
+                                stream_id=ep.stream_id, frame_id=log.frame_id)
+            self.driver.send_control(self, ack)
+        for nack in ep.pending_control:
+            self.driver.send_control(self, nack)
+        ep.pending_control.clear()
+        self.arm_timer()
+
+    def control(self, ctrl: ControlPacket) -> None:
+        if ctrl.packet_type == PacketType.NACK:
+            self.deliver(self.sender.retransmit(ctrl, self.driver.now()))
+        elif ctrl.packet_type == PacketType.FRAME_ACK:
+            self.sender.on_frame_ack(ctrl)
+
+    def arm_timer(self) -> None:
+        deadline = self.receiver.next_timer_ns()
+        if deadline is None:
+            return
+        if self.timer_armed is not None and self.timer_armed <= deadline:
+            return
+        self.timer_armed = deadline
+        self.driver.schedule(max(deadline, self.driver.now()), self.timer_fire)
+
+    def timer_fire(self) -> None:
+        self.timer_armed = None
+        ep = self.receiver
+        deadline = ep.next_timer_ns()
+        if deadline is None:
+            return
+        now = self.driver.now()
+        if deadline <= now:
+            for nack in ep.on_timer(now):
+                self.driver.send_control(self, nack)
+        self.arm_timer()
+
+
+class SimDriver:
+    """The sim's driver: the event queue's virtual clock and each hop's links.
+    A burst's delivered runs and the control packets that survive the
+    reverse link are scheduled at their arrivals."""
+
+    def __init__(self, evq: EventQueue):
+        self.evq = evq
+        self.schedule = evq.schedule
+
+    def now(self) -> int:
+        return self.evq.now
+
+    def carry(self, hop: Hop, burst) -> None:
+        pps = burst.packet_payload_size
+        view = memoryview(burst.payload)
+        seq = burst.seq_start
+        schedule = self.schedule
+        for first, end, mn, arg, mx in hop.forward.carry(burst):
+            schedule(mx, hop.ingest, burst.frame_id, burst.segment_index,
+                     burst.packets_in_segment, seq + first, end - first,
+                     view[first * pps:end * pps], pps, mn, mx, burst.stamp(arg), burst.flags)
+
+    def send_control(self, hop: Hop, ctrl: ControlPacket) -> None:
+        size = len(encode_packet(ctrl))
+        arrivals = hop.reverse.traverse([self.evq.now], [size], ctrl.frame_id, 0, 0, None)
+        if arrivals[0] is not None:
+            self.schedule(arrivals[0], hop.control, ctrl)
+
+
+def schedule_captures(driver, hop: Hop, cfg: ScenarioConfig, clock, rng,
+                      start_ns: int, app_tx: dict) -> None:
+    """Schedule each frame's capture at its tick and its hand-off to ``hop``.
+
+    The sim and the socket sender role stream their frames through here;
+    each capture's record goes into ``app_tx``.
+    """
+    profile = cfg.capture_profile()
+    frames = cfg.frame_count()
+
+    def capture(k, tick):
+        frame, rec = capture_tick(profile, k + 1, tick, clock, cfg.seed, rng)
+        app_tx[frame.frame_id] = rec
+        driver.schedule(rec.capture_end_true_ns, handoff, frame, k + 1 == frames)
+
+    def handoff(frame, eos):
+        hop.deliver(hop.sender.send_frame(frame, driver.now(), end_of_stream=eos))
+
+    for k in range(frames):
+        tick = start_ns + k * profile.interval_ns
+        driver.schedule(tick, capture, k, tick)
+
+
+def render_on_frame(cfg: ScenarioConfig, clock, rng, app_rx: dict):
+    """A final receiver's ``on_frame``: render each completed frame into ``app_rx``."""
+    profile = cfg.render_profile()
+
+    def on_frame(frame_id, segments, log):
+        app_rx[frame_id] = render_complete(profile, frame_id, log.complete_true_ns, clock, rng)
+    return on_frame
 
 
 @dataclass
@@ -113,6 +228,9 @@ class SimulationRun:
         self.h2r = [link(f"hop2_rev_r{r}", cfg.hop2, cfg.node_receiver, cfg.node_relay,
                          reverse=True) for r in range(cfg.receivers)]
 
+        self.app_tx_records = {}
+        self.app_rx_records = [dict() for _ in range(cfg.receivers)]
+        self.driver = SimDriver(self.evq)
         self.sender = cfg.sender_endpoint(cfg.hop1.pacing_bps[0], self.sender_clock)
         self.relay_up = cfg.receiver_endpoint(self.relay_clock, relay=True)
         self.relay_down = [cfg.sender_endpoint(cfg.hop2_pacing(r), self.relay_clock)
@@ -120,25 +238,14 @@ class SimulationRun:
         self.receivers = [cfg.receiver_endpoint(self.receiver_clocks[r])
                           for r in range(cfg.receivers)]
         for r, ep in enumerate(self.receivers):
-            ep.on_frame = self._make_render(r)
-        self.hop1 = Hop(self.sender, self.h1f, self.h1r, self.relay_up)
-        self.hop2 = [Hop(self.relay_down[r], self.h2f[r], self.h2r[r], self.receivers[r])
-                     for r in range(cfg.receivers)]
-        self.relay = RelayNode(
-            self.relay_up, self.relay_down,
-            policy=cfg.relay.policy,
-            forward_delay_ns=_ms(cfg.relay.forward_delay_ms),
-            stall=cfg.stall_model(),
-            stall_rng=self._rng("stall"),
-            scheduler=self.evq.schedule,
-            emit=self._relay_emit,
-            queue_high_water_ns=_ms(cfg.relay.queue_high_water_ms),
-        )
-
-        self.capture_profile = cfg.capture_profile()
-        self.render_profile = cfg.render_profile()
-        self.app_tx_records = {}
-        self.app_rx_records = [dict() for _ in range(cfg.receivers)]
+            ep.on_frame = render_on_frame(cfg, self.receiver_clocks[r],
+                                          self._rng(f"apprx:{r}"), self.app_rx_records[r])
+        self.hop1 = Hop(self.sender, self.h1f, self.h1r, self.relay_up, self.driver)
+        self.hop2 = [Hop(self.relay_down[r], self.h2f[r], self.h2r[r], self.receivers[r],
+                         self.driver) for r in range(cfg.receivers)]
+        self.relay = cfg.relay_node(self.relay_up, self.relay_down, self.driver.schedule,
+                                    lambda r, bursts: self.hop2[r].deliver(bursts),
+                                    self._rng("stall"))
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -148,14 +255,6 @@ class SimulationRun:
             rng = random.Random(f"{self.cfg.seed}:{name}")
             self._rngs[name] = rng
         return rng
-
-    def _make_render(self, r: int):
-        def on_frame(frame_id, segments, log):
-            rec = render_complete(self.render_profile, frame_id,
-                                  log.complete_true_ns, self.receiver_clocks[r],
-                                  self._rng(f"apprx:{r}"))
-            self.app_rx_records[r][frame_id] = rec
-        return on_frame
 
     # -- clock sync ---------------------------------------------------------------
 
@@ -174,86 +273,6 @@ class SimulationRun:
         for clk in (self.sender_clock, self.relay_clock, *self.receiver_clocks[1:]):
             sync_exchange(clk, master, path, now_ns, rng, max_attempts=k.sync_retries)
 
-    # -- hops ---------------------------------------------------------------------
-    #
-    # Both hops run the same handlers: bursts from ``hop.sender`` cross
-    # ``hop.forward`` into ``hop.receiver``, whose ACKs and NACKs cross
-    # ``hop.reverse`` back to ``hop.sender``.
-
-    def _deliver_burst(self, hop: Hop, burst) -> None:
-        pps = burst.packet_payload_size
-        view = memoryview(burst.payload)
-        seq = burst.seq_start
-        schedule = self.evq.schedule
-        for first, end, mn, arg, mx in hop.forward.carry(burst):
-            schedule(mx, self._ingest, hop, burst.frame_id, burst.segment_index,
-                     burst.packets_in_segment, seq + first, end - first,
-                     view[first * pps:end * pps], pps, mn, mx, burst.stamp(arg), burst.flags)
-
-    def _ingest(self, hop: Hop, *run) -> None:
-        """Hand one delivered run (``ingest_run``'s arguments) to the hop's receiver."""
-        ep = hop.receiver
-        log = ep.ingest_run(*run)
-        if log is not None:
-            ack = ControlPacket(packet_type=PacketType.FRAME_ACK,
-                                stream_id=self.cfg.stream_id, frame_id=log.frame_id)
-            self._send_control(hop, ack)
-        for nack in ep.pending_control:
-            self._send_control(hop, nack)
-        ep.pending_control.clear()
-        self._arm_timer(hop)
-
-    def _send_control(self, hop: Hop, ctrl: ControlPacket) -> None:
-        size = len(encode_packet(ctrl))
-        arrivals = hop.reverse.traverse([self.evq.now], [size], ctrl.frame_id, 0, 0, None)
-        if arrivals[0] is not None:
-            self.evq.schedule(arrivals[0], self._control, hop, ctrl)
-
-    def _control(self, hop: Hop, ctrl: ControlPacket) -> None:
-        if ctrl.packet_type == PacketType.NACK:
-            for burst in hop.sender.retransmit(ctrl, self.evq.now):
-                self._deliver_burst(hop, burst)
-        elif ctrl.packet_type == PacketType.FRAME_ACK:
-            hop.sender.on_frame_ack(ctrl)
-
-    def _arm_timer(self, hop: Hop) -> None:
-        deadline = hop.receiver.next_timer_ns()
-        if deadline is None:
-            return
-        if hop.timer_armed is not None and hop.timer_armed <= deadline:
-            return
-        hop.timer_armed = deadline
-        self.evq.schedule(max(deadline, self.evq.now), self._timer_fire, hop)
-
-    def _timer_fire(self, hop: Hop) -> None:
-        hop.timer_armed = None
-        ep = hop.receiver
-        deadline = ep.next_timer_ns()
-        if deadline is None:
-            return
-        if deadline <= self.evq.now:
-            for nack in ep.on_timer(self.evq.now):
-                self._send_control(hop, nack)
-        self._arm_timer(hop)
-
-    # -- application events ------------------------------------------------------------
-
-    def _capture(self, k: int) -> None:
-        frame, rec = capture_tick(self.capture_profile, k + 1, self.evq.now,
-                                  self.sender_clock, self.cfg.seed,
-                                  self._rng("apptx"))
-        self.app_tx_records[frame.frame_id] = rec
-        self.evq.schedule(rec.capture_end_true_ns, self._handoff, frame,
-                          k + 1 == self.frame_count)
-
-    def _handoff(self, frame, eos: bool) -> None:
-        for burst in self.sender.send_frame(frame, self.evq.now, end_of_stream=eos):
-            self._deliver_burst(self.hop1, burst)
-
-    def _relay_emit(self, r: int, bursts) -> None:
-        for burst in bursts:
-            self._deliver_burst(self.hop2[r], burst)
-
     # -- run ---------------------------------------------------------------------------
 
     def run(self) -> SimResult:
@@ -266,9 +285,8 @@ class SimulationRun:
             while t < horizon:
                 self.evq.schedule(t, self._sync_all, t)
                 t += interval
-        tick = self.capture_profile.interval_ns
-        for k in range(self.frame_count):
-            self.evq.schedule(k * tick, self._capture, k)
+        schedule_captures(self.driver, self.hop1, cfg, self.sender_clock, self._rng("apptx"),
+                          0, self.app_tx_records)
         self.evq.run()
         for ep in (self.relay_up, *self.receivers):
             ep.finalize()
@@ -346,7 +364,7 @@ def receiver_reports(logs: RunLogs, offsets: OffsetTable, frame_count: int,
             "clock_anomalies": anomalies.count - seen,
             "receiver_duplicates": receiver["duplicates"],
             "receiver_late_packets": receiver["late_packets"],
-            "relay_backpressure_events": relay["backpressure_events"],
+            "relay_backpressure_events": relay["downstream"][r]["backpressure_events"],
             "relay_stalled_frames": relay["stalled_frames"],
         }
         for hop, tx, rx in (("hop1", sender, relay),

@@ -100,7 +100,7 @@ class RelayNode:
         self.emit = emit
         self.queue_high_water_ns = queue_high_water_ns
         self.dist_log: dict[int, DistributionLogEntry] = {}
-        self.backpressure_events = 0
+        self.downstream_backpressure = [0] * len(downstreams)   # per receiver
         self.stalled_frames = 0
         self._gates: dict[int, int] = {}   # frame_id -> gate-open true ns
         upstream.on_segment = self._upstream_segment
@@ -156,13 +156,21 @@ class RelayNode:
                 self.forward_frame(frame_id, segments, at, log.end_of_stream)
         self._gates.pop(frame_id, None)
 
+    @property
+    def backpressure_events(self) -> int:
+        """Forwards that found a downstream pacer backlogged past the high
+        water mark, over every receiver."""
+        return sum(self.downstream_backpressure)
+
     def counters(self) -> dict:
         """The upstream endpoint's packet counters, the relay's own, and
-        each downstream sender's, as the run's reports read them."""
+        each downstream sender's with its backpressure events, as the run's
+        reports read them."""
         return {**self.upstream.counters(),
-                "backpressure_events": self.backpressure_events,
                 "stalled_frames": self.stalled_frames,
-                "downstream": [d.counters() for d in self.downstreams]}
+                "downstream": [{**d.counters(), "backpressure_events": events}
+                               for d, events in zip(self.downstreams,
+                                                    self.downstream_backpressure)]}
 
     # -- forwarding ------------------------------------------------------------
 
@@ -172,7 +180,7 @@ class RelayNode:
         entry = self._log(frame_id)
         for r, sender in enumerate(self.downstreams):
             if sender.pacer.busy_until_ns - now_true > self.queue_high_water_ns:
-                self.backpressure_events += 1
+                self.downstream_backpressure[r] += 1
             burst = sender.send_segment(frame_id, segment_index, payload, now_true,
                                         is_final=is_final, end_of_stream=eos)
             first = burst.first_ns

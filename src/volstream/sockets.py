@@ -1,23 +1,21 @@
 """Real-datagram mode: sender / relay / receiver roles over UDP sockets.
 
-Each role runs as its own process, builds its endpoints with the same
-factory as the simulation (``ScenarioConfig.sender_endpoint`` /
-``receiver_endpoint``), and writes its logs and its endpoints' counters as
-JSON when it exits. On a single host the orchestrator spawns all three
-roles on loopback, waits for them, and merges the logs with the
-simulation's ``receiver_reports``, so the records, the summary counters
-and the payload check mean the same as in a simulation run. For multi-host
-use, start each role by hand with ``--role`` and matching host
-configuration.
+Each role is its own process and runs the sim's protocol code: its
+half-hops are ``pipeline.Hop``s built with the sim's factories, fed by a
+``SocketDriver`` instead of the event queue and links. The sender holds hop
+1's sending half, the relay hop 1's receiving half and one sending half per
+receiver, and each receiver its hop 2's receiving half. Each role writes its
+logs and endpoint counters as JSON; on one host the orchestrator spawns the
+roles on loopback and merges the logs with the sim's ``receiver_reports``,
+so records, counters and the payload check mean the same in both modes.
+For multi-host use, start each role by hand with ``--role``.
 
-Timestamps come from a composite clock (wall-clock anchor plus the
-monotonic counter), so they are steady within a run and comparable across
-processes on one host. Offset estimation against the receiver master runs
-over a SYNC_REQ/SYNC_RESP exchange even on a single host, where it should
-come out near zero.
-
-The emulated link models do not apply here; socket mode prints a warning
-and ignores them.
+A frame's send span comes from its pacer plan, as in the sim; each
+datagram's stamp records when it was actually sent. Timestamps come from a
+wall-anchored monotonic clock, comparable across processes on one host.
+Offsets are estimated by a SYNC_REQ/SYNC_RESP exchange against receiver 0,
+which answers from its own loop. The emulated link models do not apply
+here; socket mode prints a warning and ignores them.
 """
 
 from __future__ import annotations
@@ -26,26 +24,28 @@ import dataclasses
 import heapq
 import json
 import os
+import random
+import selectors
 import socket
 import subprocess
 import sys
-import threading
 import time
-from collections import deque
+from functools import partial
 
-from .appemu import AppRxRecord, AppTxRecord, capture_tick, render_complete
+from .appemu import AppRxRecord, AppTxRecord
 from .clock import AnomalyLog, NodeClock, estimate_offset
-from .config import ScenarioConfig, _ms, render_config
-from .errors import VolstreamError
-from .frames import DataPacket
+from .config import ScenarioConfig, render_config
+from .errors import CodecError, VolstreamError
 from .metrics import OffsetTable, RunLogs, write_report
-from .pipeline import receiver_reports
+from .pipeline import Hop, receiver_reports, render_on_frame, schedule_captures
 from .relay import DistributionLogEntry, RelayNode
 from .transport import ReceiverEndpoint, RecvLogEntry, SenderEndpoint, SendLogEntry
-from .wire import ControlPacket, PacketType, decode_packet, encode_packet
+from .wire import (HEADER_SIZE, ControlPacket, PacketType, decode_packet, encode_packet,
+                   parse_header)
 
 NS_PER_S = 1_000_000_000
-_POLL_S = 0.0005
+_MAX_DATAGRAM = 65_535
+_HARD_DEADLINE_SLACK_S = 30   # past duration and drain: a role that is still running gives up
 
 
 class HostClock:
@@ -157,302 +157,236 @@ def _sync_against_master(cfg: ScenarioConfig, clock: HostClock, name: str) -> in
         sock.close()
 
 
-class _SyncResponder(threading.Thread):
-    """Master-side responder: stamps t2/t3 and echoes the request's t1."""
+# -- the socket driver -------------------------------------------------------------
 
-    def __init__(self, cfg: ScenarioConfig, clock: HostClock):
-        super().__init__(daemon=True)
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.bind((cfg.socket.receiver_host, _ports(cfg)["sync"]))
-        self.sock.settimeout(0.2)
+
+class SocketDriver:
+    """Socket mode's driver for ``pipeline.Hop``: a wall-clock heap plus a
+    ``selectors`` loop over the role's UDP sockets, which it closes on exit.
+
+    ``carry`` sends a burst's datagrams at its pacer emissions, each stamped
+    with its actual send time; ``send_control`` is one ``sendto`` to the
+    hop's peer. ``run`` fires due heap entries, drains every readable socket
+    in one turn, and sleeps in ``select`` until the next of either.
+    """
+
+    def __init__(self, clock):
         self.clock = clock
-        self.stream_id = cfg.stream_id
-        self.stop = False
+        self.last_io_ns = clock.now_ns()   # last datagram sent or received
+        self._heap: list = []
+        self._seq = 0
+        self._sel = selectors.DefaultSelector()
+        self._socks: list = []
 
-    def run(self):
-        while not self.stop:
+    def __enter__(self) -> SocketDriver:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._sel.close()
+        for sock in self._socks:
+            sock.close()
+
+    def open(self, host: str, port: int) -> socket.socket:
+        """A UDP socket bound to ``(host, port)``, closed with the driver."""
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._socks.append(sock)
+        sock.bind((host, port))
+        return sock
+
+    def now(self) -> int:
+        return self.clock.now_ns()
+
+    def schedule(self, at_ns: int, fn, *args) -> None:
+        heapq.heappush(self._heap, (at_ns, self._seq, fn, args))
+        self._seq += 1
+
+    def carry(self, hop: Hop, burst) -> None:
+        self.schedule(burst.first_ns, self._send_due, hop, burst, 0)
+
+    def _send_due(self, hop: Hop, burst, i: int) -> None:
+        """Send packets ``i..`` of ``burst`` whose emission is due; re-arm for the rest."""
+        sock, peer = hop.forward
+        stream_id = hop.sender.stream_id
+        emissions = burst.emissions
+        now = self.now()
+        while i < burst.count and emissions[i] <= now:
+            sock.sendto(encode_packet(burst.packet(i, now, stream_id)), peer)
+            i += 1
+            now = self.now()
+        self.last_io_ns = now
+        if i < burst.count:
+            self.schedule(emissions[i], self._send_due, hop, burst, i)
+
+    def send_control(self, hop: Hop, ctrl: ControlPacket) -> None:
+        sock, peer = hop.reverse
+        if peer is not None:
+            sock.sendto(encode_packet(ctrl), peer)
+            self.last_io_ns = self.now()
+
+    def register(self, sock, on_datagrams) -> None:
+        """Call ``on_datagrams(datagrams)`` with each drained batch of
+        ``(data, source, arrival ns)`` triples that ``sock`` receives."""
+        self._sel.register(sock, selectors.EVENT_READ, on_datagrams)
+
+    def add_hop(self, hop: Hop) -> None:
+        """Receive ``hop``'s datagrams: data at a receiving half, ACKs and
+        NACKs at a sending half."""
+        self.register(hop.forward[0], partial(self.on_datagrams, hop))
+
+    def on_datagrams(self, hop: Hop, datagrams) -> None:
+        """Feed one drained batch of ``(data, source, arrival)`` triples to
+        ``hop``'s half. Each data datagram is one ``ingest_run`` of one
+        packet; malformed datagrams, other streams' datagrams and data at a
+        sending half are dropped."""
+        if hop.receiver is not None:
+            stream_id = hop.receiver.stream_id
+            for data, src, now in datagrams:
+                try:
+                    kind, flags, sid, frame_id, seg, seq, n, stamp = parse_header(data)
+                except CodecError:
+                    continue
+                if kind != PacketType.DATA or sid != stream_id:
+                    continue
+                hop.reverse = (hop.reverse[0], src)
+                body = memoryview(data)[HEADER_SIZE:]
+                hop.ingest(frame_id, seg, n, seq, 1, body, max(len(body), 1),
+                           now, now, stamp, flags)
+            return
+        for data, _, _ in datagrams:
             try:
-                data, addr = self.sock.recvfrom(2048)
-            except socket.timeout:
+                ctrl = decode_packet(data)
+            except CodecError:
                 continue
-            except OSError:
+            if isinstance(ctrl, ControlPacket) and ctrl.stream_id == hop.sender.stream_id:
+                hop.control(ctrl)
+
+    def _drain(self, sock, on_datagrams) -> None:
+        """Read every queued datagram, each stamped when it was read."""
+        datagrams = []
+        while True:
+            try:
+                data, src = sock.recvfrom(_MAX_DATAGRAM, socket.MSG_DONTWAIT)
+            except BlockingIOError:
                 break
-            t2 = self.clock.now_ns()
+            datagrams.append((data, src, self.now()))
+        if datagrams:
+            self.last_io_ns = datagrams[-1][2]
+            on_datagrams(datagrams)
+
+    def run(self, done, idle_ns: int, deadline_ns: int) -> None:
+        """Run until ``done()`` holds, nothing is scheduled and no datagram
+        was sent or received for ``idle_ns``; or until ``deadline_ns``."""
+        heap = self._heap
+        while True:
+            now = self.now()
+            while heap and heap[0][0] <= now:
+                _, _, fn, args = heapq.heappop(heap)
+                fn(*args)
+            now = self.now()
+            if now >= deadline_ns:
+                return
+            wake = min(heap[0][0], deadline_ns) if heap else deadline_ns
+            if done() and not heap:
+                if now - self.last_io_ns >= idle_ns:
+                    return
+                wake = min(wake, self.last_io_ns + idle_ns)
+            for key, _ in self._sel.select(max(wake - now, 0) / NS_PER_S):
+                self._drain(key.fileobj, key.data)
+
+
+def _answer_sync(driver: SocketDriver, sock, stream_id: int):
+    """Receiver 0's SYNC_REQ handler: t2 at receive, t3 at reply, t1 echoed."""
+    def answer(datagrams):
+        for data, src, t2 in datagrams:
             try:
                 req = decode_packet(data)
-            except VolstreamError:
+            except CodecError:
                 continue
-            if not (isinstance(req, ControlPacket) and req.packet_type == PacketType.SYNC_REQ):
-                continue
-            t3 = self.clock.now_ns()
-            resp = ControlPacket(packet_type=PacketType.SYNC_RESP, stream_id=self.stream_id,
-                                 t1=req.t1, t2=t2, t3=t3, send_timestamp=t3)
-            self.sock.sendto(encode_packet(resp), addr)
-        self.sock.close()
+            if isinstance(req, ControlPacket) and req.packet_type == PacketType.SYNC_REQ:
+                t3 = driver.now()
+                resp = ControlPacket(packet_type=PacketType.SYNC_RESP, stream_id=stream_id,
+                                     t1=req.t1, t2=t2, t3=t3, send_timestamp=t3)
+                sock.sendto(encode_packet(resp), src)
+    return answer
 
 
-# -- sender role -------------------------------------------------------------------
+# -- roles --------------------------------------------------------------------------
+#
+# Each role builds its half-hops, registers their sockets and runs the loop.
 
 
-def _queue_packets(queue, bursts) -> None:
-    """Queue ``(emission_ns, burst, index)`` for each packet of ``bursts``."""
-    for burst in bursts:
-        queue.extend((e, burst, i) for i, e in enumerate(burst.emissions))
+def _run_until_drained(cfg: ScenarioConfig, driver: SocketDriver, *logs) -> None:
+    """Every role's stop rule: its last frame is in one of ``logs`` (handed
+    off, completed or dropped), nothing is scheduled and nothing was sent or
+    received for ``socket.drain_timeout_s``; or the hard deadline passed."""
+    last = cfg.frame_count()
+    idle = int(cfg.socket.drain_timeout_s * NS_PER_S)
+    slack = int((cfg.duration_s + _HARD_DEADLINE_SLACK_S) * NS_PER_S)
+    driver.run(lambda: any(last in log for log in logs), idle, driver.now() + idle + slack)
 
 
 def run_sender_role(cfg: ScenarioConfig, out_dir: str) -> None:
     clock = HostClock()
-    node_clock = NodeClock("sender", "slave")
     offset = _sync_against_master(cfg, clock, "sender")
-    profile = cfg.capture_profile()
-    ep = cfg.sender_endpoint(cfg.hop1.pacing_bps[0], node_clock)
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.bind((cfg.socket.sender_host, 0))
-    sock.settimeout(_POLL_S)
-    relay_addr = (cfg.socket.relay_host, _ports(cfg)["relay_up"])
-
-    import random
-    apptx_rng = random.Random(f"{cfg.seed}:apptx")
-    frames = cfg.frame_count()
-    interval = profile.interval_ns
-    app_records = {}
-    pending = deque()   # (emission_ns, burst, index)
-    spans = {}          # frame_id -> [first_ns, last_ns, last_bits]
-    t0 = clock.now_ns() + int(0.05 * NS_PER_S)
-    k = 0
-    hard_deadline = t0 + int((cfg.duration_s + cfg.socket.drain_timeout_s + 20) * NS_PER_S)
-    done_sending_at = None
-
-    while True:
-        now = clock.now_ns()
-        if now > hard_deadline:
-            break
-        if k < frames and now >= t0 + k * interval:
-            tick = t0 + k * interval
-            frame, rec = capture_tick(profile, k + 1, tick, node_clock, cfg.seed, apptx_rng)
-            app_records[frame.frame_id] = rec
-            handoff = max(now, rec.capture_end_true_ns)
-            _queue_packets(pending, ep.send_frame(frame, handoff, end_of_stream=(k + 1 == frames)))
-            k += 1
-            continue
-        if pending and now >= pending[0][0]:
-            _, burst, i = pending.popleft()
-            pkt = burst.packet(i, now, cfg.stream_id)
-            sock.sendto(encode_packet(pkt), relay_addr)
-            if not burst.retransmit:
-                bits = len(pkt.payload) * 8 + ep.overhead_bits
-                span = spans.setdefault(pkt.frame_id, [now, now, bits])
-                span[1], span[2] = now, bits
-            continue
-        if k >= frames and not pending:
-            if done_sending_at is None:
-                done_sending_at = now
-            elif now - done_sending_at > int(cfg.socket.drain_timeout_s * NS_PER_S):
-                break
-        try:
-            data, _ = sock.recvfrom(65535)
-        except socket.timeout:
-            continue
-        try:
-            ctrl = decode_packet(data)
-        except VolstreamError:
-            continue
-        if isinstance(ctrl, ControlPacket) and ctrl.packet_type == PacketType.NACK:
-            _queue_packets(pending, ep.retransmit(ctrl, clock.now_ns()))
-            done_sending_at = None
-        elif isinstance(ctrl, ControlPacket) and ctrl.packet_type == PacketType.FRAME_ACK:
-            ep.on_frame_ack(ctrl)
-    sock.close()
-
-    for frame_id, (first, last, last_bits) in spans.items():
-        entry = ep.send_log.get(frame_id)
-        if entry is not None:
-            entry.first_send_ns = entry.first_send_true_ns = first
-            end = last + (last_bits * NS_PER_S) // ep.pacing_rate_bps
-            entry.last_send_end_ns = entry.last_send_end_true_ns = end
-    _write_sender_log(out_dir, offset, ep, app_records)
-
-
-# -- relay role ---------------------------------------------------------------------
+    node_clock = NodeClock("sender", "slave")
+    relay = (cfg.socket.relay_host, _ports(cfg)["relay_up"])
+    app_tx = {}
+    with SocketDriver(clock) as driver:
+        sock = driver.open(cfg.socket.sender_host, 0)
+        hop = Hop(cfg.sender_endpoint(cfg.hop1.pacing_bps[0], node_clock),
+                  (sock, relay), (sock, relay), None, driver)
+        driver.add_hop(hop)
+        # the first capture waits 50 ms, so the loop is up when it is due
+        schedule_captures(driver, hop, cfg, node_clock, random.Random(f"{cfg.seed}:apptx"),
+                          driver.now() + NS_PER_S // 20, app_tx)
+        _run_until_drained(cfg, driver, hop.sender.send_log)
+    _write_sender_log(out_dir, offset, hop.sender, app_tx)
 
 
 def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
     clock = HostClock()
-    node_clock = NodeClock("relay", "slave")
     offset = _sync_against_master(cfg, clock, "relay")
-    up = cfg.receiver_endpoint(node_clock, relay=True)
-    downs = [cfg.sender_endpoint(cfg.hop2_pacing(r), node_clock) for r in range(cfg.receivers)]
-    pending = [deque() for _ in range(cfg.receivers)]
-    actions = []
-    action_seq = 0
-
-    def scheduler(at_ns, fn, *args):
-        nonlocal action_seq
-        heapq.heappush(actions, (at_ns, action_seq, fn, args))
-        action_seq += 1
-
-    def emit(r, bursts):
-        _queue_packets(pending[r], bursts)
-
-    import random
-    relay = RelayNode(up, downs, policy=cfg.relay.policy,
-                      forward_delay_ns=_ms(cfg.relay.forward_delay_ms),
-                      stall=cfg.stall_model(),
-                      stall_rng=random.Random(f"{cfg.seed}:stall"),
-                      scheduler=scheduler, emit=emit,
-                      queue_high_water_ns=_ms(cfg.relay.queue_high_water_ms))
-
-    up_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    up_sock.bind((cfg.socket.relay_host, _ports(cfg)["relay_up"]))
-    up_sock.settimeout(_POLL_S)
-    down_socks = []
-    for r in range(cfg.receivers):
-        s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        s.bind((cfg.socket.relay_host, 0))
-        s.setblocking(False)
-        down_socks.append(s)
-    recv_addr = _ports(cfg)["receiver"]
-    sender_addr = None
-    eos_seen = False
-    idle_since = clock.now_ns()
-    hard_deadline = clock.now_ns() + int((cfg.duration_s + cfg.socket.drain_timeout_s + 25) * NS_PER_S)
-
-    while True:
-        now = clock.now_ns()
-        if now > hard_deadline:
-            break
-        busy = False
-        while actions and actions[0][0] <= now:
-            _, _, fn, args = heapq.heappop(actions)
-            fn(*args)
-            busy = True
+    node_clock = NodeClock("relay", "slave")
+    ports = _ports(cfg)
+    with SocketDriver(clock) as driver:
+        sock = driver.open(cfg.socket.relay_host, ports["relay_up"])
+        up = Hop(None, (sock, None), (sock, None),
+                 cfg.receiver_endpoint(node_clock, relay=True), driver)
+        downs = []
         for r in range(cfg.receivers):
-            q = pending[r]
-            while q and q[0][0] <= now:
-                _, burst, i = q.popleft()
-                pkt = burst.packet(i, clock.now_ns(), cfg.stream_id)
-                down_socks[r].sendto(encode_packet(pkt),
-                                     (cfg.socket.receiver_host, recv_addr(r)))
-                busy = True
-            try:
-                data, _ = down_socks[r].recvfrom(65535)
-            except (BlockingIOError, InterruptedError):
-                data = None
-            if data:
-                busy = True
-                try:
-                    ctrl = decode_packet(data)
-                except VolstreamError:
-                    ctrl = None
-                if isinstance(ctrl, ControlPacket) and ctrl.packet_type == PacketType.NACK:
-                    emit(r, downs[r].retransmit(ctrl, clock.now_ns()))
-                elif isinstance(ctrl, ControlPacket) and ctrl.packet_type == PacketType.FRAME_ACK:
-                    downs[r].on_frame_ack(ctrl)
-        for nack in up.on_timer(now):
-            if sender_addr:
-                up_sock.sendto(encode_packet(nack), sender_addr)
-        try:
-            data, src = up_sock.recvfrom(65535)
-        except socket.timeout:
-            data = None
-        if data:
-            busy = True
-            sender_addr = src
-            try:
-                pkt = decode_packet(data)
-            except VolstreamError:
-                pkt = None
-            if isinstance(pkt, DataPacket):
-                log = up.on_packet(pkt, clock.now_ns())
-                if log is not None:
-                    ack = ControlPacket(packet_type=PacketType.FRAME_ACK,
-                                        stream_id=cfg.stream_id, frame_id=log.frame_id)
-                    up_sock.sendto(encode_packet(ack), src)
-                    if log.end_of_stream:
-                        eos_seen = True
-                for nack in up.pending_control:
-                    up_sock.sendto(encode_packet(nack), src)
-                up.pending_control.clear()
-        if busy:
-            idle_since = clock.now_ns()
-        elif eos_seen and not actions and all(not q for q in pending) \
-                and clock.now_ns() - idle_since > int(cfg.socket.drain_timeout_s * NS_PER_S):
-            break
-    up.finalize()
-    up_sock.close()
-    for s in down_socks:
-        s.close()
+            sock = driver.open(cfg.socket.relay_host, 0)
+            peer = (cfg.socket.receiver_host, ports["receiver"](r))
+            downs.append(Hop(cfg.sender_endpoint(cfg.hop2_pacing(r), node_clock),
+                             (sock, peer), (sock, peer), None, driver))
+        relay = cfg.relay_node(up.receiver, [hop.sender for hop in downs], driver.schedule,
+                               lambda r, bursts: downs[r].deliver(bursts),
+                               random.Random(f"{cfg.seed}:stall"))
+        for hop in (up, *downs):
+            driver.add_hop(hop)
+        _run_until_drained(cfg, driver, up.receiver.recv_log, up.receiver.dropped)
+    up.receiver.finalize()
     _write_relay_log(out_dir, offset, relay)
-
-
-# -- receiver role --------------------------------------------------------------------
 
 
 def run_receiver_role(cfg: ScenarioConfig, out_dir: str, index: int = 0) -> None:
     clock = HostClock()
-    node_clock = NodeClock(f"receiver{index}", "master" if index == 0 else "slave")
-    responder = None
-    if index == 0 and cfg.clock.sync_enabled:
-        responder = _SyncResponder(cfg, clock)
-        responder.start()
-        offset = 0
-    else:
-        offset = _sync_against_master(cfg, clock, f"receiver{index}") if index else 0
-
-    import random
-    render_profile = cfg.render_profile()
-    rng = random.Random(f"{cfg.seed}:apprx:{index}")
-    app_records = {}
-    eos_done = [None]
-
+    master = index == 0
+    offset = 0 if master else _sync_against_master(cfg, clock, f"receiver{index}")
+    node_clock = NodeClock(f"receiver{index}", "master" if master else "slave")
+    ports = _ports(cfg)
     ep = cfg.receiver_endpoint(node_clock)
-
-    def on_frame(frame_id, segments, log):
-        app_records[frame_id] = render_complete(render_profile, frame_id,
-                                                log.complete_true_ns, node_clock, rng)
-        if log.end_of_stream:
-            eos_done[0] = clock.now_ns()
-    ep.on_frame = on_frame
-
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.bind((cfg.socket.receiver_host, _ports(cfg)["receiver"](index)))
-    sock.settimeout(_POLL_S)
-    upstream = None
-    hard_deadline = clock.now_ns() + int((cfg.duration_s + cfg.socket.drain_timeout_s + 30) * NS_PER_S)
-
-    while True:
-        now = clock.now_ns()
-        if now > hard_deadline:
-            break
-        if eos_done[0] is not None and \
-                now - eos_done[0] > int(cfg.socket.drain_timeout_s * NS_PER_S):
-            break
-        for nack in ep.on_timer(now):
-            if upstream:
-                sock.sendto(encode_packet(nack), upstream)
-        try:
-            data, src = sock.recvfrom(65535)
-        except socket.timeout:
-            continue
-        upstream = src
-        try:
-            pkt = decode_packet(data)
-        except VolstreamError:
-            continue
-        if isinstance(pkt, DataPacket):
-            log = ep.on_packet(pkt, clock.now_ns())
-            for nack in ep.pending_control:
-                sock.sendto(encode_packet(nack), src)
-            ep.pending_control.clear()
-            if log is not None:
-                ack = ControlPacket(packet_type=PacketType.FRAME_ACK,
-                                    stream_id=cfg.stream_id, frame_id=log.frame_id)
-                sock.sendto(encode_packet(ack), src)
+    app_rx = {}
+    ep.on_frame = render_on_frame(cfg, node_clock,
+                                  random.Random(f"{cfg.seed}:apprx:{index}"), app_rx)
+    with SocketDriver(clock) as driver:
+        sock = driver.open(cfg.socket.receiver_host, ports["receiver"](index))
+        driver.add_hop(Hop(None, (sock, None), (sock, None), ep, driver))
+        if master and cfg.clock.sync_enabled:
+            sync = driver.open(cfg.socket.receiver_host, ports["sync"])
+            driver.register(sync, _answer_sync(driver, sync, cfg.stream_id))
+        _run_until_drained(cfg, driver, ep.recv_log, ep.dropped)
     ep.finalize()
-    if responder is not None:
-        responder.stop = True
-    sock.close()
-    _write_receiver_log(out_dir, index, offset, ep, app_records)
+    _write_receiver_log(out_dir, index, offset, ep, app_rx)
 
 
 def run_role(cfg: ScenarioConfig, role: str, role_index: int = 0) -> None:

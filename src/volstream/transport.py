@@ -1,9 +1,10 @@
 """Sender and receiver endpoints of the reliable-datagram protocol.
 
 Each endpoint is a single-owner state machine driven by explicit events
-(send request, packet arrival, timer); nothing here spawns threads or owns
-sockets, so the same state machines back both the virtual-clock simulation
-and the real-socket runner.
+(send request, arrival of a run of packets, timer); nothing here spawns
+threads or owns sockets. ``pipeline.Hop`` is the one caller of its event
+methods, in the simulation and in socket mode alike, over either mode's
+driver.
 
 Sender side: frames are segmented, packetized, and emitted through a rate
 pacer. Each segment's packets form one ``SegmentBurst`` that carries the
@@ -516,28 +517,14 @@ class ReceiverEndpoint:
 
     # -- ingestion -----------------------------------------------------------
 
-    def on_packet(self, packet, recv_true_ns: int) -> RecvLogEntry | None:
-        """Process one decoded data packet arriving at ``recv_true_ns``.
-
-        Duplicates are idempotent. Returns the frame's receive log if this
-        packet completed it, else ``None``.
-        """
-        if packet.stream_id != self.stream_id:
-            raise TransportError(
-                f"packet for stream {packet.stream_id} on endpoint {self.stream_id}"
-            )
-        return self.ingest_run(packet.frame_id, packet.segment_index,
-                               packet.packets_in_segment, packet.packet_seq, 1, packet.payload,
-                               max(len(packet.payload), 1), recv_true_ns, recv_true_ns,
-                               packet.send_timestamp, packet.flags)
-
     def ingest_run(self, frame_id, segment_index, packets_in_segment, seq_start,
                    count, payload, packet_payload_size, arrivals_min_true,
                    arrivals_max_true, stamp_at_min, flags) -> RecvLogEntry | None:
-        """Batch form of ``on_packet`` for a contiguous run of one segment.
+        """Take in a contiguous run of packets of one segment.
 
-        Returns the frame's receive log if this run completed it, else
-        ``None``; NACKs the run triggered wait in ``pending_control``.
+        Duplicates are idempotent. Returns the frame's receive log if this
+        run completed it, else ``None``; NACKs the run triggered wait in
+        ``pending_control``.
 
         ``payload`` holds the run's packets back to back. Views of it are
         kept after the call returns (a segment that this run covers is

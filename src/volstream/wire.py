@@ -62,6 +62,9 @@ class PacketType(IntEnum):
     SYNC_RESP = 0x05
 
 
+_TYPES = frozenset(PacketType)
+
+
 @dataclass(frozen=True, slots=True)
 class ControlPacket:
     """NACK / FRAME_ACK / SYNC_REQ / SYNC_RESP message.
@@ -134,9 +137,13 @@ def encode_packet(packet: DataPacket | ControlPacket) -> bytes:
     return header + body
 
 
-def decode_packet(buf: bytes | memoryview) -> DataPacket | ControlPacket:
-    """Parse one datagram; raises ``CodecError`` naming the bad field."""
-    buf = memoryview(buf)
+def parse_header(buf) -> tuple:
+    """Validate one datagram's header against the datagram.
+
+    Returns ``(packet_type, flags, stream_id, frame_id, segment_index,
+    packet_seq, packets_in_segment, send_timestamp)``; raises ``CodecError``
+    naming the bad field. Every received datagram's header is checked here.
+    """
     if len(buf) < HEADER_SIZE:
         raise CodecError(f"buffer: {len(buf)} bytes is shorter than the {HEADER_SIZE}-byte header")
     (magic, version, ptype, flags, stream_id, frame_id, seg_idx, pkt_seq,
@@ -151,12 +158,6 @@ def decode_packet(buf: bytes | memoryview) -> DataPacket | ControlPacket:
         raise CodecError(
             f"payload_length: header says {payload_len}, buffer carries {len(buf) - HEADER_SIZE}"
         )
-    body = buf[HEADER_SIZE:]
-    try:
-        ptype = PacketType(ptype)
-    except ValueError:
-        raise CodecError(f"packet_type: unknown type {ptype:#04x}") from None
-
     if ptype == PacketType.DATA:
         if seg_idx < 1:
             raise CodecError("segment_index: must be >= 1 for data packets")
@@ -164,14 +165,25 @@ def decode_packet(buf: bytes | memoryview) -> DataPacket | ControlPacket:
             raise CodecError(
                 f"packet_seq: {pkt_seq} outside 1..{pkts_in_seg}"
             )
+    elif ptype not in _TYPES:
+        raise CodecError(f"packet_type: unknown type {ptype:#04x}")
+    elif seg_idx or pkt_seq or pkts_in_seg:
+        raise CodecError("segment_index: must be zero on control packets")
+    return ptype, flags, stream_id, frame_id, seg_idx, pkt_seq, pkts_in_seg, send_ts
+
+
+def decode_packet(buf: bytes | memoryview) -> DataPacket | ControlPacket:
+    """Parse one datagram; raises ``CodecError`` naming the bad field."""
+    buf = memoryview(buf)
+    ptype, flags, stream_id, frame_id, seg_idx, pkt_seq, pkts_in_seg, send_ts = parse_header(buf)
+    body = buf[HEADER_SIZE:]
+    if ptype == PacketType.DATA:
         return DataPacket(
             stream_id=stream_id, frame_id=frame_id, segment_index=seg_idx,
             packet_seq=pkt_seq, packets_in_segment=pkts_in_seg,
             payload=bytes(body), send_timestamp=send_ts, flags=flags,
         )
-
-    if seg_idx or pkt_seq or pkts_in_seg:
-        raise CodecError("segment_index: must be zero on control packets")
+    ptype = PacketType(ptype)
     if ptype == PacketType.NACK:
         if len(body) < _NACK_COUNT.size:
             raise CodecError("ranges: NACK body shorter than range count")

@@ -29,6 +29,13 @@ def make_small_config(out_dir="out", **overrides) -> ScenarioConfig:
     return cfg
 
 
+def ingest_packet(receiver, pkt, recv_true_ns):
+    """Hand one decoded data packet to ``receiver`` as a one-packet run."""
+    return receiver.ingest_run(pkt.frame_id, pkt.segment_index, pkt.packets_in_segment,
+                               pkt.packet_seq, 1, pkt.payload, max(len(pkt.payload), 1),
+                               recv_true_ns, recv_true_ns, pkt.send_timestamp, pkt.flags)
+
+
 @pytest.fixture
 def small_cfg(tmp_path):
     def factory(**overrides):

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from volstream.cli import EXIT_CONFIG, EXIT_OK, main
+from volstream.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from volstream.config import render_config
 
 from conftest import make_small_config
@@ -38,6 +38,20 @@ def test_zero_duration_exits_2(tmp_path, capsys):
     assert "duration_s" in capsys.readouterr().err
 
 
+def test_duration_shorter_than_one_frame_exits_2(tmp_path, capsys):
+    # 20 ms at 30 fps holds no frame: a config error, not a socket run whose
+    # roles wait for a last frame that never comes
+    cfg = make_small_config(out_dir=str(tmp_path / "out"), **{"capture.fps": 30,
+                                                              "mode": "socket"})
+    cfg.duration_s = 0.02
+    path = tmp_path / "short.cfg"
+    path.write_text(render_config(cfg))
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert main(["run", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+    assert "duration_s" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("definitely.not.a.key=1\n")
@@ -53,7 +67,6 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
     path = _write_cfg(tmp_path, **{"duration_s": 0.2})
-    from volstream.cli import EXIT_RUNTIME
     assert main(["run", "--config", path, "--out",
                  str(blocker / "nested"), "--quiet"]) == EXIT_RUNTIME
     assert "runtime error" in capsys.readouterr().err
@@ -109,3 +122,18 @@ def test_rerun_same_seed_same_csv_via_cli(tmp_path):
     assert main(["run", "--config", path, "--out", b, "--quiet"]) == EXIT_OK
     assert open(os.path.join(a, "frames.csv"), "rb").read() == \
         open(os.path.join(b, "frames.csv"), "rb").read()
+
+
+@pytest.mark.parametrize("loss,code", [("0", EXIT_OK), ("0.01", EXIT_RUNTIME)],
+                         ids=["clean", "lossy"])
+def test_stream_that_completes_no_frame_exits_1(tmp_path, monkeypatch, capsys, loss, code):
+    # at paper scale 1% loss on both hops leaves every frame in the NACK
+    # budget: the report is written, and a run with 0 completed frames fails
+    for key, value in (("DURATION_S", "1"), ("HOP1_LOSS_RATE", loss),
+                       ("HOP2_LOSS_RATE", loss)):
+        monkeypatch.setenv(f"VOLSTREAM_{key}", value)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "paper-default", "--out", str(out), "--quiet"]) == code
+    assert (out / "summary.csv").exists()
+    err = capsys.readouterr().err
+    assert ("runtime error: receiver 0 completed 0 of 30 frames" in err) == (code != EXIT_OK)

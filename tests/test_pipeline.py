@@ -267,7 +267,7 @@ def test_payload_check_catches_one_flipped_byte(small_cfg, monkeypatch):
     # only receiver 1's summary may count it
     at_receiver1, flipped = [False], []
     assemble = transport._SegmentState.assemble
-    ingest = pipeline.SimulationRun._ingest
+    ingest = pipeline.Hop.ingest
 
     def corrupting_assemble(self):
         data = assemble(self)
@@ -278,15 +278,15 @@ def test_payload_check_catches_one_flipped_byte(small_cfg, monkeypatch):
         flipped.append(1)
         return bytes(buf)
 
-    def flagged_ingest(self, hop, *args):
-        at_receiver1[0] = hop is self.hop2[1]
+    def flagged_ingest(self, *args):
+        at_receiver1[0] = self.receiver.clock.name == "receiver1"
         try:
-            ingest(self, hop, *args)
+            ingest(self, *args)
         finally:
             at_receiver1[0] = False
 
     monkeypatch.setattr(transport._SegmentState, "assemble", corrupting_assemble)
-    monkeypatch.setattr(pipeline.SimulationRun, "_ingest", flagged_ingest)
+    monkeypatch.setattr(pipeline.Hop, "ingest", flagged_ingest)
     cfg = small_cfg(receivers=2, duration_s=0.2)
     result = run_simulation(cfg, write_outputs=True)
     assert flipped

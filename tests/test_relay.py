@@ -1,9 +1,11 @@
 import pytest
 
+from volstream.config import apply_overrides
 from volstream.errors import ConfigError
 from volstream.frames import make_synthetic_frame
 from volstream.pipeline import run_simulation
 from volstream.relay import StallModel
+from volstream.scenarios import scenario_config
 
 MS = 1_000_000
 
@@ -141,3 +143,20 @@ def test_backpressure_counter_under_overload(small_cfg):
                        "transport.deadline_ms": 0.0})
     result = run_simulation(cfg, write_outputs=False)
     assert result.sim.relay.backpressure_events > 0
+
+
+def test_backpressure_is_counted_per_receiver(tmp_path):
+    # receiver 1's downstream is paced at a fifth of receiver 0's, so only
+    # its pacer backs up: each summary counts its own receiver's events, and
+    # the relay-wide total is their sum
+    cfg = scenario_config("paper-default")
+    assert apply_overrides(cfg, {"duration_s": "1", "receivers": "2",
+                                 "hop2.pacing_bps": "1500000000,300000000",
+                                 "out_dir": str(tmp_path)}) == []
+    result = run_simulation(cfg)
+    counts = [[line for line in open(tmp_path / name)
+               if line.startswith("relay_backpressure_events,")]
+              for name in ("summary.csv", "summary_r1.csv")]
+    assert counts == [["relay_backpressure_events,0,,,,,,\n"],
+                      ["relay_backpressure_events,1617,,,,,,\n"]]
+    assert result.sim.relay.backpressure_events == 1617

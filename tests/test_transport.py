@@ -13,6 +13,8 @@ from volstream.pacing import RatePacer
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
 from volstream.wire import ControlPacket, PacketType
 
+from conftest import ingest_packet
+
 MS = 1_000_000
 
 
@@ -155,13 +157,13 @@ def test_whole_segment_nack_uses_sentinel():
 
 def _deliver_frame(sender, receiver, frame, t0=0, drop=None, delay=50_000):
     """Push a frame's packets through a direct lossy channel; returns what
-    ``on_packet`` returned for each delivered packet."""
+    ``ingest_packet`` returned for each delivered packet."""
     results = []
     for burst in sender.send_frame(frame, t0):
         for i, (emit_ns, pkt) in enumerate(_packets(burst)):
             if drop and drop(pkt):
                 continue
-            results.append(receiver.on_packet(pkt, emit_ns + delay))
+            results.append(ingest_packet(receiver, pkt, emit_ns + delay))
     return results
 
 
@@ -184,16 +186,16 @@ def test_duplicate_delivery_is_idempotent():
     frame = _frame(size=3000)
     bursts = sender.send_frame(frame, 0)
     packets = [pkt for b in bursts for _, pkt in _packets(b)]
-    assert receiver.on_packet(packets[0], 100) is None
+    assert ingest_packet(receiver, packets[0], 100) is None
     assert (receiver.packets_received, receiver.duplicates) == (1, 0)    # stored
-    assert receiver.on_packet(packets[0], 200) is None
+    assert ingest_packet(receiver, packets[0], 200) is None
     assert (receiver.packets_received, receiver.duplicates) == (1, 1)
     for pkt in packets[1:]:
-        log = receiver.on_packet(pkt, 300)
+        log = ingest_packet(receiver, pkt, 300)
     assert log is receiver.recv_log[1]
     assert log.duplicates == 1
     # copies delivered after completion also count as duplicates
-    assert receiver.on_packet(packets[0], 400) is None
+    assert ingest_packet(receiver, packets[0], 400) is None
     assert (receiver.packets_received, receiver.duplicates) == (len(packets), 2)
     assert log.duplicates == 2
 
@@ -207,23 +209,23 @@ def test_detect_gaps_examples():
     # segments 1..2 complete, segment 3 receives seqs 1..10 of 20
     for seg in (1, 2):
         for _, pkt in by_seg[seg]:
-            receiver.on_packet(pkt, 100)
+            ingest_packet(receiver, pkt, 100)
     for _, pkt in by_seg[3][:10]:
-        receiver.on_packet(pkt, 200)
+        ingest_packet(receiver, pkt, 200)
     assert receiver.detect_gaps(1) == ((3, 11, 20),)
     # two holes: {5} and {9..10} in segment 3 after receiving the rest
     receiver2 = _receiver()
     for seg in (1, 2):
         for _, pkt in by_seg[seg]:
-            receiver2.on_packet(pkt, 100)
+            ingest_packet(receiver2, pkt, 100)
     for i, (_, pkt) in enumerate(by_seg[3]):
         if i + 1 in (5, 9, 10):
             continue
-        receiver2.on_packet(pkt, 200)
+        ingest_packet(receiver2, pkt, 200)
     assert receiver2.detect_gaps(1) == ((3, 5, 5), (3, 9, 10))
     # nothing missing -> empty
     for i, (_, pkt) in enumerate(by_seg[3]):
-        receiver.on_packet(pkt, 300)
+        ingest_packet(receiver, pkt, 300)
     assert receiver.detect_gaps(1) == ()
 
 
@@ -249,7 +251,7 @@ def test_nack_round_trip_recovers_single_loss():
     log = None
     for burst in bursts:
         for emit_ns, pkt in _packets(burst):
-            log = receiver.on_packet(pkt, emit_ns + 50_000)
+            log = ingest_packet(receiver, pkt, emit_ns + 50_000)
     assert log is receiver.recv_log[1]
     assert receiver.payloads[1] == frame.payload
     assert log.nack_count == 1
@@ -277,7 +279,7 @@ def test_rounds_exhausted_drops_frame():
     received, duplicates, late_count = receiver.packets_received, receiver.duplicates, 0
     for burst in late:
         for emit_ns, p in _packets(burst):
-            assert receiver.on_packet(p, t + 100) is None
+            assert ingest_packet(receiver, p, t + 100) is None
             late_count += 1
     assert late_count >= 1 and receiver.late_packets == late_count
     assert (receiver.packets_received, receiver.duplicates) == (received, duplicates)
@@ -315,7 +317,7 @@ def test_reliability_under_random_loss(loss, seed):
                 for emit_ns, pkt in _packets(burst):
                     if rng.random() < loss:
                         continue
-                    receiver.on_packet(pkt, emit_ns + 50_000)
+                    ingest_packet(receiver, pkt, emit_ns + 50_000)
     assert receiver.payloads.get(1) == frame.payload
     sent_total = sender.packets_sent + sender.packets_retransmitted
     assert receiver.packets_delivered_upward <= sent_total
@@ -335,7 +337,7 @@ def test_lost_tail_segment_is_recovered_by_speculative_nack():
     log = None
     for burst in sender.retransmit(nacks[0], deadline):
         for emit_ns, pkt in _packets(burst):
-            log = receiver.on_packet(pkt, emit_ns + 50_000)
+            log = ingest_packet(receiver, pkt, emit_ns + 50_000)
     assert log is receiver.recv_log[1]
     assert receiver.payloads[1] == frame.payload
 
