@@ -8,7 +8,6 @@ render side turns a completed frame into a display instant.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 from .clock import NodeClock
@@ -45,7 +44,6 @@ class CaptureProfile:
     color_bytes: int = 1_400_000
     depth_bytes: int = 1_920_000
     audio_bytes: int = 200_000
-    busywork: bool = False
 
     def __post_init__(self) -> None:
         if self.fps <= 0:
@@ -109,8 +107,6 @@ def capture_tick(
         capture_start=clock.local_from_true(tick_true_ns),
         capture_end=clock.local_from_true(end_true),
     )
-    if profile.busywork:
-        zlib.crc32(frame.payload)
     record = AppTxRecord(
         frame_id=frame_id,
         capture_start_ns=frame.capture_start,

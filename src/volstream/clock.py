@@ -8,10 +8,10 @@ correction that converts a node's local timestamp onto the master clock:
 
 so a slave with a positive offset reads *behind* the master. A two-way
 request/response exchange estimates that correction: the slave sends at t1
-(slave clock), the master receives at t2 and replies at t3 (master clock),
-and the slave receives at t4 (slave clock). With symmetric path delays the
-estimate equals the true correction exactly; with asymmetric delays it is
-biased by half the asymmetry.
+(slave clock), the master receives at t2 and replies at t3 (master clock;
+it replies at once, so t3 = t2), and the slave receives at t4 (slave
+clock). With symmetric path delays the estimate equals the true correction
+exactly; with asymmetric delays it is biased by half the asymmetry.
 
 One-way delay of a data packet is then receive time minus the embedded send
 timestamp converted into the receiver's clock.
@@ -65,10 +65,9 @@ class SyncPath:
     req_delay_ns: int = 100_000
     resp_delay_ns: int = 100_000
     loss_rate: float = 0.0
-    master_turnaround_ns: int = 0
 
     def __post_init__(self) -> None:
-        if self.req_delay_ns < 0 or self.resp_delay_ns < 0 or self.master_turnaround_ns < 0:
+        if self.req_delay_ns < 0 or self.resp_delay_ns < 0:
             raise ValueError("sync path delays must be >= 0")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError("sync path loss_rate must be in [0, 1]")
@@ -114,11 +113,9 @@ def sync_exchange(
         if lost_req:
             t = arrive_master + path.resp_delay_ns  # wait out the round trip
             continue
-        t2 = master.local_from_true(arrive_master)
-        reply = arrive_master + path.master_turnaround_ns
-        t3 = master.local_from_true(reply)
+        t2 = t3 = master.local_from_true(arrive_master)
         lost_resp = rng is not None and path.loss_rate > 0 and rng.random() < path.loss_rate
-        arrive_slave = reply + path.resp_delay_ns
+        arrive_slave = arrive_master + path.resp_delay_ns
         if lost_resp:
             t = arrive_slave
             continue

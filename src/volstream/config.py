@@ -42,7 +42,6 @@ class CaptureCfg:
     color_bytes: int = 1_400_000
     depth_bytes: int = 1_920_000
     audio_bytes: int = 200_000
-    busywork: bool = False
 
 
 @dataclass
@@ -180,7 +179,7 @@ class ScenarioConfig:
             fps=c.fps,
             app_tx=DurationDist(_ms(c.app_tx_ms), _ms(c.app_tx_jitter_ms)),
             color_bytes=c.color_bytes, depth_bytes=c.depth_bytes,
-            audio_bytes=c.audio_bytes, busywork=c.busywork,
+            audio_bytes=c.audio_bytes,
         )
 
     def render_profile(self) -> RenderProfile:

@@ -10,7 +10,8 @@ Per completed frame the record carries, all in integer nanoseconds:
     frame_l       network_l + frame_rx
     app_rx        reassembly-to-display time at the receiver
     service_l     app_tx + frame_l + app_rx
-    server_dist   relay forwarding-done minus upstream-complete
+    server_dist   relay downstream send end minus relay upstream completion,
+                  both on the relay's clock
     protocol_tx/rx/l and network_l per hop (1: sender->relay, 2: relay->receiver)
 
 The three latency identities (service, frame, per-hop protocol) hold exactly
@@ -111,7 +112,6 @@ class RunLogs:
     app_tx: dict
     send_log: dict
     relay_recv: dict
-    relay_dist: dict
     relay_send: list        # per receiver: dict
     recv: list              # per receiver: dict
     app_rx: list            # per receiver: dict
@@ -141,7 +141,6 @@ def assemble_record(
     app_tx = need(logs.app_tx, "sender application")
     send = need(logs.send_log, "sender transport")
     relay_recv = need(logs.relay_recv, "relay upstream")
-    dist = need(logs.relay_dist, "relay distribution")
     relay_send = need(logs.relay_send[receiver], f"relay downstream[{receiver}]")
     recv = need(logs.recv[receiver], f"receiver[{receiver}] transport")
     app_rx = need(logs.app_rx[receiver], f"receiver[{receiver}] application")
@@ -166,7 +165,7 @@ def assemble_record(
         frame_rx_ns=recv.recv_span_ns,
         frame_l_ns=network_l + recv.recv_span_ns,
         app_rx_ns=app_rx.app_rx_ns,
-        server_dist_ns=dist.distribution_ns(receiver),
+        server_dist_ns=relay_send.last_send_end_ns - relay_recv.complete_ns,
         protocol_tx1_ns=send.send_span_ns,
         protocol_rx1_ns=relay_recv.recv_span_ns,
         protocol_l1_ns=network_l1 + relay_recv.recv_span_ns,

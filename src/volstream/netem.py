@@ -22,11 +22,16 @@ switch stream is advanced past the rest in one call. Everything else
 (control packets, queued or one-packet bursts, very lossy links, reorder,
 tracing) goes packet by packet through ``Link.traverse``, and both paths
 consume every seeded stream identically.
+
+The isolated-packet probe (``run_probe_experiment``) sends its packets
+through ``Link.traverse`` as well and reads every stage from the trace
+rows, so the probe and the stream cross one stage model.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 from dataclasses import dataclass
 from itertools import compress, islice
 
@@ -92,20 +97,6 @@ class NodeStageModel:
     @property
     def rx_hw_effective_ns(self) -> int:
         return int(self.rx_hw_ns * self.load_factor)
-
-
-def serialization_ns(packet_bytes: int, bandwidth_bps: int) -> int:
-    return (packet_bytes * 8 * NS_PER_S) // bandwidth_bps
-
-
-def sample_switching_ns(model: LinkModel, rng) -> int:
-    lo, hi = model.hop_delay_min_ns, model.hop_delay_max_ns
-    if model.hops == 0:
-        return 0
-    if lo == hi or rng is None:
-        return model.hops * lo
-    span = hi - lo
-    return sum(lo + int(rng.random() * span) for _ in range(model.hops))
 
 
 class EventQueue:
@@ -395,10 +386,6 @@ class StageStats:
     p99_ns: int
 
 
-_PROBE_STAGES = ("tx_sw", "tx_hw", "serialization", "propagation", "switching",
-                 "rx_hw", "rx_sw", "total")
-
-
 @dataclass(frozen=True)
 class ProbeSizeResult:
     packet_bytes: int
@@ -416,49 +403,39 @@ def run_probe_experiment(
 ) -> list[ProbeSizeResult]:
     """Send isolated probe packets per size and report per-stage statistics.
 
-    Switching jitter is drawn once per (sample, hop) and reused across
-    packet sizes, so the size comparison is paired: only serialization
-    varies between sizes and mean totals increase monotonically whenever
-    serialization does.
+    The probes cross a ``Link`` built with no loss or reorder stream, so
+    every probe arrives, and each stage is read from the link's trace rows.
+    Each probe is emitted when the previous one arrives, so none queues.
+    The switch stream is re-seeded for each size, so sample ``i`` draws the
+    same switching jitter at every size: the size comparison is paired,
+    only serialization varies between sizes, and mean totals increase
+    monotonically whenever serialization does.
     """
     sizes = list(packet_sizes)
     if not sizes:
         raise ConfigError("packet_sizes must be non-empty")
     if samples_per_size < 1:
         raise ConfigError("samples_per_size must be >= 1")
-    import random as _random
-
-    rng = _random.Random(f"probe:{seed}")
-    switching = [sample_switching_ns(link, rng) for _ in range(samples_per_size)]
-
+    columns = {name: TRACE_COLUMNS.index(f"{name}_ns") for name in (
+        "tx_sw", "tx_hw", "serialization", "propagation", "switching", "rx_hw", "rx_sw")}
+    emitted = TRACE_COLUMNS.index("emission_true_ns")
     results = []
     for size in sizes:
-        ser = serialization_ns(size, link.bandwidth_bps)
-        fixed = {
-            "tx_sw": node_tx.tx_sw_ns,
-            "tx_hw": node_tx.tx_hw_ns,
-            "serialization": ser,
-            "propagation": link.propagation_ns,
-            "rx_hw": node_rx.rx_hw_effective_ns,
-            "rx_sw": node_rx.rx_sw_effective_ns,
-        }
-        base_total = sum(fixed.values())
-        totals = sorted(base_total + sw for sw in switching)
-        sw_sorted = sorted(switching)
-        stages = {
-            name: StageStats(mean_ns=float(v), p50_ns=v, p99_ns=v)
-            for name, v in fixed.items()
-        }
-        stages["switching"] = StageStats(
-            mean_ns=mean(switching),
-            p50_ns=percentile_nearest_rank(sw_sorted, 50),
-            p99_ns=percentile_nearest_rank(sw_sorted, 99),
-        )
-        stages["total"] = StageStats(
-            mean_ns=mean(totals),
-            p50_ns=percentile_nearest_rank(totals, 50),
-            p99_ns=percentile_nearest_rank(totals, 99),
-        )
+        rows = []
+        probe = Link("probe", link, node_tx, node_rx,
+                     switch_rng=random.Random(f"probe:{seed}"),
+                     trace=lambda *row: rows.append(row))
+        t = 0
+        for _ in range(samples_per_size):
+            [t] = probe.traverse([t], [size])
+        stages = {name: _stage_stats([row[i] for row in rows]) for name, i in columns.items()}
+        stages["total"] = _stage_stats([row[0] - row[emitted] for row in rows])
         results.append(ProbeSizeResult(packet_bytes=size, samples=samples_per_size,
                                        stages=stages))
     return results
+
+
+def _stage_stats(values) -> StageStats:
+    ordered = sorted(values)
+    return StageStats(mean_ns=mean(values), p50_ns=percentile_nearest_rank(ordered, 50),
+                      p99_ns=percentile_nearest_rank(ordered, 99))

@@ -303,7 +303,6 @@ class SimulationRun:
             app_tx=self.app_tx_records,
             send_log=self.sender.send_log,
             relay_recv=self.relay_up.recv_log,
-            relay_dist=self.relay.dist_log,
             relay_send=[ep.send_log for ep in self.relay_down],
             recv=[ep.recv_log for ep in self.receivers],
             app_rx=self.app_rx_records,
@@ -330,8 +329,8 @@ def receiver_records(logs: RunLogs, offsets: OffsetTable, receiver: int,
     reads holds it, and a dropped record otherwise. Sim and socket mode
     both assemble their reports here.
     """
-    tables = (logs.app_tx, logs.send_log, logs.relay_recv, logs.relay_dist,
-              logs.relay_send[receiver], logs.recv[receiver], logs.app_rx[receiver])
+    tables = (logs.app_tx, logs.send_log, logs.relay_recv, logs.relay_send[receiver],
+              logs.recv[receiver], logs.app_rx[receiver])
     return [assemble_record(f, logs, offsets, receiver, anomalies)
             if all(f in t for t in tables) else dropped_record(f, logs)
             for f in range(1, frame_count + 1)]

@@ -9,14 +9,15 @@ sending endpoint per receiver. Two forwarding policies exist:
 
 An optional processing stall (sampled once per frame, seeded) delays the
 frame's forwarding gate; later segments of a stalled frame queue behind the
-gate so replication order is preserved. Per frame and receiver the relay
-records when the frame finished arriving upstream and when its forwarding
-started and ended downstream; their difference is the distribution time.
+gate so replication order is preserved. The relay keeps no log of its own:
+the upstream endpoint's receive log records when each frame completed, and
+each downstream sender's send log when its forwarding to that receiver
+ended; the distribution time is the difference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .transport import ReceiverEndpoint, SenderEndpoint
@@ -46,21 +47,6 @@ class StallModel:
         if self.min_ns == self.max_ns:
             return self.min_ns
         return self.min_ns + int(rng.random() * (self.max_ns - self.min_ns + 1))
-
-
-@dataclass(slots=True)
-class DistributionLogEntry:
-    frame_id: int
-    upstream_complete_ns: int = 0        # relay-local
-    upstream_complete_true_ns: int = 0
-    forward_start_ns: list = field(default_factory=list)       # per receiver, relay-local
-    forward_end_ns: list = field(default_factory=list)
-    forward_start_true_ns: list = field(default_factory=list)
-    forward_end_true_ns: list = field(default_factory=list)
-    stall_ns: int = 0
-
-    def distribution_ns(self, receiver: int) -> int:
-        return self.forward_end_ns[receiver] - self.upstream_complete_ns
 
 
 class RelayNode:
@@ -99,24 +85,11 @@ class RelayNode:
         self.scheduler = scheduler
         self.emit = emit
         self.queue_high_water_ns = queue_high_water_ns
-        self.dist_log: dict[int, DistributionLogEntry] = {}
         self.downstream_backpressure = [0] * len(downstreams)   # per receiver
         self.stalled_frames = 0
         self._gates: dict[int, int] = {}   # frame_id -> gate-open true ns
         upstream.on_segment = self._upstream_segment
         upstream.on_frame = self._upstream_frame
-
-    def _log(self, frame_id: int) -> DistributionLogEntry:
-        entry = self.dist_log.get(frame_id)
-        if entry is None:
-            n = len(self.downstreams)
-            entry = DistributionLogEntry(
-                frame_id=frame_id,
-                forward_start_ns=[0] * n, forward_end_ns=[0] * n,
-                forward_start_true_ns=[0] * n, forward_end_true_ns=[0] * n,
-            )
-            self.dist_log[frame_id] = entry
-        return entry
 
     def _gate(self, frame_id: int, now_true: int) -> int:
         gate = self._gates.get(frame_id)
@@ -124,7 +97,6 @@ class RelayNode:
             stall = self.stall.sample(self._stall_rng)
             if stall:
                 self.stalled_frames += 1
-                self._log(frame_id).stall_ns = stall
             gate = now_true + self.forward_delay_ns + stall
             self._gates[frame_id] = gate
         return gate
@@ -143,9 +115,6 @@ class RelayNode:
             self.forward_segment(frame_id, segment_index, payload, is_final, eos, at)
 
     def _upstream_frame(self, frame_id, segments, log) -> None:
-        entry = self._log(frame_id)
-        entry.upstream_complete_ns = log.complete_ns
-        entry.upstream_complete_true_ns = log.complete_true_ns
         if self.policy == "store_forward":
             # no segment opened the gate earlier, so it opens at or after now
             at = self._gate(frame_id, log.complete_true_ns)
@@ -177,21 +146,11 @@ class RelayNode:
     def forward_segment(self, frame_id, segment_index, payload, is_final, eos,
                         now_true) -> None:
         """Replicate one segment to every receiver."""
-        entry = self._log(frame_id)
         for r, sender in enumerate(self.downstreams):
             if sender.pacer.busy_until_ns - now_true > self.queue_high_water_ns:
                 self.downstream_backpressure[r] += 1
-            burst = sender.send_segment(frame_id, segment_index, payload, now_true,
-                                        is_final=is_final, end_of_stream=eos)
-            first = burst.first_ns
-            end_true = sender.pacer.busy_until_ns
-            if entry.forward_start_true_ns[r] == 0 or first < entry.forward_start_true_ns[r]:
-                entry.forward_start_true_ns[r] = first
-                entry.forward_start_ns[r] = burst.stamp(0)
-            if end_true > entry.forward_end_true_ns[r]:
-                entry.forward_end_true_ns[r] = end_true
-                entry.forward_end_ns[r] = sender.clock.local_from_true(end_true)
-            self.emit(r, [burst])
+            self.emit(r, [sender.send_segment(frame_id, segment_index, payload, now_true,
+                                              is_final=is_final, end_of_stream=eos)])
 
     def forward_frame(self, frame_id, segments, now_true, eos=False) -> None:
         """Store-and-forward: replicate a whole frame from its ordered segments.

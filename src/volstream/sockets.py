@@ -38,7 +38,7 @@ from .config import ScenarioConfig, render_config
 from .errors import CodecError, VolstreamError
 from .metrics import OffsetTable, RunLogs, write_report
 from .pipeline import Hop, receiver_reports, render_on_frame, schedule_captures
-from .relay import DistributionLogEntry, RelayNode
+from .relay import RelayNode
 from .transport import ReceiverEndpoint, RecvLogEntry, SenderEndpoint, SendLogEntry
 from .wire import (HEADER_SIZE, ControlPacket, PacketType, decode_packet, encode_packet,
                    parse_header)
@@ -103,7 +103,6 @@ def _write_relay_log(out_dir: str, offset_ns: int, relay: RelayNode) -> None:
         "offset_ns": offset_ns,
         "recv_log": _dump_map(relay.upstream.recv_log),
         "dropped": _dump_map(relay.upstream.dropped),
-        "dist_log": _dump_map(relay.dist_log),
         "send_logs": [_dump_map(d.send_log) for d in relay.downstreams],
         "counters": relay.counters(),
     })
@@ -456,7 +455,6 @@ def merge_socket_logs(cfg: ScenarioConfig):
         app_tx=_load_map(sender["app_tx"], AppTxRecord),
         send_log=_load_map(sender["send_log"], SendLogEntry),
         relay_recv=_load_map(relay["recv_log"], RecvLogEntry),
-        relay_dist=_load_map(relay["dist_log"], DistributionLogEntry),
         relay_send=[_load_map(m, SendLogEntry) for m in relay["send_logs"]],
         recv=[_load_map(r["recv_log"], RecvLogEntry) for r in receivers],
         app_rx=[_load_map(r["app_rx"], AppRxRecord) for r in receivers],

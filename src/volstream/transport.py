@@ -7,7 +7,9 @@ methods, in the simulation and in socket mode alike, over either mode's
 driver.
 
 Sender side: frames are segmented, packetized, and emitted through a rate
-pacer. Each segment's packets form one ``SegmentBurst`` that carries the
+pacer. Every segment, of a whole frame or forwarded by the relay, is
+planned by ``send_segment``, the one writer of the per-frame send log.
+Each segment's packets form one ``SegmentBurst`` that carries the
 pacer progression (first emission, bits per packet, rate) rather than
 per-packet lists; each packet's send timestamp is its emission instant on
 the sender's clock, derived when needed. Recently sent frames are
@@ -224,9 +226,11 @@ class SenderEndpoint:
                    end_of_stream: bool = False) -> list[SegmentBurst]:
         """Plan the paced emission of every packet of ``frame``, in order.
 
-        Returns one burst per segment; packets are emitted in
-        (segment_index, packet_seq) order and the send log records the span
-        from the first emission start to the last pacer-serialization end.
+        Returns one burst per segment, each planned by ``send_segment``, so
+        packets are emitted in (segment_index, packet_seq) order and the send
+        log records the span from the first emission start to the last
+        pacer-serialization end. This method adds only the frame checks and
+        the frame's crc32.
         """
         if frame.size > self.max_frame_bytes:
             raise TransportError(
@@ -238,43 +242,24 @@ class SenderEndpoint:
             )
         self._last_frame_id = frame.frame_id
 
-        segments = segment_frame(frame, self.segment_payload_size)
-        pps = self.packet_payload_size
-        eos = FLAG_END_OF_STREAM if end_of_stream else 0
-        bursts = []
-        retained = {}
-        for seg in segments:
-            n = -(-len(seg.payload) // pps)
-            flags = eos | (FLAG_FINAL_SEGMENT if seg.segment_index == seg.segment_count else 0)
-            burst = self._plan_burst(now_true_ns, frame.frame_id, seg.segment_index,
-                                     n, 1, n, seg.payload, flags, retransmit=False)
-            bursts.append(burst)
-            retained[seg.segment_index] = (seg.payload, n, flags)
-            self.packets_sent += n
-
-        entry = SendLogEntry(
-            frame_id=frame.frame_id,
-            first_send_ns=bursts[0].stamp(0),
-            last_send_end_ns=self.clock.local_from_true(self.pacer.busy_until_ns),
-            first_send_true_ns=bursts[0].first_ns,
-            last_send_end_true_ns=self.pacer.busy_until_ns,
-            packet_count=sum(b.count for b in bursts),
-            payload_len=frame.size,
-            payload_checksum=zlib.crc32(frame.payload) if self.compute_crc else 0,
-        )
-        self.send_log[frame.frame_id] = entry
-        self._retained[frame.frame_id] = retained
-        self._evict()
+        bursts = [self.send_segment(frame.frame_id, seg.segment_index, seg.payload, now_true_ns,
+                                    is_final=seg.segment_index == seg.segment_count,
+                                    end_of_stream=end_of_stream)
+                  for seg in segment_frame(frame, self.segment_payload_size)]
+        if self.compute_crc:
+            self.send_log[frame.frame_id].payload_checksum = zlib.crc32(frame.payload)
         return bursts
 
     def send_segment(self, frame_id: int, segment_index: int, payload,
                      now_true_ns: int, is_final: bool = False,
                      end_of_stream: bool = False) -> SegmentBurst:
-        """Plan the paced emission of one segment (relay forwarding path).
+        """Plan the paced emission of one segment.
 
-        Unlike ``send_frame``, segments of different frames may interleave;
-        the per-frame send log aggregates the earliest emission and the
-        latest serialization end across its segments.
+        The one place the send log is built, the segment retained and its
+        packets counted. On the relay's forwarding path segments of
+        different frames may interleave; the per-frame send log aggregates
+        the earliest emission and the latest serialization end across its
+        segments.
         """
         n = -(-len(payload) // self.packet_payload_size)
         flags = (FLAG_FINAL_SEGMENT if is_final else 0) | (FLAG_END_OF_STREAM if end_of_stream else 0)
@@ -350,14 +335,12 @@ class SenderEndpoint:
 
 
 class _SegmentState:
-    __slots__ = ("expected", "covered", "pieces", "length", "complete_true_ns")
+    __slots__ = ("expected", "covered", "pieces")
 
     def __init__(self, expected: int):
         self.expected = expected
         self.covered: list[list[int]] = []     # merged [lo, hi] pairs
         self.pieces: list[tuple] = []          # (lo, hi, buffer view)
-        self.length = 0
-        self.complete_true_ns = 0
 
     def missing(self) -> list[tuple[int, int]]:
         gaps = []
@@ -393,9 +376,7 @@ class _SegmentState:
         stored = sum(b - a + 1 for a, b in new_parts)
         dup = (hi - lo + 1) - stored
         for a, b in new_parts:
-            piece = view[(a - lo) * pps:(b - lo + 1) * pps]
-            self.pieces.append((a, b, piece))
-            self.length += len(piece)
+            self.pieces.append((a, b, view[(a - lo) * pps:(b - lo + 1) * pps]))
         if new_parts:
             merged = []
             todo = sorted(self.covered + [list(p) for p in new_parts])
@@ -419,7 +400,7 @@ class _SegmentState:
 class _FrameState:
     __slots__ = ("frame_id", "segments", "segment_count", "first_arr_true",
                  "first_arr_local", "first_stamp", "last_arr_true", "last_arr_local",
-                 "packets", "duplicates", "nack_rounds", "nack_count",
+                 "packets", "duplicates", "nack_count",
                  "gap_deadline", "tail_deadline", "drop_deadline", "end_of_stream",
                  "seg_payloads", "max_seen_seg", "incomplete")
 
@@ -434,7 +415,6 @@ class _FrameState:
         self.last_arr_local = 0
         self.packets = 0
         self.duplicates = 0
-        self.nack_rounds = 0
         self.nack_count = 0
         self.gap_deadline: int | None = None
         self.tail_deadline: int | None = None
@@ -580,7 +560,6 @@ class ReceiverEndpoint:
 
         now = arrivals_max_true
         if seg.is_complete and not was_complete:
-            seg.complete_true_ns = now
             data = seg.assemble()
             state.seg_payloads[segment_index] = data
             state.incomplete.discard(segment_index)
@@ -663,7 +642,6 @@ class ReceiverEndpoint:
             # final-segment marker. Ask for the next unseen segment; the
             # round still counts, which bounds the retries.
             ranges = ((state.max_seen_seg + 1, 1, 0),)
-        state.nack_rounds += 1
         state.nack_count += 1
         state.gap_deadline = None
         return ControlPacket(packet_type=PacketType.NACK, stream_id=self.stream_id,
@@ -691,7 +669,7 @@ class ReceiverEndpoint:
             due_tail = state.tail_deadline is not None and now_true_ns >= state.tail_deadline
             if not (due_gap or due_tail):
                 continue
-            if state.nack_rounds >= self.max_nack_rounds:
+            if state.nack_count >= self.max_nack_rounds:
                 self._drop(state)
                 continue
             nack = self._emit_nack(state)

@@ -42,14 +42,14 @@ def test_parse_round_trip():
     cfg.seed = 99
     cfg.hop1.loss_rate = 0.25
     cfg.hop2.pacing_bps = [123, 456]
-    cfg.capture.busywork = True
+    cfg.trace.enabled = True
     text = render_config(cfg)
     cfg2, diags = parse_config_text(text)
     assert diags == []
     assert cfg2.seed == 99
     assert cfg2.hop1.loss_rate == 0.25
     assert cfg2.hop2.pacing_bps == [123, 456]
-    assert cfg2.capture.busywork is True
+    assert cfg2.trace.enabled is True
     assert render_config(cfg2) == text
 
 

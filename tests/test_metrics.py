@@ -7,7 +7,6 @@ from volstream.errors import MetricsError
 from volstream.metrics import (CSV_COLUMNS, FrameLatencyRecord, OffsetTable,
                                RunLogs, assemble_record, ns_to_ms_str,
                                render_frames_csv, summarize, write_report)
-from volstream.relay import DistributionLogEntry
 from volstream.transport import RecvLogEntry, SendLogEntry
 
 MS = 1_000_000
@@ -31,13 +30,6 @@ def _logs(network_l1_ns=342_000, protocol_rx1_ns=15_200_000):
                               embedded_first_send_ts=send.first_send_ns,
                               complete_ns=relay_first + protocol_rx1_ns,
                               complete_true_ns=relay_first + protocol_rx1_ns)
-    dist = DistributionLogEntry(frame_id=1,
-                                upstream_complete_ns=relay_recv.complete_ns,
-                                upstream_complete_true_ns=relay_recv.complete_ns,
-                                forward_start_ns=[relay_first + 100_000],
-                                forward_end_ns=[relay_recv.complete_ns + 2_000_000],
-                                forward_start_true_ns=[relay_first + 100_000],
-                                forward_end_true_ns=[relay_recv.complete_ns + 2_000_000])
     relay_send = SendLogEntry(frame_id=1, first_send_ns=relay_first + 100_000,
                               last_send_end_ns=relay_recv.complete_ns + 2_000_000,
                               first_send_true_ns=relay_first + 100_000,
@@ -56,7 +48,7 @@ def _logs(network_l1_ns=342_000, protocol_rx1_ns=15_200_000):
                          display_ns=recv.complete_ns + 22_000_000,
                          display_true_ns=recv.complete_ns + 22_000_000)
     return RunLogs(app_tx={1: app_tx}, send_log={1: send}, relay_recv={1: relay_recv},
-                   relay_dist={1: dist}, relay_send=[{1: relay_send}],
+                   relay_send=[{1: relay_send}],
                    recv=[{1: recv}], app_rx=[{1: app_rx}])
 
 
@@ -89,8 +81,8 @@ def test_all_zero_record_holds_identities_degenerately():
 
 def test_missing_log_entry_names_its_source():
     logs = _logs()
-    del logs.relay_dist[1]
-    with pytest.raises(MetricsError, match="relay distribution"):
+    del logs.relay_send[0][1]
+    with pytest.raises(MetricsError, match=r"relay downstream\[0\]"):
         assemble_record(1, logs, OffsetTable())
 
 

@@ -6,8 +6,7 @@ import hypothesis.strategies as st
 
 from volstream.errors import ConfigError
 from volstream.netem import (TRACE_COLUMNS, EventQueue, Link, LinkModel,
-                             NodeStageModel, run_probe_experiment,
-                             serialization_ns)
+                             NodeStageModel, run_probe_experiment)
 
 US = 1_000
 
@@ -47,12 +46,11 @@ def test_packet_delay_stage_sum():
 
 
 def test_whole_frame_serialization_reference_rates():
-    assert serialization_ns(3_520_000, 1_000_000_000) == 28_160_000
-    assert serialization_ns(3_520_000, 10_000_000_000) == 2_816_000
-    link1 = LinkModel(bandwidth_bps=1_000_000_000, hops=0)
     zero = NodeStageModel()
-    delay, _ = _one_packet_delay(link1, zero, zero, 3_520_000)
-    assert delay == 28_160_000
+    for bandwidth_bps, expect in ((1_000_000_000, 28_160_000), (10_000_000_000, 2_816_000)):
+        link = LinkModel(bandwidth_bps=bandwidth_bps, hops=0)
+        delay, stages = _one_packet_delay(link, zero, zero, 3_520_000)
+        assert delay == stages["serialization_ns"] == expect
 
 
 def test_serialization_only_when_all_other_stages_zero():
@@ -199,7 +197,8 @@ def test_probe_single_sample_serialization_only():
     link = LinkModel(bandwidth_bps=1_000_000_000, hops=0)
     zero = NodeStageModel()
     results = run_probe_experiment(link, zero, zero, [1000], 1, seed=1)
-    assert results[0].stages["total"].mean_ns == serialization_ns(1000, 10**9)
+    _, stages = _one_packet_delay(link, zero, zero, 1000)
+    assert results[0].stages["total"].mean_ns == stages["serialization_ns"] == 8_000
 
 
 def test_probe_loaded_receiver_dominates():
@@ -209,6 +208,18 @@ def test_probe_loaded_receiver_dominates():
     rx_sw = stages["rx_sw"].mean_ns
     for name in ("tx_sw", "tx_hw", "serialization", "propagation", "switching", "rx_hw"):
         assert rx_sw > stages[name].mean_ns
+
+
+@pytest.mark.parametrize("hops", [0, 2])
+def test_probe_is_lossless_whatever_the_link_model(hops):
+    # the probe's link gets no loss or reorder stream, so the model's loss
+    # and reorder rates change nothing
+    _, tx, rx = _probe_setup()
+    clean = LinkModel(bandwidth_bps=10_000_000_000, distance_km=1.0, hops=hops)
+    lossy = LinkModel(bandwidth_bps=10_000_000_000, distance_km=1.0, hops=hops,
+                      loss_rate=0.5, reorder_rate=1.0)
+    results = run_probe_experiment(clean, tx, rx, [128, 1024], 50, seed=3)
+    assert results == run_probe_experiment(lossy, tx, rx, [128, 1024], 50, seed=3)
 
 
 def test_probe_rejects_bad_input():

@@ -166,11 +166,10 @@ def test_frame_missing_from_any_log_gets_a_dropped_record(small_cfg):
     sim = result.sim
     assert all(rec.completed for rr in result.receivers for rec in rr.records)
     for r in range(2):
-        for name in ("app_tx", "send_log", "relay_recv", "relay_dist",
-                     "relay_send", "recv", "app_rx"):
+        for name in ("app_tx", "send_log", "relay_recv", "relay_send", "recv", "app_rx"):
             logs = pipeline.RunLogs(
                 app_tx=dict(sim.app_tx_records), send_log=dict(sim.sender.send_log),
-                relay_recv=dict(sim.relay_up.recv_log), relay_dist=dict(sim.relay.dist_log),
+                relay_recv=dict(sim.relay_up.recv_log),
                 relay_send=[dict(ep.send_log) for ep in sim.relay_down],
                 recv=[dict(ep.recv_log) for ep in sim.receivers],
                 app_rx=[dict(m) for m in sim.app_rx_records])

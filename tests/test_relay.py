@@ -11,10 +11,8 @@ MS = 1_000_000
 
 
 def _dist_times(result, receiver=0):
-    sim = result.sim
-    return [sim.relay.dist_log[f].distribution_ns(receiver)
-            for f in sorted(sim.relay.dist_log)
-            if f in sim.receivers[receiver].recv_log]
+    return [rec.server_dist_ns for rec in result.receivers[receiver].records
+            if rec.completed]
 
 
 def test_store_forward_distribution_is_exact_serialization(small_cfg):
@@ -67,8 +65,8 @@ def test_replication_to_two_receivers_is_byte_identical(small_cfg):
         assert a[fid] == expect
         assert b[fid] == expect
     # schedules are independent logs
-    assert sim.relay.dist_log[1].forward_end_true_ns[0] > 0
-    assert sim.relay.dist_log[1].forward_end_true_ns[1] > 0
+    assert sim.relay_down[0].send_log[1].last_send_end_true_ns > 0
+    assert sim.relay_down[1].send_log[1].last_send_end_true_ns > 0
 
 
 def test_unequal_downstream_rates(small_cfg):
