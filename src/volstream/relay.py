@@ -53,9 +53,10 @@ class RelayNode:
     """Replication node between the sender hop and the receiver hops.
 
     The relay is event-driven: it wires ``upstream.on_segment`` /
-    ``on_frame`` to itself, and the owner injects ``scheduler(at_ns, fn,
-    *args)`` (to defer forwards past the gate) and ``emit(receiver_idx,
-    bursts)`` (to hand planned bursts to the downstream network).
+    ``on_frame`` / ``on_drop`` to itself, and the owner injects
+    ``scheduler(at_ns, fn, *args)`` (to defer forwards past the gate) and
+    ``emit(receiver_idx, bursts)`` (to hand planned bursts to the downstream
+    network).
     """
 
     def __init__(
@@ -90,6 +91,7 @@ class RelayNode:
         self._gates: dict[int, int] = {}   # frame_id -> gate-open true ns
         upstream.on_segment = self._upstream_segment
         upstream.on_frame = self._upstream_frame
+        upstream.on_drop = self._upstream_drop
 
     def _gate(self, frame_id: int, now_true: int) -> int:
         gate = self._gates.get(frame_id)
@@ -123,6 +125,10 @@ class RelayNode:
                                log.end_of_stream)
             else:
                 self.forward_frame(frame_id, segments, at, log.end_of_stream)
+        self._gates.pop(frame_id, None)
+
+    def _upstream_drop(self, frame_id) -> None:
+        # a dropped frame delivers no further segment, so its gate is done
         self._gates.pop(frame_id, None)
 
     @property

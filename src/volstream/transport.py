@@ -230,7 +230,8 @@ class SenderEndpoint:
         packets are emitted in (segment_index, packet_seq) order and the send
         log records the span from the first emission start to the last
         pacer-serialization end. This method adds only the frame checks and
-        the frame's crc32.
+        the frame's crc32, which the frame carries: the sender hashes
+        nothing.
         """
         if frame.size > self.max_frame_bytes:
             raise TransportError(
@@ -247,7 +248,7 @@ class SenderEndpoint:
                                     end_of_stream=end_of_stream)
                   for seg in segment_frame(frame, self.segment_payload_size)]
         if self.compute_crc:
-            self.send_log[frame.frame_id].payload_checksum = zlib.crc32(frame.payload)
+            self.send_log[frame.frame_id].payload_checksum = frame.crc32
         return bursts
 
     def send_segment(self, frame_id: int, segment_index: int, payload,
@@ -470,6 +471,7 @@ class ReceiverEndpoint:
         compute_crc: bool = True,
         on_segment=None,
         on_frame=None,
+        on_drop=None,
     ):
         if nack_delay_ns < 0 or tail_timeout_ns < 0 or deadline_ns < 0:
             raise ConfigError("receiver timeouts must be >= 0")
@@ -485,6 +487,7 @@ class ReceiverEndpoint:
         self.compute_crc = compute_crc
         self.on_segment = on_segment
         self.on_frame = on_frame
+        self.on_drop = on_drop
         self.recv_log: dict[int, RecvLogEntry] = {}
         self.payloads: dict[int, bytes] = {}
         self.dropped: dict[int, RecvLogEntry] = {}
@@ -692,6 +695,8 @@ class ReceiverEndpoint:
         )
         self.dropped[state.frame_id] = log
         del self._frames[state.frame_id]
+        if self.on_drop is not None:
+            self.on_drop(state.frame_id)
 
     def finalize(self) -> None:
         """End of run: any frame still in flight counts as dropped."""

@@ -9,8 +9,8 @@ import hypothesis.strategies as st
 from volstream.clock import NodeClock
 from volstream.errors import ConfigError, InvalidFrameError
 from volstream.frames import (DataPacket, Segment, VolumetricFrame,
-                              make_synthetic_frame, required_bandwidth_bps,
-                              segment_frame)
+                              make_synthetic_frame, multmodp, required_bandwidth_bps,
+                              segment_frame, x2nmodp)
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
 
 
@@ -160,6 +160,34 @@ def test_synthetic_frame_matches_tiled_reference(sections, seed):
     for frame_id in (1, 2):
         frame = make_synthetic_frame(frame_id, *sections, seed=seed)
         assert frame.payload == _tiled_reference(frame_id, *sections, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(total=st.integers(min_value=1, max_value=4 * 65_536 + 100),
+       seed=st.one_of(st.sampled_from([0, 1, 2**64 + 5]), st.integers(0, 2**70)),
+       frame_id=st.integers(min_value=0, max_value=0xFFFFFFFF))
+def test_synthetic_frame_crc_is_crc_of_payload(total, seed, frame_id):
+    # totals under 24 B truncate the tag and leave the body empty
+    color = total // 3
+    frame = make_synthetic_frame(frame_id, color, total - color, 0, seed=seed)
+    assert frame.crc32 == zlib.crc32(frame.payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.binary(max_size=3_000), b=st.binary(max_size=3_000))
+def test_crc32_combine_matches_zlib(a, b):
+    shift = x2nmodp(len(b), 3)
+    assert multmodp(shift, zlib.crc32(a)) ^ zlib.crc32(b) == zlib.crc32(a + b)
+
+
+@pytest.mark.parametrize("seg_size", [1, 7, 23, 24, 25, 1_000, 65_000])
+@pytest.mark.parametrize("total", [10, 24, 70_000])
+def test_segments_concatenate_to_payload(seg_size, total):
+    # segments below, at and above the 24 B tag: views inside a part, joins across
+    frame = make_synthetic_frame(3, total, 0, 0, seed=5)
+    segs = segment_frame(frame, seg_size)
+    assert [s.segment_index for s in segs] == list(range(1, len(segs) + 1))
+    assert b"".join(s.payload for s in segs) == frame.payload
 
 
 def test_segment_and_packet_index_bounds():

@@ -2,9 +2,10 @@
 
 Sizes are the two benchmark geometries: 47-packet bursts (one 65,000 B
 segment of 1,400 B packets, ``paper-default``) and 254-packet bursts (256 B
-packets, ``fanout-small``); reassembly uses the 3.52 MB ``paper-default``
-frame of 55 segments. Rounds are fixed so the whole file stays cheap inside
-the tier-1 run; compare the printed means across revisions.
+packets, ``fanout-small``); reassembly, and frame synthesis plus
+``send_frame``, use the 3.52 MB ``paper-default`` frame of 55 segments.
+Rounds are fixed so the whole file stays cheap inside the tier-1 run;
+compare the printed means across revisions.
 """
 
 import random
@@ -116,3 +117,17 @@ def test_bench_ingest_frame(benchmark):
 
     log = benchmark.pedantic(complete, setup=setup, rounds=ROUNDS // 4, iterations=1)
     assert log is not None and log.frame_id == 1 and log.payload_len == 3_520_000
+
+
+def test_bench_capture_send_frame(benchmark):
+    # synthesize the 3.52 MB paper frame (body cache warm) and plan its 55 bursts
+    make_synthetic_frame(1, 3_520_000, 0, 0, seed=1)
+    sender = _sender(1_400)
+    frame_ids = iter(range(1, ROUNDS + 1))
+
+    def capture_send():
+        frame = make_synthetic_frame(next(frame_ids), 3_520_000, 0, 0, seed=1)
+        return sender.send_frame(frame, 0)
+
+    bursts = benchmark.pedantic(capture_send, rounds=ROUNDS, iterations=1)
+    assert len(bursts) == 55 and sender.packets_sent == 2_546 * ROUNDS

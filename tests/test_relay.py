@@ -158,3 +158,15 @@ def test_backpressure_is_counted_per_receiver(tmp_path):
     assert counts == [["relay_backpressure_events,0,,,,,,\n"],
                       ["relay_backpressure_events,1617,,,,,,\n"]]
     assert result.sim.relay.backpressure_events == 1617
+
+
+def test_dropped_frames_leave_no_forwarding_gate(tmp_path):
+    # cut-through opens a frame's gate at its first forwarded segment; a
+    # frame the upstream drops never completes, so the drop must close it
+    cfg = scenario_config("paper-default")
+    assert apply_overrides(cfg, {"duration_s": "2", "hop1.loss_rate": "0.001",
+                                 "hop2.loss_rate": "0.001",
+                                 "out_dir": str(tmp_path)}) == []
+    sim = run_simulation(cfg, write_outputs=False).sim
+    assert sim.relay_up.dropped
+    assert sim.relay._gates == {}

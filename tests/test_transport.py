@@ -351,6 +351,24 @@ def test_conservation_counters():
     assert receiver.packets_delivered_upward == 72
 
 
+def test_frame_send_allocates_no_payload_copy():
+    # with the body cache warm, a synthetic paper frame is its tag and a view
+    # of the cached body, and its crc32 is combined from theirs: synthesis
+    # plus send_frame joins only segment 1 (tag + 64,976 body bytes)
+    _frame()
+    sender = _sender()
+    tracemalloc.start()
+    try:
+        frame = _frame()
+        bursts = sender.send_frame(frame, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bursts) == 55
+    assert sender.send_log[1].payload_checksum == zlib.crc32(frame.payload)
+    assert peak < 256_000
+
+
 def test_frame_completion_allocates_no_payload_copy():
     # one 3.52 MB frame, 55 x 65,000 B segments arriving as one run each:
     # segments stay views of the arriving buffers and the crc32 is streamed
