@@ -53,10 +53,6 @@ class CaptureProfile:
     def interval_ns(self) -> int:
         return round(NS_PER_S / self.fps)
 
-    @property
-    def frame_bytes(self) -> int:
-        return self.color_bytes + self.depth_bytes + self.audio_bytes
-
 
 @dataclass(frozen=True)
 class RenderProfile:

@@ -81,7 +81,6 @@ class SyncResult:
     t3: int
     t4: int
     attempts: int
-    completed_true_ns: int
 
 
 def estimate_offset(t1: int, t2: int, t3: int, t4: int) -> int:
@@ -122,7 +121,7 @@ def sync_exchange(
         t4 = slave.local_from_true(arrive_slave)
         offset = estimate_offset(t1, t2, t3, t4)
         slave.apply_estimate(offset)
-        return SyncResult(offset, t1, t2, t3, t4, attempt, arrive_slave)
+        return SyncResult(offset, t1, t2, t3, t4, attempt)
     raise SyncError(
         f"sync between {slave.name} and {master.name} failed after {max_attempts} attempts"
     )

@@ -26,9 +26,6 @@ from functools import lru_cache
 
 from .errors import ConfigError, InvalidFrameError
 
-DEFAULT_SEGMENT_PAYLOAD_SIZE = 65_000
-DEFAULT_PACKET_PAYLOAD_SIZE = 1_400
-
 # Base block size for synthetic payload generation. One seeded block is
 # tiled to the requested length once per (seed, length), and the tiled body
 # is cached with its crc32; each frame is then its 24-byte tag followed by a

@@ -95,14 +95,11 @@ class FrameLatencyRecord:
 
 @dataclass
 class OffsetTable:
-    """Estimated (and, in simulation, true) clock corrections to the master."""
+    """Estimated clock corrections to the master."""
 
     sender_est_ns: int = 0
     relay_est_ns: int = 0
     receiver_est_ns: list = field(default_factory=lambda: [0])
-    sender_true_ns: int = 0
-    relay_true_ns: int = 0
-    receiver_true_ns: list = field(default_factory=lambda: [0])
 
 
 @dataclass
@@ -258,28 +255,15 @@ def ns_to_ms_str(ns: int) -> str:
     return f"{sign}{ns // NS_PER_MS}.{ns % NS_PER_MS:06d}"
 
 
+# The record field behind each CSV column, and whether it is shown in ms:
+# an ``x_ms`` column is the record's ``x_ns``, any other its integer field.
+_ROW_FIELDS = tuple((name[:-3] + "_ns", True) if name.endswith("_ms") else (name, False)
+                    for name in CSV_COLUMNS)
+
+
 def _record_row(rec: FrameLatencyRecord) -> str:
-    return ",".join((
-        str(rec.frame_id),
-        ns_to_ms_str(rec.app_tx_ns),
-        ns_to_ms_str(rec.frame_tx_ns),
-        ns_to_ms_str(rec.network_l_ns),
-        ns_to_ms_str(rec.frame_rx_ns),
-        ns_to_ms_str(rec.frame_l_ns),
-        ns_to_ms_str(rec.app_rx_ns),
-        ns_to_ms_str(rec.service_l_ns),
-        ns_to_ms_str(rec.server_dist_ns),
-        ns_to_ms_str(rec.protocol_tx1_ns),
-        ns_to_ms_str(rec.protocol_rx1_ns),
-        ns_to_ms_str(rec.protocol_l1_ns),
-        ns_to_ms_str(rec.protocol_tx2_ns),
-        ns_to_ms_str(rec.protocol_rx2_ns),
-        ns_to_ms_str(rec.protocol_l2_ns),
-        str(rec.retransmits),
-        "1" if rec.completed else "0",
-        ns_to_ms_str(rec.network_l1_ns),
-        ns_to_ms_str(rec.network_l2_ns),
-    ))
+    return ",".join(ns_to_ms_str(getattr(rec, f)) if ms else str(int(getattr(rec, f)))
+                    for f, ms in _ROW_FIELDS)
 
 
 def render_frames_csv(records) -> str:

@@ -161,9 +161,7 @@ class Link:
         self.model = model
         self.node_tx = node_tx
         self.node_rx = node_rx
-        self._loss_rng = loss_rng
         self._switch_rng = switch_rng
-        self._reorder_rng = reorder_rng
         self._trace = trace
         # Draw functions, None where the model never draws from that stream.
         self._loss_random = loss_rng.random if model.loss_rate > 0 and loss_rng else None

@@ -295,9 +295,6 @@ class SimulationRun:
             sender_est_ns=self.sender_clock.estimated_offset_ns,
             relay_est_ns=self.relay_clock.estimated_offset_ns,
             receiver_est_ns=[c.estimated_offset_ns for c in self.receiver_clocks],
-            sender_true_ns=self.sender_clock.true_offset_ns,
-            relay_true_ns=self.relay_clock.true_offset_ns,
-            receiver_true_ns=[c.true_offset_ns for c in self.receiver_clocks],
         )
         logs = RunLogs(
             app_tx=self.app_tx_records,

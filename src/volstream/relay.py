@@ -106,7 +106,7 @@ class RelayNode:
     # -- upstream endpoint callbacks ------------------------------------------
 
     def _upstream_segment(self, frame_id, segment_index, payload, now_true,
-                          expected, is_final, eos) -> None:
+                          is_final, eos) -> None:
         if self.policy != "cut_through":
             return
         at = max(self._gate(frame_id, now_true), now_true + self.forward_delay_ns)

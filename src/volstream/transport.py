@@ -25,9 +25,12 @@ arrived in, a segment that one run covers is that view, and only a segment
 split by loss or retransmission is joined. At frame completion the length
 and crc32 are streamed over the segment buffers in order, ``on_frame``
 receives that list of buffers, and the frame is joined into one ``bytes``
-only when payloads are retained. The per-frame receive log keeps first/last
-arrival and the embedded timestamp of the earliest-arriving packet, which is
-what the one-way delay metrics use.
+only when payloads are retained. A completed segment holds its bytes and
+drops its pieces. A frame in flight holds its receive log from its first
+arrival on: every run updates first/last arrival, the embedded timestamp of
+the earliest-arriving packet (what the one-way delay metrics use) and the
+packet counts in place, and completion or drop moves that one record into
+``recv_log`` or ``dropped``.
 
 Timing conventions: a frame's send span runs from the first packet's
 emission start to the last packet's pacer serialization end, so at zero
@@ -336,12 +339,13 @@ class SenderEndpoint:
 
 
 class _SegmentState:
-    __slots__ = ("expected", "covered", "pieces")
+    __slots__ = ("expected", "covered", "pieces", "data")
 
     def __init__(self, expected: int):
         self.expected = expected
         self.covered: list[list[int]] = []     # merged [lo, hi] pairs
-        self.pieces: list[tuple] = []          # (lo, hi, buffer view)
+        self.pieces: list[tuple] = []          # (lo, hi, buffer view), until complete
+        self.data = None                       # the assembled bytes, once complete
 
     def missing(self) -> list[tuple[int, int]]:
         gaps = []
@@ -399,36 +403,20 @@ class _SegmentState:
 
 
 class _FrameState:
-    __slots__ = ("frame_id", "segments", "segment_count", "first_arr_true",
-                 "first_arr_local", "first_stamp", "last_arr_true", "last_arr_local",
-                 "packets", "duplicates", "nack_count",
-                 "gap_deadline", "tail_deadline", "drop_deadline", "end_of_stream",
-                 "seg_payloads", "max_seen_seg", "incomplete")
+    """A frame in flight: its receive log, its segments and its timers."""
 
-    def __init__(self, frame_id: int):
-        self.frame_id = frame_id
+    __slots__ = ("log", "segments", "segment_count", "gap_deadline", "tail_deadline",
+                 "drop_deadline", "max_seen_seg", "incomplete")
+
+    def __init__(self, log: RecvLogEntry, drop_deadline: int | None):
+        self.log = log
         self.segments: dict[int, _SegmentState] = {}
         self.segment_count: int | None = None
-        self.first_arr_true: int | None = None
-        self.first_arr_local = 0
-        self.first_stamp = 0
-        self.last_arr_true = 0
-        self.last_arr_local = 0
-        self.packets = 0
-        self.duplicates = 0
-        self.nack_count = 0
         self.gap_deadline: int | None = None
         self.tail_deadline: int | None = None
-        self.drop_deadline: int | None = None
-        self.end_of_stream = False
-        self.seg_payloads: dict[int, object] = {}   # index -> bytes or view
+        self.drop_deadline = drop_deadline
         self.max_seen_seg = 0
         self.incomplete: set[int] = set()
-
-    def is_complete(self) -> bool:
-        if self.segment_count is None or len(self.seg_payloads) != self.segment_count:
-            return False
-        return True
 
     def has_gap(self) -> bool:
         """Cheap check: is anything visibly missing behind the reception front?"""
@@ -494,7 +482,6 @@ class ReceiverEndpoint:
         self.packets_received = 0
         self.duplicates = 0
         self.late_packets = 0
-        self.packets_delivered_upward = 0
         self.pending_control: list[ControlPacket] = []
         self._frames: dict[int, _FrameState] = {}
 
@@ -525,15 +512,20 @@ class ReceiverEndpoint:
 
         state = self._frames.get(frame_id)
         if state is None:
-            state = _FrameState(frame_id)
+            clock = self.clock
+            log = RecvLogEntry(frame_id, clock.local_from_true(arrivals_min_true),
+                               clock.local_from_true(arrivals_max_true),
+                               arrivals_min_true, arrivals_max_true, stamp_at_min)
+            state = _FrameState(log, arrivals_min_true + self.deadline_ns
+                                if self.deadline_ns else None)
             self._frames[frame_id] = state
-            if self.deadline_ns:
-                state.drop_deadline = arrivals_min_true + self.deadline_ns
+        else:
+            log = state.log
 
         if flags & FLAG_FINAL_SEGMENT:
             state.segment_count = segment_index
         if flags & FLAG_END_OF_STREAM:
-            state.end_of_stream = True
+            log.end_of_stream = True
 
         seg = state.segments.get(segment_index)
         if seg is None:
@@ -542,37 +534,36 @@ class ReceiverEndpoint:
             state.incomplete.add(segment_index)
             if segment_index > state.max_seen_seg:
                 state.max_seen_seg = segment_index
-        was_complete = segment_index in state.seg_payloads
         stored, dup = seg.add(seq_start, seq_start + count - 1,
                               memoryview(payload), packet_payload_size)
         self.packets_received += stored
         self.duplicates += dup
-        state.packets += stored
-        state.duplicates += dup
+        log.packets_received += stored
+        log.duplicates += dup
 
         if stored == 0:
             return None
 
-        if state.first_arr_true is None or arrivals_min_true < state.first_arr_true:
-            state.first_arr_true = arrivals_min_true
-            state.first_arr_local = self.clock.local_from_true(arrivals_min_true)
-            state.first_stamp = stamp_at_min
-        if arrivals_max_true > state.last_arr_true:
-            state.last_arr_true = arrivals_max_true
-            state.last_arr_local = self.clock.local_from_true(arrivals_max_true)
+        # a tie keeps the first arrival already recorded
+        if arrivals_min_true < log.first_recv_true_ns:
+            log.first_recv_true_ns = arrivals_min_true
+            log.first_recv_ns = self.clock.local_from_true(arrivals_min_true)
+            log.embedded_first_send_ts = stamp_at_min
+        if arrivals_max_true > log.last_recv_true_ns:
+            log.last_recv_true_ns = arrivals_max_true
+            log.last_recv_ns = self.clock.local_from_true(arrivals_max_true)
 
         now = arrivals_max_true
-        if seg.is_complete and not was_complete:
-            data = seg.assemble()
-            state.seg_payloads[segment_index] = data
-            state.incomplete.discard(segment_index)
+        # the run stored packets, so the segment was incomplete before it
+        if seg.is_complete:
+            data = seg.data = seg.assemble()
             seg.pieces.clear()
+            state.incomplete.discard(segment_index)
             if self.on_segment is not None:
-                self.on_segment(frame_id, segment_index, data, now, seg.expected,
-                                state.segment_count == segment_index, state.end_of_stream)
-
-        if state.is_complete():
-            return self._complete(state, now)
+                self.on_segment(frame_id, segment_index, data, now,
+                                state.segment_count == segment_index, log.end_of_stream)
+            if not state.incomplete and len(state.segments) == state.segment_count:
+                return self._complete(state, now)
 
         # Re-arm timers: tail timer follows the latest arrival; a visible gap
         # arms the gap timer once until it fires or fills.
@@ -591,49 +582,26 @@ class ReceiverEndpoint:
         return None
 
     def _complete(self, state: _FrameState, now_true: int) -> RecvLogEntry:
-        segments = [state.seg_payloads[i] for i in range(1, state.segment_count + 1)]
+        segments = [state.segments[i].data for i in range(1, state.segment_count + 1)]
         length = crc = 0
         for buf in segments:
             length += len(buf)
             if self.compute_crc:
                 crc = zlib.crc32(buf, crc)
-        log = RecvLogEntry(
-            frame_id=state.frame_id,
-            first_recv_ns=state.first_arr_local,
-            last_recv_ns=state.last_arr_local,
-            first_recv_true_ns=state.first_arr_true,
-            last_recv_true_ns=state.last_arr_true,
-            embedded_first_send_ts=state.first_stamp,
-            complete_ns=self.clock.local_from_true(now_true),
-            complete_true_ns=now_true,
-            packets_received=state.packets,
-            duplicates=state.duplicates,
-            nack_count=state.nack_count,
-            payload_len=length,
-            payload_checksum=crc,
-            end_of_stream=state.end_of_stream,
-        )
-        self.recv_log[state.frame_id] = log
-        self.packets_delivered_upward += state.packets
+        log = state.log
+        log.complete_ns = self.clock.local_from_true(now_true)
+        log.complete_true_ns = now_true
+        log.payload_len = length
+        log.payload_checksum = crc
+        self.recv_log[log.frame_id] = log
         if self.retain_payloads:
-            self.payloads[state.frame_id] = b"".join(segments)
+            self.payloads[log.frame_id] = b"".join(segments)
         if self.on_frame is not None:
-            self.on_frame(state.frame_id, segments, log)
-        del self._frames[state.frame_id]
+            self.on_frame(log.frame_id, segments, log)
+        del self._frames[log.frame_id]
         return log
 
     # -- gap detection and timers ---------------------------------------------
-
-    def detect_gaps(self, frame_id: int) -> tuple[tuple[int, int, int], ...]:
-        """Missing (segment_index, seq_start, seq_end) ranges, sorted.
-
-        ``seq_end == 0`` marks a wholly-missing segment whose packet count
-        is not yet known.
-        """
-        state = self._frames.get(frame_id)
-        if state is None:
-            return ()
-        return state.missing_ranges()
 
     def _emit_nack(self, state: _FrameState) -> ControlPacket | None:
         ranges = state.missing_ranges()
@@ -645,10 +613,10 @@ class ReceiverEndpoint:
             # final-segment marker. Ask for the next unseen segment; the
             # round still counts, which bounds the retries.
             ranges = ((state.max_seen_seg + 1, 1, 0),)
-        state.nack_count += 1
+        state.log.nack_count += 1
         state.gap_deadline = None
         return ControlPacket(packet_type=PacketType.NACK, stream_id=self.stream_id,
-                             frame_id=state.frame_id, ranges=ranges)
+                             frame_id=state.log.frame_id, ranges=ranges)
 
     def next_timer_ns(self) -> int | None:
         """The earliest gap, tail or drop deadline of any frame in flight."""
@@ -672,7 +640,7 @@ class ReceiverEndpoint:
             due_tail = state.tail_deadline is not None and now_true_ns >= state.tail_deadline
             if not (due_gap or due_tail):
                 continue
-            if state.nack_count >= self.max_nack_rounds:
+            if state.log.nack_count >= self.max_nack_rounds:
                 self._drop(state)
                 continue
             nack = self._emit_nack(state)
@@ -682,21 +650,11 @@ class ReceiverEndpoint:
         return out
 
     def _drop(self, state: _FrameState) -> None:
-        log = RecvLogEntry(
-            frame_id=state.frame_id,
-            first_recv_ns=state.first_arr_local,
-            last_recv_ns=state.last_arr_local,
-            first_recv_true_ns=state.first_arr_true or 0,
-            last_recv_true_ns=state.last_arr_true,
-            embedded_first_send_ts=state.first_stamp,
-            packets_received=state.packets,
-            duplicates=state.duplicates,
-            nack_count=state.nack_count,
-        )
-        self.dropped[state.frame_id] = log
-        del self._frames[state.frame_id]
+        frame_id = state.log.frame_id
+        self.dropped[frame_id] = state.log
+        del self._frames[frame_id]
         if self.on_drop is not None:
-            self.on_drop(state.frame_id)
+            self.on_drop(frame_id)
 
     def finalize(self) -> None:
         """End of run: any frame still in flight counts as dropped."""

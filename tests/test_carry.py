@@ -51,20 +51,21 @@ def _carried_runs(link: Link, burst) -> list:
 
 
 def _twin_links(model, node_tx, node_rx, seed, busy):
+    """Two identical links, each with the loss stream it draws from."""
     links = []
     for _ in range(2):
-        link = Link("l", model, node_tx, node_rx,
-                    loss_rng=random.Random(f"{seed}:loss"),
+        loss_rng = random.Random(f"{seed}:loss")
+        link = Link("l", model, node_tx, node_rx, loss_rng=loss_rng,
                     switch_rng=random.Random(f"{seed}:switch"),
                     reorder_rng=random.Random(f"{seed}:reorder"))
         link._busy_until = busy
-        links.append(link)
+        links.append((link, loss_rng))
     return links
 
 
-def _link_state(link: Link):
+def _link_state(link: Link, loss_rng):
     return (link.sent, link.delivered, link.lost, link._busy_until,
-            link._loss_rng.getstate(), link._switch_rng.getstate())
+            loss_rng.getstate(), link._switch_rng.getstate())
 
 
 _stage_ns = st.integers(0, 5_000)
@@ -124,7 +125,8 @@ def test_carry_ties_go_to_the_first_packet(hops, span, spacing_ns, loss, plans, 
 
 
 def _assert_twins_agree(model, node_tx, node_rx, sender, plans, seed, busy):
-    carried, reference = _twin_links(model, node_tx, node_rx, seed, busy)
+    (carried, carried_loss), (reference, reference_loss) = _twin_links(
+        model, node_tx, node_rx, seed, busy)
     pps = sender.packet_payload_size
     now = 0
     for k, (seg_len, gap, select) in enumerate(plans):
@@ -138,7 +140,7 @@ def _assert_twins_agree(model, node_tx, node_rx, sender, plans, seed, busy):
         burst = sender._plan_burst(now, k + 1, 1, n, seq_start, count, bytes(seg_len),
                                    0, retransmit=select != 0)
         assert _carried_runs(carried, burst) == _reference_runs(reference, burst)
-        assert _link_state(carried) == _link_state(reference)
+        assert _link_state(carried, carried_loss) == _link_state(reference, reference_loss)
 
 
 def _paced_setup(loss=0.0):

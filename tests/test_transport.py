@@ -155,6 +155,11 @@ def test_whole_segment_nack_uses_sentinel():
 # -- receive side -------------------------------------------------------------------
 
 
+def _delivered_upward(receiver):
+    """Packets stored in the frames the receiver completed."""
+    return sum(log.packets_received for log in receiver.recv_log.values())
+
+
 def _deliver_frame(sender, receiver, frame, t0=0, drop=None, delay=50_000):
     """Push a frame's packets through a direct lossy channel; returns what
     ``ingest_packet`` returned for each delivered packet."""
@@ -178,7 +183,7 @@ def test_in_order_delivery_completes_frame():
     assert receiver.payloads[1] == frame.payload
     assert log.recv_span_ns == log.last_recv_ns - log.first_recv_ns
     assert log.packets_received == sender.send_log[1].packet_count
-    assert receiver.packets_delivered_upward <= sender.packets_sent
+    assert _delivered_upward(receiver) <= sender.packets_sent
 
 
 def test_duplicate_delivery_is_idempotent():
@@ -200,7 +205,9 @@ def test_duplicate_delivery_is_idempotent():
     assert log.duplicates == 2
 
 
-def test_detect_gaps_examples():
+def test_gap_nack_ranges_examples():
+    # the NACK that on_timer emits at the next deadline names the missing
+    # (segment_index, seq_start, seq_end) ranges, sorted
     sender, receiver = _sender(pps=1000), _receiver()
     frame = _frame(size=3 * 20_000)   # 3 segments of 20 packets at pps=1000
     sender.segment_payload_size = 20_000
@@ -212,7 +219,7 @@ def test_detect_gaps_examples():
             ingest_packet(receiver, pkt, 100)
     for _, pkt in by_seg[3][:10]:
         ingest_packet(receiver, pkt, 200)
-    assert receiver.detect_gaps(1) == ((3, 11, 20),)
+    assert [n.ranges for n in receiver.on_timer(receiver.next_timer_ns())] == [((3, 11, 20),)]
     # two holes: {5} and {9..10} in segment 3 after receiving the rest
     receiver2 = _receiver()
     for seg in (1, 2):
@@ -222,11 +229,13 @@ def test_detect_gaps_examples():
         if i + 1 in (5, 9, 10):
             continue
         ingest_packet(receiver2, pkt, 200)
-    assert receiver2.detect_gaps(1) == ((3, 5, 5), (3, 9, 10))
-    # nothing missing -> empty
+    assert ([n.ranges for n in receiver2.on_timer(receiver2.next_timer_ns())]
+            == [((3, 5, 5), (3, 9, 10))])
+    # nothing missing -> the frame completes and no NACK is ever due
     for i, (_, pkt) in enumerate(by_seg[3]):
         ingest_packet(receiver, pkt, 300)
-    assert receiver.detect_gaps(1) == ()
+    assert 1 in receiver.recv_log
+    assert receiver.next_timer_ns() is None and receiver.on_timer(10**12) == []
 
 
 def test_nack_round_trip_recovers_single_loss():
@@ -320,7 +329,7 @@ def test_reliability_under_random_loss(loss, seed):
                     ingest_packet(receiver, pkt, emit_ns + 50_000)
     assert receiver.payloads.get(1) == frame.payload
     sent_total = sender.packets_sent + sender.packets_retransmitted
-    assert receiver.packets_delivered_upward <= sent_total
+    assert _delivered_upward(receiver) <= sent_total
 
 
 def test_lost_tail_segment_is_recovered_by_speculative_nack():
@@ -329,10 +338,10 @@ def test_lost_tail_segment_is_recovered_by_speculative_nack():
     sender, receiver = _sender(), _receiver()
     frame = _frame(size=100_000, seed=11)   # 2 segments
     _deliver_frame(sender, receiver, frame, drop=lambda p: p.segment_index == 2)
-    assert receiver.detect_gaps(1) == ()    # nothing visibly missing
     deadline = receiver.next_timer_ns()
     nacks = receiver.on_timer(deadline)
     assert len(nacks) == 1
+    # only the speculative range: nothing of segment 1 is visibly missing
     assert nacks[0].ranges == ((2, 1, 0),)
     log = None
     for burst in sender.retransmit(nacks[0], deadline):
@@ -348,7 +357,100 @@ def test_conservation_counters():
     assert sender.packets_sent == 72           # ceil(65000/1400)*1 + ceil(35000/1400)
     assert sender.packets_retransmitted == 0
     assert receiver.packets_received == 72
-    assert receiver.packets_delivered_upward == 72
+    assert _delivered_upward(receiver) == 72
+
+
+def _split_runs(bursts, rng, pps):
+    """Each burst cut into runs at random points: (segment_index,
+    packets_in_segment, seq_start, count, payload, flags)."""
+    runs = []
+    for b in bursts:
+        cuts = sorted(rng.sample(range(1, b.count), rng.randint(0, b.count - 1)))
+        for lo, hi in zip([0] + cuts, cuts + [b.count]):
+            runs.append((b.segment_index, b.packets_in_segment, b.seq_start + lo, hi - lo,
+                         b.payload[lo * pps:hi * pps], b.flags))
+    return runs
+
+
+def _reference_record(deliveries, total_packets):
+    """What the frame's receive log must hold after ``deliveries``, each a
+    (run, arrival_min, arrival_max, stamp) in ingest order."""
+    seen, ref = set(), dict(first=None, stamp=0, last=0, packets=0, duplicates=0, done=None)
+    for (seg, _, lo, count, _, _), amin, amax, stamp in deliveries:
+        if ref["done"] is not None:
+            ref["duplicates"] += count
+            continue
+        new = {(seg, q) for q in range(lo, lo + count)} - seen
+        seen |= new
+        ref["packets"] += len(new)
+        ref["duplicates"] += count - len(new)
+        if not new:
+            continue
+        if ref["first"] is None or amin < ref["first"]:   # a tie keeps the first
+            ref["first"], ref["stamp"] = amin, stamp
+        ref["last"] = max(ref["last"], amax)
+        if len(seen) == total_packets:
+            ref["done"] = amax
+    return ref
+
+
+def _assert_record(log, ref, clock):
+    assert (log.first_recv_true_ns, log.last_recv_true_ns) == (ref["first"], ref["last"])
+    assert log.first_recv_ns == clock.local_from_true(ref["first"])
+    assert log.last_recv_ns == clock.local_from_true(ref["last"])
+    assert log.embedded_first_send_ts == ref["stamp"]
+    assert (log.packets_received, log.duplicates) == (ref["packets"], ref["duplicates"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 6_000), seed=st.integers(0, 2**32 - 1),
+       offset=st.integers(-10**9, 10**9), drift=st.sampled_from([0.0, -35.5, 120.0]))
+def test_frame_record_matches_its_runs(size, seed, offset, drift):
+    # a frame's bursts split into runs at random points, shuffled, some runs
+    # delivered twice, each with its own arrival window and stamp: the
+    # frame's one receive record is computed from exactly those runs
+    rng = random.Random(seed)
+    pps = 100
+    sender = _sender(pps=pps, segment_payload_size=1_000)
+    frame = _frame(size=size, seed=seed % 97)
+    runs = _split_runs(sender.send_frame(frame, 0), rng, pps)
+    total = sender.packets_sent
+    copies = runs + [r for r in runs if rng.random() < 0.3]
+    rng.shuffle(copies)
+    # coarse arrival instants, so that ties between runs are common
+    deliveries = []
+    for run in copies:
+        amin = rng.randrange(0, 40) * 1000
+        deliveries.append((run, amin, amin + rng.randrange(0, 5) * 1000, rng.randrange(10**9)))
+    clock = NodeClock("r", "slave", true_offset_ns=offset, drift_ppm=drift)
+
+    def ingest(receiver, delivered):
+        for (seg, n, lo, count, payload, flags), amin, amax, stamp in delivered:
+            receiver.ingest_run(1, seg, n, lo, count, payload, pps, amin, amax, stamp, flags)
+
+    receiver = ReceiverEndpoint(1, clock, deadline_ns=0)
+    ingest(receiver, deliveries)
+    ref = _reference_record(deliveries, total)
+    log = receiver.recv_log[1]
+    _assert_record(log, ref, clock)
+    assert (log.complete_true_ns, log.complete_ns) == (ref["done"], clock.local_from_true(ref["done"]))
+    assert (log.payload_len, log.payload_checksum) == (frame.size, frame.crc32)
+
+    # withhold every copy of one run: the frame is dropped at its deadline
+    # and its record, NACK rounds included, moves to ``dropped``
+    if len(runs) < 2:
+        return
+    withheld = rng.choice(runs)
+    partial = [d for d in deliveries if d[0] is not withheld]
+    receiver = ReceiverEndpoint(1, clock, deadline_ns=30 * MS, max_nack_rounds=1_000)
+    ingest(receiver, partial)
+    nacks = 0
+    while receiver.frames_in_flight:
+        nacks += len(receiver.on_timer(receiver.next_timer_ns()))
+    assert not receiver.recv_log
+    log = receiver.dropped[1]
+    _assert_record(log, _reference_record(partial, total), clock)
+    assert log.nack_count == nacks >= 1
 
 
 def test_frame_send_allocates_no_payload_copy():
