@@ -1,11 +1,13 @@
 """Golden digests: the sim's reports are a pure function of (config, seed).
 
 Every report CSV of the four canned scenarios (streams cut to 1 s; the probe
-runs as it is) and of three ``paper-default`` variants is pinned by its
+runs as it is) and of four ``paper-default`` variants is pinned by its
 sha256. The variants cover what the canned scenarios leave out: 1% loss on
 both hops; four receivers with 256 B packets (four hop-2 links, senders and
 receivers, and many small runs); and store-and-forward with relay stalls,
-two receivers and offset, drifting sender and relay clocks. The first five
+two receivers and offset, drifting sender and relay clocks; and negative
+drift with opposite offsets and hop-2 loss, under which a node's local
+reading is not strictly increasing in true time. The first five
 pins were computed before bursts were carried as delivered runs, on the
 per-packet link code, and the two multi-receiver pins before the two hops
 shared one set of handlers, so a change to how the sim computes arrivals or
@@ -39,6 +41,9 @@ CASES = {
         **ONE_SECOND, "relay.policy": "store_forward", "stall.probability": "0.3",
         "stall.max_ms": "5", "receivers": "2", "clock.sender_offset_ms": "3.5",
         "clock.relay_offset_ms": "-1.25", "clock.drift_ppm": "20"}),
+    "paper-default-negdrift-lossy-hop2": ("paper-default", {
+        **ONE_SECOND, "clock.sender_offset_ms": "-2.75", "clock.relay_offset_ms": "4",
+        "clock.drift_ppm": "-35", "hop2.loss_rate": "0.001"}),
 }
 
 GOLDEN = {
@@ -70,6 +75,10 @@ GOLDEN = {
     "paper-default-lossy1pct": {
         "frames.csv": "3c1bffff67ef6b93b9c009c09a2f3de07a309a202d016279f699001dbaedf6c7",
         "summary.csv": "5880afafd42d2c1969143441210995839c594faf6ad0482a703169bb5d0e5015",
+    },
+    "paper-default-negdrift-lossy-hop2": {
+        "frames.csv": "e5eb11313d4634de509f5bd73777dde82bf6e4eb2b7668bc7579e19fd2547b38",
+        "summary.csv": "3ae0395b3f854426f1ced63782ce6653652a75eede990f10bf2ff6985ed7d38e",
     },
     "paper-default-storefwd-stall-2rx-skew": {
         "frames.csv": "525019b2a69277518ff91ed1da39f24e643c0d8c5c7064617a4ea5ea2c80f8f6",
