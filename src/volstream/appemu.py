@@ -3,14 +3,16 @@
 Real capture hardware and mesh rendering are out of scope; both ends are
 modeled as configurable processing-time distributions around the frame
 cadence. The capture side emits synthetic frames on an exact fps grid; the
-render side turns a completed frame into a display instant.
+render side turns a completed frame into a display instant. Instants are
+in the time of the node's driver (true time in the sim, the host clock in
+socket mode); ``metrics.assemble_record`` reads them through the node's
+clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clock import NodeClock
 from .errors import ConfigError
 from .frames import VolumetricFrame, make_synthetic_frame
 
@@ -62,10 +64,8 @@ class RenderProfile:
 @dataclass(slots=True)
 class AppTxRecord:
     frame_id: int
-    capture_start_ns: int       # sender-local
+    capture_start_ns: int
     capture_end_ns: int
-    capture_start_true_ns: int
-    capture_end_true_ns: int
     app_tx_ns: int
     overrun: bool
 
@@ -74,41 +74,29 @@ class AppTxRecord:
 class AppRxRecord:
     frame_id: int
     app_rx_ns: int
-    display_ns: int             # receiver-local
-    display_true_ns: int
+    display_ns: int
 
 
 def capture_tick(
     profile: CaptureProfile,
     frame_id: int,
-    tick_true_ns: int,
-    clock: NodeClock,
+    tick_ns: int,
     seed: int,
     rng=None,
 ) -> tuple[VolumetricFrame, AppTxRecord]:
     """Produce the frame for one cadence tick.
 
     The capture interval brackets the sampled processing time; the frame is
-    ready for transport at ``capture_end``. Processing that exceeds the
+    ready for transport at ``capture_end_ns``. Processing that exceeds the
     frame interval flags an overrun but never skips the next tick.
     """
     app_tx = profile.app_tx.sample(rng)
-    end_true = tick_true_ns + app_tx
-    frame = make_synthetic_frame(
-        frame_id,
-        profile.color_bytes,
-        profile.depth_bytes,
-        profile.audio_bytes,
-        seed,
-        capture_start=clock.local_from_true(tick_true_ns),
-        capture_end=clock.local_from_true(end_true),
-    )
+    frame = make_synthetic_frame(frame_id, profile.color_bytes, profile.depth_bytes,
+                                 profile.audio_bytes, seed)
     record = AppTxRecord(
         frame_id=frame_id,
-        capture_start_ns=frame.capture_start,
-        capture_end_ns=frame.capture_end,
-        capture_start_true_ns=tick_true_ns,
-        capture_end_true_ns=end_true,
+        capture_start_ns=tick_ns,
+        capture_end_ns=tick_ns + app_tx,
         app_tx_ns=app_tx,
         overrun=app_tx >= profile.interval_ns,
     )
@@ -118,16 +106,9 @@ def capture_tick(
 def render_complete(
     profile: RenderProfile,
     frame_id: int,
-    complete_true_ns: int,
-    clock: NodeClock,
+    complete_ns: int,
     rng=None,
 ) -> AppRxRecord:
     """Turn a reassembled frame into a display instant."""
     app_rx = profile.app_rx.sample(rng)
-    display_true = complete_true_ns + app_rx
-    return AppRxRecord(
-        frame_id=frame_id,
-        app_rx_ns=app_rx,
-        display_ns=clock.local_from_true(display_true),
-        display_true_ns=display_true,
-    )
+    return AppRxRecord(frame_id=frame_id, app_rx_ns=app_rx, display_ns=complete_ns + app_rx)

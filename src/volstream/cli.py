@@ -4,8 +4,9 @@
     volstream run --config lab.cfg [--mode sim|socket] [--role sender|relay|receiver]
     volstream validate --config lab.cfg
 
-Exit codes: 0 success, 1 runtime failure, also a stream run (written in
-full) in which a receiver completed no frame, 2 invalid configuration. Any
+Exit codes: 0 success, 1 runtime failure, also a stream run in which a
+receiver completed no frame or a sweep in which a rate completed none
+(either written in full), 2 invalid configuration. Any
 configuration key can be overridden via ``VOLSTREAM_<KEY>`` environment
 variables (dots become underscores).
 """
@@ -76,6 +77,7 @@ def _build_config(args) -> tuple[ScenarioConfig, list]:
 def run(cfg: ScenarioConfig, role: str | None = None, role_index: int = 0,
         quiet: bool = False) -> int:
     """Execute a validated scenario; returns the process exit code."""
+    runs = []    # (label, summary) of each run that must complete a frame
     if cfg.mode == "socket":
         from . import sockets
         if role:
@@ -86,6 +88,9 @@ def run(cfg: ScenarioConfig, role: str | None = None, role_index: int = 0,
         result = run_experiment(cfg, write_outputs=True)
         summaries = [rr.summary for rr in result.receivers] \
             if isinstance(result, SimResult) else []
+        if isinstance(result, SweepRunResult):
+            runs = [(f"sweep rate {row.rate_bps} bps", rr.primary.summary)
+                    for row, rr in zip(result.rows, result.results)]
         if not quiet and isinstance(result, ProbeRunResult):
             print(format_probe_table(result))
         elif not quiet and isinstance(result, SweepRunResult):
@@ -95,9 +100,10 @@ def run(cfg: ScenarioConfig, role: str | None = None, role_index: int = 0,
             print(f"receiver {r}:")
             print(format_summary_table(summary))
         print(f"report written under {cfg.out_dir}")
-    failed = [r for r, summary in enumerate(summaries) if summary.frames_completed == 0]
-    for r in failed:
-        print(f"runtime error: receiver {r} completed 0 of {summaries[r].frames_sent} frames",
+    runs += [(f"receiver {r}", summary) for r, summary in enumerate(summaries)]
+    failed = [(label, summary) for label, summary in runs if summary.frames_completed == 0]
+    for label, summary in failed:
+        print(f"runtime error: {label} completed 0 of {summary.frames_sent} frames",
               file=sys.stderr)
     return EXIT_RUNTIME if failed else EXIT_OK
 

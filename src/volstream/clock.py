@@ -30,10 +30,13 @@ NS_PER_S = 1_000_000_000
 class NodeClock:
     """Clock of one node relative to the master.
 
-    In simulation the master clock is the virtual (true) timeline;
-    ``local_from_true`` derives this node's reading from it. ``drift_ppm``
-    adds a rate error of that many parts per million, anchored at true
-    time zero.
+    Logs record instants in their driver's time; ``local_from_true`` turns
+    one into this node's reading. In simulation the driver's time is the
+    virtual (true) timeline, and ``true_offset_ns`` and ``drift_ppm`` (a
+    rate error of that many parts per million, anchored at true time zero)
+    emulate the node's clock error. In socket mode the driver's time is
+    already the node's reading, so both are zero. ``estimated_offset_ns``
+    is the correction the node's sync exchange estimated.
     """
 
     name: str

@@ -233,7 +233,7 @@ class ScenarioConfig:
             compute_crc=self.verify_payload,
         )
 
-    def receiver_endpoint(self, clock, relay: bool = False) -> ReceiverEndpoint:
+    def receiver_endpoint(self, relay: bool = False) -> ReceiverEndpoint:
         """A receiving endpoint: a final receiver, or the relay's upstream.
 
         Only final receivers check payloads and retain them; nothing reads
@@ -241,7 +241,7 @@ class ScenarioConfig:
         """
         t = self.transport
         return ReceiverEndpoint(
-            self.stream_id, clock,
+            self.stream_id,
             nack_delay_ns=_ms(t.nack_delay_ms),
             tail_timeout_ns=_ms(t.tail_timeout_ms),
             max_nack_rounds=t.max_nack_rounds,

@@ -42,15 +42,14 @@ class VolumetricFrame:
     built from, or a synthetic frame's tag and body view. ``crc32`` is the
     payload's zlib crc32, computed here once unless the builder passes it.
     The section byte counts are retained so a consumer could split them out
-    again. Capture timestamps are nanoseconds on the capturing node's clock.
+    again.
     """
 
     __slots__ = ("frame_id", "color_bytes", "depth_bytes", "audio_bytes",
-                 "parts", "crc32", "capture_start", "capture_end")
+                 "parts", "crc32")
 
     def __init__(self, frame_id: int, color_bytes: int, depth_bytes: int,
-                 audio_bytes: int, payload, capture_start: int = 0,
-                 capture_end: int = 0, crc32: int | None = None):
+                 audio_bytes: int, payload, crc32: int | None = None):
         """``payload`` is one buffer, or a tuple of the frame's parts."""
         if not 0 <= frame_id <= 0xFFFFFFFF:
             raise InvalidFrameError(f"frame_id must fit 32 bits, got {frame_id}")
@@ -67,8 +66,6 @@ class VolumetricFrame:
             raise InvalidFrameError(
                 f"payload is {length} bytes but sections sum to {total}"
             )
-        if capture_end < capture_start:
-            raise InvalidFrameError("capture_end precedes capture_start")
         if crc32 is None:
             crc32 = 0
             for part in parts:
@@ -79,8 +76,6 @@ class VolumetricFrame:
         self.audio_bytes = audio_bytes
         self.parts = parts
         self.crc32 = crc32
-        self.capture_start = capture_start
-        self.capture_end = capture_end
 
     @property
     def size(self) -> int:
@@ -147,8 +142,6 @@ def make_synthetic_frame(
     depth_bytes: int,
     audio_bytes: int,
     seed: int,
-    capture_start: int = 0,
-    capture_end: int = 0,
 ) -> VolumetricFrame:
     """Build a frame with deterministic pseudo-random content.
 
@@ -172,8 +165,6 @@ def make_synthetic_frame(
         depth_bytes=depth_bytes,
         audio_bytes=audio_bytes,
         payload=(tag, body),
-        capture_start=capture_start,
-        capture_end=capture_end,
         crc32=multmodp(shift, zlib.crc32(tag)) ^ body_crc,
     )
 

@@ -14,6 +14,14 @@ Per completed frame the record carries, all in integer nanoseconds:
                   both on the relay's clock
     protocol_tx/rx/l and network_l per hop (1: sender->relay, 2: relay->receiver)
 
+Each node's logs record every instant once, in its driver's time (true time
+in the sim, the host clock in socket mode), and ``RunLogs`` carries each
+node's ``NodeClock``. ``assemble_record`` is where local readings are
+taken: spans, one-way delays and ``server_dist`` are measured on each
+node's clock as the paper measures them, and corrected to the master by
+the clocks' estimated offsets. Ground-truth diagnostics are plain
+differences of the stored instants.
+
 The three latency identities (service, frame, per-hop protocol) hold exactly
 at ns resolution on every record by construction, and survive into the CSV,
 which prints milliseconds with six decimals (1 ns) via exact integer
@@ -24,9 +32,9 @@ and are excluded from the summary statistics.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
-from .clock import AnomalyLog, one_way_delay, pairwise_offset
+from .clock import AnomalyLog, NodeClock, one_way_delay, pairwise_offset
 from .errors import MetricsError
 from .stats import jitter, mean, percentile_nearest_rank
 
@@ -94,17 +102,9 @@ class FrameLatencyRecord:
 
 
 @dataclass
-class OffsetTable:
-    """Estimated clock corrections to the master."""
-
-    sender_est_ns: int = 0
-    relay_est_ns: int = 0
-    receiver_est_ns: list = field(default_factory=lambda: [0])
-
-
-@dataclass
 class RunLogs:
-    """Everything the per-frame assembly needs, keyed by frame_id."""
+    """Everything the per-frame assembly needs: the logs, keyed by frame_id,
+    and the clock of each node that wrote them."""
 
     app_tx: dict
     send_log: dict
@@ -112,22 +112,25 @@ class RunLogs:
     relay_send: list        # per receiver: dict
     recv: list              # per receiver: dict
     app_rx: list            # per receiver: dict
+    sender_clock: NodeClock
+    relay_clock: NodeClock
+    receiver_clocks: list   # per receiver: NodeClock
     has_ground_truth: bool = True
 
 
 def assemble_record(
     frame_id: int,
     logs: RunLogs,
-    offsets: OffsetTable,
     receiver: int = 0,
     anomalies: AnomalyLog | None = None,
 ) -> FrameLatencyRecord:
     """Merge the per-node logs of one completed frame into a latency record.
 
     Raises ``MetricsError`` naming the missing source if any log lacks the
-    frame. The end-to-end one-way delay uses the sender's first emission
-    timestamp against the receiver's first arrival; per-hop delays use the
-    embedded timestamp of each hop's earliest-arriving packet.
+    frame. Every instant is read on its node's clock. The end-to-end
+    one-way delay uses the sender's first emission against the receiver's
+    first arrival; per-hop delays use the embedded timestamp of each hop's
+    earliest-arriving packet.
     """
     def need(table, source):
         entry = table.get(frame_id)
@@ -142,57 +145,60 @@ def assemble_record(
     recv = need(logs.recv[receiver], f"receiver[{receiver}] transport")
     app_rx = need(logs.app_rx[receiver], f"receiver[{receiver}] application")
 
-    recv_est = offsets.receiver_est_ns[receiver]
-    network_l1 = one_way_delay(
-        relay_recv.first_recv_ns, relay_recv.embedded_first_send_ts,
-        pairwise_offset(offsets.sender_est_ns, offsets.relay_est_ns), anomalies)
-    network_l2 = one_way_delay(
-        recv.first_recv_ns, recv.embedded_first_send_ts,
-        pairwise_offset(offsets.relay_est_ns, recv_est), anomalies)
-    network_l = one_way_delay(
-        recv.first_recv_ns, send.first_send_ns,
-        pairwise_offset(offsets.sender_est_ns, recv_est), anomalies)
+    sender_clock, relay_clock = logs.sender_clock, logs.relay_clock
+    receiver_clock = logs.receiver_clocks[receiver]
+    at_sender = sender_clock.local_from_true
+    at_relay = relay_clock.local_from_true
+    at_receiver = receiver_clock.local_from_true
+    first_send = at_sender(send.first_send_ns)
+    frame_tx = at_sender(send.last_send_end_ns) - first_send
+    relay_first = at_relay(relay_recv.first_recv_ns)
+    protocol_rx1 = at_relay(relay_recv.last_recv_ns) - relay_first
+    relay_send_end = at_relay(relay_send.last_send_end_ns)
+    recv_first = at_receiver(recv.first_recv_ns)
+    frame_rx = at_receiver(recv.last_recv_ns) - recv_first
+
+    sender_est = sender_clock.estimated_offset_ns
+    relay_est = relay_clock.estimated_offset_ns
+    recv_est = receiver_clock.estimated_offset_ns
+    network_l1 = one_way_delay(relay_first, relay_recv.embedded_first_send_ts,
+                               pairwise_offset(sender_est, relay_est), anomalies)
+    network_l2 = one_way_delay(recv_first, recv.embedded_first_send_ts,
+                               pairwise_offset(relay_est, recv_est), anomalies)
+    network_l = one_way_delay(recv_first, first_send,
+                              pairwise_offset(sender_est, recv_est), anomalies)
 
     rec = FrameLatencyRecord(
         frame_id=frame_id,
         completed=True,
         app_tx_ns=app_tx.app_tx_ns,
-        frame_tx_ns=send.send_span_ns,
+        frame_tx_ns=frame_tx,
         network_l_ns=network_l,
-        frame_rx_ns=recv.recv_span_ns,
-        frame_l_ns=network_l + recv.recv_span_ns,
+        frame_rx_ns=frame_rx,
+        frame_l_ns=network_l + frame_rx,
         app_rx_ns=app_rx.app_rx_ns,
-        server_dist_ns=relay_send.last_send_end_ns - relay_recv.complete_ns,
-        protocol_tx1_ns=send.send_span_ns,
-        protocol_rx1_ns=relay_recv.recv_span_ns,
-        protocol_l1_ns=network_l1 + relay_recv.recv_span_ns,
+        server_dist_ns=relay_send_end - at_relay(relay_recv.complete_ns),
+        protocol_tx1_ns=frame_tx,
+        protocol_rx1_ns=protocol_rx1,
+        protocol_l1_ns=network_l1 + protocol_rx1,
         network_l1_ns=network_l1,
-        protocol_tx2_ns=relay_send.send_span_ns,
-        protocol_rx2_ns=recv.recv_span_ns,
-        protocol_l2_ns=network_l2 + recv.recv_span_ns,
+        protocol_tx2_ns=relay_send_end - at_relay(relay_send.first_send_ns),
+        protocol_rx2_ns=frame_rx,
+        protocol_l2_ns=network_l2 + frame_rx,
         network_l2_ns=network_l2,
         retransmits=send.retransmit_count + relay_send.retransmit_count,
-        capture_start_ns=app_tx.capture_start_ns,
-        display_ns=app_rx.display_ns,
+        capture_start_ns=at_sender(app_tx.capture_start_ns),
+        display_ns=at_receiver(app_rx.display_ns),
     )
     rec.service_l_ns = rec.app_tx_ns + rec.frame_l_ns + rec.app_rx_ns
-    rec.network_l_uncorrected_ns = recv.first_recv_ns - send.first_send_ns
-    rec.network_l1_uncorrected_ns = relay_recv.first_recv_ns - relay_recv.embedded_first_send_ts
-    rec.network_l2_uncorrected_ns = recv.first_recv_ns - recv.embedded_first_send_ts
+    rec.network_l_uncorrected_ns = recv_first - first_send
+    rec.network_l1_uncorrected_ns = relay_first - relay_recv.embedded_first_send_ts
+    rec.network_l2_uncorrected_ns = recv_first - recv.embedded_first_send_ts
     if logs.has_ground_truth:
-        rec.network_l_true_ns = recv.first_recv_true_ns - send.first_send_true_ns
-        rec.network_l1_true_ns = relay_recv.first_recv_true_ns - send.first_send_true_ns
-        rec.network_l2_true_ns = recv.first_recv_true_ns - relay_send.first_send_true_ns
+        rec.network_l_true_ns = recv.first_recv_ns - send.first_send_ns
+        rec.network_l1_true_ns = relay_recv.first_recv_ns - send.first_send_ns
+        rec.network_l2_true_ns = recv.first_recv_ns - relay_send.first_send_ns
     rec.check_identities()
-    return rec
-
-
-def dropped_record(frame_id: int, logs: RunLogs) -> FrameLatencyRecord:
-    """Placeholder record for a frame that never completed at this receiver."""
-    rec = FrameLatencyRecord(frame_id=frame_id, completed=False)
-    app = logs.app_tx.get(frame_id)
-    if app is not None:
-        rec.capture_start_ns = app.capture_start_ns
     return rec
 
 

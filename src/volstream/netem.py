@@ -113,22 +113,15 @@ class EventQueue:
         heapq.heappush(self._heap, (at_ns, self._seq, fn, args))
         self._seq += 1
 
-    def step(self):
-        """Fire the next event; returns (time, seq) or None when drained."""
-        if not self._heap:
-            return None
-        at, seq, fn, args = heapq.heappop(self._heap)
-        self.now = at
-        fn(*args)
-        return at, seq
-
-    def run(self, until_ns: int | None = None) -> int:
-        """Drain the queue (optionally only up to ``until_ns``); returns events fired."""
+    def run(self) -> int:
+        """Fire events in (time, insertion) order until none is left;
+        returns the number fired."""
+        heap = self._heap
         fired = 0
-        while self._heap:
-            if until_ns is not None and self._heap[0][0] > until_ns:
-                break
-            self.step()
+        while heap:
+            at, _, fn, args = heapq.heappop(heap)
+            self.now = at
+            fn(*args)
             fired += 1
         return fired
 

@@ -15,8 +15,9 @@ emission, bits per packet, rate). ``Link.carry`` turns it into delivered
 runs, each with its first and last arrival and the packet that arrived
 first, and each run is scheduled as one ``ingest_run`` call at its last
 arrival; losses split runs and NACK-driven retransmissions fill them back
-in. After the event queue drains, ``receiver_reports`` turns the per-node
-logs, clock offsets and endpoint counters into each receiver's per-frame
+in. Every log records its instants in the driver's time, here true time.
+After the event queue drains, ``receiver_reports`` turns the per-node logs,
+their clocks and the endpoint counters into each receiver's per-frame
 records and summary, which are written as the CSV report. Socket mode
 merges its role logs through the same function.
 """
@@ -31,8 +32,8 @@ from .appemu import capture_tick, render_complete
 from .clock import AnomalyLog, NodeClock, SyncPath, sync_exchange
 from .config import ScenarioConfig, _ms, _us, render_config
 from .errors import ConfigError
-from .metrics import (OffsetTable, RunLogs, RunSummary, assemble_record,
-                      dropped_record, summarize, write_report)
+from .metrics import (FrameLatencyRecord, RunLogs, RunSummary, assemble_record,
+                      summarize, write_report)
 from .netem import TRACE_COLUMNS, EventQueue, Link
 from .transport import ReceiverEndpoint, SenderEndpoint
 from .wire import ControlPacket, PacketType, encode_packet
@@ -141,7 +142,7 @@ class SimDriver:
             self.schedule(arrivals[0], hop.control, ctrl)
 
 
-def schedule_captures(driver, hop: Hop, cfg: ScenarioConfig, clock, rng,
+def schedule_captures(driver, hop: Hop, cfg: ScenarioConfig, rng,
                       start_ns: int, app_tx: dict) -> None:
     """Schedule each frame's capture at its tick and its hand-off to ``hop``.
 
@@ -152,9 +153,9 @@ def schedule_captures(driver, hop: Hop, cfg: ScenarioConfig, clock, rng,
     frames = cfg.frame_count()
 
     def capture(k, tick):
-        frame, rec = capture_tick(profile, k + 1, tick, clock, cfg.seed, rng)
+        frame, rec = capture_tick(profile, k + 1, tick, cfg.seed, rng)
         app_tx[frame.frame_id] = rec
-        driver.schedule(rec.capture_end_true_ns, handoff, frame, k + 1 == frames)
+        driver.schedule(rec.capture_end_ns, handoff, frame, k + 1 == frames)
 
     def handoff(frame, eos):
         hop.deliver(hop.sender.send_frame(frame, driver.now(), end_of_stream=eos))
@@ -164,12 +165,12 @@ def schedule_captures(driver, hop: Hop, cfg: ScenarioConfig, clock, rng,
         driver.schedule(tick, capture, k, tick)
 
 
-def render_on_frame(cfg: ScenarioConfig, clock, rng, app_rx: dict):
+def render_on_frame(cfg: ScenarioConfig, rng, app_rx: dict):
     """A final receiver's ``on_frame``: render each completed frame into ``app_rx``."""
     profile = cfg.render_profile()
 
     def on_frame(frame_id, segments, log):
-        app_rx[frame_id] = render_complete(profile, frame_id, log.complete_true_ns, clock, rng)
+        app_rx[frame_id] = render_complete(profile, frame_id, log.complete_ns, rng)
     return on_frame
 
 
@@ -177,7 +178,6 @@ def render_on_frame(cfg: ScenarioConfig, clock, rng, app_rx: dict):
 class SimResult:
     config: ScenarioConfig
     receivers: list          # ReceiverResult per receiver
-    offsets: OffsetTable
     anomalies: AnomalyLog
     trace_rows: list
     payload_mismatches: int
@@ -232,14 +232,12 @@ class SimulationRun:
         self.app_rx_records = [dict() for _ in range(cfg.receivers)]
         self.driver = SimDriver(self.evq)
         self.sender = cfg.sender_endpoint(cfg.hop1.pacing_bps[0], self.sender_clock)
-        self.relay_up = cfg.receiver_endpoint(self.relay_clock, relay=True)
+        self.relay_up = cfg.receiver_endpoint(relay=True)
         self.relay_down = [cfg.sender_endpoint(cfg.hop2_pacing(r), self.relay_clock)
                            for r in range(cfg.receivers)]
-        self.receivers = [cfg.receiver_endpoint(self.receiver_clocks[r])
-                          for r in range(cfg.receivers)]
+        self.receivers = [cfg.receiver_endpoint() for _ in range(cfg.receivers)]
         for r, ep in enumerate(self.receivers):
-            ep.on_frame = render_on_frame(cfg, self.receiver_clocks[r],
-                                          self._rng(f"apprx:{r}"), self.app_rx_records[r])
+            ep.on_frame = render_on_frame(cfg, self._rng(f"apprx:{r}"), self.app_rx_records[r])
         self.hop1 = Hop(self.sender, self.h1f, self.h1r, self.relay_up, self.driver)
         self.hop2 = [Hop(self.relay_down[r], self.h2f[r], self.h2r[r], self.receivers[r],
                          self.driver) for r in range(cfg.receivers)]
@@ -285,17 +283,12 @@ class SimulationRun:
             while t < horizon:
                 self.evq.schedule(t, self._sync_all, t)
                 t += interval
-        schedule_captures(self.driver, self.hop1, cfg, self.sender_clock, self._rng("apptx"),
-                          0, self.app_tx_records)
+        schedule_captures(self.driver, self.hop1, cfg, self._rng("apptx"), 0,
+                          self.app_tx_records)
         self.evq.run()
         for ep in (self.relay_up, *self.receivers):
             ep.finalize()
 
-        offsets = OffsetTable(
-            sender_est_ns=self.sender_clock.estimated_offset_ns,
-            relay_est_ns=self.relay_clock.estimated_offset_ns,
-            receiver_est_ns=[c.estimated_offset_ns for c in self.receiver_clocks],
-        )
         logs = RunLogs(
             app_tx=self.app_tx_records,
             send_log=self.sender.send_log,
@@ -303,38 +296,42 @@ class SimulationRun:
             relay_send=[ep.send_log for ep in self.relay_down],
             recv=[ep.recv_log for ep in self.receivers],
             app_rx=self.app_rx_records,
+            sender_clock=self.sender_clock,
+            relay_clock=self.relay_clock,
+            receiver_clocks=self.receiver_clocks,
             has_ground_truth=True,
         )
         counters = {"sender": self.sender.counters(), "relay": self.relay.counters(),
                     "receivers": [ep.counters() for ep in self.receivers]}
-        reports = receiver_reports(logs, offsets, self.frame_count, counters, self.anomalies)
+        reports = receiver_reports(logs, self.frame_count, counters, self.anomalies)
         return SimResult(config=cfg,
                          receivers=[ReceiverResult(records, summary)
                                     for records, summary in reports],
-                         offsets=offsets, anomalies=self.anomalies,
+                         anomalies=self.anomalies,
                          trace_rows=self.trace_rows or [],
                          payload_mismatches=sum(summary.packet_counts["payload_mismatches"]
                                                 for _, summary in reports),
                          sim=self)
 
 
-def receiver_records(logs: RunLogs, offsets: OffsetTable, receiver: int,
-                     frame_count: int, anomalies: AnomalyLog | None = None) -> list:
+def receiver_records(logs: RunLogs, receiver: int, frame_count: int,
+                     anomalies: AnomalyLog | None = None) -> list:
     """Receiver ``receiver``'s latency record of each frame ``1..frame_count``.
 
     A frame gets a completed record when every log ``assemble_record``
-    reads holds it, and a dropped record otherwise. Sim and socket mode
-    both assemble their reports here.
+    reads holds it, and a dropped record (``completed`` false, every
+    latency zero) otherwise. Sim and socket mode both assemble their
+    reports here.
     """
     tables = (logs.app_tx, logs.send_log, logs.relay_recv, logs.relay_send[receiver],
               logs.recv[receiver], logs.app_rx[receiver])
-    return [assemble_record(f, logs, offsets, receiver, anomalies)
-            if all(f in t for t in tables) else dropped_record(f, logs)
+    return [assemble_record(f, logs, receiver, anomalies)
+            if all(f in t for t in tables) else FrameLatencyRecord(f)
             for f in range(1, frame_count + 1)]
 
 
-def receiver_reports(logs: RunLogs, offsets: OffsetTable, frame_count: int,
-                     counters: dict, anomalies: AnomalyLog) -> list:
+def receiver_reports(logs: RunLogs, frame_count: int, counters: dict,
+                     anomalies: AnomalyLog) -> list:
     """Each receiver's ``(records, summary)``, in sim and socket mode alike.
 
     ``counters`` holds the endpoints' own counters as the role logs carry
@@ -347,7 +344,7 @@ def receiver_reports(logs: RunLogs, offsets: OffsetTable, frame_count: int,
     reports = []
     for r, recv_log in enumerate(logs.recv):
         seen = anomalies.count
-        records = receiver_records(logs, offsets, r, frame_count, anomalies)
+        records = receiver_records(logs, r, frame_count, anomalies)
         mismatches = 0
         for frame_id, got in recv_log.items():
             sent_log = logs.send_log.get(frame_id)

@@ -88,29 +88,29 @@ class RelayNode:
         self.queue_high_water_ns = queue_high_water_ns
         self.downstream_backpressure = [0] * len(downstreams)   # per receiver
         self.stalled_frames = 0
-        self._gates: dict[int, int] = {}   # frame_id -> gate-open true ns
+        self._gates: dict[int, int] = {}   # frame_id -> gate-open instant
         upstream.on_segment = self._upstream_segment
         upstream.on_frame = self._upstream_frame
         upstream.on_drop = self._upstream_drop
 
-    def _gate(self, frame_id: int, now_true: int) -> int:
+    def _gate(self, frame_id: int, now: int) -> int:
         gate = self._gates.get(frame_id)
         if gate is None:
             stall = self.stall.sample(self._stall_rng)
             if stall:
                 self.stalled_frames += 1
-            gate = now_true + self.forward_delay_ns + stall
+            gate = now + self.forward_delay_ns + stall
             self._gates[frame_id] = gate
         return gate
 
     # -- upstream endpoint callbacks ------------------------------------------
 
-    def _upstream_segment(self, frame_id, segment_index, payload, now_true,
+    def _upstream_segment(self, frame_id, segment_index, payload, now,
                           is_final, eos) -> None:
         if self.policy != "cut_through":
             return
-        at = max(self._gate(frame_id, now_true), now_true + self.forward_delay_ns)
-        if at > now_true:
+        at = max(self._gate(frame_id, now), now + self.forward_delay_ns)
+        if at > now:
             self.scheduler(at, self.forward_segment, frame_id, segment_index,
                            payload, is_final, eos, at)
         else:
@@ -119,8 +119,8 @@ class RelayNode:
     def _upstream_frame(self, frame_id, segments, log) -> None:
         if self.policy == "store_forward":
             # no segment opened the gate earlier, so it opens at or after now
-            at = self._gate(frame_id, log.complete_true_ns)
-            if at > log.complete_true_ns:
+            at = self._gate(frame_id, log.complete_ns)
+            if at > log.complete_ns:
                 self.scheduler(at, self.forward_frame, frame_id, segments, at,
                                log.end_of_stream)
             else:
@@ -150,15 +150,15 @@ class RelayNode:
     # -- forwarding ------------------------------------------------------------
 
     def forward_segment(self, frame_id, segment_index, payload, is_final, eos,
-                        now_true) -> None:
+                        now) -> None:
         """Replicate one segment to every receiver."""
         for r, sender in enumerate(self.downstreams):
-            if sender.pacer.busy_until_ns - now_true > self.queue_high_water_ns:
+            if sender.pacer.busy_until_ns - now > self.queue_high_water_ns:
                 self.downstream_backpressure[r] += 1
-            self.emit(r, [sender.send_segment(frame_id, segment_index, payload, now_true,
+            self.emit(r, [sender.send_segment(frame_id, segment_index, payload, now,
                                               is_final=is_final, end_of_stream=eos)])
 
-    def forward_frame(self, frame_id, segments, now_true, eos=False) -> None:
+    def forward_frame(self, frame_id, segments, now, eos=False) -> None:
         """Store-and-forward: replicate a whole frame from its ordered segments.
 
         Both hops use the same segment size, so the segments that arrived
@@ -167,4 +167,4 @@ class RelayNode:
         count = len(segments)
         for i, seg_payload in enumerate(segments):
             self.forward_segment(frame_id, i + 1, seg_payload, is_final=(i + 1 == count),
-                                 eos=eos, now_true=now_true)
+                                 eos=eos, now=now)

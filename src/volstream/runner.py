@@ -25,9 +25,9 @@ class ProbeRunResult:
 class SweepRow:
     rate_bps: int
     frames_completed: int
-    mean_protocol_tx1_ns: float
+    mean_protocol_tx1_ns: float | None     # None: the rate completed no frame
     ideal_serialization_ns: int
-    mean_frame_rx_ns: float
+    mean_frame_rx_ns: float | None
 
 
 @dataclass
@@ -87,12 +87,13 @@ def run_sweep(cfg: ScenarioConfig, write_outputs: bool = True) -> SweepRunResult
         summary = result.primary.summary
         if write_outputs:
             write_report(result.primary.records, summary, cfg.out_dir, f"_{rate}")
+        done = summary.frames_completed > 0
         rows.append(SweepRow(
             rate_bps=rate,
             frames_completed=summary.frames_completed,
-            mean_protocol_tx1_ns=summary.stat("protocol_tx1").mean_ns,
+            mean_protocol_tx1_ns=summary.stat("protocol_tx1").mean_ns if done else None,
             ideal_serialization_ns=(frame_bytes * 8 * 1_000_000_000) // rate,
-            mean_frame_rx_ns=summary.stat("frame_rx").mean_ns,
+            mean_frame_rx_ns=summary.stat("frame_rx").mean_ns if done else None,
         ))
     result = SweepRunResult(rows=rows, results=results)
     if write_outputs:
@@ -104,14 +105,19 @@ def run_sweep(cfg: ScenarioConfig, write_outputs: bool = True) -> SweepRunResult
         for row in rows:
             lines.append(",".join((
                 str(row.rate_bps), str(row.frames_completed),
-                f"{row.mean_protocol_tx1_ns / NS_PER_MS:.6f}",
+                _mean_ms(row.mean_protocol_tx1_ns, ".6f"),
                 ns_to_ms_str(row.ideal_serialization_ns),
-                f"{row.mean_frame_rx_ns / NS_PER_MS:.6f}",
+                _mean_ms(row.mean_frame_rx_ns, ".6f"),
             )))
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
         result.csv_path = path
     return result
+
+
+def _mean_ms(mean_ns: float | None, spec: str) -> str:
+    """A sweep mean in ms, or an empty cell for a rate that completed no frame."""
+    return "" if mean_ns is None else format(mean_ns / NS_PER_MS, spec)
 
 
 def format_summary_table(summary) -> str:
@@ -150,9 +156,9 @@ def format_sweep_table(result: SweepRunResult) -> str:
     lines = [f"{'rate_bps':>14} {'frames':>7} {'protocol_tx1_ms':>16} {'ideal_ms':>12} {'frame_rx_ms':>12}"]
     for row in result.rows:
         lines.append(f"{row.rate_bps:>14} {row.frames_completed:>7} "
-                     f"{row.mean_protocol_tx1_ns / NS_PER_MS:>16.3f} "
+                     f"{_mean_ms(row.mean_protocol_tx1_ns, '.3f'):>16} "
                      f"{row.ideal_serialization_ns / NS_PER_MS:>12.3f} "
-                     f"{row.mean_frame_rx_ns / NS_PER_MS:>12.3f}")
+                     f"{_mean_ms(row.mean_frame_rx_ns, '.3f'):>12}")
     return "\n".join(lines)
 
 

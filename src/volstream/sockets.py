@@ -11,11 +11,13 @@ so records, counters and the payload check mean the same in both modes.
 For multi-host use, start each role by hand with ``--role``.
 
 A frame's send span comes from its pacer plan, as in the sim; each
-datagram's stamp records when it was actually sent. Timestamps come from a
-wall-anchored monotonic clock, comparable across processes on one host.
-Offsets are estimated by a SYNC_REQ/SYNC_RESP exchange against receiver 0,
-which answers from its own loop. The emulated link models do not apply
-here; socket mode prints a warning and ignores them.
+datagram's stamp records when it was actually sent. A role's driver time is
+a wall-anchored monotonic host clock, comparable across processes on one
+host, so its logs hold its own local readings. Each role estimates its
+offset by a SYNC_REQ/SYNC_RESP exchange against receiver 0, which answers
+from its own loop, applies it to its ``NodeClock`` and writes that clock
+with its logs. The emulated link models do not apply here; socket mode
+prints a warning and ignores them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .appemu import AppRxRecord, AppTxRecord
 from .clock import AnomalyLog, NodeClock, estimate_offset
 from .config import ScenarioConfig, render_config
 from .errors import CodecError, VolstreamError
-from .metrics import OffsetTable, RunLogs, write_report
+from .metrics import RunLogs, write_report
 from .pipeline import Hop, receiver_reports, render_on_frame, schedule_captures
 from .relay import RelayNode
 from .transport import ReceiverEndpoint, RecvLogEntry, SenderEndpoint, SendLogEntry
@@ -84,23 +86,23 @@ def _write_role_log(out_dir: str, role: str, payload: dict) -> None:
         json.dump(payload, fh)
 
 
-# Each role's log: its clock offset, its frame_id-keyed logs and its
+# Each role's log: its node's clock, its frame_id-keyed logs and its
 # endpoints' counters, in the layout ``merge_socket_logs`` reads.
 
 
-def _write_sender_log(out_dir: str, offset_ns: int, ep: SenderEndpoint,
+def _write_sender_log(out_dir: str, clock: NodeClock, ep: SenderEndpoint,
                       app_tx: dict) -> None:
     _write_role_log(out_dir, "sender", {
-        "offset_ns": offset_ns,
+        "clock": dataclasses.asdict(clock),
         "send_log": _dump_map(ep.send_log),
         "app_tx": _dump_map(app_tx),
         "counters": ep.counters(),
     })
 
 
-def _write_relay_log(out_dir: str, offset_ns: int, relay: RelayNode) -> None:
+def _write_relay_log(out_dir: str, clock: NodeClock, relay: RelayNode) -> None:
     _write_role_log(out_dir, "relay", {
-        "offset_ns": offset_ns,
+        "clock": dataclasses.asdict(clock),
         "recv_log": _dump_map(relay.upstream.recv_log),
         "dropped": _dump_map(relay.upstream.dropped),
         "send_logs": [_dump_map(d.send_log) for d in relay.downstreams],
@@ -108,10 +110,10 @@ def _write_relay_log(out_dir: str, offset_ns: int, relay: RelayNode) -> None:
     })
 
 
-def _write_receiver_log(out_dir: str, index: int, offset_ns: int, ep: ReceiverEndpoint,
+def _write_receiver_log(out_dir: str, index: int, clock: NodeClock, ep: ReceiverEndpoint,
                         app_rx: dict) -> None:
     _write_role_log(out_dir, f"receiver{index}", {
-        "offset_ns": offset_ns,
+        "clock": dataclasses.asdict(clock),
         "recv_log": _dump_map(ep.recv_log),
         "dropped": _dump_map(ep.dropped),
         "app_rx": _dump_map(app_rx),
@@ -326,8 +328,8 @@ def _run_until_drained(cfg: ScenarioConfig, driver: SocketDriver, *logs) -> None
 
 def run_sender_role(cfg: ScenarioConfig, out_dir: str) -> None:
     clock = HostClock()
-    offset = _sync_against_master(cfg, clock, "sender")
     node_clock = NodeClock("sender", "slave")
+    node_clock.apply_estimate(_sync_against_master(cfg, clock, "sender"))
     relay = (cfg.socket.relay_host, _ports(cfg)["relay_up"])
     app_tx = {}
     with SocketDriver(clock) as driver:
@@ -336,21 +338,21 @@ def run_sender_role(cfg: ScenarioConfig, out_dir: str) -> None:
                   (sock, relay), (sock, relay), None, driver)
         driver.add_hop(hop)
         # the first capture waits 50 ms, so the loop is up when it is due
-        schedule_captures(driver, hop, cfg, node_clock, random.Random(f"{cfg.seed}:apptx"),
+        schedule_captures(driver, hop, cfg, random.Random(f"{cfg.seed}:apptx"),
                           driver.now() + NS_PER_S // 20, app_tx)
         _run_until_drained(cfg, driver, hop.sender.send_log)
-    _write_sender_log(out_dir, offset, hop.sender, app_tx)
+    _write_sender_log(out_dir, node_clock, hop.sender, app_tx)
 
 
 def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
     clock = HostClock()
-    offset = _sync_against_master(cfg, clock, "relay")
     node_clock = NodeClock("relay", "slave")
+    node_clock.apply_estimate(_sync_against_master(cfg, clock, "relay"))
     ports = _ports(cfg)
     with SocketDriver(clock) as driver:
         sock = driver.open(cfg.socket.relay_host, ports["relay_up"])
         up = Hop(None, (sock, None), (sock, None),
-                 cfg.receiver_endpoint(node_clock, relay=True), driver)
+                 cfg.receiver_endpoint(relay=True), driver)
         downs = []
         for r in range(cfg.receivers):
             sock = driver.open(cfg.socket.relay_host, 0)
@@ -364,19 +366,19 @@ def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
             driver.add_hop(hop)
         _run_until_drained(cfg, driver, up.receiver.recv_log, up.receiver.dropped)
     up.receiver.finalize()
-    _write_relay_log(out_dir, offset, relay)
+    _write_relay_log(out_dir, node_clock, relay)
 
 
 def run_receiver_role(cfg: ScenarioConfig, out_dir: str, index: int = 0) -> None:
     clock = HostClock()
     master = index == 0
-    offset = 0 if master else _sync_against_master(cfg, clock, f"receiver{index}")
     node_clock = NodeClock(f"receiver{index}", "master" if master else "slave")
+    if not master:
+        node_clock.apply_estimate(_sync_against_master(cfg, clock, f"receiver{index}"))
     ports = _ports(cfg)
-    ep = cfg.receiver_endpoint(node_clock)
+    ep = cfg.receiver_endpoint()
     app_rx = {}
-    ep.on_frame = render_on_frame(cfg, node_clock,
-                                  random.Random(f"{cfg.seed}:apprx:{index}"), app_rx)
+    ep.on_frame = render_on_frame(cfg, random.Random(f"{cfg.seed}:apprx:{index}"), app_rx)
     with SocketDriver(clock) as driver:
         sock = driver.open(cfg.socket.receiver_host, ports["receiver"](index))
         driver.add_hop(Hop(None, (sock, None), (sock, None), ep, driver))
@@ -385,7 +387,7 @@ def run_receiver_role(cfg: ScenarioConfig, out_dir: str, index: int = 0) -> None
             driver.register(sync, _answer_sync(driver, sync, cfg.stream_id))
         _run_until_drained(cfg, driver, ep.recv_log, ep.dropped)
     ep.finalize()
-    _write_receiver_log(out_dir, index, offset, ep, app_rx)
+    _write_receiver_log(out_dir, index, node_clock, ep, app_rx)
 
 
 def run_role(cfg: ScenarioConfig, role: str, role_index: int = 0) -> None:
@@ -444,8 +446,8 @@ def merge_socket_logs(cfg: ScenarioConfig):
     """Combine role logs into per-receiver records and write the CSV report.
 
     Returns the (records, summary) pair per receiver, built by the sim's
-    ``receiver_reports`` from the logs and the endpoint counters the roles
-    wrote.
+    ``receiver_reports`` from the logs, the node clocks and the endpoint
+    counters the roles wrote.
     """
     out = cfg.out_dir
     sender = _read_role_log(out, "sender")
@@ -458,16 +460,14 @@ def merge_socket_logs(cfg: ScenarioConfig):
         relay_send=[_load_map(m, SendLogEntry) for m in relay["send_logs"]],
         recv=[_load_map(r["recv_log"], RecvLogEntry) for r in receivers],
         app_rx=[_load_map(r["app_rx"], AppRxRecord) for r in receivers],
+        sender_clock=NodeClock(**sender["clock"]),
+        relay_clock=NodeClock(**relay["clock"]),
+        receiver_clocks=[NodeClock(**r["clock"]) for r in receivers],
         has_ground_truth=False,
-    )
-    offsets = OffsetTable(
-        sender_est_ns=sender["offset_ns"],
-        relay_est_ns=relay["offset_ns"],
-        receiver_est_ns=[r["offset_ns"] for r in receivers],
     )
     counters = {"sender": sender["counters"], "relay": relay["counters"],
                 "receivers": [r["counters"] for r in receivers]}
-    reports = receiver_reports(logs, offsets, cfg.frame_count(), counters, AnomalyLog())
+    reports = receiver_reports(logs, cfg.frame_count(), counters, AnomalyLog())
     for r, (records, summary) in enumerate(reports):
         write_report(records, summary, out, "" if r == 0 else f"_r{r}")
     return reports

@@ -32,12 +32,17 @@ the earliest-arriving packet (what the one-way delay metrics use) and the
 packet counts in place, and completion or drop moves that one record into
 ``recv_log`` or ``dropped``.
 
-Timing conventions: a frame's send span runs from the first packet's
-emission start to the last packet's pacer serialization end, so at zero
-configured per-packet overhead it equals payload_bits / pacing_rate exactly.
-Receive spans run between arrival instants, and include retransmitted
-arrivals; retransmissions never extend the recorded send span (they are
-counted separately).
+Timing conventions: every instant an endpoint logs is recorded once, in
+the time of its driver's ``now()``: true time in the sim, the host clock
+(the node's own reading) in socket mode. The one local reading taken here
+is a packet's send stamp (``SegmentBurst.stamp``), which travels on the
+wire; ``metrics.assemble_record`` reads every other instant through the
+node's clock. A frame's send span runs from the first packet's emission
+start to the last packet's pacer serialization end, so at zero configured
+per-packet overhead it equals payload_bits / pacing_rate exactly. Receive
+spans run between arrival instants, and include retransmitted arrivals;
+retransmissions never extend the recorded send span (they are counted
+separately).
 """
 
 from __future__ import annotations
@@ -60,12 +65,12 @@ class SegmentBurst:
     The burst is carried as its pacer progression: packet ``i`` (0-based)
     starts serializing at ``base_ns + ((bits0 + i * step_bits) * 10**9) //
     rate_bps`` (``first_ns`` for packet 0), and every packet but the last is
-    ``full_wire`` bytes on the wire. ``clock`` maps those true-time instants
-    to the sender-local send stamps (``None``: stamps equal emissions). The
-    per-packet lists ``emissions``, ``stamps`` and ``wire_bytes`` are built
-    on first use, for socket mode and the per-packet link path, and
-    ``packet(i, ...)`` is the one packetizer: it cuts packet ``i`` out of the
-    payload as a wire packet.
+    ``full_wire`` bytes on the wire. ``clock`` maps those driver-time
+    instants to the sender-local send stamps (``None``: stamps equal
+    emissions). The per-packet lists ``emissions``, ``stamps`` and
+    ``wire_bytes`` are built on first use, for socket mode and the
+    per-packet link path, and ``packet(i, ...)`` is the one packetizer: it
+    cuts packet ``i`` out of the payload as a wire packet.
     """
 
     frame_id: int
@@ -125,40 +130,27 @@ class SegmentBurst:
 @dataclass(slots=True)
 class SendLogEntry:
     frame_id: int
-    first_send_ns: int = 0            # sender-local, first packet emission start
-    last_send_end_ns: int = 0         # sender-local, last packet pacer-serialization end
-    first_send_true_ns: int = 0
-    last_send_end_true_ns: int = 0
+    first_send_ns: int = 0            # first packet emission start
+    last_send_end_ns: int = 0         # last packet pacer-serialization end
     packet_count: int = 0
     retransmit_count: int = 0
     payload_len: int = 0
     payload_checksum: int = 0
 
-    @property
-    def send_span_ns(self) -> int:
-        return self.last_send_end_ns - self.first_send_ns
-
 
 @dataclass(slots=True)
 class RecvLogEntry:
     frame_id: int
-    first_recv_ns: int = 0            # receiver-local
+    first_recv_ns: int = 0
     last_recv_ns: int = 0
-    first_recv_true_ns: int = 0
-    last_recv_true_ns: int = 0
     embedded_first_send_ts: int = 0   # sender-local stamp of earliest arrival
-    complete_ns: int = 0              # receiver-local time the frame completed
-    complete_true_ns: int = 0
+    complete_ns: int = 0
     packets_received: int = 0
     duplicates: int = 0
     nack_count: int = 0
     payload_len: int = 0
     payload_checksum: int = 0
     end_of_stream: bool = False
-
-    @property
-    def recv_span_ns(self) -> int:
-        return self.last_recv_ns - self.first_recv_ns
 
 
 class SenderEndpoint:
@@ -203,7 +195,7 @@ class SenderEndpoint:
     def pacing_rate_bps(self) -> int:
         return self.pacer.rate_bps
 
-    def _plan_burst(self, now_true, frame_id, seg_idx, n_in_seg, seq_start, count,
+    def _plan_burst(self, now, frame_id, seg_idx, n_in_seg, seq_start, count,
                     payload, flags, retransmit):
         pps = self.packet_payload_size
         overhead = self.overhead_bits
@@ -211,7 +203,7 @@ class SenderEndpoint:
         if last_plen > pps:
             last_plen = pps
         step_bits = pps * 8 + overhead
-        base, bits0 = self.pacer.charge(now_true, count, step_bits,
+        base, bits0 = self.pacer.charge(now, count, step_bits,
                                         last_plen * 8 + overhead)
         rate = self.pacer.rate_bps
         clk = self.clock
@@ -225,7 +217,7 @@ class SenderEndpoint:
             flags, retransmit,
         )
 
-    def send_frame(self, frame: VolumetricFrame, now_true_ns: int,
+    def send_frame(self, frame: VolumetricFrame, now_ns: int,
                    end_of_stream: bool = False) -> list[SegmentBurst]:
         """Plan the paced emission of every packet of ``frame``, in order.
 
@@ -246,7 +238,7 @@ class SenderEndpoint:
             )
         self._last_frame_id = frame.frame_id
 
-        bursts = [self.send_segment(frame.frame_id, seg.segment_index, seg.payload, now_true_ns,
+        bursts = [self.send_segment(frame.frame_id, seg.segment_index, seg.payload, now_ns,
                                     is_final=seg.segment_index == seg.segment_count,
                                     end_of_stream=end_of_stream)
                   for seg in segment_frame(frame, self.segment_payload_size)]
@@ -255,7 +247,7 @@ class SenderEndpoint:
         return bursts
 
     def send_segment(self, frame_id: int, segment_index: int, payload,
-                     now_true_ns: int, is_final: bool = False,
+                     now_ns: int, is_final: bool = False,
                      end_of_stream: bool = False) -> SegmentBurst:
         """Plan the paced emission of one segment.
 
@@ -267,27 +259,21 @@ class SenderEndpoint:
         """
         n = -(-len(payload) // self.packet_payload_size)
         flags = (FLAG_FINAL_SEGMENT if is_final else 0) | (FLAG_END_OF_STREAM if end_of_stream else 0)
-        burst = self._plan_burst(now_true_ns, frame_id, segment_index, n, 1, n,
+        burst = self._plan_burst(now_ns, frame_id, segment_index, n, 1, n,
                                  payload, flags, retransmit=False)
         self.packets_sent += n
-        end_true = self.pacer.busy_until_ns
+        end = self.pacer.busy_until_ns
         first = burst.first_ns
         entry = self.send_log.get(frame_id)
         if entry is None:
-            entry = SendLogEntry(
-                frame_id=frame_id,
-                first_send_ns=burst.stamp(0),
-                first_send_true_ns=first,
-            )
+            entry = SendLogEntry(frame_id, first)
             self.send_log[frame_id] = entry
             self._retained[frame_id] = {}
             self._evict()
-        elif first < entry.first_send_true_ns:
-            entry.first_send_true_ns = first
-            entry.first_send_ns = burst.stamp(0)
-        if end_true > entry.last_send_end_true_ns:
-            entry.last_send_end_true_ns = end_true
-            entry.last_send_end_ns = self.clock.local_from_true(end_true)
+        elif first < entry.first_send_ns:
+            entry.first_send_ns = first
+        if end > entry.last_send_end_ns:
+            entry.last_send_end_ns = end
         entry.packet_count += n
         entry.payload_len += len(payload)
         if frame_id in self._retained:
@@ -298,7 +284,7 @@ class SenderEndpoint:
         while len(self._retained) > self.retention_frames:
             self._retained.pop(next(iter(self._retained)))
 
-    def retransmit(self, nack: ControlPacket, now_true_ns: int) -> list[SegmentBurst]:
+    def retransmit(self, nack: ControlPacket, now_ns: int) -> list[SegmentBurst]:
         """Re-emit the packets a NACK asks for, paced under the same limiter.
 
         NACKs for frames that fell out of the retention window count as
@@ -320,7 +306,7 @@ class SenderEndpoint:
             if lo > n:
                 continue
             count = hi - lo + 1
-            burst = self._plan_burst(now_true_ns, nack.frame_id, seg_idx, n,
+            burst = self._plan_burst(now_ns, nack.frame_id, seg_idx, n,
                                      lo, count, payload, flags, retransmit=True)
             bursts.append(burst)
             self.packets_retransmitted += count
@@ -450,7 +436,6 @@ class ReceiverEndpoint:
     def __init__(
         self,
         stream_id: int,
-        clock: NodeClock,
         nack_delay_ns: int = 2_000_000,
         tail_timeout_ns: int = 5_000_000,
         max_nack_rounds: int = 3,
@@ -466,7 +451,6 @@ class ReceiverEndpoint:
         if max_nack_rounds < 0:
             raise ConfigError("max_nack_rounds must be >= 0")
         self.stream_id = stream_id
-        self.clock = clock
         self.nack_delay_ns = nack_delay_ns
         self.tail_timeout_ns = tail_timeout_ns
         self.max_nack_rounds = max_nack_rounds
@@ -488,8 +472,8 @@ class ReceiverEndpoint:
     # -- ingestion -----------------------------------------------------------
 
     def ingest_run(self, frame_id, segment_index, packets_in_segment, seq_start,
-                   count, payload, packet_payload_size, arrivals_min_true,
-                   arrivals_max_true, stamp_at_min, flags) -> RecvLogEntry | None:
+                   count, payload, packet_payload_size, first_arrival,
+                   last_arrival, stamp_at_first, flags) -> RecvLogEntry | None:
         """Take in a contiguous run of packets of one segment.
 
         Duplicates are idempotent. Returns the frame's receive log if this
@@ -512,11 +496,8 @@ class ReceiverEndpoint:
 
         state = self._frames.get(frame_id)
         if state is None:
-            clock = self.clock
-            log = RecvLogEntry(frame_id, clock.local_from_true(arrivals_min_true),
-                               clock.local_from_true(arrivals_max_true),
-                               arrivals_min_true, arrivals_max_true, stamp_at_min)
-            state = _FrameState(log, arrivals_min_true + self.deadline_ns
+            log = RecvLogEntry(frame_id, first_arrival, last_arrival, stamp_at_first)
+            state = _FrameState(log, first_arrival + self.deadline_ns
                                 if self.deadline_ns else None)
             self._frames[frame_id] = state
         else:
@@ -545,15 +526,13 @@ class ReceiverEndpoint:
             return None
 
         # a tie keeps the first arrival already recorded
-        if arrivals_min_true < log.first_recv_true_ns:
-            log.first_recv_true_ns = arrivals_min_true
-            log.first_recv_ns = self.clock.local_from_true(arrivals_min_true)
-            log.embedded_first_send_ts = stamp_at_min
-        if arrivals_max_true > log.last_recv_true_ns:
-            log.last_recv_true_ns = arrivals_max_true
-            log.last_recv_ns = self.clock.local_from_true(arrivals_max_true)
+        if first_arrival < log.first_recv_ns:
+            log.first_recv_ns = first_arrival
+            log.embedded_first_send_ts = stamp_at_first
+        if last_arrival > log.last_recv_ns:
+            log.last_recv_ns = last_arrival
 
-        now = arrivals_max_true
+        now = last_arrival
         # the run stored packets, so the segment was incomplete before it
         if seg.is_complete:
             data = seg.data = seg.assemble()
@@ -581,7 +560,7 @@ class ReceiverEndpoint:
             state.gap_deadline = None
         return None
 
-    def _complete(self, state: _FrameState, now_true: int) -> RecvLogEntry:
+    def _complete(self, state: _FrameState, now: int) -> RecvLogEntry:
         segments = [state.segments[i].data for i in range(1, state.segment_count + 1)]
         length = crc = 0
         for buf in segments:
@@ -589,8 +568,7 @@ class ReceiverEndpoint:
             if self.compute_crc:
                 crc = zlib.crc32(buf, crc)
         log = state.log
-        log.complete_ns = self.clock.local_from_true(now_true)
-        log.complete_true_ns = now_true
+        log.complete_ns = now
         log.payload_len = length
         log.payload_checksum = crc
         self.recv_log[log.frame_id] = log
@@ -624,7 +602,7 @@ class ReceiverEndpoint:
                     for d in (s.gap_deadline, s.tail_deadline, s.drop_deadline)
                     if d is not None), default=None)
 
-    def on_timer(self, now_true_ns: int) -> list[ControlPacket]:
+    def on_timer(self, now_ns: int) -> list[ControlPacket]:
         """Fire due timers; returns NACKs to transmit on the reverse path.
 
         A frame whose NACK rounds are exhausted, or whose deadline passed,
@@ -633,18 +611,18 @@ class ReceiverEndpoint:
         out = []
         for frame_id in list(self._frames):
             state = self._frames[frame_id]
-            if state.drop_deadline is not None and now_true_ns >= state.drop_deadline:
+            if state.drop_deadline is not None and now_ns >= state.drop_deadline:
                 self._drop(state)
                 continue
-            due_gap = state.gap_deadline is not None and now_true_ns >= state.gap_deadline
-            due_tail = state.tail_deadline is not None and now_true_ns >= state.tail_deadline
+            due_gap = state.gap_deadline is not None and now_ns >= state.gap_deadline
+            due_tail = state.tail_deadline is not None and now_ns >= state.tail_deadline
             if not (due_gap or due_tail):
                 continue
             if state.log.nack_count >= self.max_nack_rounds:
                 self._drop(state)
                 continue
             nack = self._emit_nack(state)
-            state.tail_deadline = now_true_ns + self.tail_timeout_ns if self.tail_timeout_ns else None
+            state.tail_deadline = now_ns + self.tail_timeout_ns if self.tail_timeout_ns else None
             if nack is not None:
                 out.append(nack)
         return out

@@ -137,3 +137,21 @@ def test_stream_that_completes_no_frame_exits_1(tmp_path, monkeypatch, capsys, l
     assert (out / "summary.csv").exists()
     err = capsys.readouterr().err
     assert ("runtime error: receiver 0 completed 0 of 30 frames" in err) == (code != EXIT_OK)
+
+
+def test_sweep_rate_that_completes_no_frame_exits_1(tmp_path, monkeypatch, capsys):
+    # at 100 Mbps a 3.52 MB frame outlasts its deadline: that rate's row is
+    # written with empty means, the other rates as usual, and the run fails
+    for key, value in (("EXPERIMENT", "sweep"), ("SWEEP_RATES_BPS", "100000000,1000000000"),
+                       ("SWEEP_DURATION_S", "0.2")):
+        monkeypatch.setenv(f"VOLSTREAM_{key}", value)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "paper-default", "--out", str(out)]) == EXIT_RUNTIME
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[1] == "100000000,0,,281.600000,"
+    assert rows[2].startswith("1000000000,6,") and ",," not in rows[2]
+    assert (out / "frames_100000000.csv").exists()
+    captured = capsys.readouterr()
+    assert "281.600" in captured.out
+    assert "runtime error: sweep rate 100000000 bps completed 0 of 6 frames" in captured.err
+    assert "1000000000 bps" not in captured.err and "Traceback" not in captured.err

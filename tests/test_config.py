@@ -117,9 +117,9 @@ def test_endpoint_factory_payload_options(verify, retain):
     cfg = ScenarioConfig(verify_payload=verify, retain_payloads=retain)
     clock = NodeClock("n")
     assert cfg.sender_endpoint(10**9, clock).compute_crc is verify
-    final = cfg.receiver_endpoint(clock)
+    final = cfg.receiver_endpoint()
     assert (final.compute_crc, final.retain_payloads) == (verify, retain)
-    relay_up = cfg.receiver_endpoint(clock, relay=True)
+    relay_up = cfg.receiver_endpoint(relay=True)
     assert (relay_up.compute_crc, relay_up.retain_payloads) == (False, False)
 
 
@@ -135,7 +135,7 @@ def test_endpoint_factory_takes_transport_settings():
     assert (s.stream_id, s.pacing_rate_bps, s.clock) == (7, 1_500_000_000, clock)
     assert (s.segment_payload_size, s.packet_payload_size, s.overhead_bits,
             s.retention_frames, s.max_frame_bytes) == (8_000, 256, 428, 3, 9000)
-    for ep in (cfg.receiver_endpoint(clock), cfg.receiver_endpoint(clock, relay=True)):
-        assert (ep.stream_id, ep.clock) == (7, clock)
+    for ep in (cfg.receiver_endpoint(), cfg.receiver_endpoint(relay=True)):
+        assert ep.stream_id == 7
         assert (ep.nack_delay_ns, ep.tail_timeout_ns, ep.max_nack_rounds,
                 ep.deadline_ns) == (1_500_000, 4_000_000, 5, 40_000_000)

@@ -3,57 +3,55 @@ import os
 import pytest
 
 from volstream.appemu import AppRxRecord, AppTxRecord
+from volstream.clock import NodeClock
 from volstream.errors import MetricsError
-from volstream.metrics import (CSV_COLUMNS, FrameLatencyRecord, OffsetTable,
-                               RunLogs, assemble_record, ns_to_ms_str,
-                               render_frames_csv, summarize, write_report)
+from volstream.metrics import (CSV_COLUMNS, FrameLatencyRecord, RunLogs,
+                               assemble_record, ns_to_ms_str, render_frames_csv,
+                               summarize, write_report)
 from volstream.transport import RecvLogEntry, SendLogEntry
 
 MS = 1_000_000
 
 
-def _logs(network_l1_ns=342_000, protocol_rx1_ns=15_200_000):
-    """Hand-built single-frame logs with round numbers (all clocks zeroed)."""
+def _logs(network_l1_ns=342_000, protocol_rx1_ns=15_200_000, sender_clock=None,
+          relay_clock=None):
+    """Hand-built single-frame logs with round numbers, in true time. The
+    clocks default to zero offset and drift; embedded stamps are on the
+    given sender clocks."""
+    sender_clock = sender_clock or NodeClock("sender")
+    relay_clock = relay_clock or NodeClock("relay")
     app_tx = AppTxRecord(frame_id=1, capture_start_ns=0, capture_end_ns=7_300_000,
-                         capture_start_true_ns=0, capture_end_true_ns=7_300_000,
                          app_tx_ns=7_300_000, overrun=False)
     send = SendLogEntry(frame_id=1, first_send_ns=7_300_000,
                         last_send_end_ns=7_300_000 + 14_080_000,
-                        first_send_true_ns=7_300_000,
-                        last_send_end_true_ns=7_300_000 + 14_080_000,
                         packet_count=2546)
     relay_first = send.first_send_ns + network_l1_ns
     relay_recv = RecvLogEntry(frame_id=1, first_recv_ns=relay_first,
                               last_recv_ns=relay_first + protocol_rx1_ns,
-                              first_recv_true_ns=relay_first,
-                              last_recv_true_ns=relay_first + protocol_rx1_ns,
-                              embedded_first_send_ts=send.first_send_ns,
-                              complete_ns=relay_first + protocol_rx1_ns,
-                              complete_true_ns=relay_first + protocol_rx1_ns)
+                              embedded_first_send_ts=sender_clock.local_from_true(
+                                  send.first_send_ns),
+                              complete_ns=relay_first + protocol_rx1_ns)
     relay_send = SendLogEntry(frame_id=1, first_send_ns=relay_first + 100_000,
-                              last_send_end_ns=relay_recv.complete_ns + 2_000_000,
-                              first_send_true_ns=relay_first + 100_000,
-                              last_send_end_true_ns=relay_recv.complete_ns + 2_000_000)
+                              last_send_end_ns=relay_recv.complete_ns + 2_000_000)
     # receiver numbers are chosen so the application-layer metrics land on
     # the canonical decomposition: network_l 1.2 ms, frame_rx 19.5 ms
     recv_first = send.first_send_ns + 1_200_000
     recv = RecvLogEntry(frame_id=1, first_recv_ns=recv_first,
                         last_recv_ns=recv_first + 19_500_000,
-                        first_recv_true_ns=recv_first,
-                        last_recv_true_ns=recv_first + 19_500_000,
-                        embedded_first_send_ts=relay_send.first_send_ns,
-                        complete_ns=recv_first + 19_500_000,
-                        complete_true_ns=recv_first + 19_500_000)
+                        embedded_first_send_ts=relay_clock.local_from_true(
+                            relay_send.first_send_ns),
+                        complete_ns=recv_first + 19_500_000)
     app_rx = AppRxRecord(frame_id=1, app_rx_ns=22_000_000,
-                         display_ns=recv.complete_ns + 22_000_000,
-                         display_true_ns=recv.complete_ns + 22_000_000)
+                         display_ns=recv.complete_ns + 22_000_000)
     return RunLogs(app_tx={1: app_tx}, send_log={1: send}, relay_recv={1: relay_recv},
                    relay_send=[{1: relay_send}],
-                   recv=[{1: recv}], app_rx=[{1: app_rx}])
+                   recv=[{1: recv}], app_rx=[{1: app_rx}],
+                   sender_clock=sender_clock, relay_clock=relay_clock,
+                   receiver_clocks=[NodeClock("receiver0", "master")])
 
 
 def test_assemble_reproduces_reference_decomposition():
-    rec = assemble_record(1, _logs(), OffsetTable())
+    rec = assemble_record(1, _logs())
     assert rec.app_tx_ns == 7_300_000
     assert rec.network_l_ns == 1_200_000
     assert rec.frame_rx_ns == 19_500_000
@@ -67,11 +65,46 @@ def test_assemble_reproduces_reference_decomposition():
 
 def test_assemble_hop1_identity_matches_reference_values():
     rec = assemble_record(1, _logs(network_l1_ns=342_000,
-                                   protocol_rx1_ns=15_200_000), OffsetTable())
+                                   protocol_rx1_ns=15_200_000))
     assert rec.network_l1_ns == 342_000
     assert rec.protocol_rx1_ns == 15_200_000
     assert rec.protocol_l1_ns == 15_542_000        # 15.5 ms hop-1 protocol latency
     rec.check_identities()
+
+
+def test_assemble_reads_each_instant_on_its_nodes_clock():
+    # the logs hold true instants; spans, server_dist and one-way delays are
+    # measured on the clock of the node that logged them (offset and drift,
+    # negative drift included), corrected by the estimated offsets, and the
+    # ground-truth delays are plain differences of the logged instants
+    sender = NodeClock("sender", true_offset_ns=3 * MS, drift_ppm=20)
+    relay = NodeClock("relay", true_offset_ns=-1_250_000, drift_ppm=-35)
+    sender.apply_estimate(3 * MS)
+    relay.apply_estimate(-1_250_000)
+    logs = _logs(sender_clock=sender, relay_clock=relay)
+    s, r = sender.local_from_true, relay.local_from_true
+    send, relay_recv = logs.send_log[1], logs.relay_recv[1]
+    relay_send, recv = logs.relay_send[0][1], logs.recv[0][1]
+    rec = assemble_record(1, logs)
+    assert rec.frame_tx_ns == s(send.last_send_end_ns) - s(send.first_send_ns) != 14_080_000
+    assert rec.protocol_rx1_ns == r(relay_recv.last_recv_ns) - r(relay_recv.first_recv_ns)
+    assert rec.protocol_tx2_ns == (r(relay_send.last_send_end_ns)
+                                   - r(relay_send.first_send_ns))
+    assert rec.server_dist_ns == r(relay_send.last_send_end_ns) - r(relay_recv.complete_ns)
+    assert rec.frame_rx_ns == 19_500_000                 # receiver 0 is the master
+    assert rec.network_l1_ns == (r(relay_recv.first_recv_ns)
+                                 - (s(send.first_send_ns) + 3 * MS + 1_250_000))
+    assert rec.network_l2_ns == (recv.first_recv_ns
+                                 - (r(relay_send.first_send_ns) - 1_250_000))
+    assert rec.network_l_ns == recv.first_recv_ns - (s(send.first_send_ns) + 3 * MS)
+    assert rec.network_l_uncorrected_ns == recv.first_recv_ns - s(send.first_send_ns)
+    assert rec.network_l_true_ns == 1_200_000
+    assert rec.network_l1_true_ns == 342_000
+    assert rec.network_l2_true_ns == recv.first_recv_ns - relay_send.first_send_ns
+    assert rec.capture_start_ns == s(0) == -3 * MS
+    assert rec.display_ns == logs.app_rx[0][1].display_ns
+    logs.has_ground_truth = False
+    assert assemble_record(1, logs).network_l_true_ns == 0
 
 
 def test_all_zero_record_holds_identities_degenerately():
@@ -83,7 +116,7 @@ def test_missing_log_entry_names_its_source():
     logs = _logs()
     del logs.relay_send[0][1]
     with pytest.raises(MetricsError, match=r"relay downstream\[0\]"):
-        assemble_record(1, logs, OffsetTable())
+        assemble_record(1, logs)
 
 
 def test_summarize_constant_and_alternating_series():
@@ -130,7 +163,7 @@ def test_ns_to_ms_str_is_exact_decimal():
 
 
 def test_csv_row_identities_hold_in_decimal(tmp_path):
-    rec = assemble_record(1, _logs(), OffsetTable())
+    rec = assemble_record(1, _logs())
     text = render_frames_csv([rec])
     header, row = text.strip().split("\n")
     cols = dict(zip(header.split(","), row.split(",")))
@@ -147,7 +180,7 @@ def test_csv_row_identities_hold_in_decimal(tmp_path):
 
 
 def test_write_report_shapes_and_determinism(tmp_path):
-    recs = [assemble_record(1, _logs(), OffsetTable())]
+    recs = [assemble_record(1, _logs())]
     for i in range(2, 301):
         r = FrameLatencyRecord(frame_id=i, completed=True)
         recs.append(r)

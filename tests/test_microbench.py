@@ -90,7 +90,7 @@ def _ingest(receiver, burst, frame_id=1):
 def test_bench_ingest_segment(benchmark):
     # one 47-packet run completes segment 1 of a fresh frame
     burst = _sender(1_400)._plan_burst(0, 1, 1, 47, 1, 47, SEGMENT, 0, False)
-    receiver = ReceiverEndpoint(1, NodeClock("r"), deadline_ns=0)
+    receiver = ReceiverEndpoint(1, deadline_ns=0)
     frame_ids = iter(range(1, ROUNDS + 1))
 
     def setup():
@@ -113,7 +113,7 @@ def test_bench_ingest_frame(benchmark):
         return log
 
     def setup():
-        return (ReceiverEndpoint(1, NodeClock("r"), deadline_ns=0),), {}
+        return (ReceiverEndpoint(1, deadline_ns=0),), {}
 
     log = benchmark.pedantic(complete, setup=setup, rounds=ROUNDS // 4, iterations=1)
     assert log is not None and log.frame_id == 1 and log.payload_len == 3_520_000

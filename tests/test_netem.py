@@ -90,8 +90,10 @@ def test_equal_time_events_fire_in_insertion_order():
 
 
 def test_empty_queue_step_reports_completion():
+    # an empty queue has nothing to fire: run() returns at once, with 0 events
     q = EventQueue()
-    assert q.step() is None
+    assert q.run() == 0
+    assert q.now == 0
 
 
 def test_scheduling_in_the_past_fails_fast():

@@ -172,10 +172,12 @@ def test_frame_missing_from_any_log_gets_a_dropped_record(small_cfg):
                 relay_recv=dict(sim.relay_up.recv_log),
                 relay_send=[dict(ep.send_log) for ep in sim.relay_down],
                 recv=[dict(ep.recv_log) for ep in sim.receivers],
-                app_rx=[dict(m) for m in sim.app_rx_records])
+                app_rx=[dict(m) for m in sim.app_rx_records],
+                sender_clock=sim.sender_clock, relay_clock=sim.relay_clock,
+                receiver_clocks=sim.receiver_clocks)
             table = getattr(logs, name)
             del (table[r] if isinstance(table, list) else table)[2]
-            records = pipeline.receiver_records(logs, result.offsets, r, sim.frame_count)
+            records = pipeline.receiver_records(logs, r, sim.frame_count)
             frame_ids = list(range(1, sim.frame_count + 1))
             assert [rec.frame_id for rec in records] == frame_ids
             assert [rec.completed for rec in records] == [f != 2 for f in frame_ids]
@@ -252,7 +254,7 @@ def test_lost_nacks_on_reverse_path_still_recover(small_cfg):
 def test_clock_offset_correction(small_cfg):
     cfg = small_cfg(**{"clock.sender_offset_ms": 3.0})
     result = run_simulation(cfg, write_outputs=False)
-    assert result.offsets.sender_est_ns == 3 * MS
+    assert result.sim.sender_clock.estimated_offset_ns == 3 * MS
     for rec in result.primary.records:
         if not rec.completed:
             continue
@@ -278,7 +280,7 @@ def test_payload_check_catches_one_flipped_byte(small_cfg, monkeypatch):
         return bytes(buf)
 
     def flagged_ingest(self, *args):
-        at_receiver1[0] = self.receiver.clock.name == "receiver1"
+        at_receiver1[0] = self.forward.name == "hop2_r1"
         try:
             ingest(self, *args)
         finally:

@@ -34,7 +34,7 @@ class _Recorder:
 
 
 def _receiver():
-    return ReceiverEndpoint(1, NodeClock("receiver", "master"), retain_payloads=True)
+    return ReceiverEndpoint(1, retain_payloads=True)
 
 
 def _datagrams(size, seg_size, pps, stream_id=1):
@@ -165,7 +165,7 @@ def test_one_hop_over_loopback_recovers_a_withheld_datagram():
         tx_addr = tx.getsockname()
         sender = SenderEndpoint(1, 100_000_000, NodeClock("sender", "master"),
                                 segment_payload_size=8_000)
-        receiver = ReceiverEndpoint(1, NodeClock("receiver", "master"), deadline_ns=0)
+        receiver = ReceiverEndpoint(1, deadline_ns=0)
         sending = Hop(sender, (tx, rx.getsockname()), (tx, rx.getsockname()), None, driver)
         receiving = Hop(None, (rx, None), (rx, None), receiver, driver)
         driver.add_hop(sending)
@@ -196,10 +196,10 @@ def test_relay_stops_only_after_its_delayed_forwards():
         a, b, c, d = (driver.open("127.0.0.1", 0) for _ in range(4))
         sending = Hop(cfg.sender_endpoint(cfg.hop1.pacing_bps[0], clock),
                       (a, b.getsockname()), (a, b.getsockname()), None, driver)
-        up = Hop(None, (b, None), (b, None), cfg.receiver_endpoint(clock, relay=True), driver)
+        up = Hop(None, (b, None), (b, None), cfg.receiver_endpoint(relay=True), driver)
         down = Hop(cfg.sender_endpoint(cfg.hop2_pacing(0), clock),
                    (c, d.getsockname()), (c, d.getsockname()), None, driver)
-        final = Hop(None, (d, None), (d, None), cfg.receiver_endpoint(clock), driver)
+        final = Hop(None, (d, None), (d, None), cfg.receiver_endpoint(), driver)
         cfg.relay_node(up.receiver, [down.sender], driver.schedule,
                        lambda r, bursts: down.deliver(bursts), random.Random(0))
         for hop in (sending, up, down, final):

@@ -113,12 +113,10 @@ def _merge_sim_run(tmp_path, overrides, tamper=None):
                                  **overrides}) == []
     sim = run_simulation(cfg).sim
     out = str(merged_dir)
-    _write_sender_log(out, sim.sender_clock.estimated_offset_ns, sim.sender,
-                      sim.app_tx_records)
-    _write_relay_log(out, sim.relay_clock.estimated_offset_ns, sim.relay)
+    _write_sender_log(out, sim.sender_clock, sim.sender, sim.app_tx_records)
+    _write_relay_log(out, sim.relay_clock, sim.relay)
     for r, ep in enumerate(sim.receivers):
-        _write_receiver_log(out, r, sim.receiver_clocks[r].estimated_offset_ns, ep,
-                            sim.app_rx_records[r])
+        _write_receiver_log(out, r, sim.receiver_clocks[r], ep, sim.app_rx_records[r])
     if tamper is not None:
         tamper(out)
     cfg.out_dir = out
@@ -160,7 +158,7 @@ def test_merged_report_counts_each_receivers_own_mismatches_and_anomalies(tmp_pa
     def tamper(out):
         paths = [Path(out) / f"receiver{r}_log.json" for r in (0, 1)]
         logs = [json.loads(path.read_text()) for path in paths]
-        logs[0]["offset_ns"] -= 1_000_000_000
+        logs[0]["clock"]["estimated_offset_ns"] -= 1_000_000_000
         logs[1]["recv_log"]["3"]["payload_checksum"] ^= 1
         for path, log in zip(paths, logs):
             path.write_text(json.dumps(log))
