@@ -133,9 +133,10 @@ def _read_role_log(out_dir: str, role: str) -> dict:
 # -- clock sync over UDP ---------------------------------------------------------
 
 
-def _sync_against_master(cfg: ScenarioConfig, clock: HostClock, name: str) -> int:
+def _sync_against_master(cfg: ScenarioConfig, clock: HostClock, node: NodeClock) -> None:
+    """Estimate ``node``'s offset to receiver 0 and apply it to ``node``."""
     if not cfg.clock.sync_enabled:
-        return 0
+        return
     addr = (cfg.socket.receiver_host, _ports(cfg)["sync"])
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.settimeout(0.5)
@@ -152,8 +153,9 @@ def _sync_against_master(cfg: ScenarioConfig, clock: HostClock, name: str) -> in
             t4 = clock.now_ns()
             resp = decode_packet(data)
             if isinstance(resp, ControlPacket) and resp.packet_type == PacketType.SYNC_RESP:
-                return estimate_offset(resp.t1, resp.t2, resp.t3, t4)
-        raise VolstreamError(f"{name}: clock sync against master failed")
+                node.apply_estimate(estimate_offset(resp.t1, resp.t2, resp.t3, t4))
+                return
+        raise VolstreamError(f"{node.name}: clock sync against master failed")
     finally:
         sock.close()
 
@@ -329,7 +331,7 @@ def _run_until_drained(cfg: ScenarioConfig, driver: SocketDriver, *logs) -> None
 def run_sender_role(cfg: ScenarioConfig, out_dir: str) -> None:
     clock = HostClock()
     node_clock = NodeClock("sender", "slave")
-    node_clock.apply_estimate(_sync_against_master(cfg, clock, "sender"))
+    _sync_against_master(cfg, clock, node_clock)
     relay = (cfg.socket.relay_host, _ports(cfg)["relay_up"])
     app_tx = {}
     with SocketDriver(clock) as driver:
@@ -347,7 +349,7 @@ def run_sender_role(cfg: ScenarioConfig, out_dir: str) -> None:
 def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
     clock = HostClock()
     node_clock = NodeClock("relay", "slave")
-    node_clock.apply_estimate(_sync_against_master(cfg, clock, "relay"))
+    _sync_against_master(cfg, clock, node_clock)
     ports = _ports(cfg)
     with SocketDriver(clock) as driver:
         sock = driver.open(cfg.socket.relay_host, ports["relay_up"])
@@ -374,7 +376,7 @@ def run_receiver_role(cfg: ScenarioConfig, out_dir: str, index: int = 0) -> None
     master = index == 0
     node_clock = NodeClock(f"receiver{index}", "master" if master else "slave")
     if not master:
-        node_clock.apply_estimate(_sync_against_master(cfg, clock, f"receiver{index}"))
+        _sync_against_master(cfg, clock, node_clock)
     ports = _ports(cfg)
     ep = cfg.receiver_endpoint()
     app_rx = {}
