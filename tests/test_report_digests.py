@@ -1,13 +1,17 @@
 """Golden digests: the sim's reports are a pure function of (config, seed).
 
 Every report CSV of the four canned scenarios (streams cut to 1 s; the probe
-runs as it is) and of four ``paper-default`` variants is pinned by its
+runs as it is) and of five ``paper-default`` variants is pinned by its
 sha256. The variants cover what the canned scenarios leave out: 1% loss on
 both hops; four receivers with 256 B packets (four hop-2 links, senders and
 receivers, and many small runs); and store-and-forward with relay stalls,
 two receivers and offset, drifting sender and relay clocks; and negative
 drift with opposite offsets and hop-2 loss, under which a node's local
-reading is not strictly increasing in true time. The first five
+reading is not strictly increasing in true time; and 3 s with a resync
+every 0.5 s, two receivers and offset, drifting sender and relay clocks, the
+only pin whose run syncs again after t = 0. Correcting each delay with the
+estimate in force at its instant (ROADMAP item 2) will change that pin's
+reports, and re-pin it on purpose. The first five
 pins were computed before bursts were carried as delivered runs, on the
 per-packet link code, and the two multi-receiver pins before the two hops
 shared one set of handlers, so a change to how the sim computes arrivals or
@@ -44,6 +48,10 @@ CASES = {
     "paper-default-negdrift-lossy-hop2": ("paper-default", {
         **ONE_SECOND, "clock.sender_offset_ms": "-2.75", "clock.relay_offset_ms": "4",
         "clock.drift_ppm": "-35", "hop2.loss_rate": "0.001"}),
+    "paper-default-3s-resync-2rx-drift": ("paper-default", {
+        "duration_s": "3", "receivers": "2", "clock.sync_interval_s": "0.5",
+        "clock.drift_ppm": "35", "clock.sender_offset_ms": "2",
+        "clock.relay_offset_ms": "-1"}),
 }
 
 GOLDEN = {
@@ -61,6 +69,12 @@ GOLDEN = {
     "paper-default": {
         "frames.csv": "7bf213176c829fc55c9f8e7848620f017302d91a194ff5c98e75c0152abc91a7",
         "summary.csv": "5c459eee258a126047abb947c4ee9ef2d8b6bd3c39d3788cb6a0a1368305b190",
+    },
+    "paper-default-3s-resync-2rx-drift": {
+        "frames.csv": "3732eaf81664da72c837f515f7f6a3723ea2fc884dd84c29e14b54908502c9d4",
+        "frames_r1.csv": "d16ba28e50d377708481565edd66c5b7f1c7e0a6480bc72cd56686592ecf77d2",
+        "summary.csv": "3a5765a7ad464e22e748ad23564ac5719814a2246cfc9953fbc2a4c28e7bcad7",
+        "summary_r1.csv": "e257ac782d1a620628650ebcc4b218ebcf80c3bfebf7d10af910a01277f88065",
     },
     "paper-default-4rx-pps256": {
         "frames.csv": "b8a0b8eb821c9e3117a1eaaaeca37576872b5d8e8de4a854ca4d52cfafc604f7",
