@@ -1,0 +1,56 @@
+"""The sim's two link paths give the same reports, end to end.
+
+``Link.carry`` turns a paced burst into delivered runs. With a trace, every
+burst crosses ``Link.traverse`` packet by packet instead: the reference path
+that ``tests/test_carry.py`` compares with ``carry`` one link at a time.
+Here small random configs run whole, once each way. Their report CSVs must
+be byte-identical, and every report must keep the latency identities, count
+each hop's lost packets as sent minus delivered, and find no payload
+mismatch.
+"""
+
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from volstream.metrics import render_frames_csv, render_summary_csv
+from volstream.pipeline import run_simulation
+
+from conftest import make_small_config
+
+CONFIGS = st.fixed_dictionaries({
+    "seed": st.integers(1, 1_000),
+    "receivers": st.integers(1, 3),
+    "hop1.loss_rate": st.sampled_from([0, 0.001, 0.02]),
+    "hop2.loss_rate": st.sampled_from([0, 0.001, 0.02]),
+    "hop2.reverse_loss_rate": st.sampled_from([0, 0.05]),
+    "hop1.reorder_rate": st.sampled_from([0, 0.05]),
+    "hop2.reorder_rate": st.sampled_from([0, 0.05]),
+    "relay.policy": st.sampled_from(["cut_through", "store_forward"]),
+    "stall.probability": st.sampled_from([0, 0.3]),
+    "stall.max_ms": st.sampled_from([0, 4]),
+    "clock.sender_offset_ms": st.integers(-4, 4),
+    "clock.relay_offset_ms": st.integers(-4, 4),
+    "clock.drift_ppm": st.sampled_from([0, 35, -35]),
+    "clock.sync_interval_s": st.sampled_from([1.0, 0.1]),
+})
+
+
+def _reports(overrides: dict, trace: bool) -> list:
+    cfg = make_small_config(duration_s=0.4, **overrides, **{"trace.enabled": trace})
+    result = run_simulation(cfg, write_outputs=False)
+    assert result.payload_mismatches == 0
+    reports = []
+    for rr in result.receivers:
+        for rec in rr.records:
+            rec.check_identities()
+        counts = rr.summary.packet_counts
+        for hop in ("hop1", "hop2"):
+            assert counts[f"{hop}_lost"] == counts[f"{hop}_sent"] - counts[f"{hop}_delivered"]
+        reports.append((render_frames_csv(rr.records), render_summary_csv(rr.summary)))
+    return reports
+
+
+@settings(max_examples=40, deadline=None)
+@given(overrides=CONFIGS)
+def test_trace_path_gives_the_same_reports(overrides):
+    assert _reports(overrides, trace=True) == _reports(overrides, trace=False)
