@@ -9,7 +9,7 @@ metrics written as CSV reports.
 from .frames import (DataPacket, Segment, VolumetricFrame, make_synthetic_frame,
                      required_bandwidth_bps, segment_frame)
 from .wire import ControlPacket, PacketType, decode_packet, encode_packet
-from .clock import NodeClock, SyncPath, estimate_offset, one_way_delay, sync_exchange
+from .clock import NodeClock, SyncPath, estimate_offset, one_way_delay
 from .netem import EventQueue, Link, LinkModel, NodeStageModel, run_probe_experiment
 from .transport import ReceiverEndpoint, SenderEndpoint
 from .relay import RelayNode, StallModel

@@ -8,10 +8,11 @@ correction that converts a node's local timestamp onto the master clock:
 
 so a slave with a positive offset reads *behind* the master. A two-way
 request/response exchange estimates that correction: the slave sends at t1
-(slave clock), the master receives at t2 and replies at t3 (master clock;
-it replies at once, so t3 = t2), and the slave receives at t4 (slave
-clock). With symmetric path delays the estimate equals the true correction
-exactly; with asymmetric delays it is biased by half the asymmetry.
+(slave clock), the master receives at t2 and replies at t3 (master clock),
+and the slave receives at t4 (slave clock). With symmetric path delays the
+estimate equals the true correction exactly; with asymmetric delays it is
+biased by half the asymmetry. ``pipeline.Sync`` runs the exchanges, in both
+modes, and each slave's ``NodeClock`` keeps what they estimated.
 
 One-way delay of a data packet is then receive time minus the embedded send
 timestamp converted into the receiver's clock.
@@ -20,10 +21,6 @@ timestamp converted into the receiver's clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from .errors import SyncError
-
-NS_PER_S = 1_000_000_000
 
 
 @dataclass
@@ -35,15 +32,16 @@ class NodeClock:
     virtual (true) timeline, and ``true_offset_ns`` and ``drift_ppm`` (a
     rate error of that many parts per million, anchored at true time zero)
     emulate the node's clock error. In socket mode the driver's time is
-    already the node's reading, so both are zero. ``estimated_offset_ns``
-    is the correction the node's sync exchange estimated.
+    already the node's reading, so both are zero. ``syncs`` holds one
+    ``(local reading at t4, estimated correction)`` pair per completed sync
+    exchange, in order.
     """
 
     name: str
     role: str = "slave"  # "master" | "slave"
     true_offset_ns: int = 0
-    estimated_offset_ns: int = 0
     drift_ppm: float = 0.0
+    syncs: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.role not in ("master", "slave"):
@@ -57,13 +55,15 @@ class NodeClock:
             local += int(true_ns * self.drift_ppm) // 1_000_000
         return local
 
-    def apply_estimate(self, offset_ns: int) -> None:
-        self.estimated_offset_ns = offset_ns
+    @property
+    def estimated_offset_ns(self) -> int:
+        """The last exchange's estimate, or 0 before any exchange."""
+        return self.syncs[-1][1] if self.syncs else 0
 
 
 @dataclass(frozen=True)
 class SyncPath:
-    """Dedicated bidirectional path used only for sync exchanges."""
+    """The sim's path for sync exchanges: each leg's delay and loss rate."""
 
     req_delay_ns: int = 100_000
     resp_delay_ns: int = 100_000
@@ -76,58 +76,9 @@ class SyncPath:
             raise ValueError("sync path loss_rate must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class SyncResult:
-    estimated_offset_ns: int
-    t1: int
-    t2: int
-    t3: int
-    t4: int
-    attempts: int
-
-
 def estimate_offset(t1: int, t2: int, t3: int, t4: int) -> int:
     """Two-way offset estimate from the four exchange timestamps."""
     return ((t2 - t1) - (t4 - t3)) // 2
-
-
-def sync_exchange(
-    slave: NodeClock,
-    master: NodeClock,
-    path: SyncPath,
-    now_true_ns: int = 0,
-    rng=None,
-    max_attempts: int = 3,
-) -> SyncResult:
-    """Run one offset-estimation handshake and apply the result to the slave.
-
-    Each attempt may lose the request or the response on the sync path
-    (seeded ``rng``); after ``max_attempts`` losses a ``SyncError`` is
-    raised. The exchange is evaluated analytically on the true timeline.
-    """
-    if max_attempts < 1:
-        raise SyncError("max_attempts must be >= 1")
-    t = now_true_ns
-    for attempt in range(1, max_attempts + 1):
-        t1 = slave.local_from_true(t)
-        lost_req = rng is not None and path.loss_rate > 0 and rng.random() < path.loss_rate
-        arrive_master = t + path.req_delay_ns
-        if lost_req:
-            t = arrive_master + path.resp_delay_ns  # wait out the round trip
-            continue
-        t2 = t3 = master.local_from_true(arrive_master)
-        lost_resp = rng is not None and path.loss_rate > 0 and rng.random() < path.loss_rate
-        arrive_slave = arrive_master + path.resp_delay_ns
-        if lost_resp:
-            t = arrive_slave
-            continue
-        t4 = slave.local_from_true(arrive_slave)
-        offset = estimate_offset(t1, t2, t3, t4)
-        slave.apply_estimate(offset)
-        return SyncResult(offset, t1, t2, t3, t4, attempt)
-    raise SyncError(
-        f"sync between {slave.name} and {master.name} failed after {max_attempts} attempts"
-    )
 
 
 @dataclass

@@ -2,16 +2,17 @@
 
 Topology: sender -> relay (sync server) -> N receivers, two emulated hops
 with independent forward and reverse (control) links. Receiver 0 is the
-time master; sender and relay run offset clocks synced over a dedicated
-loss-free path. The event core is strictly single-threaded over the virtual
-clock and every random draw comes from a named seeded stream, so a run is a
-pure function of (config, seed).
+time master; every other node runs an offset, drifting clock and syncs to it
+over a dedicated path. The event core is strictly single-threaded over the
+virtual clock and every random draw comes from a named seeded stream, so a
+run is a pure function of (config, seed).
 
 Both hops (sender -> relay, relay -> each receiver) are a ``Hop``, whose
 handlers are the protocol's event handling in both modes, written against a
 driver; the sim's driver is ``SimDriver`` and socket mode's is
-``sockets.SocketDriver``. Each packet burst is a pacer progression (first
-emission, bits per packet, rate). ``Link.carry`` turns it into delivered
+``sockets.SocketDriver``. Each slave's clock sync is a ``Sync``, run the
+same way. Each packet burst is a pacer progression (first emission, bits per
+packet, rate). ``Link.carry`` turns it into delivered
 runs, each with its first and last arrival and the packet that arrived
 first, and each run is scheduled as one ``ingest_run`` call at its last
 arrival; losses split runs and NACK-driven retransmissions fill them back
@@ -29,9 +30,9 @@ import random
 from dataclasses import dataclass
 
 from .appemu import capture_tick, render_complete
-from .clock import AnomalyLog, NodeClock, SyncPath, sync_exchange
+from .clock import AnomalyLog, NodeClock, SyncPath, estimate_offset
 from .config import ScenarioConfig, _ms, _us, render_config
-from .errors import ConfigError
+from .errors import ConfigError, SyncError
 from .metrics import (FrameLatencyRecord, RunLogs, RunSummary, assemble_record,
                       summarize, write_report)
 from .netem import TRACE_COLUMNS, EventQueue, Link
@@ -113,6 +114,58 @@ class Hop:
         self.arm_timer()
 
 
+@dataclass(slots=True)
+class Sync:
+    """A slave's two-way clock-sync exchanges with the master, receiver 0.
+
+    ``request`` sends t1, the slave's reading, through ``driver.send_sync``;
+    the master's ``answer`` adds t2, read at the request's arrival, and t3,
+    at the reply; ``response`` reads t4 and appends the estimate to the
+    slave's clock if the reply echoes the outstanding t1. An unanswered
+    request is resent after ``retry_ns``, ``attempts`` times in all (a newer
+    exchange supersedes it), and then raises ``SyncError``. In the sim one
+    object holds both halves and ``path`` is ``(SyncPath, rng)``; in socket
+    mode a process holds one half and ``path`` is ``(socket, peer)``.
+    """
+
+    slave: NodeClock | None
+    master: NodeClock | None
+    path: object
+    driver: object
+    retry_ns: int = 0
+    attempts: int = 1
+    outstanding: int | None = None   # t1 of the unanswered request
+
+    def request(self, attempt: int = 1) -> None:
+        now = self.driver.now()
+        t1 = self.slave.local_from_true(now)
+        self.outstanding = t1
+        self.driver.send_sync(self, ControlPacket(packet_type=PacketType.SYNC_REQ,
+                                                   stream_id=0, t1=t1, send_timestamp=t1))
+        self.driver.schedule(now + self.retry_ns, self.expire, t1, attempt)
+
+    def expire(self, t1: int, attempt: int) -> None:
+        if self.outstanding != t1:
+            return
+        if attempt >= self.attempts:
+            raise SyncError(f"sync between {self.slave.name} and the master failed "
+                            f"after {attempt} attempts")
+        self.request(attempt + 1)
+
+    def answer(self, req: ControlPacket, arrival_ns: int, reply_ns: int) -> ControlPacket:
+        t3 = self.master.local_from_true(reply_ns)
+        return ControlPacket(packet_type=PacketType.SYNC_RESP, stream_id=req.stream_id,
+                             t1=req.t1, t2=self.master.local_from_true(arrival_ns), t3=t3,
+                             send_timestamp=t3)
+
+    def response(self, resp: ControlPacket) -> None:
+        if resp.packet_type != PacketType.SYNC_RESP or resp.t1 != self.outstanding:
+            return
+        self.outstanding = None
+        t4 = self.slave.local_from_true(self.driver.now())
+        self.slave.syncs.append((t4, estimate_offset(resp.t1, resp.t2, resp.t3, t4)))
+
+
 class SimDriver:
     """The sim's driver: the event queue's virtual clock and each hop's links.
     A burst's delivered runs and the control packets that survive the
@@ -141,6 +194,17 @@ class SimDriver:
         if arrivals[0] is not None:
             self.schedule(arrivals[0], hop.control, ctrl)
 
+    def send_sync(self, sync: Sync, req: ControlPacket) -> None:
+        """Carry ``req`` across ``sync``'s ``SyncPath`` and the master's answer
+        back, each leg lost at the path's loss rate. Both legs are computed at
+        the send, so an answer arriving as its retry falls due comes first."""
+        path, rng = sync.path
+        if path.loss_rate > 0 and (rng.random() < path.loss_rate
+                                   or rng.random() < path.loss_rate):
+            return
+        at = self.evq.now + path.req_delay_ns
+        self.schedule(at + path.resp_delay_ns, sync.response, sync.answer(req, at, at))
+
 
 def schedule_captures(driver, hop: Hop, cfg: ScenarioConfig, rng,
                       start_ns: int, app_tx: dict) -> None:
@@ -163,6 +227,15 @@ def schedule_captures(driver, hop: Hop, cfg: ScenarioConfig, rng,
     for k in range(frames):
         tick = start_ns + k * profile.interval_ns
         driver.schedule(tick, capture, k, tick)
+
+
+def schedule_syncs(driver, sync: Sync, cfg: ScenarioConfig, start_ns: int) -> None:
+    """Schedule ``sync``'s exchanges: at ``start_ns`` and every
+    ``clock.sync_interval_s`` after it, before ``duration_s`` has passed.
+    The sim and every socket slave role sync through here."""
+    interval = int(cfg.clock.sync_interval_s * NS_PER_S)
+    for t in range(start_ns, start_ns + int(cfg.duration_s * NS_PER_S), interval):
+        driver.schedule(t, sync.request)
 
 
 def render_on_frame(cfg: ScenarioConfig, rng, app_rx: dict):
@@ -254,35 +327,17 @@ class SimulationRun:
             self._rngs[name] = rng
         return rng
 
-    # -- clock sync ---------------------------------------------------------------
-
-    def _sync_path(self) -> SyncPath:
-        k = self.cfg.clock
-        return SyncPath(req_delay_ns=_us(k.sync_req_us), resp_delay_ns=_us(k.sync_resp_us),
-                        loss_rate=k.sync_loss_rate)
-
-    def _sync_all(self, now_ns: int) -> None:
-        k = self.cfg.clock
-        if not k.sync_enabled:
-            return
-        path = self._sync_path()
-        master = self.receiver_clocks[0]
-        rng = self._rng("sync")
-        for clk in (self.sender_clock, self.relay_clock, *self.receiver_clocks[1:]):
-            sync_exchange(clk, master, path, now_ns, rng, max_attempts=k.sync_retries)
-
     # -- run ---------------------------------------------------------------------------
 
     def run(self) -> SimResult:
         cfg = self.cfg
-        self._sync_all(0)
-        if cfg.clock.sync_enabled:
-            interval = int(cfg.clock.sync_interval_s * NS_PER_S)
-            horizon = int(cfg.duration_s * NS_PER_S)
-            t = interval
-            while t < horizon:
-                self.evq.schedule(t, self._sync_all, t)
-                t += interval
+        k = cfg.clock
+        if k.sync_enabled:
+            path = SyncPath(_us(k.sync_req_us), _us(k.sync_resp_us), k.sync_loss_rate)
+            for clk in (self.sender_clock, self.relay_clock, *self.receiver_clocks[1:]):
+                sync = Sync(clk, self.receiver_clocks[0], (path, self._rng("sync")), self.driver,
+                            path.req_delay_ns + path.resp_delay_ns, k.sync_retries)
+                schedule_syncs(self.driver, sync, cfg, 0)
         schedule_captures(self.driver, self.hop1, cfg, self._rng("apptx"), 0,
                           self.app_tx_records)
         self.evq.run()

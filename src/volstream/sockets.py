@@ -13,11 +13,12 @@ For multi-host use, start each role by hand with ``--role``.
 A frame's send span comes from its pacer plan, as in the sim; each
 datagram's stamp records when it was actually sent. A role's driver time is
 a wall-anchored monotonic host clock, comparable across processes on one
-host, so its logs hold its own local readings. Each role estimates its
-offset by a SYNC_REQ/SYNC_RESP exchange against receiver 0, which answers
-from its own loop, applies it to its ``NodeClock`` and writes that clock
-with its logs. The emulated link models do not apply here; socket mode
-prints a warning and ignores them.
+host, so its logs hold its own local readings. Every other role syncs
+against receiver 0 from its own loop, at its start and every
+``clock.sync_interval_s``, with the sim's ``pipeline.Sync`` over a socket of
+its own, and writes its ``NodeClock`` with its logs. The emulated link
+models and the sim's sync path (``clock.sync_req_us``, ``sync_resp_us`` and
+``sync_loss_rate``) do not apply here; socket mode warns and ignores them.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ import time
 from functools import partial
 
 from .appemu import AppRxRecord, AppTxRecord
-from .clock import AnomalyLog, NodeClock, estimate_offset
+from .clock import AnomalyLog, NodeClock
 from .config import ScenarioConfig, render_config
 from .errors import CodecError, VolstreamError
 from .metrics import RunLogs, write_report
-from .pipeline import Hop, receiver_reports, render_on_frame, schedule_captures
+from .pipeline import (Hop, Sync, receiver_reports, render_on_frame, schedule_captures,
+                       schedule_syncs)
 from .relay import RelayNode
 from .transport import ReceiverEndpoint, RecvLogEntry, SenderEndpoint, SendLogEntry
 from .wire import (HEADER_SIZE, ControlPacket, PacketType, decode_packet, encode_packet,
@@ -130,36 +132,6 @@ def _read_role_log(out_dir: str, role: str) -> dict:
         raise VolstreamError(f"missing role log {path}: {exc}") from exc
 
 
-# -- clock sync over UDP ---------------------------------------------------------
-
-
-def _sync_against_master(cfg: ScenarioConfig, clock: HostClock, node: NodeClock) -> None:
-    """Estimate ``node``'s offset to receiver 0 and apply it to ``node``."""
-    if not cfg.clock.sync_enabled:
-        return
-    addr = (cfg.socket.receiver_host, _ports(cfg)["sync"])
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.settimeout(0.5)
-    try:
-        for _ in range(max(cfg.clock.sync_retries, 1) * 4):
-            t1 = clock.now_ns()
-            req = ControlPacket(packet_type=PacketType.SYNC_REQ, stream_id=cfg.stream_id,
-                                t1=t1, send_timestamp=t1)
-            sock.sendto(encode_packet(req), addr)
-            try:
-                data, _ = sock.recvfrom(2048)
-            except socket.timeout:
-                continue
-            t4 = clock.now_ns()
-            resp = decode_packet(data)
-            if isinstance(resp, ControlPacket) and resp.packet_type == PacketType.SYNC_RESP:
-                node.apply_estimate(estimate_offset(resp.t1, resp.t2, resp.t3, t4))
-                return
-        raise VolstreamError(f"{node.name}: clock sync against master failed")
-    finally:
-        sock.close()
-
-
 # -- the socket driver -------------------------------------------------------------
 
 
@@ -231,6 +203,28 @@ class SocketDriver:
         ``(data, source, arrival ns)`` triples that ``sock`` receives."""
         self._sel.register(sock, selectors.EVENT_READ, on_datagrams)
 
+    def send_sync(self, sync: Sync, req: ControlPacket) -> None:
+        sock, peer = sync.path
+        sock.sendto(encode_packet(req), peer)
+        self.last_io_ns = self.now()
+
+    def on_sync(self, sync: Sync, datagrams) -> None:
+        """Feed one drained batch to ``sync``'s half: the master answers each
+        SYNC_REQ to its source, a slave takes control packets as replies;
+        malformed datagrams and data are dropped."""
+        for data, src, arrival in datagrams:
+            try:
+                ctrl = decode_packet(data)
+            except CodecError:
+                continue
+            if not isinstance(ctrl, ControlPacket):
+                continue
+            if sync.master is None:
+                sync.response(ctrl)
+            elif ctrl.packet_type == PacketType.SYNC_REQ:
+                sync.path = (sync.path[0], src)
+                self.send_sync(sync, sync.answer(ctrl, arrival, self.now()))
+
     def add_hop(self, hop: Hop) -> None:
         """Receive ``hop``'s datagrams: data at a receiving half, ACKs and
         NACKs at a sending half."""
@@ -297,25 +291,24 @@ class SocketDriver:
                 self._drain(key.fileobj, key.data)
 
 
-def _answer_sync(driver: SocketDriver, sock, stream_id: int):
-    """Receiver 0's SYNC_REQ handler: t2 at receive, t3 at reply, t1 echoed."""
-    def answer(datagrams):
-        for data, src, t2 in datagrams:
-            try:
-                req = decode_packet(data)
-            except CodecError:
-                continue
-            if isinstance(req, ControlPacket) and req.packet_type == PacketType.SYNC_REQ:
-                t3 = driver.now()
-                resp = ControlPacket(packet_type=PacketType.SYNC_RESP, stream_id=stream_id,
-                                     t1=req.t1, t2=t2, t3=t3, send_timestamp=t3)
-                sock.sendto(encode_packet(resp), src)
-    return answer
-
-
 # -- roles --------------------------------------------------------------------------
 #
 # Each role builds its half-hops, registers their sockets and runs the loop.
+
+
+def _add_sync(cfg: ScenarioConfig, driver: SocketDriver, clock: NodeClock, host: str) -> None:
+    """Receiver 0 answers sync requests on the sync port; every other role
+    runs ``clock``'s exchanges against it from a socket on ``host``."""
+    if not cfg.clock.sync_enabled:
+        return
+    port = _ports(cfg)["sync"]
+    if clock.role == "master":
+        sync = Sync(None, clock, (driver.open(host, port), None), driver)
+    else:
+        sync = Sync(clock, None, (driver.open(host, 0), (cfg.socket.receiver_host, port)),
+                    driver, NS_PER_S // 2, cfg.clock.sync_retries)
+        schedule_syncs(driver, sync, cfg, driver.now())
+    driver.register(sync.path[0], partial(driver.on_sync, sync))
 
 
 def _run_until_drained(cfg: ScenarioConfig, driver: SocketDriver, *logs) -> None:
@@ -331,10 +324,10 @@ def _run_until_drained(cfg: ScenarioConfig, driver: SocketDriver, *logs) -> None
 def run_sender_role(cfg: ScenarioConfig, out_dir: str) -> None:
     clock = HostClock()
     node_clock = NodeClock("sender", "slave")
-    _sync_against_master(cfg, clock, node_clock)
     relay = (cfg.socket.relay_host, _ports(cfg)["relay_up"])
     app_tx = {}
     with SocketDriver(clock) as driver:
+        _add_sync(cfg, driver, node_clock, cfg.socket.sender_host)
         sock = driver.open(cfg.socket.sender_host, 0)
         hop = Hop(cfg.sender_endpoint(cfg.hop1.pacing_bps[0], node_clock),
                   (sock, relay), (sock, relay), None, driver)
@@ -349,9 +342,9 @@ def run_sender_role(cfg: ScenarioConfig, out_dir: str) -> None:
 def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
     clock = HostClock()
     node_clock = NodeClock("relay", "slave")
-    _sync_against_master(cfg, clock, node_clock)
     ports = _ports(cfg)
     with SocketDriver(clock) as driver:
+        _add_sync(cfg, driver, node_clock, cfg.socket.relay_host)
         sock = driver.open(cfg.socket.relay_host, ports["relay_up"])
         up = Hop(None, (sock, None), (sock, None),
                  cfg.receiver_endpoint(relay=True), driver)
@@ -373,10 +366,7 @@ def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
 
 def run_receiver_role(cfg: ScenarioConfig, out_dir: str, index: int = 0) -> None:
     clock = HostClock()
-    master = index == 0
-    node_clock = NodeClock(f"receiver{index}", "master" if master else "slave")
-    if not master:
-        _sync_against_master(cfg, clock, node_clock)
+    node_clock = NodeClock(f"receiver{index}", "slave" if index else "master")
     ports = _ports(cfg)
     ep = cfg.receiver_endpoint()
     app_rx = {}
@@ -384,9 +374,7 @@ def run_receiver_role(cfg: ScenarioConfig, out_dir: str, index: int = 0) -> None
     with SocketDriver(clock) as driver:
         sock = driver.open(cfg.socket.receiver_host, ports["receiver"](index))
         driver.add_hop(Hop(None, (sock, None), (sock, None), ep, driver))
-        if master and cfg.clock.sync_enabled:
-            sync = driver.open(cfg.socket.receiver_host, ports["sync"])
-            driver.register(sync, _answer_sync(driver, sync, cfg.stream_id))
+        _add_sync(cfg, driver, node_clock, cfg.socket.receiver_host)
         _run_until_drained(cfg, driver, ep.recv_log, ep.dropped)
     ep.finalize()
     _write_receiver_log(out_dir, index, node_clock, ep, app_rx)
@@ -412,7 +400,9 @@ def run_socket_orchestrated(cfg: ScenarioConfig):
 
     Returns the merged (records, summary) pair per receiver.
     """
-    print("socket mode: emulated link models (hop*.bandwidth/loss/delay) are ignored")
+    print("socket mode: emulated link models (hop*.bandwidth/loss/delay) and the sim's "
+          "sync path (clock.sync_req_us, clock.sync_resp_us, clock.sync_loss_rate) "
+          "are ignored")
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     cfg_path = os.path.join(out, "socket_config.cfg")
@@ -425,8 +415,10 @@ def run_socket_orchestrated(cfg: ScenarioConfig):
                 "--out", out]
         return subprocess.Popen(argv)
 
-    procs = [spawn("receiver", r) for r in range(cfg.receivers)]
+    # receiver 0 first: every other role syncs against it from its start
+    procs = [spawn("receiver", 0)]
     time.sleep(cfg.socket.setup_wait_s)
+    procs += [spawn("receiver", r) for r in range(1, cfg.receivers)]
     procs.append(spawn("relay"))
     time.sleep(cfg.socket.setup_wait_s)
     procs.append(spawn("sender"))

@@ -5,67 +5,74 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from volstream.clock import (AnomalyLog, NodeClock, SyncPath, estimate_offset,
-                             one_way_delay, pairwise_offset, sync_exchange)
+                             one_way_delay, pairwise_offset)
 from volstream.errors import SyncError
+from volstream.netem import EventQueue
+from volstream.pipeline import SimDriver, Sync
 
 MS = 1_000_000
 US = 1_000
 
 
+def _sync(slave, path, now_true_ns=0, rng=None, attempts=3):
+    """Run one exchange of ``slave`` against a master over ``path`` on the
+    sim's driver, from ``now_true_ns``; returns the slave's estimate."""
+    evq = EventQueue(now_true_ns)
+    driver = SimDriver(evq)
+    sync = Sync(slave, NodeClock("master", "master"), (path, rng), driver,
+                path.req_delay_ns + path.resp_delay_ns, attempts)
+    evq.schedule(now_true_ns, sync.request)
+    evq.run()
+    return slave.estimated_offset_ns
+
+
 def test_symmetric_sync_recovers_true_offset_exactly():
-    master = NodeClock("master", "master")
     slave = NodeClock("slave", "slave", true_offset_ns=3 * MS)
     path = SyncPath(req_delay_ns=100 * US, resp_delay_ns=100 * US)
-    result = sync_exchange(slave, master, path, now_true_ns=0)
-    assert result.estimated_offset_ns == 3 * MS
-    assert slave.estimated_offset_ns == 3 * MS
+    assert _sync(slave, path) == 3 * MS
+    assert slave.syncs == [(200 * US - 3 * MS, 3 * MS)]
 
 
 def test_zero_offset_estimates_zero():
-    master = NodeClock("master", "master")
     slave = NodeClock("slave", "slave", true_offset_ns=0)
-    result = sync_exchange(slave, master, SyncPath(), now_true_ns=5 * MS)
-    assert result.estimated_offset_ns == 0
+    assert _sync(slave, SyncPath(), now_true_ns=5 * MS) == 0
+    assert len(slave.syncs) == 1
 
 
 def test_asymmetric_paths_bias_half_the_asymmetry():
     # request leg 100 us, response leg 300 us, zero true offset:
     # hand-computed t1..t4 give ((t2-t1)-(t4-t3))/2 = (100-300)/2 = -100 us
-    master = NodeClock("master", "master")
     slave = NodeClock("slave", "slave", true_offset_ns=0)
     path = SyncPath(req_delay_ns=100 * US, resp_delay_ns=300 * US)
-    result = sync_exchange(slave, master, path, now_true_ns=0)
-    assert result.estimated_offset_ns == -100 * US
-    # the same timestamps fed to the bare estimator agree
-    assert estimate_offset(result.t1, result.t2, result.t3, result.t4) == -100 * US
+    assert _sync(slave, path) == -100 * US
+    # the same timestamps (t1 = 0, t2 = t3 = 100 us, t4 = 400 us) fed to
+    # the bare estimator agree
+    assert slave.syncs == [(400 * US, -100 * US)]
+    assert estimate_offset(0, 100 * US, 100 * US, 400 * US) == -100 * US
 
 
 @settings(max_examples=50, deadline=None)
 @given(offset_ms=st.integers(-50, 50), d1=st.integers(0, 500), d2=st.integers(0, 500))
 def test_estimation_error_is_half_asymmetry(offset_ms, d1, d2):
-    master = NodeClock("master", "master")
     slave = NodeClock("slave", "slave", true_offset_ns=offset_ms * MS)
     path = SyncPath(req_delay_ns=d1 * US, resp_delay_ns=d2 * US)
-    result = sync_exchange(slave, master, path, now_true_ns=123_000)
+    estimate = _sync(slave, path, now_true_ns=123_000)
     expected = offset_ms * MS + (d1 - d2) * US // 2 \
         if (d1 - d2) % 2 == 0 else None
     if expected is not None:
-        assert result.estimated_offset_ns == expected
+        assert estimate == expected
     else:
-        assert abs(result.estimated_offset_ns - (offset_ms * MS + (d1 - d2) * US / 2)) <= 1
+        assert abs(estimate - (offset_ms * MS + (d1 - d2) * US / 2)) <= 1
 
 
 def test_sync_retries_then_fails_on_lossy_path():
-    master = NodeClock("master", "master")
     slave = NodeClock("slave", "slave", true_offset_ns=1 * MS)
-    path = SyncPath(loss_rate=1.0)
-    with pytest.raises(SyncError):
-        sync_exchange(slave, master, path, rng=random.Random(1), max_attempts=3)
+    with pytest.raises(SyncError, match="after 3 attempts"):
+        _sync(slave, SyncPath(loss_rate=1.0), rng=random.Random(1), attempts=3)
+    assert slave.syncs == []
     # partial loss eventually succeeds
-    path = SyncPath(loss_rate=0.5)
-    result = sync_exchange(slave, master, path, rng=random.Random(3), max_attempts=50)
-    assert result.estimated_offset_ns == 1 * MS
-    assert result.attempts >= 1
+    assert _sync(slave, SyncPath(loss_rate=0.5), rng=random.Random(3), attempts=50) == 1 * MS
+    assert len(slave.syncs) == 1
 
 
 def test_one_way_delay_basic():

@@ -77,10 +77,9 @@ def test_assemble_reads_each_instant_on_its_nodes_clock():
     # measured on the clock of the node that logged them (offset and drift,
     # negative drift included), corrected by the estimated offsets, and the
     # ground-truth delays are plain differences of the logged instants
-    sender = NodeClock("sender", true_offset_ns=3 * MS, drift_ppm=20)
-    relay = NodeClock("relay", true_offset_ns=-1_250_000, drift_ppm=-35)
-    sender.apply_estimate(3 * MS)
-    relay.apply_estimate(-1_250_000)
+    sender = NodeClock("sender", true_offset_ns=3 * MS, drift_ppm=20, syncs=[(0, 3 * MS)])
+    relay = NodeClock("relay", true_offset_ns=-1_250_000, drift_ppm=-35,
+                      syncs=[(0, -1_250_000)])
     logs = _logs(sender_clock=sender, relay_clock=relay)
     s, r = sender.local_from_true, relay.local_from_true
     send, relay_recv = logs.send_log[1], logs.relay_recv[1]

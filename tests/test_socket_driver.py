@@ -3,15 +3,17 @@
 A socket role feeds ``pipeline.Hop`` through ``sockets.SocketDriver``: each
 drained datagram is stamped when it is read, parsed once and handed to the
 receiver as a one-packet ``ingest_run``, and malformed or misdirected
-datagrams are dropped. The last tests run hops over loopback sockets.
+datagrams are dropped. A sync socket's datagrams go to ``pipeline.Sync``.
+The last tests run hops over loopback sockets.
 """
 
+import dataclasses
 import random
 import socket
 
 from volstream.clock import NodeClock
 from volstream.frames import make_synthetic_frame
-from volstream.pipeline import Hop
+from volstream.pipeline import Hop, Sync
 from volstream.sockets import HostClock, SocketDriver
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
 from volstream.wire import ControlPacket, PacketType, decode_packet, encode_packet
@@ -185,6 +187,26 @@ def test_one_hop_over_loopback_recovers_a_withheld_datagram():
     assert receiving.reverse == (rx, tx_addr)
     # send spans follow the pacer plan; each datagram's stamp is its actual send
     assert receiver.recv_log[1].embedded_first_send_ts >= sender.send_log[1].first_send_ns + 5 * MS
+
+
+def test_sync_slave_takes_only_the_reply_to_its_outstanding_request():
+    # a late reply to an earlier request, whose round trip includes the wait,
+    # and a malformed datagram on the sync socket change nothing; the reply
+    # that echoes the outstanding request's t1 counts
+    clock, sock = NodeClock("sender"), _Recorder()
+    with SocketDriver(HostClock()) as driver:
+        slave = Sync(clock, None, (sock, PEER), driver, 500 * MS, 3)
+        master = Sync(None, NodeClock("receiver0", "master"), None, driver)
+        slave.request()
+        req = sock.sent[0]
+        now = driver.now()
+        stale = encode_packet(master.answer(dataclasses.replace(req, t1=req.t1 - 500 * MS),
+                                            now, now))
+        driver.on_sync(slave, [(stale, PEER, now), (stale[:-1], PEER, now)])
+        assert clock.syncs == []
+        driver.on_sync(slave, [(encode_packet(master.answer(req, now, now)), PEER, now)])
+    assert len(clock.syncs) == 1
+    assert slave.outstanding is None
 
 
 def test_relay_stops_only_after_its_delayed_forwards():

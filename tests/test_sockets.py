@@ -92,12 +92,16 @@ def test_socket_mode_via_cli(tmp_path, capsys):
 
 def test_loopback_two_receivers(tmp_path):
     cfg = _socket_cfg(tmp_path, base_port=47520, receivers=2,
-                      **{"duration_s": 0.8})
+                      **{"duration_s": 0.8, "clock.sync_interval_s": 0.3})
     results = run_socket_orchestrated(cfg)
     assert len(results) == 2
     for r, (_records, summary) in enumerate(results):
         assert summary.frames_completed >= cfg.frame_count() - 2, r
     assert os.path.exists(os.path.join(cfg.out_dir, "frames_r1.csv"))
+    # every role but receiver 0, the master, syncs at 0, 0.3 and 0.6 s
+    for role, exchanges in (("sender", 3), ("relay", 3), ("receiver1", 3), ("receiver0", 0)):
+        with open(os.path.join(cfg.out_dir, f"{role}_log.json")) as fh:
+            assert len(json.load(fh)["clock"]["syncs"]) == exchanges, role
 
 
 # -- record assembly from role logs, without sockets ---------------------------------
@@ -158,7 +162,7 @@ def test_merged_report_counts_each_receivers_own_mismatches_and_anomalies(tmp_pa
     def tamper(out):
         paths = [Path(out) / f"receiver{r}_log.json" for r in (0, 1)]
         logs = [json.loads(path.read_text()) for path in paths]
-        logs[0]["clock"]["estimated_offset_ns"] -= 1_000_000_000
+        logs[0]["clock"]["syncs"] = [[0, -1_000_000_000]]
         logs[1]["recv_log"]["3"]["payload_checksum"] ^= 1
         for path, log in zip(paths, logs):
             path.write_text(json.dumps(log))
