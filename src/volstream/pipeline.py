@@ -2,10 +2,10 @@
 
 Topology: sender -> relay (sync server) -> N receivers, two emulated hops
 with independent forward and reverse (control) links. Receiver 0 is the
-time master; every other node runs an offset, drifting clock and syncs to it
-over a dedicated path. The event core is strictly single-threaded over the
-virtual clock and every random draw comes from a named seeded stream, so a
-run is a pure function of (config, seed).
+time master; sender and relay run offset, drifting clocks, and every other
+node syncs to it over a dedicated path. The event core is strictly
+single-threaded over the virtual clock and every random draw comes from a
+named seeded stream, so a run is a pure function of (config, seed).
 
 Both hops (sender -> relay, relay -> each receiver) are a ``Hop``, whose
 handlers are the protocol's event handling in both modes, written against a
