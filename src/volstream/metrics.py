@@ -32,7 +32,7 @@ and are excluded from the summary statistics.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .clock import AnomalyLog, NodeClock, one_way_delay, pairwise_offset
 from .errors import MetricsError
@@ -116,6 +116,8 @@ class RunLogs:
     relay_clock: NodeClock
     receiver_clocks: list   # per receiver: NodeClock
     has_ground_truth: bool = True
+    relay_dropped: dict = field(default_factory=dict)   # the relay upstream's drops
+    dropped: list = field(default_factory=list)         # per receiver: dict
 
 
 def assemble_record(

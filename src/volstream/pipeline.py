@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .appemu import capture_tick, render_complete
@@ -36,7 +37,7 @@ from .errors import ConfigError, SyncError
 from .metrics import (FrameLatencyRecord, RunLogs, RunSummary, assemble_record,
                       summarize, write_report)
 from .netem import TRACE_COLUMNS, EventQueue, Link
-from .transport import ReceiverEndpoint, SenderEndpoint
+from .transport import DROP_REASONS, ReceiverEndpoint, SenderEndpoint
 from .wire import ControlPacket, PacketType, encode_packet
 
 NS_PER_S = 1_000_000_000
@@ -355,6 +356,8 @@ class SimulationRun:
             relay_clock=self.relay_clock,
             receiver_clocks=self.receiver_clocks,
             has_ground_truth=True,
+            relay_dropped=self.relay_up.dropped,
+            dropped=[ep.dropped for ep in self.receivers],
         )
         counters = {"sender": self.sender.counters(), "relay": self.relay.counters(),
                     "receivers": [ep.counters() for ep in self.receivers]}
@@ -415,13 +418,16 @@ def receiver_reports(logs: RunLogs, frame_count: int, counters: dict,
             "relay_backpressure_events": relay["downstream"][r]["backpressure_events"],
             "relay_stalled_frames": relay["stalled_frames"],
         }
-        for hop, tx, rx in (("hop1", sender, relay),
-                            ("hop2", relay["downstream"][r], receiver)):
+        for hop, tx, rx, dropped in (("hop1", sender, relay, logs.relay_dropped),
+                                     ("hop2", relay["downstream"][r], receiver,
+                                      logs.dropped[r])):
             sent = tx["packets_sent"] + tx["packets_retransmitted"]
             delivered = rx["packets_received"] + rx["duplicates"] + rx["late_packets"]
+            reasons = Counter(log.drop_reason for log in dropped.values())
             counts.update({f"{hop}_sent": sent, f"{hop}_delivered": delivered,
                            f"{hop}_lost": sent - delivered,
-                           f"{hop}_retransmitted": tx["packets_retransmitted"]})
+                           f"{hop}_retransmitted": tx["packets_retransmitted"],
+                           **{f"{hop}_dropped_{why}": reasons[why] for why in DROP_REASONS}})
         reports.append((records, summarize(records, counts)))
     return reports
 

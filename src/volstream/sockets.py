@@ -458,6 +458,8 @@ def merge_socket_logs(cfg: ScenarioConfig):
         relay_clock=NodeClock(**relay["clock"]),
         receiver_clocks=[NodeClock(**r["clock"]) for r in receivers],
         has_ground_truth=False,
+        relay_dropped=_load_map(relay["dropped"], RecvLogEntry),
+        dropped=[_load_map(r["dropped"], RecvLogEntry) for r in receivers],
     )
     counters = {"sender": sender["counters"], "relay": relay["counters"],
                 "receivers": [r["counters"] for r in receivers]}

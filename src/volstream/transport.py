@@ -57,6 +57,10 @@ from .wire import (FLAG_END_OF_STREAM, FLAG_FINAL_SEGMENT, HEADER_SIZE,
                    ControlPacket, PacketType)
 from .pacing import NS_PER_S, RatePacer
 
+# Why ``ReceiverEndpoint._drop`` gave a frame up: its deadline passed, a
+# missing range used up its NACK rounds, or the run ended with it in flight.
+DROP_REASONS = ("deadline", "rounds_exhausted", "unfinished")
+
 
 @dataclass(slots=True)
 class SegmentBurst:
@@ -151,6 +155,7 @@ class RecvLogEntry:
     payload_len: int = 0
     payload_checksum: int = 0
     end_of_stream: bool = False
+    drop_reason: str = ""             # one of DROP_REASONS once dropped
 
 
 class SenderEndpoint:
@@ -612,14 +617,14 @@ class ReceiverEndpoint:
         for frame_id in list(self._frames):
             state = self._frames[frame_id]
             if state.drop_deadline is not None and now_ns >= state.drop_deadline:
-                self._drop(state)
+                self._drop(state, "deadline")
                 continue
             due_gap = state.gap_deadline is not None and now_ns >= state.gap_deadline
             due_tail = state.tail_deadline is not None and now_ns >= state.tail_deadline
             if not (due_gap or due_tail):
                 continue
             if state.log.nack_count >= self.max_nack_rounds:
-                self._drop(state)
+                self._drop(state, "rounds_exhausted")
                 continue
             nack = self._emit_nack(state)
             state.tail_deadline = now_ns + self.tail_timeout_ns if self.tail_timeout_ns else None
@@ -627,8 +632,9 @@ class ReceiverEndpoint:
                 out.append(nack)
         return out
 
-    def _drop(self, state: _FrameState) -> None:
+    def _drop(self, state: _FrameState, reason: str) -> None:
         frame_id = state.log.frame_id
+        state.log.drop_reason = reason
         self.dropped[frame_id] = state.log
         del self._frames[frame_id]
         if self.on_drop is not None:
@@ -637,7 +643,7 @@ class ReceiverEndpoint:
     def finalize(self) -> None:
         """End of run: any frame still in flight counts as dropped."""
         for state in list(self._frames.values()):
-            self._drop(state)
+            self._drop(state, "unfinished")
 
     def counters(self) -> dict:
         """Packet counters, as the run's reports read them. Each data packet

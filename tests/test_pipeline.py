@@ -296,3 +296,17 @@ def test_payload_check_catches_one_flipped_byte(small_cfg, monkeypatch):
                if line.startswith("payload_mismatches,")]
               for name in ("summary.csv", "summary_r1.csv")]
     assert counts == [["payload_mismatches,0,,,,,,\n"], ["payload_mismatches,1,,,,,,\n"]]
+
+
+def test_summary_counts_each_hops_drops_by_reason(small_cfg):
+    # one NACK round at 20% loss gives up frames on both hops; every drop
+    # is counted once, under its reason, on the hop whose receiver dropped it
+    cfg = small_cfg(**{"hop1.loss_rate": 0.2, "hop2.loss_rate": 0.2,
+                       "transport.max_nack_rounds": 1})
+    result = run_simulation(cfg, write_outputs=False)
+    sim, counts = result.sim, result.primary.summary.packet_counts
+    for hop, ep in (("hop1", sim.relay_up), ("hop2", sim.receivers[0])):
+        by_reason = {why: counts[f"{hop}_dropped_{why}"]
+                     for why in ("deadline", "rounds_exhausted", "unfinished")}
+        assert sum(by_reason.values()) == len(ep.dropped) > 0
+        assert by_reason["rounds_exhausted"] > 0

@@ -60,52 +60,52 @@ GOLDEN = {
         "frames_10000000000.csv": "64aac8b62bf813d7cebf18574e665aa37cd3ea3b6750af57042b4e8c4d136d28",
         "frames_2000000000.csv": "5cb573fef4578bea07c8f987ce4167333cfb177749970fa06d91e0a019eba68f",
         "frames_5000000000.csv": "8a17c39073a9df7fac046b9b2edfface023c8cc386ac637c3563ebe555ff68e9",
-        "summary_1000000000.csv": "c222986b28018d5ef1724409aa1667e471a1dfb8c20cc44824c786bb25f59f93",
-        "summary_10000000000.csv": "271014bccd5b8c34dec8e66ea5fcaa90eb4144ca0765b626a1983dc6f8be741d",
-        "summary_2000000000.csv": "287b0fcfc705dd6631e1229a7dad7c99f5f737576fec43775c92a554bb44143a",
-        "summary_5000000000.csv": "075caf1fd750f067fc50f70b8f48f5cf17c727f5abed308999914e3452ac63aa",
+        "summary_1000000000.csv": "2d458eb09ccc8f0ce8ab02acc8fd0ed80ed05c6e5d3e09d1aaf0506f6871f008",
+        "summary_10000000000.csv": "11f05bce10832008ed5fa1f0f0fa10665ee6d1b24019bbd8e5e48a0dfb92c31e",
+        "summary_2000000000.csv": "424c450e9ad58a87b0afaf5219583e7f1809a39a7d66a246a3f8b28620d298b9",
+        "summary_5000000000.csv": "9784d9ba37f0223a90ae6cb924bbadd48f2ae86b7670ccda9c267f5ba3637e8f",
         "sweep.csv": "31519a4d409b9e9d282f8e7dfbbcc0042e1dfab6e8828244e154532198ce27b2",
     },
     "paper-default": {
         "frames.csv": "7bf213176c829fc55c9f8e7848620f017302d91a194ff5c98e75c0152abc91a7",
-        "summary.csv": "5c459eee258a126047abb947c4ee9ef2d8b6bd3c39d3788cb6a0a1368305b190",
+        "summary.csv": "b2f713d55937ca9a150454877d8e95e836c09fb02800272775812c245e2b20dc",
     },
     "paper-default-3s-resync-2rx-drift": {
         "frames.csv": "3732eaf81664da72c837f515f7f6a3723ea2fc884dd84c29e14b54908502c9d4",
         "frames_r1.csv": "d16ba28e50d377708481565edd66c5b7f1c7e0a6480bc72cd56686592ecf77d2",
-        "summary.csv": "3a5765a7ad464e22e748ad23564ac5719814a2246cfc9953fbc2a4c28e7bcad7",
-        "summary_r1.csv": "e257ac782d1a620628650ebcc4b218ebcf80c3bfebf7d10af910a01277f88065",
+        "summary.csv": "f1c575fee923109249277021a9bb1069c7191ba906f9cf631d009f129cd66135",
+        "summary_r1.csv": "09879fee6049794a17c603a68fd0d2d6b1f5b47856998a725402fa3776205828",
     },
     "paper-default-4rx-pps256": {
         "frames.csv": "b8a0b8eb821c9e3117a1eaaaeca37576872b5d8e8de4a854ca4d52cfafc604f7",
         "frames_r1.csv": "d42a7c01543832946391e405a236118129bef25d0c2d431191604cbe4f0fec6d",
         "frames_r2.csv": "fe4ab4cfe9983c23425e6c838720304f7ef6f29eb9e04be53c99385ecfa1e509",
         "frames_r3.csv": "cabf04120ebce6eda29b21fd4fe40eda989b9b83a84f95b69305f1577c4f8491",
-        "summary.csv": "8c307753b2f09ceb78a816a06bc54f3851320a2bb4eb4d9384e3fb1bc32c174a",
-        "summary_r1.csv": "6c949178c60202e835298b5a91e6f5352c8efdb599115e0267877b318c0e93a0",
-        "summary_r2.csv": "620171568a3a8067dd78050adef620c11e0b44d61a4f6d6898da4f493eeda3ee",
-        "summary_r3.csv": "228728852d2a864ab284a602f1f420817aa7e1c6a9983186cf0ff918727e1dd0",
+        "summary.csv": "2cb73d9083b01cd25a2e6a4818df5739ebbdf4acd6d5c64150c05140206d22ca",
+        "summary_r1.csv": "c900c5327de54d71d21047bcd1efb94d0a668d7c9b29462ae88ea34f17d62dfb",
+        "summary_r2.csv": "2f4701aa67c0b9ded52cce82f3072449bb1dc5028fe15e65d27fcce206f6b962",
+        "summary_r3.csv": "7ca101fb05a3ba2f00ea2568e07bb3ade3e9c554c4a87418549d06b458eea660",
     },
     "paper-default-lossy1pct": {
         "frames.csv": "3c1bffff67ef6b93b9c009c09a2f3de07a309a202d016279f699001dbaedf6c7",
-        "summary.csv": "5880afafd42d2c1969143441210995839c594faf6ad0482a703169bb5d0e5015",
+        "summary.csv": "f54e0aca3b2343ca63c4636371b2fd501b7258211951df2330252965e9c251fa",
     },
     "paper-default-negdrift-lossy-hop2": {
         "frames.csv": "e5eb11313d4634de509f5bd73777dde82bf6e4eb2b7668bc7579e19fd2547b38",
-        "summary.csv": "3ae0395b3f854426f1ced63782ce6653652a75eede990f10bf2ff6985ed7d38e",
+        "summary.csv": "b6d634d4dc706c4eb87d247714be6bb111e7ef70f2e1e46478330f9dd8ef2416",
     },
     "paper-default-storefwd-stall-2rx-skew": {
         "frames.csv": "525019b2a69277518ff91ed1da39f24e643c0d8c5c7064617a4ea5ea2c80f8f6",
         "frames_r1.csv": "1220576a56afa194dea883625a7e3c0fb8ada59093fdd5fe6247fda930eacb7b",
-        "summary.csv": "e05e0b1317cf636ab84fc909c2043e2e2b29258c6de839514d68907e8780455e",
-        "summary_r1.csv": "22b8f629af2d415e15748cd38409f0babf21e45f94c02094685962be16ab098f",
+        "summary.csv": "6d039e120c14ac2991ecdd79da62607c5ce124d91a2b68a60bc57549c07cea9c",
+        "summary_r1.csv": "37ad74b1962dd83bca90b92855c5398e5f4c6fe8969ebedfe96110c9044ed1b4",
     },
     "paper-probe": {
         "probe.csv": "e64972f113c978ebf80d7e3796be00b12751515314051776a577812a1d639082",
     },
     "paper-protocol": {
         "frames.csv": "0830bcc01a573f85f5f013cccb2d021bcb24fa862934e81ab2a7f877f72a4e9b",
-        "summary.csv": "cccaf104bc3cd34196b57be892baa98111e3000f9ce2af22677f8c08da6bff2c",
+        "summary.csv": "89dce29f9f40cc2392a298c16ef786a3632862aab7b2ff3e202c590ae700fbff",
     },
 }
 

@@ -486,3 +486,19 @@ def test_frame_completion_allocates_no_payload_copy():
     log = receiver.recv_log[1]
     assert (log.payload_len, log.payload_checksum) == (frame.size, zlib.crc32(frame.payload))
     assert peak < 1_000_000
+
+
+def test_each_drop_records_its_reason():
+    lost_first = lambda p: p.segment_index == 1 and p.packet_seq == 1
+    by_deadline = _receiver(deadline_ns=10 * MS, max_nack_rounds=0, tail_timeout_ns=0)
+    _deliver_frame(_sender(), by_deadline, _frame(size=100_000), drop=lost_first)
+    by_deadline.on_timer(by_deadline.next_timer_ns())
+    by_rounds = _receiver(max_nack_rounds=1)
+    _deliver_frame(_sender(), by_rounds, _frame(size=100_000), drop=lost_first)
+    while by_rounds.frames_in_flight:
+        by_rounds.on_timer(by_rounds.next_timer_ns())
+    unfinished = _receiver()
+    _deliver_frame(_sender(), unfinished, _frame(size=100_000), drop=lost_first)
+    unfinished.finalize()
+    assert [ep.dropped[1].drop_reason for ep in (by_deadline, by_rounds, unfinished)] \
+        == ["deadline", "rounds_exhausted", "unfinished"]
