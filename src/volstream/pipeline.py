@@ -124,7 +124,10 @@ class Sync:
     at the reply; ``response`` reads t4 and appends the estimate to the
     slave's clock if the reply echoes the outstanding t1. An unanswered
     request is resent after ``retry_ns``, ``attempts`` times in all (a newer
-    exchange supersedes it), and then raises ``SyncError``. In the sim one
+    exchange supersedes it). An exchange that exhausts them raises
+    ``SyncError`` while the slave has no estimate yet; later, it is
+    abandoned and the slave keeps its last estimate until the next
+    scheduled exchange. In the sim one
     object holds both halves and ``path`` is ``(SyncPath, rng)``; in socket
     mode a process holds one half and ``path`` is ``(socket, peer)``.
     """
@@ -148,10 +151,13 @@ class Sync:
     def expire(self, t1: int, attempt: int) -> None:
         if self.outstanding != t1:
             return
-        if attempt >= self.attempts:
+        if attempt < self.attempts:
+            self.request(attempt + 1)
+        elif not self.slave.syncs:
             raise SyncError(f"sync between {self.slave.name} and the master failed "
                             f"after {attempt} attempts")
-        self.request(attempt + 1)
+        else:
+            self.outstanding = None
 
     def answer(self, req: ControlPacket, arrival_ns: int, reply_ns: int) -> ControlPacket:
         t3 = self.master.local_from_true(reply_ns)

@@ -155,3 +155,27 @@ def test_sweep_rate_that_completes_no_frame_exits_1(tmp_path, monkeypatch, capsy
     assert "281.600" in captured.out
     assert "runtime error: sweep rate 100000000 bps completed 0 of 6 frames" in captured.err
     assert "1000000000 bps" not in captured.err and "Traceback" not in captured.err
+
+
+def test_run_survives_a_failed_resync(tmp_path, monkeypatch, capsys):
+    # 18 exchanges at 30% loss per leg: at seed 2 every node's first
+    # exchange succeeds and the sender's fourth, at 1.5 s, exhausts its 3
+    # attempts; the run keeps the sender's last estimate instead of aborting
+    # (at seed 1 receiver 1's first exchange fails, which still ends a run)
+    for key, value in (("SEED", "2"), ("DURATION_S", "3"), ("RECEIVERS", "2"),
+                       ("CLOCK_SYNC_INTERVAL_S", "0.5"), ("CLOCK_SYNC_LOSS_RATE", "0.3")):
+        monkeypatch.setenv(f"VOLSTREAM_{key}", value)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "paper-default", "--out", str(out), "--quiet"]) == EXIT_OK
+    assert "runtime error" not in capsys.readouterr().err
+
+
+def test_run_whose_first_sync_fails_exits_1(tmp_path, monkeypatch, capsys):
+    # with every sync datagram lost no node ever gets an estimate: the
+    # first exchange's SyncError still ends the run
+    for key, value in (("DURATION_S", "0.1"), ("CLOCK_SYNC_LOSS_RATE", "1")):
+        monkeypatch.setenv(f"VOLSTREAM_{key}", value)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "paper-default", "--out", str(out), "--quiet"]) \
+        == EXIT_RUNTIME
+    assert "failed after 3 attempts" in capsys.readouterr().err

@@ -109,3 +109,13 @@ def test_master_clock_constraints():
 def test_drift_shifts_local_clock():
     clk = NodeClock("s", "slave", drift_ppm=10.0)
     assert clk.local_from_true(1_000_000_000) == 1_000_000_000 + 10_000
+
+
+def test_failed_resync_keeps_the_last_estimate():
+    # once a slave has an estimate, an exchange that runs out of attempts
+    # is abandoned without an error and the estimate stays in force
+    slave = NodeClock("slave", "slave", true_offset_ns=1 * MS)
+    slave.syncs.append((200 * US, 1 * MS))
+    assert _sync(slave, SyncPath(loss_rate=1.0), now_true_ns=5 * MS,
+                 rng=random.Random(1), attempts=3) == 1 * MS
+    assert slave.syncs == [(200 * US, 1 * MS)]
