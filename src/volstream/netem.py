@@ -31,14 +31,15 @@ rows, so the probe and the stream cross one stage model.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
-from itertools import compress, islice
 
 from .errors import ConfigError
 from .stats import mean, percentile_nearest_rank
 
 NS_PER_S = 1_000_000_000
+_MAX_LOSS_GAP = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,10 @@ class Link:
         self._trace = trace
         # Draw functions, None where the model never draws from that stream.
         self._loss_random = loss_rng.random if model.loss_rate > 0 and loss_rng else None
+        # Loss is drawn per loss: ``_to_loss`` packets pass before the next
+        # one is lost, and each loss draws the geometric gap to the next.
+        self._loss_log = math.log1p(-model.loss_rate) if model.loss_rate < 1 else None
+        self._to_loss = self._loss_gap() if self._loss_random is not None else 0
         self._reorder_random = (reorder_rng.random if model.reorder_rate > 0 and reorder_rng
                                 else None)
         self._switch_random = switch_rng.random if switch_rng is not None else None
@@ -171,6 +176,24 @@ class Link:
         self.delivered = 0
         self.lost = 0
         self.reordered = 0
+
+    def _loss_gap(self) -> int:
+        """Packets that pass before the next loss: Geometric(loss_rate) on
+        {0, 1, ...} by inversion, one draw (none at loss_rate 1)."""
+        if self._loss_log is None:
+            return 0
+        gap = math.log1p(-self._loss_random()) / self._loss_log
+        return int(gap) if gap < _MAX_LOSS_GAP else _MAX_LOSS_GAP
+
+    def _losses(self, n: int) -> list[int]:
+        """Indices of the packets lost among the next ``n``, in order."""
+        pos = self._to_loss
+        lost = []
+        while pos < n:
+            lost.append(pos)
+            pos += 1 + self._loss_gap()
+        self._to_loss = pos - n
+        return lost
 
     def carry(self, burst) -> list[tuple[int, int, int, int, int]]:
         """Carry one paced burst; returns its delivered runs in packet order.
@@ -224,11 +247,12 @@ class Link:
                 or 2 * (slack // spacing + 1) * expected_runs >= n):
             return None
 
-        if loss_random is None:
-            lost = []
-        else:
-            loss_draws = list(islice(iter(loss_random, None), n))
-            lost = list(compress(range(n), map(float(loss_rate).__gt__, loss_draws)))
+        lost = []
+        if loss_random is not None:
+            if self._to_loss >= n:          # the common case: no loss in the burst
+                self._to_loss -= n
+            else:
+                lost = self._losses(n)
         after = tx_ns + self._after_ns + m.hops * m.hop_delay_min_ns
         k_full = after + ser_full
         k_last = after + ser_last
@@ -292,8 +316,8 @@ class Link:
         (sender-local send timestamps) are only used for trace rows.
         """
         m = self.model
-        loss_rate = m.loss_rate
-        loss_random = self._loss_random
+        losses = iter(self._losses(len(emissions)) if self._loss_random is not None else ())
+        next_lost = next(losses, -1)
         reorder_rate = m.reorder_rate
         reorder_random = self._reorder_random
         switch_random = self._switch_random
@@ -313,7 +337,9 @@ class Link:
         append = arrivals.append
 
         for i, e in enumerate(emissions):
-            lost = loss_random is not None and loss_random() < loss_rate
+            lost = i == next_lost
+            if lost:
+                next_lost = next(losses, -1)
             ready = e + tx_ns
             start = busy if busy > ready else ready
             ser = (wire_bytes[i] * bits_ns) // bw

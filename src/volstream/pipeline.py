@@ -82,10 +82,15 @@ class Hop:
             ack = ControlPacket(packet_type=PacketType.FRAME_ACK,
                                 stream_id=ep.stream_id, frame_id=log.frame_id)
             self.driver.send_control(self, ack)
-        for nack in ep.pending_control:
-            self.driver.send_control(self, nack)
-        ep.pending_control.clear()
-        self.arm_timer()
+        if ep.pending_control:
+            for nack in ep.pending_control:
+                self.driver.send_control(self, nack)
+            ep.pending_control.clear()
+        # Every deadline of the other frames is at or after the armed timer,
+        # so only this frame's can need an earlier one.
+        deadline = ep.frame_timer_ns(run[0])
+        if deadline is not None and (self.timer_armed is None or deadline < self.timer_armed):
+            self.arm_timer(deadline)
 
     def control(self, ctrl: ControlPacket) -> None:
         if ctrl.packet_type == PacketType.NACK:
@@ -93,26 +98,20 @@ class Hop:
         elif ctrl.packet_type == PacketType.FRAME_ACK:
             self.sender.on_frame_ack(ctrl)
 
-    def arm_timer(self) -> None:
-        deadline = self.receiver.next_timer_ns()
-        if deadline is None:
-            return
-        if self.timer_armed is not None and self.timer_armed <= deadline:
-            return
+    def arm_timer(self, deadline: int) -> None:
         self.timer_armed = deadline
-        self.driver.schedule(max(deadline, self.driver.now()), self.timer_fire)
+        self.driver.schedule(max(deadline, self.driver.now()), self.timer_fire, deadline)
 
-    def timer_fire(self) -> None:
+    def timer_fire(self, deadline: int) -> None:
+        if deadline != self.timer_armed:
+            return          # superseded by an earlier timer, which re-armed
         self.timer_armed = None
         ep = self.receiver
+        for nack in ep.on_timer(self.driver.now()):
+            self.driver.send_control(self, nack)
         deadline = ep.next_timer_ns()
-        if deadline is None:
-            return
-        now = self.driver.now()
-        if deadline <= now:
-            for nack in ep.on_timer(now):
-                self.driver.send_control(self, nack)
-        self.arm_timer()
+        if deadline is not None:
+            self.arm_timer(deadline)
 
 
 @dataclass(slots=True)

@@ -17,9 +17,12 @@ retained so NACKs can be answered; retransmissions share the same pacer and
 get fresh timestamps.
 
 Receiver side: packets are tracked per segment as covered seq intervals
-(duplicates are idempotent), gaps trigger NACKs after a persistence delay or
-a frame-tail timeout for a bounded number of rounds, and a frame is handed
-upward exactly once, when every packet of every segment has arrived. Payload
+(duplicates are idempotent). A gap behind the reception front is NACKed once,
+after a persistence delay; when nothing of a frame arrives for the tail
+timeout, every range still missing is NACKed again, and a frame that still
+misses a range requested a bounded number of times is dropped. A frame is
+handed upward exactly once, when every packet of every segment has arrived.
+The sender re-emits only packets it has already emitted once. Payload
 bytes are never copied on the way: each run keeps a view of the buffer it
 arrived in, a segment that one run covers is that view, and only a segment
 split by loss or retransmission is joined. At frame completion the length
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field
 from .clock import NodeClock
 from .errors import ConfigError, TransportError
 from .frames import DataPacket, VolumetricFrame, segment_frame
-from .wire import (FLAG_END_OF_STREAM, FLAG_FINAL_SEGMENT, HEADER_SIZE,
+from .wire import (FLAG_END_OF_STREAM, FLAG_FINAL_SEGMENT, HEADER_SIZE, MAX_NACK_RANGES,
                    ControlPacket, PacketType)
 from .pacing import NS_PER_S, RatePacer
 
@@ -100,6 +103,15 @@ class SegmentBurst:
         """Sender-local send timestamp of packet ``i``."""
         e = self.base_ns + ((self.bits0 + i * self.step_bits) * NS_PER_S) // self.rate_bps
         return e if self.clock is None else self.clock.local_from_true(e)
+
+    def emitted_by(self, now_ns: int) -> int:
+        """How many of the burst's packets start emission at or before
+        ``now_ns``: packet ``i`` does iff ``(bits0 + i * step_bits) * 10**9
+        < (now_ns - base_ns + 1) * rate_bps``."""
+        room = (now_ns - self.base_ns + 1) * self.rate_bps - self.bits0 * NS_PER_S
+        if room <= 0:
+            return 0
+        return min(self.count, -(-room // (self.step_bits * NS_PER_S)))
 
     @property
     def emissions(self) -> list:
@@ -193,7 +205,7 @@ class SenderEndpoint:
         self.packets_retransmitted = 0
         self.stale_nacks = 0
         self.frames_acked = 0
-        self._retained: dict[int, dict] = {}   # frame_id -> {seg_idx: (payload, n, flags)}
+        self._retained: dict[int, dict] = {}   # frame_id -> {seg_idx: (payload, flags, burst)}
         self._last_frame_id: int | None = None
 
     @property
@@ -282,7 +294,7 @@ class SenderEndpoint:
         entry.packet_count += n
         entry.payload_len += len(payload)
         if frame_id in self._retained:
-            self._retained[frame_id][segment_index] = (payload, n, flags)
+            self._retained[frame_id][segment_index] = (payload, flags, burst)
         return burst
 
     def _evict(self) -> None:
@@ -292,8 +304,11 @@ class SenderEndpoint:
     def retransmit(self, nack: ControlPacket, now_ns: int) -> list[SegmentBurst]:
         """Re-emit the packets a NACK asks for, paced under the same limiter.
 
-        NACKs for frames that fell out of the retention window count as
-        stale and emit nothing. Re-emitted packets carry fresh timestamps.
+        Each range is trimmed to the packets whose first emission is planned
+        at or before ``now_ns``: a packet still queued in the pacer is not
+        lost, only late. NACKs for frames that fell out of the retention
+        window count as stale and emit nothing. Re-emitted packets carry
+        fresh timestamps.
         """
         if nack.packet_type != PacketType.NACK:
             raise TransportError(f"expected NACK, got {nack.packet_type!r}")
@@ -305,10 +320,12 @@ class SenderEndpoint:
         for seg_idx, lo, hi in nack.ranges:
             if seg_idx not in retained:
                 continue
-            payload, n, flags = retained[seg_idx]
-            if hi == 0 or hi > n:
-                hi = n
-            if lo > n:
+            payload, flags, first = retained[seg_idx]
+            n = first.count
+            emitted = first.emitted_by(now_ns)
+            if hi == 0 or hi > emitted:
+                hi = emitted
+            if lo > hi:
                 continue
             count = hi - lo + 1
             burst = self._plan_burst(now_ns, nack.frame_id, seg_idx, n,
@@ -330,13 +347,23 @@ class SenderEndpoint:
 
 
 class _SegmentState:
-    __slots__ = ("expected", "covered", "pieces", "data")
+    __slots__ = ("expected", "covered", "pieces", "data", "asked")
 
     def __init__(self, expected: int):
         self.expected = expected
         self.covered: list[list[int]] = []     # merged [lo, hi] pairs
         self.pieces: list[tuple] = []          # (lo, hi, buffer view), until complete
         self.data = None                       # the assembled bytes, once complete
+        self.asked: list[list[int]] = []       # [lo, hi, times requested] per NACKed range
+
+    def asked_entry(self, seq: int) -> list[int] | None:
+        """The NACKed range that holds ``seq``, if any. A gap lies wholly
+        inside one NACKed range or outside all of them: arrivals only
+        shrink the gaps that were asked for."""
+        for entry in self.asked:
+            if entry[0] <= seq <= entry[1]:
+                return entry
+        return None
 
     def missing(self) -> list[tuple[int, int]]:
         gaps = []
@@ -355,6 +382,15 @@ class _SegmentState:
 
     def add(self, lo: int, hi: int, view, pps: int) -> tuple[int, int]:
         """Insert run [lo, hi]; returns (stored, duplicate) packet counts."""
+        covered = self.covered
+        if not covered or covered[-1][1] + 1 == lo:
+            # the segment's first run, or one that extends its highest run
+            if covered:
+                covered[-1][1] = hi
+            else:
+                covered.append([lo, hi])
+            self.pieces.append((lo, hi, view))
+            return hi - lo + 1, 0
         new_parts = []
         cursor = lo
         for clo, chi in self.covered:
@@ -394,10 +430,23 @@ class _SegmentState:
 
 
 class _FrameState:
-    """A frame in flight: its receive log, its segments and its timers."""
+    """A frame in flight: its receive log, its segments, its timers and the
+    gaps its NACKs asked for.
+
+    The reception front is the highest (segment, seq) that has arrived.
+    ``new_gaps`` holds the ranges that opened behind it since the gap timer
+    last fired: whole segments skipped, seqs skipped within a segment, and
+    the unreceived tail of a segment once a later segment arrives. The
+    in-flight tail of the frontmost segment is not a gap. ``unseen_asked``
+    counts the requests for each segment not yet seen, asked for whole; once
+    a segment is seen its gaps are ranges of their own, counted in
+    ``_SegmentState.asked``: a relay may forward a segment after later ones,
+    and a request made before it forwarded the segment must not spend the
+    budget of the gaps found in it.
+    """
 
     __slots__ = ("log", "segments", "segment_count", "gap_deadline", "tail_deadline",
-                 "drop_deadline", "max_seen_seg", "incomplete")
+                 "drop_deadline", "max_seen_seg", "incomplete", "new_gaps", "unseen_asked")
 
     def __init__(self, log: RecvLogEntry, drop_deadline: int | None):
         self.log = log
@@ -408,31 +457,35 @@ class _FrameState:
         self.drop_deadline = drop_deadline
         self.max_seen_seg = 0
         self.incomplete: set[int] = set()
+        self.new_gaps: list[tuple[int, int, int]] = []   # (segment, lo, hi); hi 0: whole
+        self.unseen_asked: dict[int, int] = {}
 
-    def has_gap(self) -> bool:
-        """Cheap check: is anything visibly missing behind the reception front?"""
-        if self.max_seen_seg > len(self.segments):
-            return True
-        for idx in self.incomplete:
-            if idx < self.max_seen_seg:
-                return True
-            cov = self.segments[idx].covered
-            if cov and (cov[0][0] != 1 or len(cov) > 1):
-                return True
-        return False
+    def note_gaps(self, idx: int, lo: int, top: int) -> None:
+        """Record the gaps that a run of segment ``idx`` starting at seq
+        ``lo`` opened behind the front; ``top`` is the highest seq of that
+        segment before the run (0: none)."""
+        front = self.max_seen_seg
+        if idx > front:
+            gaps = self.new_gaps
+            if front:
+                prev = self.segments[front]
+                last = prev.covered[-1][1]
+                if last < prev.expected:
+                    gaps.append((front, last + 1, prev.expected))
+            gaps.extend((k, 1, 0) for k in range(front + 1, idx))
+            if lo > 1:
+                gaps.append((idx, 1, lo - 1))
+            self.max_seen_seg = idx
+        elif lo > top + 1:
+            self.new_gaps.append((idx, top + 1, lo - 1))
 
-    def missing_ranges(self) -> tuple[tuple[int, int, int], ...]:
-        ranges = []
-        known = self.segments
-        top = self.segment_count or (max(known) if known else 0)
-        for idx in range(1, top + 1):
-            seg = known.get(idx)
-            if seg is None:
-                ranges.append((idx, 1, 0))  # whole segment, count unknown
-                continue
-            for lo, hi in seg.missing():
-                ranges.append((idx, lo, hi))
-        return tuple(ranges)
+    def timer_ns(self) -> int | None:
+        """The frame's earliest gap, tail or drop deadline."""
+        first = self.drop_deadline
+        for d in (self.gap_deadline, self.tail_deadline):
+            if d is not None and (first is None or d < first):
+                first = d
+        return first
 
 
 class ReceiverEndpoint:
@@ -518,8 +571,9 @@ class ReceiverEndpoint:
             seg = _SegmentState(packets_in_segment)
             state.segments[segment_index] = seg
             state.incomplete.add(segment_index)
-            if segment_index > state.max_seen_seg:
-                state.max_seen_seg = segment_index
+            top = 0
+        else:
+            top = seg.covered[-1][1]
         stored, dup = seg.add(seq_start, seq_start + count - 1,
                               memoryview(payload), packet_payload_size)
         self.packets_received += stored
@@ -549,20 +603,22 @@ class ReceiverEndpoint:
             if not state.incomplete and len(state.segments) == state.segment_count:
                 return self._complete(state, now)
 
-        # Re-arm timers: tail timer follows the latest arrival; a visible gap
-        # arms the gap timer once until it fires or fills.
-        if self.tail_timeout_ns and self.max_nack_rounds:
-            state.tail_deadline = now + self.tail_timeout_ns
-        has_gap = state.has_gap()
-        if has_gap and self.max_nack_rounds:
-            if self.nack_delay_ns == 0:
-                nack = self._emit_nack(state)
-                if nack is not None:
-                    self.pending_control.append(nack)
-            elif state.gap_deadline is None:
-                state.gap_deadline = now + self.nack_delay_ns
-        elif not has_gap:
-            state.gap_deadline = None
+        # The tail timer follows the latest arrival; a new gap behind the
+        # front arms the gap timer, unless it is already armed.
+        if self.max_nack_rounds:
+            if self.tail_timeout_ns:
+                state.tail_deadline = now + self.tail_timeout_ns
+            front = state.max_seen_seg
+            if segment_index == front + 1 and seq_start == 1 and \
+                    (not front or state.segments[front].data is not None):
+                state.max_seen_seg = segment_index      # in order: no gap
+            else:
+                state.note_gaps(segment_index, seq_start, top)
+            if state.new_gaps:
+                if self.nack_delay_ns == 0:
+                    self.pending_control += self._ask_new_gaps(state)
+                elif state.gap_deadline is None:
+                    state.gap_deadline = now + self.nack_delay_ns
         return None
 
     def _complete(self, state: _FrameState, now: int) -> RecvLogEntry:
@@ -586,50 +642,116 @@ class ReceiverEndpoint:
 
     # -- gap detection and timers ---------------------------------------------
 
-    def _emit_nack(self, state: _FrameState) -> ControlPacket | None:
-        ranges = state.missing_ranges()
+    def _nacks(self, state: _FrameState, ranges: list) -> list[ControlPacket]:
+        """One NACK round for ``ranges``, split so that each NACK fits in one
+        datagram."""
         if not ranges:
-            if state.segment_count is not None:
-                return None
-            # Nothing is visibly missing, yet the frame never ended: every
-            # packet of the tail segment(s) was lost, so the receiver has no
-            # final-segment marker. Ask for the next unseen segment; the
-            # round still counts, which bounds the retries.
-            ranges = ((state.max_seen_seg + 1, 1, 0),)
+            return []
         state.log.nack_count += 1
+        return [ControlPacket(packet_type=PacketType.NACK, stream_id=self.stream_id,
+                              frame_id=state.log.frame_id,
+                              ranges=tuple(ranges[i:i + MAX_NACK_RANGES]))
+                for i in range(0, len(ranges), MAX_NACK_RANGES)]
+
+    def _ask_new_gaps(self, state: _FrameState) -> list[ControlPacket]:
+        """The gap timer's NACKs: each new gap behind the front, less what
+        has arrived or was already requested since it opened."""
+        ranges = []
+        segments, unseen = state.segments, state.unseen_asked
+        for idx, lo, hi in state.new_gaps:
+            seg = segments.get(idx)
+            if seg is None:
+                if idx not in unseen:
+                    unseen[idx] = 1
+                    ranges.append((idx, 1, 0))
+                continue
+            if seg.data is not None:
+                continue
+            hi = hi or seg.expected
+            for a, b in seg.missing():
+                if b < lo:
+                    continue
+                if a > hi:
+                    break
+                a, b = max(a, lo), min(b, hi)
+                if seg.asked_entry(a) is None:
+                    seg.asked.append([a, b, 1])
+                    ranges.append((idx, a, b))
+        state.new_gaps = []
         state.gap_deadline = None
-        return ControlPacket(packet_type=PacketType.NACK, stream_id=self.stream_id,
-                             frame_id=state.log.frame_id, ranges=ranges)
+        ranges.sort()           # a late segment's gaps open after later ones
+        return self._nacks(state, ranges)
+
+    def _outstanding(self, state: _FrameState) -> list | None:
+        """The tail timer's ranges: every range still missing and, while the
+        final segment is unknown, the next unseen segment. Each counts one
+        more request against its range's budget; ``None`` once some range
+        was already requested ``max_nack_rounds`` times."""
+        limit = self.max_nack_rounds
+        segments, unseen = state.segments, state.unseen_asked
+        top = state.segment_count or state.max_seen_seg + 1
+        ranges, bumped = [], []
+        for idx in range(1, top + 1):
+            seg = segments.get(idx)
+            if seg is None:
+                asked = unseen.get(idx, 0)
+                if asked >= limit:
+                    return None
+                unseen[idx] = asked + 1
+                ranges.append((idx, 1, 0))
+                continue
+            if seg.data is not None:
+                continue
+            for a, b in seg.missing():
+                entry = seg.asked_entry(a)
+                if entry is None:
+                    entry = [a, b, 0]
+                    seg.asked.append(entry)
+                elif entry[2] >= limit:
+                    return None
+                # a range's gaps are consecutive: count the range once
+                if not bumped or bumped[-1] is not entry:
+                    bumped.append(entry)
+                ranges.append((idx, a, b))
+        for entry in bumped:
+            entry[2] += 1
+        state.new_gaps = []
+        state.gap_deadline = None
+        return ranges
 
     def next_timer_ns(self) -> int | None:
         """The earliest gap, tail or drop deadline of any frame in flight."""
-        return min((d for s in self._frames.values()
-                    for d in (s.gap_deadline, s.tail_deadline, s.drop_deadline)
-                    if d is not None), default=None)
+        return min((d for s in self._frames.values() if (d := s.timer_ns()) is not None),
+                   default=None)
+
+    def frame_timer_ns(self, frame_id: int) -> int | None:
+        """The earliest deadline of frame ``frame_id`` if it is in flight."""
+        state = self._frames.get(frame_id)
+        return None if state is None else state.timer_ns()
 
     def on_timer(self, now_ns: int) -> list[ControlPacket]:
         """Fire due timers; returns NACKs to transmit on the reverse path.
 
-        A frame whose NACK rounds are exhausted, or whose deadline passed,
-        is abandoned and counted as dropped.
+        The gap timer asks once for each new gap behind the front. The tail
+        timer, due when nothing of the frame arrived for ``tail_timeout_ns``,
+        asks again for every outstanding range. A frame whose deadline
+        passed, or that still misses a range already requested
+        ``max_nack_rounds`` times when its tail timer fires, is dropped.
         """
         out = []
         for frame_id in list(self._frames):
             state = self._frames[frame_id]
             if state.drop_deadline is not None and now_ns >= state.drop_deadline:
                 self._drop(state, "deadline")
-                continue
-            due_gap = state.gap_deadline is not None and now_ns >= state.gap_deadline
-            due_tail = state.tail_deadline is not None and now_ns >= state.tail_deadline
-            if not (due_gap or due_tail):
-                continue
-            if state.log.nack_count >= self.max_nack_rounds:
-                self._drop(state, "rounds_exhausted")
-                continue
-            nack = self._emit_nack(state)
-            state.tail_deadline = now_ns + self.tail_timeout_ns if self.tail_timeout_ns else None
-            if nack is not None:
-                out.append(nack)
+            elif state.tail_deadline is not None and now_ns >= state.tail_deadline:
+                ranges = self._outstanding(state)
+                if ranges is None:
+                    self._drop(state, "rounds_exhausted")
+                    continue
+                state.tail_deadline = now_ns + self.tail_timeout_ns
+                out += self._nacks(state, ranges)
+            elif state.gap_deadline is not None and now_ns >= state.gap_deadline:
+                out += self._ask_new_gaps(state)
         return out
 
     def _drop(self, state: _FrameState, reason: str) -> None:

@@ -49,6 +49,11 @@ _NACK_COUNT = struct.Struct(">H")
 _NACK_RANGE = struct.Struct(">HHH")
 _SYNC_BODY = struct.Struct(">QQQQ")
 
+# A NACK fits in one 1,472-byte datagram (a 1,500-byte Ethernet MTU minus the
+# IPv4 and UDP headers): at most 239 ranges after the header and range count.
+MAX_NACK_DATAGRAM = 1_472
+MAX_NACK_RANGES = (MAX_NACK_DATAGRAM - HEADER_SIZE - _NACK_COUNT.size) // _NACK_RANGE.size
+
 # Flag bits carried on data packets.
 FLAG_FINAL_SEGMENT = 0x01   # packet belongs to the frame's last segment
 FLAG_END_OF_STREAM = 0x02   # packet belongs to the stream's last frame

@@ -124,13 +124,16 @@ def test_rerun_same_seed_same_csv_via_cli(tmp_path):
         open(os.path.join(b, "frames.csv"), "rb").read()
 
 
-@pytest.mark.parametrize("loss,code", [("0", EXIT_OK), ("0.01", EXIT_RUNTIME)],
+@pytest.mark.parametrize("loss,deadline,code", [("0", "66.6", EXIT_OK),
+                                                 ("0.01", "5", EXIT_RUNTIME)],
                          ids=["clean", "lossy"])
-def test_stream_that_completes_no_frame_exits_1(tmp_path, monkeypatch, capsys, loss, code):
-    # at paper scale 1% loss on both hops leaves every frame in the NACK
-    # budget: the report is written, and a run with 0 completed frames fails
+def test_stream_that_completes_no_frame_exits_1(tmp_path, monkeypatch, capsys, loss,
+                                                deadline, code):
+    # at paper scale a 5 ms deadline is shorter than a frame's 14 ms send
+    # span, so every frame is dropped: the report is written, and a run with
+    # 0 completed frames fails
     for key, value in (("DURATION_S", "1"), ("HOP1_LOSS_RATE", loss),
-                       ("HOP2_LOSS_RATE", loss)):
+                       ("HOP2_LOSS_RATE", loss), ("TRANSPORT_DEADLINE_MS", deadline)):
         monkeypatch.setenv(f"VOLSTREAM_{key}", value)
     out = tmp_path / "out"
     assert main(["run", "--scenario", "paper-default", "--out", str(out), "--quiet"]) == code

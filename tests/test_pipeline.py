@@ -62,8 +62,13 @@ def test_loss_recovery_end_to_end_byte_identity(small_cfg):
 
 def test_link_conservation_counters(small_cfg):
     # the summary's hop counters come from the endpoints' own counters: each
-    # must equal what the hop's forward link saw, late packets included
+    # must equal what the hop's forward link saw, late packets included. The
+    # 3 ms deadline is shorter than a 20 KB frame's send span on either hop
+    # (3.2 ms at 50 Mbps, 4 ms at 40 Mbps), so frames drop with packets
+    # still to come
     cfg = small_cfg(receivers=2, **{"hop1.loss_rate": 0.05, "hop2.loss_rate": 0.05,
+                                    "hop1.pacing_bps": 50_000_000,
+                                    "hop2.pacing_bps": 40_000_000,
                                     "transport.deadline_ms": 3.0,
                                     "transport.max_nack_rounds": 64})
     result = run_simulation(cfg, write_outputs=False)

@@ -162,10 +162,12 @@ def test_backpressure_is_counted_per_receiver(tmp_path):
 
 def test_dropped_frames_leave_no_forwarding_gate(tmp_path):
     # cut-through opens a frame's gate at its first forwarded segment; a
-    # frame the upstream drops never completes, so the drop must close it
+    # frame the upstream drops never completes, so the drop must close it.
+    # A 10 ms deadline is shorter than a frame's 14 ms hop-1 send span, so
+    # the relay drops every frame after forwarding its first segments
     cfg = scenario_config("paper-default")
     assert apply_overrides(cfg, {"duration_s": "2", "hop1.loss_rate": "0.001",
-                                 "hop2.loss_rate": "0.001",
+                                 "hop2.loss_rate": "0.001", "transport.deadline_ms": "10",
                                  "out_dir": str(tmp_path)}) == []
     sim = run_simulation(cfg, write_outputs=False).sim
     assert sim.relay_up.dropped
