@@ -1,6 +1,14 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from volstream.config import ScenarioConfig, apply_overrides, validate
+
+# HYPOTHESIS_PROFILE=ci: examples come from a fixed seed, and a failure
+# prints the blob that replays it locally (``@reproduce_failure``).
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def _textify(value) -> str:

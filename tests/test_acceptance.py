@@ -258,3 +258,23 @@ def test_criterion_9_determinism(paper_default_run, tmp_path):
         assert digest(cfg0.out_dir, name) == digest(cfg.out_dir, name)
     _report(9, "rerun of the same scenario and seed is byte-identical "
                "(frames.csv and summary.csv hashes match)")
+
+
+@pytest.mark.parametrize("loss", [0.001, 0.01])
+def test_criterion_10_nack_recovery_at_paper_scale(loss):
+    # 3.52 MB frames of about 2,500 packets at 2 and 1.5 Gbps, default NACK
+    # knobs, the same loss on both hops: at least 99% of frames complete and
+    # retransmissions stay within 1.5x the packets lost, over both hops
+    cfg = scenario_config("paper-default")
+    cfg.duration_s = 1.0
+    cfg.hop1.loss_rate = cfg.hop2.loss_rate = loss
+    result = run_simulation(cfg, write_outputs=False)
+    summary = result.primary.summary
+    counts = summary.packet_counts
+    lost = counts["hop1_lost"] + counts["hop2_lost"]
+    retransmitted = counts["hop1_retransmitted"] + counts["hop2_retransmitted"]
+    assert summary.frames_completed >= 0.99 * summary.frames_sent
+    assert result.payload_mismatches == 0
+    assert lost > 0 and retransmitted <= 1.5 * lost
+    _report(10, f"{loss:.1%} loss: {summary.frames_completed}/{summary.frames_sent} "
+                f"frames complete; {retransmitted} retransmitted for {lost} lost")

@@ -54,3 +54,20 @@ def _reports(overrides: dict, trace: bool) -> list:
 @given(overrides=CONFIGS)
 def test_trace_path_gives_the_same_reports(overrides):
     assert _reports(overrides, trace=True) == _reports(overrides, trace=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(overrides=CONFIGS)
+def test_without_deadline_or_round_limit_every_frame_completes_intact(overrides):
+    # with no deadline and no limit on NACK rounds, recovery must complete
+    # every frame at every receiver, each matching the sender's crc32
+    cfg = make_small_config(duration_s=0.4, **overrides, **{
+        "transport.deadline_ms": 0, "transport.max_nack_rounds": 10**9})
+    result = run_simulation(cfg, write_outputs=False)
+    assert result.payload_mismatches == 0
+    sent = result.sim.sender.send_log
+    for ep, rr in zip(result.sim.receivers, result.receivers):
+        assert rr.summary.frames_completed == rr.summary.frames_sent == len(sent)
+        for frame_id, log in ep.recv_log.items():
+            assert (log.payload_len, log.payload_checksum) == \
+                (sent[frame_id].payload_len, sent[frame_id].payload_checksum) != (0, 0)

@@ -153,6 +153,41 @@ def test_loss_accounting(loss, n, seed):
     assert sum(a is None for a in arrivals) == link.lost
 
 
+def _lossy_link(loss, seed):
+    model = LinkModel(bandwidth_bps=10_000_000, loss_rate=loss)
+    rng = random.Random(seed)
+    return Link("l", model, NodeStageModel(), NodeStageModel(), loss_rng=rng), rng
+
+
+@settings(max_examples=6, deadline=None)
+@given(loss=st.sampled_from([0.001, 0.01, 0.5]), seed=st.integers(0, 10_000),
+       burst=st.integers(1, 5_000))
+def test_per_loss_sampler_loses_its_rate(loss, seed, burst):
+    # loss is drawn as the gap to the next lost packet, carried across
+    # bursts: over 10**6 packets the lost share stays within 4 sigma of p
+    link, _ = _lossy_link(loss, seed)
+    n, lost = 10**6, 0
+    for start in range(0, n, burst):
+        count = min(burst, n - start)
+        hits = link._losses(count)
+        assert hits == sorted(set(hits)) and all(0 <= i < count for i in hits)
+        lost += len(hits)
+    sigma = (n * loss * (1 - loss)) ** 0.5
+    assert abs(lost - n * loss) <= 4 * sigma
+
+
+def test_loss_rate_one_loses_every_packet_and_zero_draws_nothing():
+    link, rng = _lossy_link(1.0, 3)
+    state = rng.getstate()
+    assert link.traverse(list(range(0, 50_000, 1000)), [100] * 50) == [None] * 50
+    assert link.lost == link.sent == 50
+    assert rng.getstate() == state          # certain loss needs no draw
+    link, rng = _lossy_link(0.0, 3)
+    state = rng.getstate()
+    assert None not in link.traverse(list(range(0, 50_000, 1000)), [100] * 50)
+    assert rng.getstate() == state
+
+
 def test_reorder_adds_extra_delay_to_sampled_packets():
     model = LinkModel(bandwidth_bps=1_000_000_000, reorder_rate=1.0,
                       reorder_extra_ns=70_000)

@@ -11,7 +11,8 @@ from volstream.errors import TransportError
 from volstream.frames import make_synthetic_frame
 from volstream.pacing import RatePacer
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
-from volstream.wire import ControlPacket, PacketType
+from volstream.wire import (MAX_NACK_DATAGRAM, MAX_NACK_RANGES, ControlPacket, PacketType,
+                            encode_packet)
 
 from conftest import ingest_packet
 
@@ -502,3 +503,34 @@ def test_each_drop_records_its_reason():
     unfinished.finalize()
     assert [ep.dropped[1].drop_reason for ep in (by_deadline, by_rounds, unfinished)] \
         == ["deadline", "rounds_exhausted", "unfinished"]
+
+
+def test_nack_with_more_ranges_than_a_datagram_holds_is_split():
+    # 299 one-packet gaps behind the front of a 600-packet segment: the
+    # gap timer's round is split into NACKs of at most 239 ranges, each one
+    # datagram of at most 1,472 bytes, that together ask for every gap
+    sender, receiver = _sender(pps=100), _receiver()
+    lost = {seq for seq in range(2, 600, 2)}
+    _deliver_frame(sender, receiver, _frame(size=60_000),
+                   drop=lambda p: p.packet_seq in lost)
+    nacks = receiver.on_timer(receiver.next_timer_ns())
+    assert [len(n.ranges) for n in nacks] == [MAX_NACK_RANGES, len(lost) - MAX_NACK_RANGES]
+    assert all(len(encode_packet(n)) <= MAX_NACK_DATAGRAM for n in nacks)
+    assert [r for n in nacks for r in n.ranges] == [(1, q, q) for q in sorted(lost)]
+    assert receiver._frames[1].log.nack_count == 1     # one round
+    # the tail timer's round re-asks them all, still in datagram-sized NACKs
+    nacks = receiver.on_timer(receiver.next_timer_ns())
+    assert all(len(encode_packet(n)) <= MAX_NACK_DATAGRAM for n in nacks)
+    assert [r for n in nacks for r in n.ranges] == [(1, q, q) for q in sorted(lost)]
+
+
+def test_retransmit_skips_packets_not_yet_emitted():
+    # a NACK that reaches the sender while the segment is still in its
+    # pacer re-emits only the packets already emitted once
+    sender = _sender(rate=10**9)
+    [burst] = sender.send_frame(_frame(size=14_000), 0)     # 10 packets, 11.2 us apart
+    nack = ControlPacket(packet_type=PacketType.NACK, stream_id=1, frame_id=1,
+                         ranges=((1, 1, 0),))
+    emitted = [e for e in burst.emissions if e <= burst.emissions[3]]
+    assert sum(b.count for b in sender.retransmit(nack, burst.emissions[3])) == len(emitted) == 4
+    assert sender.retransmit(nack, burst.first_ns - 1) == []
