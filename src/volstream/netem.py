@@ -171,6 +171,11 @@ class Link:
         self._tx_ns = node_tx.tx_sw_ns + node_tx.tx_hw_ns
         self._after_ns = (model.propagation_ns + node_rx.rx_hw_effective_ns
                           + node_rx.rx_sw_effective_ns)
+        # ``carry``'s run path: switching draws per packet, and the delay
+        # from emission to arrival apart from serialization and jitter.
+        self._span = model.hop_delay_max_ns - model.hop_delay_min_ns
+        self._jitter = model.hops if self._span and switch_rng is not None else 0
+        self._fixed_ns = self._tx_ns + self._after_ns + model.hops * model.hop_delay_min_ns
         self._busy_until = 0
         self.sent = 0
         self.delivered = 0
@@ -234,9 +239,9 @@ class Link:
         ser_full = (burst.full_wire * 8 * NS_PER_S) // bw
         ser_last = (burst.last_wire * 8 * NS_PER_S) // bw
         tx_ns = self._tx_ns
-        span = m.hop_delay_max_ns - m.hop_delay_min_ns
+        span = self._span
         switch = self._switch_rng
-        jitter = m.hops if span and switch is not None else 0
+        jitter = self._jitter
         slack = ser_full - ser_last + jitter * (span - 1)
         loss_rate = m.loss_rate
         loss_random = self._loss_random
@@ -253,9 +258,8 @@ class Link:
                 self._to_loss -= n
             else:
                 lost = self._losses(n)
-        after = tx_ns + self._after_ns + m.hops * m.hop_delay_min_ns
-        k_full = after + ser_full
-        k_last = after + ser_last
+        k_full = self._fixed_ns + ser_full
+        k_last = self._fixed_ns + ser_last
         last = n - 1
         rand = self._switch_random
         draws = range(jitter)

@@ -482,9 +482,12 @@ class _FrameState:
     def timer_ns(self) -> int | None:
         """The frame's earliest gap, tail or drop deadline."""
         first = self.drop_deadline
-        for d in (self.gap_deadline, self.tail_deadline):
-            if d is not None and (first is None or d < first):
-                first = d
+        d = self.tail_deadline
+        if d is not None and (first is None or d < first):
+            first = d
+        d = self.gap_deadline
+        if d is not None and (first is None or d < first):
+            first = d
         return first
 
 
@@ -543,17 +546,16 @@ class ReceiverEndpoint:
         handed to ``on_segment`` and ``on_frame`` as such a view), so it must
         be immutable: a receive path that reuses its buffer must copy first.
         """
-        if frame_id in self.dropped:
-            self.late_packets += count
-            return None
-        done = self.recv_log.get(frame_id)
-        if done is not None:
-            self.duplicates += count
-            done.duplicates += count
-            return None
-
         state = self._frames.get(frame_id)
         if state is None:
+            if frame_id in self.dropped:
+                self.late_packets += count
+                return None
+            done = self.recv_log.get(frame_id)
+            if done is not None:
+                self.duplicates += count
+                done.duplicates += count
+                return None
             log = RecvLogEntry(frame_id, first_arrival, last_arrival, stamp_at_first)
             state = _FrameState(log, first_arrival + self.deadline_ns
                                 if self.deadline_ns else None)
