@@ -306,9 +306,10 @@ class Link:
         if skip:
             switch.getrandbits(64 * skip)
 
+        nlost = len(lost)
         self.sent += n
-        self.lost += len(lost)
-        self.delivered += n - len(lost)
+        self.lost += nlost
+        self.delivered += n - nlost
         self._busy_until = base + (bits + last * step) // rate + tx_ns + ser_last
         return runs
 

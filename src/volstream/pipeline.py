@@ -186,7 +186,7 @@ class SimDriver:
 
     def carry(self, hop: Hop, burst) -> None:
         pps = burst.packet_payload_size
-        view = memoryview(burst.payload)
+        view = burst.payload
         seq = burst.seq_start
         schedule = self.schedule
         for first, end, mn, arg, mx in hop.forward.carry(burst):

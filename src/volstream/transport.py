@@ -274,7 +274,8 @@ class SenderEndpoint:
         the earliest emission and the latest serialization end across its
         segments.
         """
-        n = -(-len(payload) // self.packet_payload_size)
+        size = len(payload)
+        n = -(-size // self.packet_payload_size)
         flags = (FLAG_FINAL_SEGMENT if is_final else 0) | (FLAG_END_OF_STREAM if end_of_stream else 0)
         burst = self._plan_burst(now_ns, frame_id, segment_index, n, 1, n,
                                  payload, flags, retransmit=False)
@@ -292,7 +293,7 @@ class SenderEndpoint:
         if end > entry.last_send_end_ns:
             entry.last_send_end_ns = end
         entry.packet_count += n
-        entry.payload_len += len(payload)
+        entry.payload_len += size
         if frame_id in self._retained:
             self._retained[frame_id][segment_index] = (payload, flags, burst)
         return burst
@@ -383,9 +384,9 @@ class _SegmentState:
     def add(self, lo: int, hi: int, view, pps: int) -> tuple[int, int]:
         """Insert run [lo, hi]; returns (stored, duplicate) packet counts."""
         covered = self.covered
-        if not covered or covered[-1][1] + 1 == lo:
-            # the segment's first run, or one that extends its highest run
-            if covered:
+        if not covered or lo > covered[-1][1]:
+            # beyond everything stored: extend the highest run or start one
+            if covered and covered[-1][1] + 1 == lo:
                 covered[-1][1] = hi
             else:
                 covered.append([lo, hi])
@@ -576,8 +577,8 @@ class ReceiverEndpoint:
             top = 0
         else:
             top = seg.covered[-1][1]
-        stored, dup = seg.add(seq_start, seq_start + count - 1,
-                              memoryview(payload), packet_payload_size)
+        stored, dup = seg.add(seq_start, seq_start + count - 1, payload,
+                              packet_payload_size)
         self.packets_received += stored
         self.duplicates += dup
         log.packets_received += stored
