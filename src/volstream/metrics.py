@@ -32,7 +32,7 @@ and are excluded from the summary statistics.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .clock import AnomalyLog, NodeClock, one_way_delay, pairwise_offset
 from .errors import MetricsError
@@ -115,9 +115,9 @@ class RunLogs:
     sender_clock: NodeClock
     relay_clock: NodeClock
     receiver_clocks: list   # per receiver: NodeClock
+    relay_dropped: dict     # the relay upstream's drops
+    dropped: list           # per receiver: dict
     has_ground_truth: bool = True
-    relay_dropped: dict = field(default_factory=dict)   # the relay upstream's drops
-    dropped: list = field(default_factory=list)         # per receiver: dict
 
 
 def assemble_record(

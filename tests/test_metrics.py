@@ -47,7 +47,8 @@ def _logs(network_l1_ns=342_000, protocol_rx1_ns=15_200_000, sender_clock=None,
                    relay_send=[{1: relay_send}],
                    recv=[{1: recv}], app_rx=[{1: app_rx}],
                    sender_clock=sender_clock, relay_clock=relay_clock,
-                   receiver_clocks=[NodeClock("receiver0", "master")])
+                   receiver_clocks=[NodeClock("receiver0", "master")],
+                   relay_dropped={}, dropped=[{}])
 
 
 def test_assemble_reproduces_reference_decomposition():

@@ -179,7 +179,9 @@ def test_frame_missing_from_any_log_gets_a_dropped_record(small_cfg):
                 recv=[dict(ep.recv_log) for ep in sim.receivers],
                 app_rx=[dict(m) for m in sim.app_rx_records],
                 sender_clock=sim.sender_clock, relay_clock=sim.relay_clock,
-                receiver_clocks=sim.receiver_clocks)
+                receiver_clocks=sim.receiver_clocks,
+                relay_dropped=dict(sim.relay_up.dropped),
+                dropped=[dict(ep.dropped) for ep in sim.receivers])
             table = getattr(logs, name)
             del (table[r] if isinstance(table, list) else table)[2]
             records = pipeline.receiver_records(logs, r, sim.frame_count)
