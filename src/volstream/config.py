@@ -434,6 +434,9 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
           "must be >= 0")
     check(t.max_nack_rounds >= 0, "transport.max_nack_rounds", t.max_nack_rounds,
           "must be >= 0")
+    check(t.tail_timeout_ms > 0 or t.max_nack_rounds == 0, "transport.tail_timeout_ms",
+          t.tail_timeout_ms, "must be > 0 while max_nack_rounds > 0: only the tail "
+          "timer asks again for a range")
     check(t.deadline_ms >= 0, "transport.deadline_ms", t.deadline_ms,
           "must be >= 0 (0 disables)")
     check(t.retention_frames >= 1, "transport.retention_frames", t.retention_frames,

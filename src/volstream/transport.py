@@ -512,6 +512,9 @@ class ReceiverEndpoint:
             raise ConfigError("receiver timeouts must be >= 0")
         if max_nack_rounds < 0:
             raise ConfigError("max_nack_rounds must be >= 0")
+        if max_nack_rounds and not tail_timeout_ns:
+            raise ConfigError("tail_timeout must be > 0 while max_nack_rounds > 0: "
+                              "only the tail timer asks again for a range")
         self.stream_id = stream_id
         self.nack_delay_ns = nack_delay_ns
         self.tail_timeout_ns = tail_timeout_ns
@@ -609,8 +612,7 @@ class ReceiverEndpoint:
         # The tail timer follows the latest arrival; a new gap behind the
         # front arms the gap timer, unless it is already armed.
         if self.max_nack_rounds:
-            if self.tail_timeout_ns:
-                state.tail_deadline = now + self.tail_timeout_ns
+            state.tail_deadline = now + self.tail_timeout_ns
             front = state.max_seen_seg
             if segment_index == front + 1 and seq_start == 1 and \
                     (not front or state.segments[front].data is not None):

@@ -52,6 +52,15 @@ def test_duration_shorter_than_one_frame_exits_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+def test_zero_tail_timeout_with_nack_rounds_exits_2(tmp_path, capsys):
+    cfg = make_small_config(out_dir=str(tmp_path / "out"))
+    cfg.transport.tail_timeout_ms = 0.0
+    path = tmp_path / "bad.cfg"
+    path.write_text(render_config(cfg))
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert "transport.tail_timeout_ms" in capsys.readouterr().err
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("definitely.not.a.key=1\n")

@@ -32,6 +32,16 @@ def test_zero_duration_is_invalid():
     assert any(d.key == "duration_s" for d in validate(cfg))
 
 
+def test_zero_tail_timeout_needs_zero_nack_rounds():
+    # only the tail timer asks again for a range: without it a lost NACK or
+    # retransmission would never be asked for again
+    cfg = ScenarioConfig()
+    cfg.transport.tail_timeout_ms = 0.0
+    assert [d.key for d in validate(cfg)] == ["transport.tail_timeout_ms"]
+    cfg.transport.max_nack_rounds = 0
+    assert validate(cfg) == []
+
+
 def test_unknown_key_is_rejected():
     cfg, diags = parse_config_text("no.such.key=1\n")
     assert any("unknown" in d.constraint for d in diags)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from volstream.clock import NodeClock
-from volstream.errors import TransportError
+from volstream.errors import ConfigError, TransportError
 from volstream.frames import make_synthetic_frame
 from volstream.pacing import RatePacer
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
@@ -293,6 +293,12 @@ def test_rounds_exhausted_drops_frame():
             late_count += 1
     assert late_count >= 1 and receiver.late_packets == late_count
     assert (receiver.packets_received, receiver.duplicates) == (received, duplicates)
+
+
+def test_nack_rounds_need_a_tail_timer():
+    with pytest.raises(ConfigError, match="tail_timeout"):
+        _receiver(tail_timeout_ns=0)
+    assert _receiver(tail_timeout_ns=0, max_nack_rounds=0).max_nack_rounds == 0
 
 
 def test_deadline_drops_slow_frame():
