@@ -382,45 +382,41 @@ class _SegmentState:
         return len(self.covered) == 1 and self.covered[0][0] == 1 and self.covered[0][1] == self.expected
 
     def add(self, lo: int, hi: int, view, pps: int) -> tuple[int, int]:
-        """Insert run [lo, hi]; returns (stored, duplicate) packet counts."""
-        covered = self.covered
-        if not covered or lo > covered[-1][1]:
-            # beyond everything stored: extend the highest run or start one
-            if covered and covered[-1][1] + 1 == lo:
-                covered[-1][1] = hi
-            else:
-                covered.append([lo, hi])
-            self.pieces.append((lo, hi, view))
-            return hi - lo + 1, 0
-        new_parts = []
+        """Insert run [lo, hi]; returns (stored, duplicate) packet counts.
+
+        ``covered[i:j]`` are the stored runs that overlap or touch [lo, hi]:
+        the parts of [lo, hi] between them are stored as pieces, and they
+        all merge into one run. Runs mostly arrive in order, so the scan
+        starts at the highest stored run.
+        """
+        covered, pieces = self.covered, self.pieces
+        j = len(covered)
+        while j and covered[j - 1][0] > hi + 1:
+            j -= 1
+        i = j
+        while i and covered[i - 1][1] + 1 >= lo:
+            i -= 1
+        stored = 0
         cursor = lo
-        for clo, chi in self.covered:
-            if chi < cursor:
-                continue
-            if clo > hi:
-                break
+        for k in range(i, j):
+            clo, chi = covered[k]
             if clo > cursor:
-                new_parts.append((cursor, min(clo - 1, hi)))
-            cursor = max(cursor, chi + 1)
-            if cursor > hi:
-                break
+                pieces.append((cursor, clo - 1, view[(cursor - lo) * pps:(clo - lo) * pps]))
+                stored += clo - cursor
+            if chi >= cursor:
+                cursor = chi + 1
         if cursor <= hi:
-            new_parts.append((cursor, hi))
-        stored = sum(b - a + 1 for a, b in new_parts)
-        dup = (hi - lo + 1) - stored
-        for a, b in new_parts:
-            self.pieces.append((a, b, view[(a - lo) * pps:(b - lo + 1) * pps]))
-        if new_parts:
-            merged = []
-            todo = sorted(self.covered + [list(p) for p in new_parts])
-            for lo2, hi2 in todo:
-                if merged and lo2 <= merged[-1][1] + 1:
-                    if hi2 > merged[-1][1]:
-                        merged[-1][1] = hi2
-                else:
-                    merged.append([lo2, hi2])
-            self.covered = merged
-        return stored, dup
+            pieces.append((cursor, hi, view if cursor == lo else view[(cursor - lo) * pps:]))
+            stored += hi - cursor + 1
+        if i < j:
+            run = covered[i]
+            if lo < run[0]:
+                run[0] = lo
+            run[1] = max(hi, covered[j - 1][1])
+            del covered[i + 1:j]
+        else:
+            covered.insert(i, [lo, hi])
+        return stored, hi - lo + 1 - stored
 
     def assemble(self):
         """The segment's bytes: the one stored view, or the pieces joined."""
