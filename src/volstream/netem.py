@@ -176,6 +176,7 @@ class Link:
         self._span = model.hop_delay_max_ns - model.hop_delay_min_ns
         self._jitter = model.hops if self._span and switch_rng is not None else 0
         self._fixed_ns = self._tx_ns + self._after_ns + model.hops * model.hop_delay_min_ns
+        self._plans: dict = {}      # _burst_plan per (rate, step, packet sizes)
         self._busy_until = 0
         self.sent = 0
         self.delivered = 0
@@ -225,41 +226,51 @@ class Link:
                                    burst.segment_index, burst.seq_start,
                                    burst.stamps if self._trace is not None else None))
 
+    def _burst_plan(self, rate, step_bits, full_wire, last_wire):
+        """What ``_carry_unqueued`` needs of a burst's pacing and packet
+        sizes: the packets its two draw windows can hold per run, the fixed
+        delays of a full and of the last packet, the windows' slack and the
+        last packet's serialization. None when such bursts could queue."""
+        spacing = step_bits * NS_PER_S // rate
+        bw = self.model.bandwidth_bps
+        ser_full = (full_wire * 8 * NS_PER_S) // bw
+        ser_last = (last_wire * 8 * NS_PER_S) // bw
+        if spacing == 0 or spacing < ser_full:
+            return None
+        slack = ser_full - ser_last + self._jitter * (self._span - 1)
+        return (2 * (slack // spacing + 1), self._fixed_ns + ser_full,
+                self._fixed_ns + ser_last, slack, ser_last)
+
     def _carry_unqueued(self, burst):
         """``carry``'s run path; None when the burst could queue or the link
         is so lossy that most packets would need their jitter drawn."""
-        m = self.model
         n = burst.count
-        base = burst.base_ns
         rate = burst.rate_bps
-        bits = burst.bits0 * NS_PER_S
-        step = burst.step_bits * NS_PER_S
-        spacing = step // rate
-        bw = m.bandwidth_bps
-        ser_full = (burst.full_wire * 8 * NS_PER_S) // bw
-        ser_last = (burst.last_wire * 8 * NS_PER_S) // bw
-        tx_ns = self._tx_ns
-        span = self._span
-        switch = self._switch_rng
-        jitter = self._jitter
-        slack = ser_full - ser_last + jitter * (span - 1)
-        loss_rate = m.loss_rate
+        key = (rate, burst.step_bits, burst.full_wire, burst.last_wire)
+        plan = self._plans.get(key, False)
+        if plan is False:
+            plan = self._plans[key] = self._burst_plan(*key)
+        if plan is None:
+            return None
+        window, k_full, k_last, slack, ser_last = plan
         loss_random = self._loss_random
-        # Each run draws for at most two windows of (slack // spacing + 1) packets.
-        expected_runs = 1 + n * loss_rate if loss_random is not None else 1
-        if (spacing == 0 or spacing < ser_full
-                or burst.first_ns + tx_ns < self._busy_until
-                or 2 * (slack // spacing + 1) * expected_runs >= n):
+        # Each run draws for at most ``window`` packets.
+        expected_runs = 1 + n * self.model.loss_rate if loss_random is not None else 1
+        if burst.first_ns + self._tx_ns < self._busy_until or window * expected_runs >= n:
             return None
 
+        base = burst.base_ns
+        bits = burst.bits0 * NS_PER_S
+        step = burst.step_bits * NS_PER_S
         lost = []
         if loss_random is not None:
             if self._to_loss >= n:          # the common case: no loss in the burst
                 self._to_loss -= n
             else:
                 lost = self._losses(n)
-        k_full = self._fixed_ns + ser_full
-        k_last = self._fixed_ns + ser_last
+        span = self._span
+        switch = self._switch_rng
+        jitter = self._jitter
         last = n - 1
         rand = self._switch_random
         draws = range(jitter)
@@ -270,19 +281,17 @@ class Link:
             if end == first:
                 first = end + 1
                 continue
-            # Candidates for the earliest arrival are [first, p), for the
-            # latest [q, end); the two windows never overlap.
-            lim = base + (bits + first * step) // rate + slack
-            p = first + 1
-            while p < end and base + (bits + p * step) // rate <= lim:
-                p += 1
+            # Candidates for the earliest arrival are [first, p), the packets
+            # emitted at most ``slack`` after ``first``; for the latest
+            # [q, end), those emitted at most ``slack`` before ``end - 1``.
+            # The two windows never overlap.
+            lim = (bits + first * step) // rate + slack + 1
+            p = min(end, max(first + 1, -((bits - lim * rate) // step)))
             if p == end:
                 windows = ((first, end),)
             else:
-                lim = base + (bits + (end - 1) * step) // rate - slack
-                q = end - 1
-                while q > p and base + (bits + (q - 1) * step) // rate >= lim:
-                    q -= 1
+                lim = (bits + (end - 1) * step) // rate - slack
+                q = max(p, min(end - 1, -((bits - lim * rate) // step)))
                 windows = ((first, p), (q, end))
             mn = mx = None
             arg = first
@@ -291,7 +300,7 @@ class Link:
                 if skip:
                     switch.getrandbits(64 * skip)
                 for i in range(lo, hi):
-                    a = base + (bits + i * step) // rate + (k_last if i == last else k_full)
+                    a = (bits + i * step) // rate + (k_last if i == last else k_full)
                     for _ in draws:
                         a += int(rand() * span)
                     if mn is None or a < mn:
@@ -300,7 +309,7 @@ class Link:
                     if mx is None or a > mx:
                         mx = a
                 cursor = hi
-            runs.append((first, end, mn, arg, mx))
+            runs.append((first, end, base + mn, arg, base + mx))
             first = end + 1
         skip = (n - cursor) * jitter
         if skip:
@@ -310,7 +319,7 @@ class Link:
         self.sent += n
         self.lost += nlost
         self.delivered += n - nlost
-        self._busy_until = base + (bits + last * step) // rate + tx_ns + ser_last
+        self._busy_until = base + (bits + last * step) // rate + self._tx_ns + ser_last
         return runs
 
     def traverse(self, emissions, wire_bytes, frame_id=0, segment_index=0,
