@@ -131,10 +131,6 @@ class DataPacket:
                 f"packet_seq {self.packet_seq} outside 1..{self.packets_in_segment}"
             )
 
-    @property
-    def payload_length(self) -> int:
-        return len(self.payload)
-
 
 def make_synthetic_frame(
     frame_id: int,

@@ -126,9 +126,6 @@ class EventQueue:
             fired += 1
         return fired
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
 
 class Link:
     """Runtime state of one directional link: FIFO egress plus seeded draws.
@@ -262,12 +259,7 @@ class Link:
         base = burst.base_ns
         bits = burst.bits0 * NS_PER_S
         step = burst.step_bits * NS_PER_S
-        lost = []
-        if loss_random is not None:
-            if self._to_loss >= n:          # the common case: no loss in the burst
-                self._to_loss -= n
-            else:
-                lost = self._losses(n)
+        lost = self._losses(n) if loss_random is not None else []
         span = self._span
         switch = self._switch_rng
         jitter = self._jitter
@@ -387,9 +379,6 @@ class Link:
 
 def _runs(arrivals) -> list[tuple[int, int, int, int, int]]:
     """Split per-packet arrivals (None = lost) into ``Link.carry``'s runs."""
-    if None not in arrivals:
-        mn = min(arrivals)
-        return [(0, len(arrivals), mn, arrivals.index(mn), max(arrivals))]
     runs = []
     first = 0
     for stop in [i for i, a in enumerate(arrivals) if a is None] + [len(arrivals)]:

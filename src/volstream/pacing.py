@@ -41,8 +41,3 @@ class RatePacer:
         bits0 = self._bits
         self._bits = bits0 + (count - 1) * step_bits + last_bits
         return self._base_ns, bits0
-
-    def emit(self, now_ns: int, wire_bits: int) -> int:
-        """Charge one packet; returns its emission (serialization start) instant."""
-        base, bits0 = self.charge(now_ns, 1, 0, wire_bits)
-        return base + (bits0 * NS_PER_S) // self.rate_bps

@@ -225,10 +225,10 @@ def schedule_captures(driver, hop: Hop, cfg: ScenarioConfig, rng,
     def capture(k, tick):
         frame, rec = capture_tick(profile, k + 1, tick, cfg.seed, rng)
         app_tx[frame.frame_id] = rec
-        driver.schedule(rec.capture_end_ns, handoff, frame, k + 1 == frames)
+        driver.schedule(rec.capture_end_ns, handoff, frame)
 
-    def handoff(frame, eos):
-        hop.deliver(hop.sender.send_frame(frame, driver.now(), end_of_stream=eos))
+    def handoff(frame):
+        hop.deliver(hop.sender.send_frame(frame, driver.now()))
 
     for k in range(frames):
         tick = start_ns + k * profile.interval_ns

@@ -52,8 +52,9 @@ class StallModel:
 class RelayNode:
     """Replication node between the sender hop and the receiver hops.
 
-    The relay is event-driven: it wires ``upstream.on_segment`` /
-    ``on_frame`` / ``on_drop`` to itself, and the owner injects
+    The relay is event-driven: it wires ``upstream.on_segment(frame_id,
+    segment_index, payload, now, is_final)``, ``on_frame(frame_id, segments,
+    log)`` and ``on_drop(frame_id)`` to itself, and the owner injects
     ``scheduler(at_ns, fn, *args)`` (to defer forwards past the gate) and
     ``emit(receiver_idx, bursts)`` (to hand planned bursts to the downstream
     network).
@@ -105,26 +106,24 @@ class RelayNode:
 
     # -- upstream endpoint callbacks ------------------------------------------
 
-    def _upstream_segment(self, frame_id, segment_index, payload, now,
-                          is_final, eos) -> None:
+    def _upstream_segment(self, frame_id, segment_index, payload, now, is_final) -> None:
         if self.policy != "cut_through":
             return
         at = max(self._gate(frame_id, now), now + self.forward_delay_ns)
         if at > now:
             self.scheduler(at, self.forward_segment, frame_id, segment_index,
-                           payload, is_final, eos, at)
+                           payload, is_final, at)
         else:
-            self.forward_segment(frame_id, segment_index, payload, is_final, eos, at)
+            self.forward_segment(frame_id, segment_index, payload, is_final, at)
 
     def _upstream_frame(self, frame_id, segments, log) -> None:
         if self.policy == "store_forward":
             # no segment opened the gate earlier, so it opens at or after now
             at = self._gate(frame_id, log.complete_ns)
             if at > log.complete_ns:
-                self.scheduler(at, self.forward_frame, frame_id, segments, at,
-                               log.end_of_stream)
+                self.scheduler(at, self.forward_frame, frame_id, segments, at)
             else:
-                self.forward_frame(frame_id, segments, at, log.end_of_stream)
+                self.forward_frame(frame_id, segments, at)
         self._gates.pop(frame_id, None)
 
     def _upstream_drop(self, frame_id) -> None:
@@ -149,16 +148,15 @@ class RelayNode:
 
     # -- forwarding ------------------------------------------------------------
 
-    def forward_segment(self, frame_id, segment_index, payload, is_final, eos,
-                        now) -> None:
+    def forward_segment(self, frame_id, segment_index, payload, is_final, now) -> None:
         """Replicate one segment to every receiver."""
         for r, sender in enumerate(self.downstreams):
             if sender.pacer.busy_until_ns - now > self.queue_high_water_ns:
                 self.downstream_backpressure[r] += 1
             self.emit(r, [sender.send_segment(frame_id, segment_index, payload, now,
-                                              is_final=is_final, end_of_stream=eos)])
+                                              is_final=is_final)])
 
-    def forward_frame(self, frame_id, segments, now, eos=False) -> None:
+    def forward_frame(self, frame_id, segments, now) -> None:
         """Store-and-forward: replicate a whole frame from its ordered segments.
 
         Both hops use the same segment size, so the segments that arrived
@@ -167,4 +165,4 @@ class RelayNode:
         count = len(segments)
         for i, seg_payload in enumerate(segments):
             self.forward_segment(frame_id, i + 1, seg_payload, is_final=(i + 1 == count),
-                                 eos=eos, now=now)
+                                 now=now)

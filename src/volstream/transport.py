@@ -56,8 +56,7 @@ from dataclasses import dataclass, field
 from .clock import NodeClock
 from .errors import ConfigError, TransportError
 from .frames import DataPacket, VolumetricFrame, segment_frame
-from .wire import (FLAG_END_OF_STREAM, FLAG_FINAL_SEGMENT, HEADER_SIZE, MAX_NACK_RANGES,
-                   ControlPacket, PacketType)
+from .wire import FLAG_FINAL_SEGMENT, HEADER_SIZE, MAX_NACK_RANGES, ControlPacket, PacketType
 from .pacing import NS_PER_S, RatePacer
 
 # Why ``ReceiverEndpoint._drop`` gave a frame up: its deadline passed, a
@@ -73,11 +72,10 @@ class SegmentBurst:
     starts serializing at ``base_ns + ((bits0 + i * step_bits) * 10**9) //
     rate_bps`` (``first_ns`` for packet 0), and every packet but the last is
     ``full_wire`` bytes on the wire. ``clock`` maps those driver-time
-    instants to the sender-local send stamps (``None``: stamps equal
-    emissions). The per-packet lists ``emissions``, ``stamps`` and
-    ``wire_bytes`` are built on first use, for socket mode and the
-    per-packet link path, and ``packet(i, ...)`` is the one packetizer: it
-    cuts packet ``i`` out of the payload as a wire packet.
+    instants to the sender-local send stamps. The per-packet lists
+    ``emissions``, ``stamps`` and ``wire_bytes`` are built on first use, for
+    socket mode and the per-packet link path, and ``packet(i, ...)`` is the
+    one packetizer: it cuts packet ``i`` out of the payload as a wire packet.
     """
 
     frame_id: int
@@ -94,15 +92,14 @@ class SegmentBurst:
     rate_bps: int
     full_wire: int             # datagram size incl header, all but the last packet
     last_wire: int
-    clock: NodeClock | None = None
-    flags: int = 0
-    retransmit: bool = False
+    clock: NodeClock
+    flags: int
     _emissions: list | None = field(default=None, repr=False, compare=False)
 
     def stamp(self, i: int) -> int:
         """Sender-local send timestamp of packet ``i``."""
-        e = self.base_ns + ((self.bits0 + i * self.step_bits) * NS_PER_S) // self.rate_bps
-        return e if self.clock is None else self.clock.local_from_true(e)
+        return self.clock.local_from_true(
+            self.base_ns + ((self.bits0 + i * self.step_bits) * NS_PER_S) // self.rate_bps)
 
     def emitted_by(self, now_ns: int) -> int:
         """How many of the burst's packets start emission at or before
@@ -116,19 +113,14 @@ class SegmentBurst:
     @property
     def emissions(self) -> list:
         if self._emissions is None:
-            if self.count == 1:
-                self._emissions = [self.first_ns]
-            else:
-                base, rate = self.base_ns, self.rate_bps
-                bits = self.bits0 * NS_PER_S
-                step = self.step_bits * NS_PER_S
-                self._emissions = [base + (bits + i * step) // rate for i in range(self.count)]
+            base, rate = self.base_ns, self.rate_bps
+            bits = self.bits0 * NS_PER_S
+            step = self.step_bits * NS_PER_S
+            self._emissions = [base + (bits + i * step) // rate for i in range(self.count)]
         return self._emissions
 
     @property
     def stamps(self) -> list:
-        if self.clock is None:
-            return self.emissions
         return [self.clock.local_from_true(e) for e in self.emissions]
 
     @property
@@ -166,7 +158,6 @@ class RecvLogEntry:
     nack_count: int = 0
     payload_len: int = 0
     payload_checksum: int = 0
-    end_of_stream: bool = False
     drop_reason: str = ""             # one of DROP_REASONS once dropped
 
 
@@ -205,15 +196,11 @@ class SenderEndpoint:
         self.packets_retransmitted = 0
         self.stale_nacks = 0
         self.frames_acked = 0
-        self._retained: dict[int, dict] = {}   # frame_id -> {seg_idx: (payload, flags, burst)}
+        self._retained: dict[int, dict] = {}   # frame_id -> {seg_idx: first, whole-segment burst}
         self._last_frame_id: int | None = None
 
-    @property
-    def pacing_rate_bps(self) -> int:
-        return self.pacer.rate_bps
-
     def _plan_burst(self, now, frame_id, seg_idx, n_in_seg, seq_start, count,
-                    payload, flags, retransmit):
+                    payload, flags):
         pps = self.packet_payload_size
         overhead = self.overhead_bits
         last_plen = len(payload) - (seq_start - 2 + count) * pps
@@ -223,19 +210,15 @@ class SenderEndpoint:
         base, bits0 = self.pacer.charge(now, count, step_bits,
                                         last_plen * 8 + overhead)
         rate = self.pacer.rate_bps
-        clk = self.clock
         view = memoryview(payload)[(seq_start - 1) * pps:(seq_start - 1 + count) * pps]
         # Positional: this runs once per burst, and keywords cost measurably.
         return SegmentBurst(
             frame_id, seg_idx, n_in_seg, seq_start, count, view, pps,
             base + (bits0 * NS_PER_S) // rate, base, bits0, step_bits, rate,
-            HEADER_SIZE + pps, HEADER_SIZE + last_plen,
-            None if clk.true_offset_ns == 0 and clk.drift_ppm == 0 else clk,
-            flags, retransmit,
+            HEADER_SIZE + pps, HEADER_SIZE + last_plen, self.clock, flags,
         )
 
-    def send_frame(self, frame: VolumetricFrame, now_ns: int,
-                   end_of_stream: bool = False) -> list[SegmentBurst]:
+    def send_frame(self, frame: VolumetricFrame, now_ns: int) -> list[SegmentBurst]:
         """Plan the paced emission of every packet of ``frame``, in order.
 
         Returns one burst per segment, each planned by ``send_segment``, so
@@ -256,16 +239,14 @@ class SenderEndpoint:
         self._last_frame_id = frame.frame_id
 
         bursts = [self.send_segment(frame.frame_id, seg.segment_index, seg.payload, now_ns,
-                                    is_final=seg.segment_index == seg.segment_count,
-                                    end_of_stream=end_of_stream)
+                                    is_final=seg.segment_index == seg.segment_count)
                   for seg in segment_frame(frame, self.segment_payload_size)]
         if self.compute_crc:
             self.send_log[frame.frame_id].payload_checksum = frame.crc32
         return bursts
 
     def send_segment(self, frame_id: int, segment_index: int, payload,
-                     now_ns: int, is_final: bool = False,
-                     end_of_stream: bool = False) -> SegmentBurst:
+                     now_ns: int, is_final: bool = False) -> SegmentBurst:
         """Plan the paced emission of one segment.
 
         The one place the send log is built, the segment retained and its
@@ -276,9 +257,8 @@ class SenderEndpoint:
         """
         size = len(payload)
         n = -(-size // self.packet_payload_size)
-        flags = (FLAG_FINAL_SEGMENT if is_final else 0) | (FLAG_END_OF_STREAM if end_of_stream else 0)
-        burst = self._plan_burst(now_ns, frame_id, segment_index, n, 1, n,
-                                 payload, flags, retransmit=False)
+        burst = self._plan_burst(now_ns, frame_id, segment_index, n, 1, n, payload,
+                                 FLAG_FINAL_SEGMENT if is_final else 0)
         self.packets_sent += n
         end = self.pacer.busy_until_ns
         first = burst.first_ns
@@ -295,7 +275,7 @@ class SenderEndpoint:
         entry.packet_count += n
         entry.payload_len += size
         if frame_id in self._retained:
-            self._retained[frame_id][segment_index] = (payload, flags, burst)
+            self._retained[frame_id][segment_index] = burst
         return burst
 
     def _evict(self) -> None:
@@ -321,7 +301,7 @@ class SenderEndpoint:
         for seg_idx, lo, hi in nack.ranges:
             if seg_idx not in retained:
                 continue
-            payload, flags, first = retained[seg_idx]
+            first = retained[seg_idx]
             n = first.count
             emitted = first.emitted_by(now_ns)
             if hi == 0 or hi > emitted:
@@ -330,7 +310,7 @@ class SenderEndpoint:
                 continue
             count = hi - lo + 1
             burst = self._plan_burst(now_ns, nack.frame_id, seg_idx, n,
-                                     lo, count, payload, flags, retransmit=True)
+                                     lo, count, first.payload, first.flags)
             bursts.append(burst)
             self.packets_retransmitted += count
         if nack.frame_id in self.send_log:
@@ -500,9 +480,9 @@ class ReceiverEndpoint:
         deadline_ns: int = 66_600_000,   # 0 disables the deadline
         retain_payloads: bool = False,
         compute_crc: bool = True,
-        on_segment=None,
-        on_frame=None,
-        on_drop=None,
+        on_segment=None,   # (frame_id, segment_index, data, now, is_final): a segment is whole
+        on_frame=None,     # (frame_id, segments, log): the frame is whole
+        on_drop=None,      # (frame_id): the frame is dropped
     ):
         if nack_delay_ns < 0 or tail_timeout_ns < 0 or deadline_ns < 0:
             raise ConfigError("receiver timeouts must be >= 0")
@@ -565,8 +545,6 @@ class ReceiverEndpoint:
 
         if flags & FLAG_FINAL_SEGMENT:
             state.segment_count = segment_index
-        if flags & FLAG_END_OF_STREAM:
-            log.end_of_stream = True
 
         seg = state.segments.get(segment_index)
         if seg is None:
@@ -601,7 +579,7 @@ class ReceiverEndpoint:
             state.incomplete.discard(segment_index)
             if self.on_segment is not None:
                 self.on_segment(frame_id, segment_index, data, now,
-                                state.segment_count == segment_index, log.end_of_stream)
+                                state.segment_count == segment_index)
             if not state.incomplete and len(state.segments) == state.segment_count:
                 return self._complete(state, now)
 
@@ -609,12 +587,7 @@ class ReceiverEndpoint:
         # front arms the gap timer, unless it is already armed.
         if self.max_nack_rounds:
             state.tail_deadline = now + self.tail_timeout_ns
-            front = state.max_seen_seg
-            if segment_index == front + 1 and seq_start == 1 and \
-                    (not front or state.segments[front].data is not None):
-                state.max_seen_seg = segment_index      # in order: no gap
-            else:
-                state.note_gaps(segment_index, seq_start, top)
+            state.note_gaps(segment_index, seq_start, top)
             if state.new_gaps:
                 if self.nack_delay_ns == 0:
                     self.pending_control += self._ask_new_gaps(state)

@@ -54,9 +54,8 @@ _SYNC_BODY = struct.Struct(">QQQQ")
 MAX_NACK_DATAGRAM = 1_472
 MAX_NACK_RANGES = (MAX_NACK_DATAGRAM - HEADER_SIZE - _NACK_COUNT.size) // _NACK_RANGE.size
 
-# Flag bits carried on data packets.
+# Flag bit carried on data packets.
 FLAG_FINAL_SEGMENT = 0x01   # packet belongs to the frame's last segment
-FLAG_END_OF_STREAM = 0x02   # packet belongs to the stream's last frame
 
 
 class PacketType(IntEnum):

@@ -137,8 +137,7 @@ def _assert_twins_agree(model, node_tx, node_rx, sender, plans, seed, busy):
         else:
             seq_start = 1 + select % n
             count = 1 + (select // n) % (n - seq_start + 1)
-        burst = sender._plan_burst(now, k + 1, 1, n, seq_start, count, bytes(seg_len),
-                                   0, retransmit=select != 0)
+        burst = sender._plan_burst(now, k + 1, 1, n, seq_start, count, bytes(seg_len), 0)
         assert _carried_runs(carried, burst) == _reference_runs(reference, burst)
         assert _link_state(carried, carried_loss) == _link_state(reference, reference_loss)
 
@@ -155,7 +154,7 @@ def _paced_setup(loss=0.0):
 
 def test_paced_burst_skips_the_per_packet_path(monkeypatch):
     link, sender = _paced_setup(loss=0.001)
-    burst = sender._plan_burst(0, 1, 1, 254, 1, 254, bytes(65_000), 0, False)
+    burst = sender._plan_burst(0, 1, 1, 254, 1, 254, bytes(65_000), 0)
 
     def per_packet(*args, **kwargs):
         raise AssertionError("a paced burst on a clean link must not go packet by packet")
@@ -176,9 +175,9 @@ def test_one_packet_and_very_lossy_bursts_go_packet_by_packet(monkeypatch):
 
     monkeypatch.setattr(Link, "traverse", counted)
     link, sender = _paced_setup()
-    link.carry(sender._plan_burst(0, 1, 1, 1, 1, 1, bytes(200), 0, False))
+    link.carry(sender._plan_burst(0, 1, 1, 1, 1, 1, bytes(200), 0))
     lossy, sender = _paced_setup(loss=0.5)
-    lossy.carry(sender._plan_burst(0, 1, 1, 254, 1, 254, bytes(65_000), 0, False))
+    lossy.carry(sender._plan_burst(0, 1, 1, 254, 1, 254, bytes(65_000), 0))
     assert calls == [1, 254]
 
 
@@ -190,10 +189,12 @@ def test_burst_progression_matches_packet_by_packet_pacing(rate, pps, overhead, 
     sender = SenderEndpoint(1, rate, NodeClock("s"), packet_payload_size=pps,
                             overhead_bits_per_packet=overhead)
     n = -(-seg_len // pps)
-    burst = sender._plan_burst(now, 1, 1, n, 1, n, bytes(seg_len), 0, False)
+    burst = sender._plan_burst(now, 1, 1, n, 1, n, bytes(seg_len), 0)
     pacer = RatePacer(rate)
-    emissions = [pacer.emit(now, (w - burst.full_wire + pps) * 8 + overhead)
-                 for w in burst.wire_bytes]
+    emissions = []
+    for w in burst.wire_bytes:
+        base, bits0 = pacer.charge(now, 1, 0, (w - burst.full_wire + pps) * 8 + overhead)
+        emissions.append(base + (bits0 * 10**9) // rate)
     assert burst.emissions == emissions
     assert [burst.stamp(i) for i in range(n)] == emissions
     assert sender.pacer.busy_until_ns == pacer.busy_until_ns

@@ -142,7 +142,7 @@ def test_endpoint_factory_takes_transport_settings():
         "transport.max_nack_rounds": "5", "transport.deadline_ms": "40"}) == []
     clock = NodeClock("n")
     s = cfg.sender_endpoint(1_500_000_000, clock)
-    assert (s.stream_id, s.pacing_rate_bps, s.clock) == (7, 1_500_000_000, clock)
+    assert (s.stream_id, s.pacer.rate_bps, s.clock) == (7, 1_500_000_000, clock)
     assert (s.segment_payload_size, s.packet_payload_size, s.overhead_bits,
             s.retention_frames, s.max_frame_bytes) == (8_000, 256, 428, 3, 9000)
     for ep in (cfg.receiver_endpoint(), cfg.receiver_endpoint(relay=True)):

@@ -44,7 +44,7 @@ def _fresh_bursts(pps):
 
     def setup():
         clock[0] += 10_000_000
-        return (sender._plan_burst(clock[0], 1, 1, n, 1, n, SEGMENT, 0, False),), {}
+        return (sender._plan_burst(clock[0], 1, 1, n, 1, n, SEGMENT, 0),), {}
     return setup
 
 
@@ -53,7 +53,7 @@ def test_bench_plan_burst(benchmark, count):
     pps = BURSTS[count]
     sender = _sender(pps)
     burst = benchmark.pedantic(sender._plan_burst,
-                               args=(0, 1, 1, count, 1, count, SEGMENT, 0, False),
+                               args=(0, 1, 1, count, 1, count, SEGMENT, 0),
                                rounds=ROUNDS, iterations=1)
     assert burst.count == count
 
@@ -89,7 +89,7 @@ def _ingest(receiver, burst, frame_id=1):
 
 def test_bench_ingest_segment(benchmark):
     # one 47-packet run completes segment 1 of a fresh frame
-    burst = _sender(1_400)._plan_burst(0, 1, 1, 47, 1, 47, SEGMENT, 0, False)
+    burst = _sender(1_400)._plan_burst(0, 1, 1, 47, 1, 47, SEGMENT, 0)
     receiver = ReceiverEndpoint(1, deadline_ns=0)
     frame_ids = iter(range(1, ROUNDS + 1))
 

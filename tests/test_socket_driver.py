@@ -229,8 +229,8 @@ def test_relay_stops_only_after_its_delayed_forwards():
         start = driver.now()
         for k in range(1, 4):
             frame = make_synthetic_frame(k, 20_000, 0, 0, seed=k)
-            driver.schedule(start + k * 10 * MS, lambda f, eos: sending.deliver(
-                sending.sender.send_frame(f, driver.now(), end_of_stream=eos)), frame, k == 3)
+            driver.schedule(start + k * 10 * MS, lambda f: sending.deliver(
+                sending.sender.send_frame(f, driver.now())), frame)
         driver.run(lambda: 3 in up.receiver.recv_log or 3 in up.receiver.dropped,
                    20 * MS, start + 10_000 * MS)
     assert sorted(up.receiver.recv_log) == [1, 2, 3]

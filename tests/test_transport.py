@@ -51,10 +51,14 @@ def _packets(burst):
 
 def test_pacer_spacing_and_rebase():
     p = RatePacer(1_000_000_000)
-    assert p.emit(0, 8_000) == 0
-    assert p.emit(0, 8_000) == 8_000          # one packet time later
+
+    def emit(now_ns, wire_bits):
+        base, bits0 = p.charge(now_ns, 1, 0, wire_bits)
+        return base + (bits0 * 10**9) // p.rate_bps
+    assert emit(0, 8_000) == 0
+    assert emit(0, 8_000) == 8_000          # one packet time later
     assert p.busy_until_ns == 16_000
-    assert p.emit(100_000, 8_000) == 100_000  # idle gap rebases
+    assert emit(100_000, 8_000) == 100_000  # idle gap rebases
     assert p.busy_until_ns == 108_000
 
 

@@ -38,7 +38,7 @@ def test_data_round_trip_property(stream_id, frame_id, seg, n, ts, flags, payloa
                    send_timestamp=ts, flags=flags)
     q = decode_packet(encode_packet(p))
     assert q == p
-    assert q.payload_length == len(payload)
+    assert len(q.payload) == len(payload)
 
 
 def test_short_buffer_errors():
