@@ -414,8 +414,8 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
     check(c.color_bytes >= 0 and c.depth_bytes >= 0 and c.audio_bytes >= 0,
           "capture.color_bytes", (c.color_bytes, c.depth_bytes, c.audio_bytes),
           "section sizes must be >= 0")
-    check(c.color_bytes + c.depth_bytes + c.audio_bytes > 0,
-          "capture.color_bytes", c.color_bytes + c.depth_bytes + c.audio_bytes,
+    frame_bytes = c.color_bytes + c.depth_bytes + c.audio_bytes
+    check(frame_bytes > 0, "capture.color_bytes", frame_bytes,
           "at least one frame section must be > 0")
     r = cfg.render
     check(r.app_rx_ms >= 0, "render.app_rx_ms", r.app_rx_ms, "must be >= 0")
@@ -427,6 +427,13 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
           t.packet_payload_size, "must be >= 1")
     check(t.packet_payload_size <= 65_000, "transport.packet_payload_size",
           t.packet_payload_size, "must fit a datagram (<= 65000)")
+    # segment_index and packet_seq are u16 on the wire
+    seg_bytes = min(cfg.segment_payload_size, frame_bytes)
+    if seg_bytes >= 1 and t.packet_payload_size >= 1:
+        check(-(-frame_bytes // seg_bytes) <= 0xFFFF, "segment_payload_size",
+              cfg.segment_payload_size, f"must cut a {frame_bytes}-byte frame into <= 65535 segments")
+        check(-(-seg_bytes // t.packet_payload_size) <= 0xFFFF, "transport.packet_payload_size",
+              t.packet_payload_size, f"must cut a {seg_bytes}-byte segment into <= 65535 packets")
     check(t.overhead_bits_per_packet >= 0, "transport.overhead_bits_per_packet",
           t.overhead_bits_per_packet, "must be >= 0")
     check(t.nack_delay_ms >= 0, "transport.nack_delay_ms", t.nack_delay_ms, "must be >= 0")

@@ -61,6 +61,23 @@ def test_zero_tail_timeout_with_nack_rounds_exits_2(tmp_path, capsys):
     assert "transport.tail_timeout_ms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"segment_payload_size": 40, "hop1.loss_rate": 0.01}, "segment_payload_size"),
+    ({"segment_payload_size": 3_520_000, "transport.packet_payload_size": 40},
+     "transport.packet_payload_size"),
+], ids=["segments", "packets"])
+def test_counts_past_the_u16_header_fields_exit_2(tmp_path, capsys, overrides, key):
+    # paper-size frames: 88,000 segments or packets, which segment_index and
+    # packet_seq (u16) cannot number
+    path = tmp_path / "bad.cfg"
+    path.write_text("duration_s=0.1\n" + "".join(f"{k}={v}\n" for k, v in overrides.items()))
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("definitely.not.a.key=1\n")

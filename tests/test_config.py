@@ -42,6 +42,19 @@ def test_zero_tail_timeout_needs_zero_nack_rounds():
     assert validate(cfg) == []
 
 
+def test_counts_past_the_u16_header_fields_are_invalid():
+    # segment_index and packet_seq are u16: 40-byte segments or packets cut a
+    # 3.52 MB frame into 88,000 of them
+    cfg = ScenarioConfig()
+    cfg.segment_payload_size = 40
+    assert [d.key for d in validate(cfg)] == ["segment_payload_size"]
+    cfg.segment_payload_size = 3_520_000
+    cfg.transport.packet_payload_size = 40
+    assert [d.key for d in validate(cfg)] == ["transport.packet_payload_size"]
+    cfg.transport.packet_payload_size = 54
+    assert validate(cfg) == []      # 65,186 packets
+
+
 def test_unknown_key_is_rejected():
     cfg, diags = parse_config_text("no.such.key=1\n")
     assert any("unknown" in d.constraint for d in diags)
