@@ -405,7 +405,7 @@ def run_socket_orchestrated(cfg: ScenarioConfig):
           "are ignored")
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    cfg_path = os.path.join(out, "socket_config.cfg")
+    cfg_path = os.path.join(out, "config.txt")
     with open(cfg_path, "w", encoding="utf-8") as fh:
         fh.write(render_config(cfg))
 

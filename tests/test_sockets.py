@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from volstream.config import apply_overrides, validate
+from volstream.config import apply_overrides, load_config_file, render_config, validate
 from volstream.pipeline import run_simulation
 from volstream.scenarios import scenario_config
 from volstream.sockets import (_write_receiver_log, _write_relay_log, _write_sender_log,
@@ -76,11 +76,13 @@ def test_loopback_stream_end_to_end(tmp_path):
     assert counts["payload_mismatches"] == "0"
     for role in ("sender", "relay", "receiver0"):
         assert os.path.exists(os.path.join(cfg.out_dir, f"{role}_log.json"))
+    # the report ships its full key list, which loads back as it was run
+    loaded, diags = load_config_file(os.path.join(cfg.out_dir, "config.txt"))
+    assert diags == [] and render_config(loaded) == render_config(cfg)
 
 
 def test_socket_mode_via_cli(tmp_path, capsys):
     from volstream.cli import EXIT_OK, main
-    from volstream.config import render_config
     cfg = _socket_cfg(tmp_path, base_port=47610, **{"duration_s": 0.6})
     path = tmp_path / "sock.cfg"
     path.write_text(render_config(cfg))
