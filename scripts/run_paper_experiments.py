@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Run all four canned scenarios and print their result tables.
+"""Run all four canned scenarios, each as ``volstream run --scenario`` does.
 
 Usage:
     python scripts/run_paper_experiments.py [--out DIR] [--seed N]
 
 Writes one report directory per scenario under --out (default ./out).
+``VOLSTREAM_<KEY>`` overrides apply to every scenario. Exits with the
+worst scenario's exit code: 1 if any stream completed no frame.
 """
 
 import argparse
@@ -14,11 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from volstream.pipeline import SimResult
-from volstream.runner import (ProbeRunResult, SweepRunResult, format_probe_table,
-                              format_summary_table, format_sweep_table,
-                              run_experiment)
-from volstream.scenarios import scenario_config, scenario_names
+from volstream.cli import main as volstream
+from volstream.scenarios import scenario_names
 
 
 def main() -> int:
@@ -26,24 +25,16 @@ def main() -> int:
     parser.add_argument("--out", default="out", help="base output directory")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
-
+    seed = [] if args.seed is None else ["--seed", str(args.seed)]
+    worst = 0
     for name in scenario_names():
-        cfg = scenario_config(name)
-        cfg.out_dir = str(Path(args.out) / name.replace("-", "_"))
-        if args.seed is not None:
-            cfg.seed = args.seed
-        print(f"\n=== {name} (seed {cfg.seed}) ===")
+        out = str(Path(args.out) / name.replace("-", "_"))
+        print(f"\n=== {name} ===", flush=True)
         t0 = time.perf_counter()
-        result = run_experiment(cfg, write_outputs=True)
-        elapsed = time.perf_counter() - t0
-        if isinstance(result, SimResult):
-            print(format_summary_table(result.primary.summary))
-        elif isinstance(result, ProbeRunResult):
-            print(format_probe_table(result))
-        elif isinstance(result, SweepRunResult):
-            print(format_sweep_table(result))
-        print(f"({elapsed:.1f}s, report in {cfg.out_dir})")
-    return 0
+        code = volstream(["run", "--scenario", name, "--out", out, *seed])
+        print(f"({time.perf_counter() - t0:.1f}s, exit {code})", flush=True)
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

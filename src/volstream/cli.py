@@ -5,8 +5,8 @@
     volstream validate --config lab.cfg
 
 Exit codes: 0 success, 1 runtime failure, also a stream run in which a
-receiver completed no frame or a sweep in which a rate completed none
-(either written in full), 2 invalid configuration. Any
+receiver completed no frame or a sweep in which a receiver completed none
+at some rate (either written in full), 2 invalid configuration. Any
 configuration key can be overridden via ``VOLSTREAM_<KEY>`` environment
 variables (dots become underscores).
 """
@@ -19,9 +19,7 @@ import sys
 from .config import (ScenarioConfig, apply_overrides, env_overrides,
                      load_config_file, validate)
 from .errors import VolstreamError
-from .pipeline import SimResult
-from .runner import (ProbeRunResult, SweepRunResult, format_probe_table,
-                     format_summary_table, format_sweep_table, run_experiment)
+from .runner import run_experiment
 from .scenarios import scenario_config, scenario_names
 
 EXIT_OK = 0
@@ -77,31 +75,14 @@ def _build_config(args) -> tuple[ScenarioConfig, list]:
 def run(cfg: ScenarioConfig, role: str | None = None, role_index: int = 0,
         quiet: bool = False) -> int:
     """Execute a validated scenario; returns the process exit code."""
-    runs = []    # (label, summary) of each run that must complete a frame
-    if cfg.mode == "socket":
-        from . import sockets
-        if role:
-            sockets.run_role(cfg, role, role_index)
-            return EXIT_OK
-        summaries = [summary for _records, summary in sockets.run_socket_orchestrated(cfg)]
-    else:
-        result = run_experiment(cfg, write_outputs=True)
-        summaries = [rr.summary for rr in result.receivers] \
-            if isinstance(result, SimResult) else []
-        if isinstance(result, SweepRunResult):
-            runs = [(f"sweep rate {row.rate_bps} bps", rr.primary.summary)
-                    for row, rr in zip(result.rows, result.results)]
-        if not quiet and isinstance(result, ProbeRunResult):
-            print(format_probe_table(result))
-        elif not quiet and isinstance(result, SweepRunResult):
-            print(format_sweep_table(result))
+    result = run_experiment(cfg, role=role, role_index=role_index)
+    if result is None:      # one socket role: the orchestrator reports the run
+        return EXIT_OK
     if not quiet:
-        for r, summary in enumerate(summaries):
-            print(f"receiver {r}:")
-            print(format_summary_table(summary))
+        print(result.table())
         print(f"report written under {cfg.out_dir}")
-    runs += [(f"receiver {r}", summary) for r, summary in enumerate(summaries)]
-    failed = [(label, summary) for label, summary in runs if summary.frames_completed == 0]
+    failed = [(label, summary) for label, summary in result.streams()
+              if summary.frames_completed == 0]
     for label, summary in failed:
         print(f"runtime error: {label} completed 0 of {summary.frames_sent} frames",
               file=sys.stderr)

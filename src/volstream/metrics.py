@@ -304,6 +304,25 @@ def render_summary_csv(summary: RunSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_summary_table(summary: RunSummary) -> str:
+    """The console table of one summary: each metric's statistics, then its counters."""
+    lines = [
+        f"{'metric':<14} {'mean_ms':>12} {'p50_ms':>12} {'p95_ms':>12} "
+        f"{'p99_ms':>12} {'min_ms':>12} {'max_ms':>12} {'jitter_ms':>12}"
+    ]
+    for metric, st in summary.stats.items():
+        lines.append(
+            f"{metric:<14} {st.mean_ns / NS_PER_MS:>12.3f} "
+            f"{st.p50_ns / NS_PER_MS:>12.3f} {st.p95_ns / NS_PER_MS:>12.3f} "
+            f"{st.p99_ns / NS_PER_MS:>12.3f} {st.min_ns / NS_PER_MS:>12.3f} "
+            f"{st.max_ns / NS_PER_MS:>12.3f} {st.jitter_ns / NS_PER_MS:>12.3f}"
+        )
+    lines.append(f"frames: sent={summary.frames_sent} "
+                 f"completed={summary.frames_completed} dropped={summary.frames_dropped}")
+    lines.append(" ".join(f"{k}={v}" for k, v in sorted(summary.packet_counts.items())))
+    return "\n".join(lines)
+
+
 def write_report(records, summary: RunSummary, out_dir: str,
                  suffix: str = "") -> tuple[str, str]:
     """Write frames{suffix}.csv and summary{suffix}.csv under ``out_dir``.

@@ -19,8 +19,9 @@ arrival; losses split runs and NACK-driven retransmissions fill them back
 in. Every log records its instants in the driver's time, here true time.
 After the event queue drains, ``receiver_reports`` turns the per-node logs,
 their clocks and the endpoint counters into each receiver's per-frame
-records and summary, which are written as the CSV report. Socket mode
-merges its role logs through the same function.
+records and summary, which ``write_reports`` writes as the CSV report.
+Socket mode merges its role logs through the same two functions, and a
+stream run in either mode returns a ``StreamResult``.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .appemu import capture_tick, render_complete
 from .clock import AnomalyLog, NodeClock, SyncPath, estimate_offset
-from .config import ScenarioConfig, _ms, _us, render_config
+from .config import ScenarioConfig, _ms, _us
 from .errors import ConfigError, SyncError
 from .metrics import (FrameLatencyRecord, RunLogs, RunSummary, assemble_record,
-                      summarize, write_report)
+                      format_summary_table, summarize, write_report)
 from .netem import TRACE_COLUMNS, EventQueue, Link
 from .transport import DROP_REASONS, ReceiverEndpoint, SenderEndpoint
 from .wire import ControlPacket, PacketType, encode_packet
@@ -43,12 +45,9 @@ from .wire import ControlPacket, PacketType, encode_packet
 NS_PER_S = 1_000_000_000
 
 
-@dataclass
-class ReceiverResult:
+class ReceiverResult(NamedTuple):
     records: list
     summary: RunSummary
-    frames_csv: str = ""
-    summary_csv: str = ""
 
 
 @dataclass(slots=True)
@@ -254,17 +253,29 @@ def render_on_frame(cfg: ScenarioConfig, rng, app_rx: dict):
 
 
 @dataclass
-class SimResult:
-    config: ScenarioConfig
+class StreamResult:
+    """A stream run's reports, in sim or socket mode."""
+
     receivers: list          # ReceiverResult per receiver
     anomalies: AnomalyLog
-    trace_rows: list
-    payload_mismatches: int
+    trace_rows: list = field(default_factory=list)
     sim: object = None       # the SimulationRun, for white-box tests
 
     @property
     def primary(self) -> ReceiverResult:
         return self.receivers[0]
+
+    @property
+    def payload_mismatches(self) -> int:
+        return sum(rr.summary.packet_counts["payload_mismatches"] for rr in self.receivers)
+
+    def table(self) -> str:
+        return "\n".join(f"receiver {r}:\n{format_summary_table(rr.summary)}"
+                         for r, rr in enumerate(self.receivers))
+
+    def streams(self) -> list:
+        """``(label, summary)`` of each receiver; every one must complete a frame."""
+        return [(f"receiver {r}", rr.summary) for r, rr in enumerate(self.receivers)]
 
 
 class SimulationRun:
@@ -335,7 +346,7 @@ class SimulationRun:
 
     # -- run ---------------------------------------------------------------------------
 
-    def run(self) -> SimResult:
+    def run(self) -> StreamResult:
         cfg = self.cfg
         k = cfg.clock
         if k.sync_enabled:
@@ -366,15 +377,8 @@ class SimulationRun:
         )
         counters = {"sender": self.sender.counters(), "relay": self.relay.counters(),
                     "receivers": [ep.counters() for ep in self.receivers]}
-        reports = receiver_reports(logs, self.frame_count, counters, self.anomalies)
-        return SimResult(config=cfg,
-                         receivers=[ReceiverResult(records, summary)
-                                    for records, summary in reports],
-                         anomalies=self.anomalies,
-                         trace_rows=self.trace_rows or [],
-                         payload_mismatches=sum(summary.packet_counts["payload_mismatches"]
-                                                for _, summary in reports),
-                         sim=self)
+        return StreamResult(receiver_reports(logs, self.frame_count, counters, self.anomalies),
+                            self.anomalies, self.trace_rows or [], sim=self)
 
 
 def receiver_records(logs: RunLogs, receiver: int, frame_count: int,
@@ -395,7 +399,7 @@ def receiver_records(logs: RunLogs, receiver: int, frame_count: int,
 
 def receiver_reports(logs: RunLogs, frame_count: int, counters: dict,
                      anomalies: AnomalyLog) -> list:
-    """Each receiver's ``(records, summary)``, in sim and socket mode alike.
+    """Each receiver's ``ReceiverResult``, in sim and socket mode alike.
 
     ``counters`` holds the endpoints' own counters as the role logs carry
     them: ``{"sender": SenderEndpoint.counters(), "relay":
@@ -433,24 +437,26 @@ def receiver_reports(logs: RunLogs, frame_count: int, counters: dict,
                            f"{hop}_lost": sent - delivered,
                            f"{hop}_retransmitted": tx["packets_retransmitted"],
                            **{f"{hop}_dropped_{why}": reasons[why] for why in DROP_REASONS}})
-        reports.append((records, summarize(records, counts)))
+        reports.append(ReceiverResult(records, summarize(records, counts)))
     return reports
 
 
-def run_simulation(cfg: ScenarioConfig, write_outputs: bool = True) -> SimResult:
-    """Run one stream-experiment simulation; optionally write the report."""
+def write_reports(receivers, out_dir: str, suffix: str = "") -> None:
+    """Write each receiver's ``frames{suffix}.csv`` and ``summary{suffix}.csv``
+    under ``out_dir``, receiver r > 0 with ``_r{r}`` after the suffix. The
+    sim, socket mode and the sweep write every report through here."""
+    for r, rr in enumerate(receivers):
+        write_report(rr.records, rr.summary, out_dir, suffix + (f"_r{r}" if r else ""))
+
+
+def run_simulation(cfg: ScenarioConfig, write_outputs: bool = True) -> StreamResult:
+    """Run one stream-experiment simulation; optionally write its reports
+    and trace under ``cfg.out_dir``."""
     result = SimulationRun(cfg).run()
     if write_outputs:
-        out = cfg.out_dir
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "config.txt"), "w", encoding="utf-8") as fh:
-            fh.write(render_config(cfg))
-        for r, rr in enumerate(result.receivers):
-            suffix = "" if r == 0 else f"_r{r}"
-            rr.frames_csv, rr.summary_csv = write_report(rr.records, rr.summary,
-                                                         out, suffix)
+        write_reports(result.receivers, cfg.out_dir)
         if cfg.trace.enabled:
-            path = os.path.join(out, cfg.trace.file)
+            path = os.path.join(cfg.out_dir, cfg.trace.file)
             rows = sorted(result.trace_rows)
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(",".join(TRACE_COLUMNS) + "\n")

@@ -1,4 +1,7 @@
-"""Experiment dispatch: stream / probe / sweep runs plus table printing."""
+"""Experiment dispatch (``run_experiment``, the one place that picks what
+runs and writes ``config.txt``) and the probe and sweep experiments. Each
+result has ``table()``, its console text, and ``streams()``, the ``(label,
+RunSummary)`` of every stream that must complete a frame."""
 
 from __future__ import annotations
 
@@ -7,9 +10,9 @@ import os
 from dataclasses import dataclass
 
 from .config import ScenarioConfig, render_config
-from .metrics import NS_PER_MS, ns_to_ms_str, write_report
+from .metrics import NS_PER_MS, ns_to_ms_str
 from .netem import run_probe_experiment
-from .pipeline import SimResult, run_simulation
+from .pipeline import run_simulation, write_reports
 
 PROBE_STAGE_ORDER = ("tx_sw", "tx_hw", "serialization", "propagation",
                      "switching", "rx_hw", "rx_sw", "total")
@@ -18,7 +21,24 @@ PROBE_STAGE_ORDER = ("tx_sw", "tx_hw", "serialization", "propagation",
 @dataclass
 class ProbeRunResult:
     per_hop: dict     # hop name -> list[ProbeSizeResult]
-    csv_path: str = ""
+
+    def stage_rows(self):
+        """``(hop, size result, stage, stage stats)`` in report order."""
+        for hop, size_results in self.per_hop.items():
+            for sr in size_results:
+                for stage in PROBE_STAGE_ORDER:
+                    yield hop, sr, stage, sr.stages[stage]
+
+    def table(self) -> str:
+        lines = [f"{'hop':<6} {'bytes':>6} {'stage':<14} {'mean_us':>10} {'p50_us':>10} "
+                 f"{'p99_us':>10}"]
+        lines += [f"{hop:<6} {sr.packet_bytes:>6} {stage:<14} {st.mean_ns / 1000:>10.3f} "
+                  f"{st.p50_ns / 1000:>10.3f} {st.p99_ns / 1000:>10.3f}"
+                  for hop, sr, stage, st in self.stage_rows()]
+        return "\n".join(lines)
+
+    def streams(self) -> list:
+        return []     # isolated packets: no frame to complete
 
 
 @dataclass
@@ -33,13 +53,37 @@ class SweepRow:
 @dataclass
 class SweepRunResult:
     rows: list
-    results: list     # SimResult per rate
-    csv_path: str = ""
+    results: list     # StreamResult per rate
+
+    def table(self) -> str:
+        lines = [f"{'rate_bps':>14} {'frames':>7} {'protocol_tx1_ms':>16} {'ideal_ms':>12} "
+                 f"{'frame_rx_ms':>12}"]
+        lines += [f"{row.rate_bps:>14} {row.frames_completed:>7} "
+                  f"{_mean_ms(row.mean_protocol_tx1_ns, '.3f'):>16} "
+                  f"{row.ideal_serialization_ns / NS_PER_MS:>12.3f} "
+                  f"{_mean_ms(row.mean_frame_rx_ns, '.3f'):>12}" for row in self.rows]
+        return "\n".join(lines)
+
+    def streams(self) -> list:
+        """Every receiver at every rate must complete a frame."""
+        return [(f"sweep rate {row.rate_bps} bps" + (f" receiver {r}" if r else ""),
+                 rr.summary)
+                for row, result in zip(self.rows, self.results)
+                for r, rr in enumerate(result.receivers)]
+
+
+def _write_text(out_dir: str, name: str, text: str) -> str:
+    """Write ``text`` as ``name`` under ``out_dir``; returns its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
 
 
 def run_probe(cfg: ScenarioConfig, write_outputs: bool = True) -> ProbeRunResult:
     """Probe both hops with isolated packets of the configured sizes."""
-    per_hop = {
+    result = ProbeRunResult(per_hop={
         "hop1": run_probe_experiment(
             cfg.link_model(cfg.hop1), cfg.node_stages(cfg.node_sender),
             cfg.node_stages(cfg.node_relay), cfg.probe.sizes, cfg.probe.samples,
@@ -48,33 +92,19 @@ def run_probe(cfg: ScenarioConfig, write_outputs: bool = True) -> ProbeRunResult
             cfg.link_model(cfg.hop2), cfg.node_stages(cfg.node_relay),
             cfg.node_stages(cfg.node_receiver), cfg.probe.sizes, cfg.probe.samples,
             f"{cfg.seed}:hop2"),
-    }
-    result = ProbeRunResult(per_hop=per_hop)
+    })
     if write_outputs:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        with open(os.path.join(cfg.out_dir, "config.txt"), "w", encoding="utf-8") as fh:
-            fh.write(render_config(cfg))
-        path = os.path.join(cfg.out_dir, "probe.csv")
         lines = ["hop,packet_bytes,samples,stage,mean_us,p50_us,p99_us"]
-        for hop in ("hop1", "hop2"):
-            for size_result in per_hop[hop]:
-                for stage in PROBE_STAGE_ORDER:
-                    st = size_result.stages[stage]
-                    lines.append(",".join((
-                        hop, str(size_result.packet_bytes), str(size_result.samples),
-                        stage, f"{st.mean_ns / 1000:.3f}",
-                        f"{st.p50_ns / 1000:.3f}", f"{st.p99_ns / 1000:.3f}",
-                    )))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-        result.csv_path = path
+        lines += [f"{hop},{sr.packet_bytes},{sr.samples},{stage},{st.mean_ns / 1000:.3f},"
+                  f"{st.p50_ns / 1000:.3f},{st.p99_ns / 1000:.3f}"
+                  for hop, sr, stage, st in result.stage_rows()]
+        _write_text(cfg.out_dir, "probe.csv", "\n".join(lines) + "\n")
     return result
 
 
 def run_sweep(cfg: ScenarioConfig, write_outputs: bool = True) -> SweepRunResult:
     """Run one short stream per sweep rate with both hops paced at that rate."""
-    rows = []
-    results = []
+    rows, results = [], []
     frame_bytes = cfg.capture.color_bytes + cfg.capture.depth_bytes + cfg.capture.audio_bytes
     for rate in cfg.sweep.rates_bps:
         sub = copy.deepcopy(cfg)
@@ -84,9 +114,9 @@ def run_sweep(cfg: ScenarioConfig, write_outputs: bool = True) -> SweepRunResult
         sub.hop2.pacing_bps = [rate]
         result = run_simulation(sub, write_outputs=False)
         results.append(result)
-        summary = result.primary.summary
         if write_outputs:
-            write_report(result.primary.records, summary, cfg.out_dir, f"_{rate}")
+            write_reports(result.receivers, cfg.out_dir, f"_{rate}")
+        summary = result.primary.summary
         done = summary.frames_completed > 0
         rows.append(SweepRow(
             rate_bps=rate,
@@ -95,24 +125,15 @@ def run_sweep(cfg: ScenarioConfig, write_outputs: bool = True) -> SweepRunResult
             ideal_serialization_ns=(frame_bytes * 8 * 1_000_000_000) // rate,
             mean_frame_rx_ns=summary.stat("frame_rx").mean_ns if done else None,
         ))
-    result = SweepRunResult(rows=rows, results=results)
     if write_outputs:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        with open(os.path.join(cfg.out_dir, "config.txt"), "w", encoding="utf-8") as fh:
-            fh.write(render_config(cfg))
-        path = os.path.join(cfg.out_dir, "sweep.csv")
-        lines = ["rate_bps,frames_completed,mean_protocol_tx1_ms,ideal_serialization_ms,mean_frame_rx_ms"]
-        for row in rows:
-            lines.append(",".join((
-                str(row.rate_bps), str(row.frames_completed),
-                _mean_ms(row.mean_protocol_tx1_ns, ".6f"),
-                ns_to_ms_str(row.ideal_serialization_ns),
-                _mean_ms(row.mean_frame_rx_ns, ".6f"),
-            )))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-        result.csv_path = path
-    return result
+        lines = ["rate_bps,frames_completed,mean_protocol_tx1_ms,ideal_serialization_ms,"
+                 "mean_frame_rx_ms"]
+        lines += [f"{row.rate_bps},{row.frames_completed},"
+                  f"{_mean_ms(row.mean_protocol_tx1_ns, '.6f')},"
+                  f"{ns_to_ms_str(row.ideal_serialization_ns)},"
+                  f"{_mean_ms(row.mean_frame_rx_ns, '.6f')}" for row in rows]
+        _write_text(cfg.out_dir, "sweep.csv", "\n".join(lines) + "\n")
+    return SweepRunResult(rows=rows, results=results)
 
 
 def _mean_ms(mean_ns: float | None, spec: str) -> str:
@@ -120,50 +141,23 @@ def _mean_ms(mean_ns: float | None, spec: str) -> str:
     return "" if mean_ns is None else format(mean_ns / NS_PER_MS, spec)
 
 
-def format_summary_table(summary) -> str:
-    lines = [
-        f"{'metric':<14} {'mean_ms':>12} {'p50_ms':>12} {'p95_ms':>12} "
-        f"{'p99_ms':>12} {'min_ms':>12} {'max_ms':>12} {'jitter_ms':>12}"
-    ]
-    for metric, st in summary.stats.items():
-        lines.append(
-            f"{metric:<14} {st.mean_ns / NS_PER_MS:>12.3f} "
-            f"{st.p50_ns / NS_PER_MS:>12.3f} {st.p95_ns / NS_PER_MS:>12.3f} "
-            f"{st.p99_ns / NS_PER_MS:>12.3f} {st.min_ns / NS_PER_MS:>12.3f} "
-            f"{st.max_ns / NS_PER_MS:>12.3f} {st.jitter_ns / NS_PER_MS:>12.3f}"
-        )
-    lines.append(f"frames: sent={summary.frames_sent} "
-                 f"completed={summary.frames_completed} dropped={summary.frames_dropped}")
-    counts = " ".join(f"{k}={v}" for k, v in sorted(summary.packet_counts.items()))
-    if counts:
-        lines.append(counts)
-    return "\n".join(lines)
-
-
-def format_probe_table(result: ProbeRunResult) -> str:
-    lines = [f"{'hop':<6} {'bytes':>6} {'stage':<14} {'mean_us':>10} {'p50_us':>10} {'p99_us':>10}"]
-    for hop, size_results in result.per_hop.items():
-        for sr in size_results:
-            for stage in PROBE_STAGE_ORDER:
-                st = sr.stages[stage]
-                lines.append(f"{hop:<6} {sr.packet_bytes:>6} {stage:<14} "
-                             f"{st.mean_ns / 1000:>10.3f} {st.p50_ns / 1000:>10.3f} "
-                             f"{st.p99_ns / 1000:>10.3f}")
-    return "\n".join(lines)
-
-
-def format_sweep_table(result: SweepRunResult) -> str:
-    lines = [f"{'rate_bps':>14} {'frames':>7} {'protocol_tx1_ms':>16} {'ideal_ms':>12} {'frame_rx_ms':>12}"]
-    for row in result.rows:
-        lines.append(f"{row.rate_bps:>14} {row.frames_completed:>7} "
-                     f"{_mean_ms(row.mean_protocol_tx1_ns, '.3f'):>16} "
-                     f"{row.ideal_serialization_ns / NS_PER_MS:>12.3f} "
-                     f"{_mean_ms(row.mean_frame_rx_ns, '.3f'):>12}")
-    return "\n".join(lines)
-
-
-def run_experiment(cfg: ScenarioConfig, write_outputs: bool = True):
-    """Dispatch to the configured experiment; returns its result object."""
+def run_experiment(cfg: ScenarioConfig, write_outputs: bool = True,
+                   role: str | None = None, role_index: int = 0):
+    """Run ``cfg.experiment`` in ``cfg.mode``; with ``write_outputs`` write
+    ``config.txt`` and the reports under ``cfg.out_dir``. A socket run always
+    writes them: its roles read ``config.txt``. With ``role`` one socket role
+    runs (spawned by the orchestrator, or by hand per host) and None is
+    returned: the orchestrator reports the run."""
+    socket_mode = cfg.mode == "socket"
+    if socket_mode:
+        from . import sockets    # keeps socket, subprocess and json out of sim runs
+        if role:
+            sockets.run_role(cfg, role, role_index)
+            return None
+    if write_outputs or socket_mode:
+        config_path = _write_text(cfg.out_dir, "config.txt", render_config(cfg))
+    if socket_mode:
+        return sockets.run_socket_orchestrated(cfg, config_path)
     if cfg.experiment == "probe":
         return run_probe(cfg, write_outputs)
     if cfg.experiment == "sweep":

@@ -37,11 +37,11 @@ from functools import partial
 
 from .appemu import AppRxRecord, AppTxRecord
 from .clock import AnomalyLog, NodeClock
-from .config import ScenarioConfig, render_config
+from .config import ScenarioConfig
 from .errors import CodecError, VolstreamError
-from .metrics import RunLogs, write_report
-from .pipeline import (Hop, Sync, receiver_reports, render_on_frame, schedule_captures,
-                       schedule_syncs)
+from .metrics import RunLogs
+from .pipeline import (Hop, StreamResult, Sync, receiver_reports, render_on_frame,
+                       schedule_captures, schedule_syncs, write_reports)
 from .relay import RelayNode
 from .transport import ReceiverEndpoint, RecvLogEntry, SenderEndpoint, SendLogEntry
 from .wire import (HEADER_SIZE, ControlPacket, PacketType, decode_packet, encode_packet,
@@ -395,24 +395,17 @@ def run_role(cfg: ScenarioConfig, role: str, role_index: int = 0) -> None:
 # -- single-host orchestration -----------------------------------------------------------
 
 
-def run_socket_orchestrated(cfg: ScenarioConfig):
-    """Spawn all roles on loopback, merge their logs, write the report.
-
-    Returns the merged (records, summary) pair per receiver.
-    """
+def run_socket_orchestrated(cfg: ScenarioConfig, cfg_path: str) -> StreamResult:
+    """Spawn all roles on loopback with the config file at ``cfg_path``,
+    merge their logs and write the report; returns the merged result."""
     print("socket mode: emulated link models (hop*.bandwidth/loss/delay) and the sim's "
           "sync path (clock.sync_req_us, clock.sync_resp_us, clock.sync_loss_rate) "
           "are ignored")
-    out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    cfg_path = os.path.join(out, "config.txt")
-    with open(cfg_path, "w", encoding="utf-8") as fh:
-        fh.write(render_config(cfg))
 
     def spawn(role, idx=0):
         argv = [sys.executable, "-m", "volstream", "run", "--config", cfg_path,
                 "--mode", "socket", "--role", role, "--role-index", str(idx),
-                "--out", out]
+                "--out", cfg.out_dir]
         return subprocess.Popen(argv)
 
     # receiver 0 first: every other role syncs against it from its start
@@ -436,10 +429,10 @@ def run_socket_orchestrated(cfg: ScenarioConfig):
     return merge_socket_logs(cfg)
 
 
-def merge_socket_logs(cfg: ScenarioConfig):
+def merge_socket_logs(cfg: ScenarioConfig) -> StreamResult:
     """Combine role logs into per-receiver records and write the CSV report.
 
-    Returns the (records, summary) pair per receiver, built by the sim's
+    Each receiver's records and summary are built by the sim's
     ``receiver_reports`` from the logs, the node clocks and the endpoint
     counters the roles wrote.
     """
@@ -463,7 +456,8 @@ def merge_socket_logs(cfg: ScenarioConfig):
     )
     counters = {"sender": sender["counters"], "relay": relay["counters"],
                 "receivers": [r["counters"] for r in receivers]}
-    reports = receiver_reports(logs, cfg.frame_count(), counters, AnomalyLog())
-    for r, (records, summary) in enumerate(reports):
-        write_report(records, summary, out, "" if r == 0 else f"_r{r}")
-    return reports
+    anomalies = AnomalyLog()
+    result = StreamResult(receiver_reports(logs, cfg.frame_count(), counters, anomalies),
+                          anomalies)
+    write_reports(result.receivers, out)
+    return result

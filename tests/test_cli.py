@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +211,54 @@ def test_run_whose_first_sync_fails_exits_1(tmp_path, monkeypatch, capsys):
     assert main(["run", "--scenario", "paper-default", "--out", str(out), "--quiet"]) \
         == EXIT_RUNTIME
     assert "failed after 3 attempts" in capsys.readouterr().err
+
+
+def test_sweep_reports_and_checks_every_receiver(tmp_path, monkeypatch, capsys):
+    # with 2 receivers, each rate writes both receivers' reports, and the
+    # run fails on every receiver that completes no frame at some rate
+    for key, value in (("EXPERIMENT", "sweep"), ("SWEEP_RATES_BPS", "100000000,2000000000"),
+                       ("SWEEP_DURATION_S", "0.2"), ("RECEIVERS", "2")):
+        monkeypatch.setenv(f"VOLSTREAM_{key}", value)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "paper-default", "--out", str(out),
+                 "--quiet"]) == EXIT_RUNTIME
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["config.txt", "sweep.csv"]
+        + [f"{kind}_{rate}{r}.csv" for kind in ("frames", "summary")
+           for rate in (100000000, 2000000000) for r in ("", "_r1")])
+    err = capsys.readouterr().err
+    assert "runtime error: sweep rate 100000000 bps completed 0 of 6 frames" in err
+    assert "runtime error: sweep rate 100000000 bps receiver 1 completed 0 of 6 frames" in err
+    assert "2000000000 bps" not in err
+
+
+def test_run_experiment_runs_a_socket_config_through_the_orchestrator(tmp_path, monkeypatch):
+    # mode=socket runs the socket orchestrator (stubbed: no socket is
+    # opened) with the config.txt that run_experiment wrote, never the sim
+    from volstream import sockets
+    from volstream.runner import run_experiment
+    calls = []
+
+    def orchestrate(cfg, cfg_path):
+        calls.append(open(cfg_path).read())
+        return "socket result"
+
+    monkeypatch.setattr(sockets, "run_socket_orchestrated", orchestrate)
+    cfg = make_small_config(out_dir=str(tmp_path / "out"), mode="socket", duration_s=0.2)
+    assert run_experiment(cfg) == "socket result"
+    assert calls == [render_config(cfg)]
+    assert sorted(os.listdir(cfg.out_dir)) == ["config.txt"]
+
+
+def test_paper_script_honours_overrides_and_fails_when_a_stream_completes_nothing(tmp_path):
+    # every hop-1 packet lost: the sweep and both streams complete no frame,
+    # so the script exits 1 after running every scenario
+    env = {**os.environ, "VOLSTREAM_HOP1_LOSS_RATE": "1", "VOLSTREAM_DURATION_S": "0.2",
+           "VOLSTREAM_SWEEP_DURATION_S": "0.2"}
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_paper_experiments.py"
+    proc = subprocess.run([sys.executable, str(script), "--out", str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_RUNTIME
+    assert "completed 0 of" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "paper_probe" / "probe.csv").exists()

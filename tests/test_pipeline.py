@@ -4,6 +4,7 @@ import os
 from volstream import pipeline, transport
 from volstream.frames import make_synthetic_frame
 from volstream.pipeline import run_simulation
+from volstream.runner import run_experiment
 
 from conftest import make_small_config
 
@@ -22,7 +23,7 @@ def test_same_seed_reproduces_byte_identical_reports(tmp_path):
                                    "stall.probability": 0.2, "stall.max_ms": 3.0,
                                    "transport.deadline_ms": 0.0,
                                    "transport.max_nack_rounds": 64})
-        run_simulation(cfg, write_outputs=True)
+        run_experiment(cfg, write_outputs=True)
         outs.append(cfg.out_dir)
     for name in ("frames.csv", "summary.csv"):
         assert _hash(os.path.join(outs[0], name)) == _hash(os.path.join(outs[1], name))

@@ -16,9 +16,10 @@ import pytest
 
 from volstream.config import apply_overrides, load_config_file, render_config, validate
 from volstream.pipeline import run_simulation
+from volstream.runner import run_experiment
 from volstream.scenarios import scenario_config
 from volstream.sockets import (_write_receiver_log, _write_relay_log, _write_sender_log,
-                               merge_socket_logs, run_socket_orchestrated)
+                               merge_socket_logs)
 
 from conftest import make_small_config
 
@@ -47,7 +48,7 @@ def _socket_cfg(tmp_path, base_port, **extra):
 def test_loopback_stream_end_to_end(tmp_path):
     # role processes carry internal hard deadlines, so this cannot hang
     cfg = _socket_cfg(tmp_path, base_port=47410)
-    results = run_socket_orchestrated(cfg)
+    results = run_experiment(cfg).receivers
     assert len(results) == 1
     _records, summary = results[0]
     assert summary.frames_completed > 0
@@ -95,7 +96,7 @@ def test_socket_mode_via_cli(tmp_path, capsys):
 def test_loopback_two_receivers(tmp_path):
     cfg = _socket_cfg(tmp_path, base_port=47520, receivers=2,
                       **{"duration_s": 0.8, "clock.sync_interval_s": 0.3})
-    results = run_socket_orchestrated(cfg)
+    results = run_experiment(cfg).receivers
     assert len(results) == 2
     for r, (_records, summary) in enumerate(results):
         assert summary.frames_completed >= cfg.frame_count() - 2, r
@@ -126,7 +127,7 @@ def _merge_sim_run(tmp_path, overrides, tamper=None):
     if tamper is not None:
         tamper(out)
     cfg.out_dir = out
-    return sim_dir, merged_dir, merge_socket_logs(cfg)
+    return sim_dir, merged_dir, merge_socket_logs(cfg).receivers
 
 
 def _summary_counts(path):
