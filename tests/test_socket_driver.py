@@ -8,6 +8,7 @@ The last tests run hops over loopback sockets.
 """
 
 import dataclasses
+import hashlib
 import random
 import socket
 
@@ -45,6 +46,14 @@ def _datagrams(size, seg_size, pps, stream_id=1):
     frame = make_synthetic_frame(1, size, 0, 0, seed=size)
     return [encode_packet(b.packet(i, b.stamp(i), stream_id))
             for b in sender.send_frame(frame, 0) for i in range(b.count)]
+
+
+def test_data_datagram_bytes_are_pinned():
+    # the 9 datagrams of one three-segment frame, byte for byte
+    datagrams = _datagrams(2 * 4_900 + 1_000, 4_900, 1_400)
+    assert [len(d) for d in datagrams] == [1_432] * 3 + [732] + [1_432] * 3 + [732, 1_032]
+    assert hashlib.sha256(b"".join(datagrams)).hexdigest() == \
+        "b216fc8246c7c8edd36239de6a263cd8768bab2881bc005e2abf9932e3a4a1c6"
 
 
 def test_each_data_datagram_is_one_packet_run():
