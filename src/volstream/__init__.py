@@ -6,9 +6,9 @@ mode, a real UDP socket mode, per-node offset clocks, and layered latency
 metrics written as CSV reports.
 """
 
-from .frames import (DataPacket, Segment, VolumetricFrame, make_synthetic_frame,
-                     required_bandwidth_bps, segment_frame)
-from .wire import ControlPacket, PacketType, decode_packet, encode_packet
+from .frames import VolumetricFrame, make_synthetic_frame, required_bandwidth_bps, segment_frame
+from .wire import (ControlPacket, PacketType, data_header, decode_packet, encode_packet,
+                   parse_header)
 from .clock import NodeClock, SyncPath, estimate_offset, one_way_delay
 from .netem import EventQueue, Link, LinkModel, NodeStageModel, run_probe_experiment
 from .transport import ReceiverEndpoint, SenderEndpoint

@@ -6,7 +6,8 @@
 
 Exit codes: 0 success, 1 runtime failure, also a stream run in which a
 receiver completed no frame or a sweep in which a receiver completed none
-at some rate (either written in full), 2 invalid configuration. Any
+at some rate (either written in full), 2 invalid configuration, also
+``--role`` without socket mode. Any
 configuration key can be overridden via ``VOLSTREAM_<KEY>`` environment
 variables (dots become underscores).
 """
@@ -18,7 +19,7 @@ import sys
 
 from .config import (ScenarioConfig, apply_overrides, env_overrides,
                      load_config_file, validate)
-from .errors import VolstreamError
+from .errors import ConfigError, VolstreamError
 from .runner import run_experiment
 from .scenarios import scenario_config, scenario_names
 
@@ -106,6 +107,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         return run(cfg, role=args.role, role_index=args.role_index, quiet=args.quiet)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (VolstreamError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -1,11 +1,12 @@
-"""Volumetric frames and their decomposition into segments and packets.
+"""Volumetric frames and their decomposition into segments.
 
 A volumetric frame bundles one capture interval's color image, depth image,
 and audio bytes into a single transmission unit. The application layer slices
-the frame payload into fixed-size segments; the transport layer slices each
-segment into packets small enough for a datagram (``SegmentBurst.packet``
-in ``transport``). Both slicings are plain contiguous splits, so
-concatenating the pieces in order reproduces the original bytes exactly.
+the frame payload into fixed-size segments, each one buffer; the transport
+layer slices each segment into packets small enough for a datagram
+(``SegmentBurst.datagram`` in ``transport``). Both slicings are plain
+contiguous splits, so concatenating the pieces in order reproduces the
+original bytes exactly.
 
 A frame holds its payload as parts, buffers whose concatenation it is, and
 carries the payload's crc32. A synthetic frame is its 24-byte tag and a
@@ -21,7 +22,6 @@ from __future__ import annotations
 import random
 import struct
 import zlib
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConfigError, InvalidFrameError
@@ -87,49 +87,6 @@ class VolumetricFrame:
         every read, so the send path reads ``parts`` instead."""
         parts = self.parts
         return parts[0] if len(parts) == 1 else b"".join(parts)
-
-
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """Application-layer slice of a frame payload. Indices are 1-based."""
-
-    frame_id: int
-    segment_index: int
-    segment_count: int
-    payload: bytes  # may be a memoryview at runtime; content-equality applies
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.segment_index <= self.segment_count:
-            raise InvalidFrameError(
-                f"segment_index {self.segment_index} outside 1..{self.segment_count}"
-            )
-        if len(self.payload) == 0:
-            raise InvalidFrameError("empty segment payload")
-
-
-@dataclass(frozen=True, slots=True)
-class DataPacket:
-    """Transport-layer wire packet; see ``wire`` for the byte layout.
-
-    ``send_timestamp`` is the packet's emission instant on the sender's
-    clock (sender-local nanoseconds); ``SegmentBurst.packet`` stamps it when
-    socket mode puts the packet on the wire.
-    """
-
-    stream_id: int
-    frame_id: int
-    segment_index: int
-    packet_seq: int
-    packets_in_segment: int
-    payload: bytes
-    send_timestamp: int = 0
-    flags: int = 0
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.packet_seq <= self.packets_in_segment:
-            raise InvalidFrameError(
-                f"packet_seq {self.packet_seq} outside 1..{self.packets_in_segment}"
-            )
 
 
 def make_synthetic_frame(
@@ -207,12 +164,14 @@ def x2nmodp(n: int, k: int) -> int:
     return p
 
 
-def segment_frame(frame: VolumetricFrame, segment_payload_size: int) -> list[Segment]:
+def segment_frame(frame: VolumetricFrame, segment_payload_size: int) -> list:
     """Split a frame payload into segments of at most ``segment_payload_size``.
 
-    All segments except the last carry exactly ``segment_payload_size`` bytes.
-    A segment that lies inside one of the frame's parts is a zero-copy view
-    of it; only a segment that spans a boundary between parts is joined.
+    Returns the segments' payload buffers in order: segment ``k`` (1-based,
+    as on the wire) is entry ``k - 1``. All segments except the last carry
+    exactly ``segment_payload_size`` bytes. A segment that lies inside one
+    of the frame's parts is a zero-copy view of it; only a segment that
+    spans a boundary between parts is joined.
     """
     if segment_payload_size < 1:
         raise ConfigError(f"segment_payload_size must be >= 1, got {segment_payload_size}")
@@ -221,15 +180,12 @@ def segment_frame(frame: VolumetricFrame, segment_payload_size: int) -> list[Seg
     for part in frame.parts:
         spans.append((memoryview(part), offset, offset + len(part)))
         offset += len(part)
-    count = -(-offset // segment_payload_size)
     segments = []
-    for i in range(count):
-        lo = i * segment_payload_size
+    for lo in range(0, offset, segment_payload_size):
         hi = lo + segment_payload_size
         pieces = [view[max(lo - start, 0):hi - start]
                   for view, start, stop in spans if start < hi and lo < stop]
-        segments.append(Segment(frame.frame_id, i + 1, count,
-                                pieces[0] if len(pieces) == 1 else b"".join(pieces)))
+        segments.append(pieces[0] if len(pieces) == 1 else b"".join(pieces))
     return segments
 
 

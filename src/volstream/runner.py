@@ -10,6 +10,7 @@ import os
 from dataclasses import dataclass
 
 from .config import ScenarioConfig, render_config
+from .errors import ConfigError
 from .metrics import NS_PER_MS, ns_to_ms_str
 from .netem import run_probe_experiment
 from .pipeline import run_simulation, write_reports
@@ -103,9 +104,10 @@ def run_probe(cfg: ScenarioConfig, write_outputs: bool = True) -> ProbeRunResult
 
 
 def run_sweep(cfg: ScenarioConfig, write_outputs: bool = True) -> SweepRunResult:
-    """Run one short stream per sweep rate with both hops paced at that rate."""
-    rows, results = [], []
-    frame_bytes = cfg.capture.color_bytes + cfg.capture.depth_bytes + cfg.capture.audio_bytes
+    """Run one short stream per sweep rate with both hops paced at that rate.
+    Receiver 0's rows go to ``sweep.csv``, receiver r > 0's to
+    ``sweep_r{r}.csv``, named like the rates' stream reports."""
+    results = []
     for rate in cfg.sweep.rates_bps:
         sub = copy.deepcopy(cfg)
         sub.experiment = "stream"
@@ -116,24 +118,32 @@ def run_sweep(cfg: ScenarioConfig, write_outputs: bool = True) -> SweepRunResult
         results.append(result)
         if write_outputs:
             write_reports(result.receivers, cfg.out_dir, f"_{rate}")
-        summary = result.primary.summary
-        done = summary.frames_completed > 0
-        rows.append(SweepRow(
-            rate_bps=rate,
-            frames_completed=summary.frames_completed,
-            mean_protocol_tx1_ns=summary.stat("protocol_tx1").mean_ns if done else None,
-            ideal_serialization_ns=(frame_bytes * 8 * 1_000_000_000) // rate,
-            mean_frame_rx_ns=summary.stat("frame_rx").mean_ns if done else None,
-        ))
+    frame_bytes = cfg.capture.color_bytes + cfg.capture.depth_bytes + cfg.capture.audio_bytes
+    rows = [[_sweep_row(rate, result.receivers[r].summary, frame_bytes)
+             for rate, result in zip(cfg.sweep.rates_bps, results)]
+            for r in range(cfg.receivers)]
     if write_outputs:
-        lines = ["rate_bps,frames_completed,mean_protocol_tx1_ms,ideal_serialization_ms,"
-                 "mean_frame_rx_ms"]
-        lines += [f"{row.rate_bps},{row.frames_completed},"
-                  f"{_mean_ms(row.mean_protocol_tx1_ns, '.6f')},"
-                  f"{ns_to_ms_str(row.ideal_serialization_ns)},"
-                  f"{_mean_ms(row.mean_frame_rx_ns, '.6f')}" for row in rows]
-        _write_text(cfg.out_dir, "sweep.csv", "\n".join(lines) + "\n")
-    return SweepRunResult(rows=rows, results=results)
+        for r, receiver_rows in enumerate(rows):
+            lines = ["rate_bps,frames_completed,mean_protocol_tx1_ms,"
+                     "ideal_serialization_ms,mean_frame_rx_ms"]
+            lines += [f"{row.rate_bps},{row.frames_completed},"
+                      f"{_mean_ms(row.mean_protocol_tx1_ns, '.6f')},"
+                      f"{ns_to_ms_str(row.ideal_serialization_ns)},"
+                      f"{_mean_ms(row.mean_frame_rx_ns, '.6f')}" for row in receiver_rows]
+            _write_text(cfg.out_dir, f"sweep_r{r}.csv" if r else "sweep.csv",
+                        "\n".join(lines) + "\n")
+    return SweepRunResult(rows=rows[0], results=results)
+
+
+def _sweep_row(rate: int, summary, frame_bytes: int) -> SweepRow:
+    done = summary.frames_completed > 0
+    return SweepRow(
+        rate_bps=rate,
+        frames_completed=summary.frames_completed,
+        mean_protocol_tx1_ns=summary.stat("protocol_tx1").mean_ns if done else None,
+        ideal_serialization_ns=(frame_bytes * 8 * 1_000_000_000) // rate,
+        mean_frame_rx_ns=summary.stat("frame_rx").mean_ns if done else None,
+    )
 
 
 def _mean_ms(mean_ns: float | None, spec: str) -> str:
@@ -147,8 +157,11 @@ def run_experiment(cfg: ScenarioConfig, write_outputs: bool = True,
     ``config.txt`` and the reports under ``cfg.out_dir``. A socket run always
     writes them: its roles read ``config.txt``. With ``role`` one socket role
     runs (spawned by the orchestrator, or by hand per host) and None is
-    returned: the orchestrator reports the run."""
+    returned: the orchestrator reports the run. A role in sim mode is a
+    ``ConfigError``, raised before anything is written."""
     socket_mode = cfg.mode == "socket"
+    if role and not socket_mode:
+        raise ConfigError(f"role {role!r} needs socket mode; mode is {cfg.mode!r}")
     if socket_mode:
         from . import sockets    # keeps socket, subprocess and json out of sim runs
         if role:

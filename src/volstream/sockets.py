@@ -11,9 +11,12 @@ so records, counters and the payload check mean the same in both modes.
 For multi-host use, start each role by hand with ``--role``.
 
 A frame's send span comes from its pacer plan, as in the sim; each
-datagram's stamp records when it was actually sent. A role's driver time is
-a wall-anchored monotonic host clock, comparable across processes on one
-host, so its logs hold its own local readings. Every other role syncs
+datagram's stamp records when it was actually sent. A data datagram goes out
+as one ``sendmsg`` of its header and a view of the burst's payload, so no
+payload byte is copied before the kernel; a received one is parsed with
+``wire.parse_header`` and its payload handed on as a view. A role's driver
+time is a wall-anchored monotonic host clock, comparable across processes on
+one host, so its logs hold its own local readings. Every other role syncs
 against receiver 0 from its own loop, at its start and every
 ``clock.sync_interval_s``, with the sim's ``pipeline.Sync`` over a socket of
 its own, and writes its ``NodeClock`` with its logs. The emulated link
@@ -140,9 +143,10 @@ class SocketDriver:
     ``selectors`` loop over the role's UDP sockets, which it closes on exit.
 
     ``carry`` sends a burst's datagrams at its pacer emissions, each stamped
-    with its actual send time; ``send_control`` is one ``sendto`` to the
-    hop's peer. ``run`` fires due heap entries, drains every readable socket
-    in one turn, and sleeps in ``select`` until the next of either.
+    with its actual send time and sent as one ``sendmsg`` of header and
+    payload view; ``send_control`` is one ``sendto`` to the hop's peer.
+    ``run`` fires due heap entries, drains every readable socket in one
+    turn, and sleeps in ``select`` until the next of either.
     """
 
     def __init__(self, clock):
@@ -185,7 +189,7 @@ class SocketDriver:
         emissions = burst.emissions
         now = self.now()
         while i < burst.count and emissions[i] <= now:
-            sock.sendto(encode_packet(burst.packet(i, now, stream_id)), peer)
+            sock.sendmsg(burst.datagram(i, now, stream_id), (), 0, peer)
             i += 1
             now = self.now()
         self.last_io_ns = now
@@ -216,8 +220,6 @@ class SocketDriver:
             try:
                 ctrl = decode_packet(data)
             except CodecError:
-                continue
-            if not isinstance(ctrl, ControlPacket):
                 continue
             if sync.master is None:
                 sync.response(ctrl)
@@ -254,7 +256,7 @@ class SocketDriver:
                 ctrl = decode_packet(data)
             except CodecError:
                 continue
-            if isinstance(ctrl, ControlPacket) and ctrl.stream_id == hop.sender.stream_id:
+            if ctrl.stream_id == hop.sender.stream_id:
                 hop.control(ctrl)
 
     def _drain(self, sock, on_datagrams) -> None:

@@ -12,9 +12,11 @@ planned by ``send_segment``, the one writer of the per-frame send log.
 Each segment's packets form one ``SegmentBurst`` that carries the
 pacer progression (first emission, bits per packet, rate) rather than
 per-packet lists; each packet's send timestamp is its emission instant on
-the sender's clock, derived when needed. Recently sent frames are
-retained so NACKs can be answered; retransmissions share the same pacer and
-get fresh timestamps.
+the sender's clock, derived when needed. No packet object is built: the
+sim carries whole bursts, and socket mode sends packet ``i`` as
+``SegmentBurst.datagram`` gives it, a 32-byte header and a view of the
+burst's payload. Recently sent frames are retained so NACKs can be
+answered; retransmissions share the same pacer and get fresh timestamps.
 
 Receiver side: packets are tracked per segment as covered seq intervals
 (duplicates are idempotent). A gap behind the reception front is NACKed once,
@@ -55,8 +57,9 @@ from dataclasses import dataclass, field
 
 from .clock import NodeClock
 from .errors import ConfigError, TransportError
-from .frames import DataPacket, VolumetricFrame, segment_frame
-from .wire import FLAG_FINAL_SEGMENT, HEADER_SIZE, MAX_NACK_RANGES, ControlPacket, PacketType
+from .frames import VolumetricFrame, segment_frame
+from .wire import (FLAG_FINAL_SEGMENT, HEADER_SIZE, MAX_NACK_RANGES, ControlPacket, PacketType,
+                   data_header)
 from .pacing import NS_PER_S, RatePacer
 
 # Why ``ReceiverEndpoint._drop`` gave a frame up: its deadline passed, a
@@ -74,8 +77,8 @@ class SegmentBurst:
     ``full_wire`` bytes on the wire. ``clock`` maps those driver-time
     instants to the sender-local send stamps. The per-packet lists
     ``emissions``, ``stamps`` and ``wire_bytes`` are built on first use, for
-    socket mode and the per-packet link path, and ``packet(i, ...)`` is the
-    one packetizer: it cuts packet ``i`` out of the payload as a wire packet.
+    socket mode and the per-packet link path, and ``datagram(i, ...)`` is
+    the one packetizer: packet ``i`` as its header and a view of its payload.
     """
 
     frame_id: int
@@ -127,12 +130,14 @@ class SegmentBurst:
     def wire_bytes(self) -> list:
         return [self.full_wire] * (self.count - 1) + [self.last_wire]
 
-    def packet(self, i: int, stamp: int, stream_id: int) -> DataPacket:
-        """Packet ``i`` of the burst as a wire packet stamped ``stamp``."""
+    def datagram(self, i: int, stamp: int, stream_id: int) -> tuple:
+        """Packet ``i`` of the burst as a data datagram stamped ``stamp``:
+        ``(header, payload view)``, whose concatenation is its wire bytes.
+        The view shares the burst's payload buffer; nothing is copied."""
         pps = self.packet_payload_size
-        return DataPacket(stream_id, self.frame_id, self.segment_index, self.seq_start + i,
-                          self.packets_in_segment, bytes(self.payload[i * pps:(i + 1) * pps]),
-                          stamp, self.flags)
+        body = self.payload[i * pps:(i + 1) * pps]
+        return data_header(stream_id, self.frame_id, self.segment_index, self.seq_start + i,
+                           self.packets_in_segment, len(body), stamp, self.flags), body
 
 
 @dataclass(slots=True)
@@ -238,9 +243,10 @@ class SenderEndpoint:
             )
         self._last_frame_id = frame.frame_id
 
-        bursts = [self.send_segment(frame.frame_id, seg.segment_index, seg.payload, now_ns,
-                                    is_final=seg.segment_index == seg.segment_count)
-                  for seg in segment_frame(frame, self.segment_payload_size)]
+        segments = segment_frame(frame, self.segment_payload_size)
+        last = len(segments)
+        bursts = [self.send_segment(frame.frame_id, k, payload, now_ns, is_final=k == last)
+                  for k, payload in enumerate(segments, 1)]
         if self.compute_crc:
             self.send_log[frame.frame_id].payload_checksum = frame.crc32
         return bursts

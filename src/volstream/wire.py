@@ -1,5 +1,11 @@
 """Bit-exact wire codec for data and control packets.
 
+A data packet exists only in its wire form: ``data_header`` packs its
+header, which is sent followed by a view of the burst's payload
+(``SegmentBurst.datagram`` in ``transport``), and ``parse_header`` is the
+one decoder of a received data datagram. ``encode_packet`` and
+``decode_packet`` handle control packets only.
+
 Every datagram starts with the same fixed 32-byte big-endian header:
 
     | Offset | Size | Field               |
@@ -34,11 +40,10 @@ Control packets reuse the header; their payloads are:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import CodecError
-from .frames import DataPacket
 
 MAGIC = 0x564C
 VERSION = 0x01
@@ -48,6 +53,7 @@ _HEADER = struct.Struct(">HBBBBIHHHHQ6s")
 _NACK_COUNT = struct.Struct(">H")
 _NACK_RANGE = struct.Struct(">HHH")
 _SYNC_BODY = struct.Struct(">QQQQ")
+_RESERVED = bytes(6)
 
 # A NACK fits in one 1,472-byte datagram (a 1,500-byte Ethernet MTU minus the
 # IPv4 and UDP headers): at most 239 ranges after the header and range count.
@@ -67,6 +73,7 @@ class PacketType(IntEnum):
 
 
 _TYPES = frozenset(PacketType)
+_DATA = int(PacketType.DATA)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,18 +117,18 @@ def _validate_nack_ranges(ranges) -> None:
         prev = (seg, lo, hi)
 
 
-def encode_packet(packet: DataPacket | ControlPacket) -> bytes:
-    """Serialize a packet; ``decode_packet`` inverts this exactly."""
-    if isinstance(packet, DataPacket):
-        body = bytes(packet.payload)
-        header = _HEADER.pack(
-            MAGIC, VERSION, PacketType.DATA, packet.flags & 0xFF,
-            packet.stream_id & 0xFF, packet.frame_id,
-            packet.segment_index, packet.packet_seq,
-            packet.packets_in_segment, len(body),
-            packet.send_timestamp, b"\x00" * 6,
-        )
-        return header + body
+def data_header(stream_id: int, frame_id: int, segment_index: int, packet_seq: int,
+                packets_in_segment: int, payload_length: int, send_timestamp: int,
+                flags: int) -> bytes:
+    """The 32-byte header of a data datagram, whose payload follows it;
+    the one encoder of data packets."""
+    return _HEADER.pack(MAGIC, VERSION, _DATA, flags & 0xFF, stream_id & 0xFF, frame_id,
+                        segment_index, packet_seq, packets_in_segment, payload_length,
+                        send_timestamp, _RESERVED)
+
+
+def encode_packet(packet: ControlPacket) -> bytes:
+    """Serialize a control packet; ``decode_packet`` inverts this exactly."""
     if packet.packet_type == PacketType.NACK:
         _validate_nack_ranges(packet.ranges)
         body = _NACK_COUNT.pack(len(packet.ranges)) + b"".join(
@@ -136,7 +143,7 @@ def encode_packet(packet: DataPacket | ControlPacket) -> bytes:
     header = _HEADER.pack(
         MAGIC, VERSION, int(packet.packet_type), packet.flags & 0xFF,
         packet.stream_id & 0xFF, packet.frame_id,
-        0, 0, 0, len(body), packet.send_timestamp, b"\x00" * 6,
+        0, 0, 0, len(body), packet.send_timestamp, _RESERVED,
     )
     return header + body
 
@@ -156,7 +163,7 @@ def parse_header(buf) -> tuple:
         raise CodecError(f"magic: expected {MAGIC:#06x}, got {magic:#06x}")
     if version != VERSION:
         raise CodecError(f"version: unsupported version {version}")
-    if reserved != b"\x00" * 6:
+    if reserved != _RESERVED:
         raise CodecError("reserved: nonzero reserved bytes")
     if len(buf) - HEADER_SIZE != payload_len:
         raise CodecError(
@@ -176,17 +183,14 @@ def parse_header(buf) -> tuple:
     return ptype, flags, stream_id, frame_id, seg_idx, pkt_seq, pkts_in_seg, send_ts
 
 
-def decode_packet(buf: bytes | memoryview) -> DataPacket | ControlPacket:
-    """Parse one datagram; raises ``CodecError`` naming the bad field."""
+def decode_packet(buf: bytes | memoryview) -> ControlPacket:
+    """Parse one control datagram; raises ``CodecError`` naming the bad
+    field, and for a data datagram, which only ``parse_header`` reads."""
     buf = memoryview(buf)
-    ptype, flags, stream_id, frame_id, seg_idx, pkt_seq, pkts_in_seg, send_ts = parse_header(buf)
-    body = buf[HEADER_SIZE:]
+    ptype, flags, stream_id, frame_id, _, _, _, send_ts = parse_header(buf)
     if ptype == PacketType.DATA:
-        return DataPacket(
-            stream_id=stream_id, frame_id=frame_id, segment_index=seg_idx,
-            packet_seq=pkt_seq, packets_in_segment=pkts_in_seg,
-            payload=bytes(body), send_timestamp=send_ts, flags=flags,
-        )
+        raise CodecError("packet_type: a data datagram is not a control packet")
+    body = buf[HEADER_SIZE:]
     ptype = PacketType(ptype)
     if ptype == PacketType.NACK:
         if len(body) < _NACK_COUNT.size:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 from volstream.config import ScenarioConfig, apply_overrides, validate
+from volstream.wire import HEADER_SIZE, parse_header
 
 # HYPOTHESIS_PROFILE=ci: examples come from a fixed seed, and a failure
 # prints the blob that replays it locally (``@reproduce_failure``).
@@ -37,11 +38,13 @@ def make_small_config(out_dir="out", **overrides) -> ScenarioConfig:
     return cfg
 
 
-def ingest_packet(receiver, pkt, recv_true_ns):
-    """Hand one decoded data packet to ``receiver`` as a one-packet run."""
-    return receiver.ingest_run(pkt.frame_id, pkt.segment_index, pkt.packets_in_segment,
-                               pkt.packet_seq, 1, pkt.payload, max(len(pkt.payload), 1),
-                               recv_true_ns, recv_true_ns, pkt.send_timestamp, pkt.flags)
+def ingest_packet(receiver, datagram, recv_true_ns):
+    """Hand one data datagram to ``receiver`` as a one-packet run, parsed
+    with ``parse_header`` as ``SocketDriver.on_datagrams`` parses it."""
+    _, flags, _, frame_id, seg, seq, n, stamp = parse_header(datagram)
+    body = memoryview(datagram)[HEADER_SIZE:]
+    return receiver.ingest_run(frame_id, seg, n, seq, 1, body, max(len(body), 1),
+                               recv_true_ns, recv_true_ns, stamp, flags)
 
 
 @pytest.fixture

@@ -223,13 +223,47 @@ def test_sweep_reports_and_checks_every_receiver(tmp_path, monkeypatch, capsys):
     assert main(["run", "--scenario", "paper-default", "--out", str(out),
                  "--quiet"]) == EXIT_RUNTIME
     assert sorted(p.name for p in out.iterdir()) == sorted(
-        ["config.txt", "sweep.csv"]
+        ["config.txt", "sweep.csv", "sweep_r1.csv"]
         + [f"{kind}_{rate}{r}.csv" for kind in ("frames", "summary")
            for rate in (100000000, 2000000000) for r in ("", "_r1")])
     err = capsys.readouterr().err
     assert "runtime error: sweep rate 100000000 bps completed 0 of 6 frames" in err
     assert "runtime error: sweep rate 100000000 bps receiver 1 completed 0 of 6 frames" in err
     assert "2000000000 bps" not in err
+
+
+def test_sweep_csv_for_each_receiver(tmp_path, monkeypatch):
+    # receiver 1's row per rate goes to sweep_r1.csv, read from its own
+    # summary; sweep.csv keeps receiver 0's rows
+    for key, value in (("SWEEP_RATES_BPS", "1000000000,10000000000"),
+                       ("SWEEP_DURATION_S", "0.2"), ("RECEIVERS", "2")):
+        monkeypatch.setenv(f"VOLSTREAM_{key}", value)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "bandwidth-sweep", "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    for name, suffix in (("sweep.csv", ""), ("sweep_r1.csv", "_r1")):
+        header, *rows = (out / name).read_text().splitlines()
+        assert header.startswith("rate_bps,frames_completed,") and len(rows) == 2
+        for row in rows:
+            rate, completed, tx1, _, frame_rx = row.split(",")
+            summary = dict(line.split(",")[:2] for line in
+                           (out / f"summary_{rate}{suffix}.csv").read_text().splitlines())
+            assert (completed, tx1, frame_rx) == (summary["frames_completed"],
+                                                  summary["protocol_tx1"],
+                                                  summary["frame_rx"])
+    assert (out / "sweep.csv").read_text() != (out / "sweep_r1.csv").read_text()
+
+
+def test_role_without_socket_mode_exits_2(tmp_path, monkeypatch, capsys):
+    # --role runs one socket role; with a sim config it is a config error,
+    # not a whole sim run that exits 0
+    monkeypatch.setenv("VOLSTREAM_DURATION_S", "0.2")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "paper-default", "--role", "sender", "--quiet",
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "socket mode" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_experiment_runs_a_socket_config_through_the_orchestrator(tmp_path, monkeypatch):

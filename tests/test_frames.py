@@ -7,11 +7,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from volstream.clock import NodeClock
-from volstream.errors import ConfigError, InvalidFrameError
-from volstream.frames import (DataPacket, Segment, VolumetricFrame,
-                              make_synthetic_frame, multmodp, required_bandwidth_bps,
-                              segment_frame, x2nmodp)
+from volstream.errors import CodecError, ConfigError, InvalidFrameError
+from volstream.frames import (VolumetricFrame, make_synthetic_frame, multmodp,
+                              required_bandwidth_bps, segment_frame, x2nmodp)
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
+from volstream.wire import data_header, parse_header
 
 
 def test_synthetic_frame_reference_section_sizes():
@@ -52,8 +52,8 @@ def test_segment_counts_for_reference_frame_size():
     frame = make_synthetic_frame(1, 3_520_000, 0, 0, seed=1)
     segs = segment_frame(frame, 65_000)
     assert len(segs) == 55                       # ceil(3_520_000 / 65_000)
-    assert len(segs[-1].payload) == 10_000
-    assert all(len(s.payload) == 65_000 for s in segs[:-1])
+    assert len(segs[-1]) == 10_000
+    assert all(len(s) == 65_000 for s in segs[:-1])
 
 
 def test_segment_exact_fit_and_remainder():
@@ -61,7 +61,7 @@ def test_segment_exact_fit_and_remainder():
     assert len(segment_frame(frame, 65_000)) == 1
     frame = make_synthetic_frame(1, 65_001, 0, 0, seed=1)
     segs = segment_frame(frame, 65_000)
-    assert len(segs) == 2 and len(segs[1].payload) == 1
+    assert len(segs) == 2 and len(segs[1]) == 1
 
 
 def test_segment_zero_size_is_config_error():
@@ -91,11 +91,11 @@ def test_packetize_zero_size_is_config_error():
 def test_packetize_concatenation_restores_segment():
     payload = bytes(range(256)) * 20
     [burst] = _bursts(payload, 300)
-    packets = [burst.packet(i, burst.stamp(i), 1) for i in range(burst.count)]
-    assert b"".join(p.payload for p in packets) == payload
-    for i, p in enumerate(packets):
-        assert p.packet_seq == i + 1
-        assert p.packets_in_segment == len(packets)
+    datagrams = [burst.datagram(i, burst.stamp(i), 1) for i in range(burst.count)]
+    assert b"".join(view for _, view in datagrams) == payload
+    for i, (header, view) in enumerate(datagrams):
+        _, _, _, _, _, seq, n, _ = parse_header(header + view)
+        assert (seq, n) == (i + 1, len(datagrams))
 
 
 # Cap on segments per frame in the geometry below: a 10 MB frame of 1-byte
@@ -184,18 +184,19 @@ def test_segments_concatenate_to_payload(seg_size, total):
     # segments below, at and above the 24 B tag: views inside a part, joins across
     frame = make_synthetic_frame(3, total, 0, 0, seed=5)
     segs = segment_frame(frame, seg_size)
-    assert [s.segment_index for s in segs] == list(range(1, len(segs) + 1))
-    assert b"".join(s.payload for s in segs) == frame.payload
+    assert len(segs) == -(-total // seg_size)
+    assert b"".join(segs) == frame.payload
 
 
 def test_segment_and_packet_index_bounds():
-    with pytest.raises(InvalidFrameError):
-        Segment(frame_id=1, segment_index=0, segment_count=3, payload=b"x")
-    with pytest.raises(InvalidFrameError):
-        Segment(frame_id=1, segment_index=4, segment_count=3, payload=b"x")
-    with pytest.raises(InvalidFrameError):
-        DataPacket(stream_id=1, frame_id=1, segment_index=1, packet_seq=0,
-                   packets_in_segment=2, payload=b"x")
+    # segment_frame yields segments 1..count, each nonempty, as entries 0..count-1
+    segs = segment_frame(make_synthetic_frame(1, 10_000, 0, 0, seed=1), 4_000)
+    assert [len(s) for s in segs] == [4_000, 4_000, 2_000]
+    # a data datagram outside those bounds is rejected where it is received
+    for seg, seq, n, field in ((1, 0, 2, "packet_seq"), (1, 3, 2, "packet_seq"),
+                               (0, 1, 2, "segment_index")):
+        with pytest.raises(CodecError, match=field):
+            parse_header(data_header(1, 1, seg, seq, n, 1, 0, 0) + b"x")
 
 
 def test_required_bandwidth_for_reference_stream():

@@ -1,4 +1,5 @@
-"""Microbenchmarks of burst planning, carriage and reassembly (pytest-benchmark).
+"""Microbenchmarks of burst planning, carriage, datagram building and
+reassembly (pytest-benchmark).
 
 Sizes are the two benchmark geometries: 47-packet bursts (one 65,000 B
 segment of 1,400 B packets, ``paper-default``) and 254-packet bursts (256 B
@@ -18,7 +19,7 @@ from volstream.clock import NodeClock
 from volstream.frames import make_synthetic_frame
 from volstream.netem import Link, LinkModel, NodeStageModel
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
-from volstream.wire import FLAG_FINAL_SEGMENT
+from volstream.wire import FLAG_FINAL_SEGMENT, HEADER_SIZE
 
 ROUNDS = 200
 SEGMENT = bytes(65_000)
@@ -81,6 +82,21 @@ def test_bench_traverse_per_packet(benchmark, count):
 
     arrivals = benchmark.pedantic(link.traverse, setup=setup, rounds=ROUNDS, iterations=1)
     assert len(arrivals) == count and None not in arrivals
+
+
+@pytest.mark.parametrize("count", sorted(BURSTS))
+def test_bench_datagrams(benchmark, count):
+    # every packet of a fresh burst as socket mode sends it: header and payload view
+    setup = _fresh_bursts(BURSTS[count])
+    total = [0]
+
+    def datagrams(burst):
+        for i in range(burst.count):
+            header, view = burst.datagram(i, burst.first_ns, 1)
+            total[0] += len(header) + len(view)
+
+    benchmark.pedantic(datagrams, setup=setup, rounds=ROUNDS, iterations=1)
+    assert total[0] == setup.rounds * (count * HEADER_SIZE + len(SEGMENT))
 
 
 def _ingest(receiver, burst, frame_id=1):

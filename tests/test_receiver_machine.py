@@ -22,7 +22,8 @@ import hypothesis.strategies as st
 from volstream.clock import NodeClock
 from volstream.frames import make_synthetic_frame
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
-from volstream.wire import MAX_NACK_DATAGRAM, MAX_NACK_RANGES, decode_packet, encode_packet
+from volstream.wire import (MAX_NACK_DATAGRAM, MAX_NACK_RANGES, decode_packet, encode_packet,
+                            parse_header)
 
 PPS = 100
 SEGMENT = 500            # 5 packets per segment
@@ -40,7 +41,7 @@ class ReceiverMachine(RuleBasedStateMachine):
                                          on_frame=self._on_frame)
         self.now = 0
         self.frames = {}         # frame_id -> VolumetricFrame
-        self.segments = {}       # frame_id -> {segment_index: (packets, flags)}
+        self.segments = {}       # frame_id -> {segment_index: (datagrams, flags)}
         self.front = {}          # frame_id -> highest (segment, seq) delivered
         self.asked = {}          # (frame_id, segment, seq or 0: whole) -> times requested
         self.upward = {}         # frame_id -> on_frame calls
@@ -56,7 +57,7 @@ class ReceiverMachine(RuleBasedStateMachine):
         frame = make_synthetic_frame(frame_id, size, 0, 0, seed=frame_id)
         self.frames[frame_id] = frame
         self.segments[frame_id] = {
-            b.segment_index: ([b.packet(i, b.stamp(i), 1) for i in range(b.count)], b.flags)
+            b.segment_index: ([b.datagram(i, b.stamp(i), 1) for i in range(b.count)], b.flags)
             for b in self.sender.send_frame(frame, self.now)}
 
     @precondition(lambda self: self.frames)
@@ -73,8 +74,8 @@ class ReceiverMachine(RuleBasedStateMachine):
         ep = self.receiver
         before = ep.packets_received + ep.duplicates + ep.late_packets
         ep.ingest_run(frame_id, segment, len(packets), lo, len(run),
-                      b"".join(p.payload for p in run), PPS, self.now, self.now,
-                      run[0].send_timestamp, flags)
+                      b"".join(view for _, view in run), PPS, self.now, self.now,
+                      parse_header(b"".join(run[0]))[7], flags)
         assert ep.packets_received + ep.duplicates + ep.late_packets - before == len(run)
         self.front[frame_id] = max(self.front.get(frame_id, (0, 0)), (segment, hi))
         self._check_nacks(ep.pending_control, tail_due=set())

@@ -17,7 +17,8 @@ from volstream.frames import make_synthetic_frame
 from volstream.pipeline import Hop, Sync
 from volstream.sockets import HostClock, SocketDriver
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
-from volstream.wire import ControlPacket, PacketType, decode_packet, encode_packet
+from volstream.wire import (HEADER_SIZE, ControlPacket, PacketType, decode_packet,
+                            encode_packet, parse_header)
 
 from conftest import ingest_packet, make_small_config
 
@@ -35,6 +36,9 @@ class _Recorder:
     def sendto(self, data, addr):
         self.sent.append(decode_packet(data))
 
+    def sendmsg(self, buffers, ancdata, flags, addr):
+        self.sent.append(tuple(buffers))
+
 
 def _receiver():
     return ReceiverEndpoint(1, retain_payloads=True)
@@ -44,7 +48,7 @@ def _datagrams(size, seg_size, pps, stream_id=1):
     sender = SenderEndpoint(1, 10**9, NodeClock("sender", "master"),
                             segment_payload_size=seg_size, packet_payload_size=pps)
     frame = make_synthetic_frame(1, size, 0, 0, seed=size)
-    return [encode_packet(b.packet(i, b.stamp(i), stream_id))
+    return [b"".join(b.datagram(i, b.stamp(i), stream_id))
             for b in sender.send_frame(frame, 0) for i in range(b.count)]
 
 
@@ -54,6 +58,28 @@ def test_data_datagram_bytes_are_pinned():
     assert [len(d) for d in datagrams] == [1_432] * 3 + [732] + [1_432] * 3 + [732, 1_032]
     assert hashlib.sha256(b"".join(datagrams)).hexdigest() == \
         "b216fc8246c7c8edd36239de6a263cd8768bab2881bc005e2abf9932e3a4a1c6"
+
+
+def test_each_datagram_is_sent_as_a_header_and_a_view_of_its_burst():
+    # two 47-packet segments; the second lies inside the synthetic body, so
+    # its payload is a view of the body the frame was built from
+    sender = SenderEndpoint(1, 10**9, NodeClock("sender", "master"))
+    frame = make_synthetic_frame(1, 130_000, 0, 0, seed=1)
+    bursts = sender.send_frame(frame, 0)
+    assert [b.count for b in bursts] == [47, 47]
+    assert bursts[1].payload.obj is frame.parts[1].obj
+    sock = _Recorder()
+    with SocketDriver(HostClock()) as driver:
+        hop = Hop(sender, (sock, PEER), (sock, PEER), None, driver)
+        for burst in bursts:
+            hop.deliver([burst])
+            sock.sent.clear()
+            driver.run(lambda: True, 0, driver.now() + 1_000 * MS)
+            assert len(sock.sent) == burst.count
+            for seq, (header, view) in enumerate(sock.sent, 1):
+                assert type(header) is bytes and len(header) == HEADER_SIZE
+                assert type(view) is memoryview and view.obj is burst.payload.obj
+                assert parse_header(header + view)[3:6] == (1, burst.segment_index, seq)
 
 
 def test_each_data_datagram_is_one_packet_run():
@@ -66,7 +92,7 @@ def test_each_data_datagram_is_one_packet_run():
 
     reference = _receiver()
     for data, _, arrival in batch:
-        ingest_packet(reference, decode_packet(data), arrival)
+        ingest_packet(reference, data, arrival)
 
     got, calls, sock = _receiver(), [], _Recorder()
     ingest_run = got.ingest_run
@@ -157,13 +183,12 @@ class _WithholdOnce(socket.socket):
 
     withheld = None
 
-    def sendto(self, data, addr):
-        pkt = decode_packet(data)
-        if self.withheld is None and (pkt.frame_id, pkt.segment_index, pkt.packet_seq) \
-                == (3, 1, 4):
-            self.withheld = pkt
-            return len(data)
-        return super().sendto(data, addr)
+    def sendmsg(self, buffers, *args):
+        header = buffers[0]
+        if self.withheld is None and parse_header(header + buffers[1])[3:6] == (3, 1, 4):
+            self.withheld = header
+            return len(header) + len(buffers[1])
+        return super().sendmsg(buffers, *args)
 
 
 def test_one_hop_over_loopback_recovers_a_withheld_datagram():

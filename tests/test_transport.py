@@ -42,8 +42,9 @@ def _frame(size=3_520_000, frame_id=1, seed=1):
 
 
 def _packets(burst):
-    """(emission_ns, packet) for each packet of ``burst``, stamped at emission."""
-    return [(burst.emissions[i], burst.packet(i, burst.stamp(i), 1)) for i in range(burst.count)]
+    """(emission_ns, datagram) for each packet of ``burst``, stamped at emission."""
+    return [(burst.emissions[i], b"".join(burst.datagram(i, burst.stamp(i), 1)))
+            for i in range(burst.count)]
 
 
 # -- pacing ---------------------------------------------------------------------
@@ -166,12 +167,13 @@ def _delivered_upward(receiver):
 
 
 def _deliver_frame(sender, receiver, frame, t0=0, drop=None, delay=50_000):
-    """Push a frame's packets through a direct lossy channel; returns what
+    """Push a frame's packets through a direct lossy channel, losing those
+    for which ``drop(segment_index, packet_seq)`` holds; returns what
     ``ingest_packet`` returned for each delivered packet."""
     results = []
     for burst in sender.send_frame(frame, t0):
         for i, (emit_ns, pkt) in enumerate(_packets(burst)):
-            if drop and drop(pkt):
+            if drop and drop(burst.segment_index, burst.seq_start + i):
                 continue
             results.append(ingest_packet(receiver, pkt, emit_ns + delay))
     return results
@@ -248,9 +250,9 @@ def test_nack_round_trip_recovers_single_loss():
     frame = _frame(size=100_000, seed=3)
     dropped = []
 
-    def drop_one(pkt):
-        if not dropped and pkt.segment_index == 2 and pkt.packet_seq == 3:
-            dropped.append(pkt)
+    def drop_one(seg, seq):
+        if not dropped and seg == 2 and seq == 3:
+            dropped.append((seg, seq))
             return True
         return False
 
@@ -276,7 +278,7 @@ def test_rounds_exhausted_drops_frame():
     sender, receiver = _sender(), _receiver(max_nack_rounds=2)
     frame = _frame(size=100_000)
     _deliver_frame(sender, receiver, frame,
-                   drop=lambda p: p.segment_index == 1 and p.packet_seq == 1)
+                   drop=lambda seg, seq: seg == 1 and seq == 1)
     t = receiver.next_timer_ns()
     rounds = 0
     while receiver.frames_in_flight:
@@ -309,7 +311,7 @@ def test_deadline_drops_slow_frame():
     sender = _sender()
     receiver = _receiver(deadline_ns=10 * MS, max_nack_rounds=0, tail_timeout_ns=0)
     _deliver_frame(sender, receiver, _frame(size=100_000),
-                   drop=lambda p: p.packet_seq == 2 and p.segment_index == 1)
+                   drop=lambda seg, seq: seq == 2 and seg == 1)
     deadline = receiver.next_timer_ns()
     receiver.on_timer(deadline)
     assert 1 in receiver.dropped
@@ -325,7 +327,7 @@ def test_reliability_under_random_loss(loss, seed):
     sender = _sender(rate=10**9)
     receiver = _receiver(max_nack_rounds=10_000)
     frame = _frame(size=60_000, seed=seed)
-    _deliver_frame(sender, receiver, frame, drop=lambda p: rng.random() < loss)
+    _deliver_frame(sender, receiver, frame, drop=lambda seg, seq: rng.random() < loss)
     now = 0
     for _ in range(100_000):
         if not receiver.frames_in_flight:
@@ -348,7 +350,7 @@ def test_lost_tail_segment_is_recovered_by_speculative_nack():
     # the final-segment marker and must ask for the next unseen segment
     sender, receiver = _sender(), _receiver()
     frame = _frame(size=100_000, seed=11)   # 2 segments
-    _deliver_frame(sender, receiver, frame, drop=lambda p: p.segment_index == 2)
+    _deliver_frame(sender, receiver, frame, drop=lambda seg, seq: seg == 2)
     deadline = receiver.next_timer_ns()
     nacks = receiver.on_timer(deadline)
     assert len(nacks) == 1
@@ -500,7 +502,7 @@ def test_frame_completion_allocates_no_payload_copy():
 
 
 def test_each_drop_records_its_reason():
-    lost_first = lambda p: p.segment_index == 1 and p.packet_seq == 1
+    lost_first = lambda seg, seq: seg == 1 and seq == 1
     by_deadline = _receiver(deadline_ns=10 * MS, max_nack_rounds=0, tail_timeout_ns=0)
     _deliver_frame(_sender(), by_deadline, _frame(size=100_000), drop=lost_first)
     by_deadline.on_timer(by_deadline.next_timer_ns())
@@ -522,7 +524,7 @@ def test_nack_with_more_ranges_than_a_datagram_holds_is_split():
     sender, receiver = _sender(pps=100), _receiver()
     lost = {seq for seq in range(2, 600, 2)}
     _deliver_frame(sender, receiver, _frame(size=60_000),
-                   drop=lambda p: p.packet_seq in lost)
+                   drop=lambda seg, seq: seq in lost)
     nacks = receiver.on_timer(receiver.next_timer_ns())
     assert [len(n.ranges) for n in nacks] == [MAX_NACK_RANGES, len(lost) - MAX_NACK_RANGES]
     assert all(len(encode_packet(n)) <= MAX_NACK_DATAGRAM for n in nacks)

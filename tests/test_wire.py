@@ -3,22 +3,33 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from volstream.errors import CodecError
-from volstream.frames import DataPacket
-from volstream.wire import (HEADER_SIZE, ControlPacket, PacketType,
-                            decode_packet, encode_packet)
+from volstream.wire import (HEADER_SIZE, ControlPacket, PacketType, data_header,
+                            decode_packet, encode_packet, parse_header)
+
+FIELDS = dict(stream_id=3, frame_id=1234, segment_index=7, packet_seq=2,
+              packets_in_segment=5, send_timestamp=123_456_789_000, flags=1)
 
 
-def _packet(**kw):
-    fields = dict(stream_id=3, frame_id=1234, segment_index=7, packet_seq=2,
-                  packets_in_segment=5, payload=b"hello world",
-                  send_timestamp=123_456_789_000, flags=1)
-    fields.update(kw)
-    return DataPacket(**fields)
+def _datagram(payload=b"hello world", **kw):
+    """A data datagram as socket mode sends it: header, then payload."""
+    f = {**FIELDS, **kw}
+    return data_header(f["stream_id"], f["frame_id"], f["segment_index"], f["packet_seq"],
+                       f["packets_in_segment"], len(payload), f["send_timestamp"],
+                       f["flags"]) + payload
+
+
+def _fields(parsed):
+    """``parse_header``'s result as ``FIELDS`` names it, with the packet type."""
+    ptype, flags, stream_id, frame_id, seg, seq, n, stamp = parsed
+    return ptype, dict(stream_id=stream_id, frame_id=frame_id, segment_index=seg,
+                       packet_seq=seq, packets_in_segment=n, send_timestamp=stamp,
+                       flags=flags)
 
 
 def test_data_round_trip():
-    p = _packet()
-    assert decode_packet(encode_packet(p)) == p
+    buf = _datagram()
+    assert _fields(parse_header(buf)) == (PacketType.DATA, FIELDS)
+    assert buf[HEADER_SIZE:] == b"hello world"
 
 
 @settings(max_examples=60, deadline=None)
@@ -32,55 +43,61 @@ def test_data_round_trip():
     payload=st.binary(min_size=0, max_size=200),
 )
 def test_data_round_trip_property(stream_id, frame_id, seg, n, ts, flags, payload):
-    seq = min(n, 3)
-    p = DataPacket(stream_id=stream_id, frame_id=frame_id, segment_index=seg,
-                   packet_seq=seq, packets_in_segment=n, payload=payload,
-                   send_timestamp=ts, flags=flags)
-    q = decode_packet(encode_packet(p))
-    assert q == p
-    assert len(q.payload) == len(payload)
+    fields = dict(stream_id=stream_id, frame_id=frame_id, segment_index=seg,
+                  packet_seq=min(n, 3), packets_in_segment=n, send_timestamp=ts,
+                  flags=flags)
+    buf = _datagram(payload, **fields)
+    assert _fields(parse_header(buf)) == (PacketType.DATA, fields)
+    assert buf[HEADER_SIZE:] == payload
+
+
+def test_data_datagram_is_not_a_control_packet():
+    with pytest.raises(CodecError, match="packet_type"):
+        decode_packet(_datagram())
 
 
 def test_short_buffer_errors():
+    with pytest.raises(CodecError, match="shorter"):
+        parse_header(b"\x00" * 31)
     with pytest.raises(CodecError, match="shorter"):
         decode_packet(b"\x00" * 31)
 
 
 def test_bad_magic_and_version_and_type():
-    buf = bytearray(encode_packet(_packet()))
-    bad_magic = bytes([0xDE, 0xAD]) + bytes(buf[2:])
+    buf = _datagram()
+    bad_magic = bytes([0xDE, 0xAD]) + buf[2:]
     with pytest.raises(CodecError, match="magic"):
-        decode_packet(bad_magic)
-    bad_version = bytes(buf[:2]) + b"\xff" + bytes(buf[3:])
+        parse_header(bad_magic)
+    bad_version = buf[:2] + b"\xff" + buf[3:]
     with pytest.raises(CodecError, match="version"):
-        decode_packet(bad_version)
-    bad_type = bytes(buf[:3]) + b"\x7f" + bytes(buf[4:])
+        parse_header(bad_version)
+    bad_type = buf[:3] + b"\x7f" + buf[4:]
     with pytest.raises(CodecError, match="packet_type"):
-        decode_packet(bad_type)
+        parse_header(bad_type)
 
 
 def test_payload_length_mismatch():
-    buf = encode_packet(_packet())
+    buf = _datagram()
     with pytest.raises(CodecError, match="payload_length"):
-        decode_packet(buf + b"extra")
+        parse_header(buf + b"extra")
     with pytest.raises(CodecError, match="payload_length"):
-        decode_packet(buf[:-1])
+        parse_header(buf[:-1])
 
 
 def test_header_mutation_never_misattributes():
-    # Flipping any single header byte must either fail to decode or yield a
-    # packet that differs from the original in its header fields.
-    original = _packet()
-    buf = bytearray(encode_packet(original))
+    # Flipping any single header byte must either fail to parse or yield
+    # header fields that differ from the original's; the payload is untouched.
+    buf = _datagram()
+    original = parse_header(buf)
     for pos in range(HEADER_SIZE):
         mutated = bytearray(buf)
         mutated[pos] ^= 0xA5
         try:
-            out = decode_packet(bytes(mutated))
+            out = parse_header(bytes(mutated))
         except CodecError:
             continue
         assert out != original
-        assert bytes(out.payload) == bytes(original.payload)
+        assert mutated[HEADER_SIZE:] == b"hello world"
 
 
 def test_nack_round_trip_and_validation():
@@ -127,7 +144,7 @@ def test_control_with_segment_fields_rejected():
 
 
 def test_reserved_must_be_zero():
-    buf = bytearray(encode_packet(_packet()))
+    buf = bytearray(_datagram())
     buf[30] = 1
     with pytest.raises(CodecError, match="reserved"):
-        decode_packet(bytes(buf))
+        parse_header(bytes(buf))
