@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
 from .frames import VolumetricFrame, make_synthetic_frame
 
 NS_PER_S = 1_000_000_000
@@ -25,12 +24,6 @@ class DurationDist:
 
     mean_ns: int
     half_width_ns: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mean_ns < 0 or self.half_width_ns < 0:
-            raise ConfigError("durations must be >= 0")
-        if self.half_width_ns > self.mean_ns:
-            raise ConfigError("duration jitter wider than the mean would go negative")
 
     def sample(self, rng=None) -> int:
         if self.half_width_ns == 0 or rng is None:
@@ -46,10 +39,6 @@ class CaptureProfile:
     color_bytes: int = 1_400_000
     depth_bytes: int = 1_920_000
     audio_bytes: int = 200_000
-
-    def __post_init__(self) -> None:
-        if self.fps <= 0:
-            raise ConfigError("fps must be > 0")
 
     @property
     def interval_ns(self) -> int:

@@ -22,6 +22,7 @@ from .netem import LinkModel, NodeStageModel
 from .relay import RelayNode, StallModel
 from .transport import ReceiverEndpoint, SenderEndpoint
 
+NS_PER_S = 1_000_000_000
 NS_PER_MS = 1_000_000
 NS_PER_US = 1_000
 
@@ -59,7 +60,6 @@ class TransportCfg:
     max_nack_rounds: int = 3
     deadline_ms: float = 66.6          # 0 disables the frame deadline
     retention_frames: int = 8
-    max_frame_bytes: int = 64_000_000
 
 
 @dataclass
@@ -229,7 +229,6 @@ class ScenarioConfig:
             packet_payload_size=t.packet_payload_size,
             overhead_bits_per_packet=t.overhead_bits_per_packet,
             retention_frames=t.retention_frames,
-            max_frame_bytes=t.max_frame_bytes,
             compute_crc=self.verify_payload,
         )
 
@@ -254,8 +253,11 @@ class ScenarioConfig:
         rates = self.hop2.pacing_bps
         return rates[receiver] if receiver < len(rates) else rates[0]
 
-    def frame_count(self) -> int:
-        return int(self.duration_s * self.capture.fps + 1e-9)
+    def frame_count(self, duration_s: float | None = None) -> int:
+        """Frames captured in ``duration_s``, by default the run's."""
+        if duration_s is None:
+            duration_s = self.duration_s
+        return int(duration_s * self.capture.fps + 1e-9)
 
 
 # -- flat key mapping --------------------------------------------------------
@@ -405,8 +407,11 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
 
     c = cfg.capture
     check(c.fps > 0, "capture.fps", c.fps, "must be > 0")
-    if cfg.experiment == "stream" and cfg.duration_s > 0 and c.fps > 0:
-        check(cfg.frame_count() >= 1, "duration_s", cfg.duration_s,
+    # a stream runs for duration_s, each rate of a sweep for sweep.duration_s
+    key, duration = (("sweep.duration_s", cfg.sweep.duration_s) if cfg.experiment == "sweep"
+                     else ("duration_s", cfg.duration_s))
+    if cfg.experiment != "probe" and duration > 0 and c.fps > 0:
+        check(cfg.frame_count(duration) >= 1, key, duration,
               "must hold at least one frame at capture.fps")
     check(c.app_tx_ms >= 0, "capture.app_tx_ms", c.app_tx_ms, "must be >= 0")
     check(0 <= c.app_tx_jitter_ms <= c.app_tx_ms, "capture.app_tx_jitter_ms",
@@ -441,14 +446,12 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
           "must be >= 0")
     check(t.max_nack_rounds >= 0, "transport.max_nack_rounds", t.max_nack_rounds,
           "must be >= 0")
-    check(t.tail_timeout_ms > 0 or t.max_nack_rounds == 0, "transport.tail_timeout_ms",
-          t.tail_timeout_ms, "must be > 0 while max_nack_rounds > 0: only the tail "
+    check(_ms(t.tail_timeout_ms) > 0 or t.max_nack_rounds == 0, "transport.tail_timeout_ms",
+          t.tail_timeout_ms, "must be >= 1 ns while max_nack_rounds > 0: only the tail "
           "timer asks again for a range")
     check(t.deadline_ms >= 0, "transport.deadline_ms", t.deadline_ms,
           "must be >= 0 (0 disables)")
     check(t.retention_frames >= 1, "transport.retention_frames", t.retention_frames,
-          "must be >= 1")
-    check(t.max_frame_bytes >= 1, "transport.max_frame_bytes", t.max_frame_bytes,
           "must be >= 1")
 
     check(cfg.relay.policy in ("cut_through", "store_forward"), "relay.policy",
@@ -499,8 +502,8 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
               "must be >= 0")
 
     k = cfg.clock
-    check(k.sync_interval_s > 0, "clock.sync_interval_s", k.sync_interval_s,
-          "must be > 0")
+    check(int(k.sync_interval_s * NS_PER_S) > 0, "clock.sync_interval_s", k.sync_interval_s,
+          "must be >= 1 ns")
     check(k.sync_req_us >= 0 and k.sync_resp_us >= 0, "clock.sync_req_us",
           (k.sync_req_us, k.sync_resp_us), "sync path delays must be >= 0")
     check(0.0 <= k.sync_loss_rate <= 1.0, "clock.sync_loss_rate", k.sync_loss_rate,

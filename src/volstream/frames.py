@@ -104,11 +104,7 @@ def make_synthetic_frame(
     under the same seed. The frame's parts are the tag and a view of the
     cached body, and its crc32 is combined from theirs.
     """
-    if color_bytes < 0 or depth_bytes < 0 or audio_bytes < 0:
-        raise InvalidFrameError("section sizes must be >= 0")
     total = color_bytes + depth_bytes + audio_bytes
-    if total == 0:
-        raise InvalidFrameError("frame has no content: all sections are zero bytes")
     tag = _SYNTH_TAG.pack(seed & 0xFFFFFFFFFFFFFFFF, frame_id,
                           color_bytes, depth_bytes, audio_bytes)[:total]
     body, body_crc, shift = _synthetic_body(seed, total)
@@ -173,8 +169,6 @@ def segment_frame(frame: VolumetricFrame, segment_payload_size: int) -> list:
     of the frame's parts is a zero-copy view of it; only a segment that
     spans a boundary between parts is joined.
     """
-    if segment_payload_size < 1:
-        raise ConfigError(f"segment_payload_size must be >= 1, got {segment_payload_size}")
     spans = []                        # (view, start, stop) of each part
     offset = 0
     for part in frame.parts:

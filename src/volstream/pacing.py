@@ -9,15 +9,11 @@ from cumulative bits, so a gapless burst of B bits spans exactly
 
 from __future__ import annotations
 
-from .errors import ConfigError
-
 NS_PER_S = 1_000_000_000
 
 
 class RatePacer:
     def __init__(self, rate_bps: int):
-        if rate_bps <= 0:
-            raise ConfigError(f"pacing rate must be > 0, got {rate_bps}")
         self.rate_bps = int(rate_bps)
         self._base_ns = 0
         self._bits = 0

@@ -35,7 +35,7 @@ from typing import NamedTuple
 from .appemu import capture_tick, render_complete
 from .clock import AnomalyLog, NodeClock, SyncPath, estimate_offset
 from .config import ScenarioConfig, _ms, _us
-from .errors import ConfigError, SyncError
+from .errors import SyncError
 from .metrics import (FrameLatencyRecord, RunLogs, RunSummary, assemble_record,
                       format_summary_table, summarize, write_report)
 from .netem import TRACE_COLUMNS, EventQueue, Link
@@ -283,8 +283,6 @@ class SimulationRun:
         self.cfg = cfg
         self.evq = EventQueue()
         self.frame_count = cfg.frame_count()
-        if self.frame_count < 1:
-            raise ConfigError("duration and fps yield zero frames")
         self._rngs = {}
         self.trace_rows = [] if cfg.trace.enabled else None
         self.anomalies = AnomalyLog()

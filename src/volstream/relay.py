@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
 from .transport import ReceiverEndpoint, SenderEndpoint
 
 NS_PER_MS = 1_000_000
@@ -32,12 +31,6 @@ class StallModel:
     probability: float = 0.0
     min_ns: int = 0
     max_ns: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0:
-            raise ConfigError(f"stall probability must be in [0, 1], got {self.probability}")
-        if not 0 <= self.min_ns <= self.max_ns:
-            raise ConfigError("stall duration range must satisfy 0 <= min <= max")
 
     def sample(self, rng) -> int:
         if self.probability <= 0.0 or rng is None:
@@ -72,12 +65,6 @@ class RelayNode:
         stall_rng=None,
         queue_high_water_ns: int = 50 * NS_PER_MS,
     ):
-        if not downstreams:
-            raise ConfigError("relay needs at least one downstream sender")
-        if policy not in ("cut_through", "store_forward"):
-            raise ConfigError(f"unknown forwarding policy {policy!r}")
-        if forward_delay_ns < 0:
-            raise ConfigError("forward_delay_ns must be >= 0")
         self.upstream = upstream
         self.downstreams = downstreams
         self.policy = policy

@@ -1,7 +1,8 @@
-"""Experiment dispatch (``run_experiment``, the one place that picks what
-runs and writes ``config.txt``) and the probe and sweep experiments. Each
-result has ``table()``, its console text, and ``streams()``, the ``(label,
-RunSummary)`` of every stream that must complete a frame."""
+"""Experiment dispatch (``run_experiment``, the one place that validates a
+run's config, picks what runs and writes ``config.txt``) and the probe and
+sweep experiments. Each result has ``table()``, its console text, and
+``streams()``, the ``(label, RunSummary)`` of every stream that must
+complete a frame."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import copy
 import os
 from dataclasses import dataclass
 
-from .config import ScenarioConfig, render_config
+from .config import ScenarioConfig, render_config, validate
 from .errors import ConfigError
 from .metrics import NS_PER_MS, ns_to_ms_str
 from .netem import run_probe_experiment
@@ -157,8 +158,15 @@ def run_experiment(cfg: ScenarioConfig, write_outputs: bool = True,
     ``config.txt`` and the reports under ``cfg.out_dir``. A socket run always
     writes them: its roles read ``config.txt``. With ``role`` one socket role
     runs (spawned by the orchestrator, or by hand per host) and None is
-    returned: the orchestrator reports the run. A role in sim mode is a
-    ``ConfigError``, raised before anything is written."""
+    returned: the orchestrator reports the run.
+
+    ``config.validate`` is applied first and is the only range check: the
+    runtime objects built from ``cfg`` check none again. A config that fails
+    it, or a role in sim mode, is a ``ConfigError`` (listing every
+    diagnostic), raised before anything is written."""
+    diags = validate(cfg)
+    if diags:
+        raise ConfigError("; ".join(str(d) for d in diags))
     socket_mode = cfg.mode == "socket"
     if role and not socket_mode:
         raise ConfigError(f"role {role!r} needs socket mode; mode is {cfg.mode!r}")

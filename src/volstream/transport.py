@@ -56,7 +56,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from .clock import NodeClock
-from .errors import ConfigError, TransportError
+from .errors import TransportError
 from .frames import VolumetricFrame, segment_frame
 from .wire import (FLAG_FINAL_SEGMENT, HEADER_SIZE, MAX_NACK_RANGES, ControlPacket, PacketType,
                    data_header)
@@ -167,7 +167,13 @@ class RecvLogEntry:
 
 
 class SenderEndpoint:
-    """Paced, retention-backed sending side of one stream hop."""
+    """Paced, retention-backed sending side of one stream hop.
+
+    The sizes, overhead, retention and pacing rate are taken as given:
+    ``config.validate`` range-checks them, and ``segment_payload_size`` and
+    ``packet_payload_size`` there also bound a frame's segment and packet
+    counts to the u16 header fields.
+    """
 
     def __init__(
         self,
@@ -178,15 +184,8 @@ class SenderEndpoint:
         packet_payload_size: int = 1_400,
         overhead_bits_per_packet: int = 0,
         retention_frames: int = 8,
-        max_frame_bytes: int = 64_000_000,
         compute_crc: bool = True,
     ):
-        if packet_payload_size < 1 or segment_payload_size < 1:
-            raise ConfigError("segment and packet payload sizes must be >= 1")
-        if overhead_bits_per_packet < 0:
-            raise ConfigError("overhead_bits_per_packet must be >= 0")
-        if retention_frames < 1:
-            raise ConfigError("retention_frames must be >= 1")
         self.stream_id = stream_id
         self.clock = clock
         self.pacer = RatePacer(pacing_rate_bps)
@@ -194,7 +193,6 @@ class SenderEndpoint:
         self.packet_payload_size = packet_payload_size
         self.overhead_bits = overhead_bits_per_packet
         self.retention_frames = retention_frames
-        self.max_frame_bytes = max_frame_bytes
         self.compute_crc = compute_crc
         self.send_log: dict[int, SendLogEntry] = {}
         self.packets_sent = 0
@@ -229,14 +227,10 @@ class SenderEndpoint:
         Returns one burst per segment, each planned by ``send_segment``, so
         packets are emitted in (segment_index, packet_seq) order and the send
         log records the span from the first emission start to the last
-        pacer-serialization end. This method adds only the frame checks and
+        pacer-serialization end. This method adds only the frame-id check and
         the frame's crc32, which the frame carries: the sender hashes
         nothing.
         """
-        if frame.size > self.max_frame_bytes:
-            raise TransportError(
-                f"frame {frame.frame_id} is {frame.size} bytes, max {self.max_frame_bytes}"
-            )
         if self._last_frame_id is not None and frame.frame_id != self._last_frame_id + 1:
             raise TransportError(
                 f"frame_id must increase by 1: got {frame.frame_id} after {self._last_frame_id}"
@@ -490,13 +484,6 @@ class ReceiverEndpoint:
         on_frame=None,     # (frame_id, segments, log): the frame is whole
         on_drop=None,      # (frame_id): the frame is dropped
     ):
-        if nack_delay_ns < 0 or tail_timeout_ns < 0 or deadline_ns < 0:
-            raise ConfigError("receiver timeouts must be >= 0")
-        if max_nack_rounds < 0:
-            raise ConfigError("max_nack_rounds must be >= 0")
-        if max_nack_rounds and not tail_timeout_ns:
-            raise ConfigError("tail_timeout must be > 0 while max_nack_rounds > 0: "
-                              "only the tail timer asks again for a range")
         self.stream_id = stream_id
         self.nack_delay_ns = nack_delay_ns
         self.tail_timeout_ns = tail_timeout_ns

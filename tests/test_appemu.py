@@ -1,10 +1,7 @@
 import random
 
-import pytest
-
 from volstream.appemu import (CaptureProfile, DurationDist, RenderProfile,
                               capture_tick, render_complete)
-from volstream.errors import ConfigError
 from volstream.pipeline import run_simulation
 
 from conftest import make_small_config
@@ -72,13 +69,6 @@ def test_render_distribution_is_seeded_and_bounded():
     assert a == b
     assert all(20 * MS <= v <= 24 * MS for v in a)
     assert len(set(a)) > 1
-
-
-def test_duration_dist_validation():
-    with pytest.raises(ConfigError):
-        DurationDist(-1)
-    with pytest.raises(ConfigError):
-        DurationDist(5, 6)
 
 
 def test_service_identity_display_minus_capture(small_cfg):

@@ -81,11 +81,50 @@ def test_counts_past_the_u16_header_fields_exit_2(tmp_path, capsys, overrides, k
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("scenario, key, value", [
+    ("bandwidth-sweep", "sweep.duration_s", "0.01"),
+    ("paper-default", "transport.tail_timeout_ms", "1e-7"),
+    ("paper-default", "clock.sync_interval_s", "1e-10"),
+], ids=["sweep-without-a-frame", "tail-timer-of-0-ns", "sync-interval-of-0-ns"])
+def test_validate_judges_the_values_a_run_uses(tmp_path, monkeypatch, capsys, scenario,
+                                               key, value):
+    # 10 ms at 30 fps captures no frame at any sweep rate; 1e-7 ms and 1e-10 s
+    # are 0 ns once the run converts them: validate and run both exit 2
+    monkeypatch.setenv("VOLSTREAM_" + key.upper().replace(".", "_"), value)
+    assert main(["validate", "--scenario", scenario]) == EXIT_CONFIG
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scenario, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_experiment_refuses_an_invalid_config_before_writing(tmp_path):
+    from volstream.errors import ConfigError
+    from volstream.runner import run_experiment
+    cfg = make_small_config(out_dir=str(tmp_path / "out"))
+    cfg.hop1.loss_rate = 1.5
+    cfg.relay.policy = "nope"
+    with pytest.raises(ConfigError, match="hop1.loss_rate") as exc:
+        run_experiment(cfg)
+    assert "relay.policy" in str(exc.value)       # every diagnostic, in one error
+    assert not os.path.exists(cfg.out_dir)
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("definitely.not.a.key=1\n")
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG
     assert "unknown" in capsys.readouterr().err
+
+
+def test_max_frame_bytes_is_an_unknown_key(tmp_path, capsys):
+    # frames are built from capture.*, and the u16 segment count bounds
+    # their size: a frame-size cap could only make a run fail
+    path = tmp_path / "old.cfg"
+    path.write_text("transport.max_frame_bytes=64000000\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert "transport.max_frame_bytes" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

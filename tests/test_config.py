@@ -55,6 +55,52 @@ def test_counts_past_the_u16_header_fields_are_invalid():
     assert validate(cfg) == []      # 65,186 packets
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"hop1.bandwidth_bps": "0"}, "hop1.bandwidth_bps"),
+    ({"hop1.distance_km": "-1"}, "hop1.distance_km"),
+    ({"hop1.propagation_us_per_km": "-1"}, "hop1.propagation_us_per_km"),
+    ({"hop1.hop_delay_us_min": "11", "hop1.hop_delay_us_max": "10"},
+     "hop1.hop_delay_us_min"),
+    ({"hop2.hops": "-1"}, "hop2.hops"),
+    ({"hop1.loss_rate": "1.5"}, "hop1.loss_rate"),
+    ({"hop1.reverse_loss_rate": "-0.1"}, "hop1.reverse_loss_rate"),
+    ({"hop2.reorder_rate": "1.5"}, "hop2.reorder_rate"),
+    ({"hop1.reorder_extra_us": "-1"}, "hop1.reorder_extra_us"),
+    ({"hop2.pacing_bps": "0"}, "hop2.pacing_bps"),
+    ({"node.relay.load_factor": "-1"}, "node.relay.load_factor"),
+    ({"node.sender.tx_sw_us": "-1"}, "node.sender.tx_sw_us"),
+    ({"node.receiver.rx_hw_us": "-1"}, "node.receiver.rx_hw_us"),
+    ({"stall.probability": "1.5"}, "stall.probability"),
+    ({"stall.min_ms": "5", "stall.max_ms": "4"}, "stall.min_ms"),
+    ({"capture.fps": "0"}, "capture.fps"),
+    ({"capture.app_tx_ms": "-1"}, "capture.app_tx_ms"),
+    ({"capture.app_tx_jitter_ms": "8", "capture.app_tx_ms": "7"}, "capture.app_tx_jitter_ms"),
+    ({"render.app_rx_ms": "-1"}, "render.app_rx_ms"),
+    ({"probe.samples": "0"}, "probe.samples"),
+    ({"probe.sizes": ""}, "probe.sizes"),
+    ({"segment_payload_size": "0"}, "segment_payload_size"),
+    ({"transport.packet_payload_size": "0"}, "transport.packet_payload_size"),
+    ({"transport.overhead_bits_per_packet": "-1"}, "transport.overhead_bits_per_packet"),
+    ({"transport.retention_frames": "0"}, "transport.retention_frames"),
+    ({"transport.nack_delay_ms": "-1"}, "transport.nack_delay_ms"),
+    ({"transport.tail_timeout_ms": "-1"}, "transport.tail_timeout_ms"),
+    ({"transport.deadline_ms": "-1"}, "transport.deadline_ms"),
+    ({"transport.max_nack_rounds": "-1"}, "transport.max_nack_rounds"),
+    ({"relay.policy": "nope"}, "relay.policy"),
+    ({"relay.forward_delay_ms": "-1"}, "relay.forward_delay_ms"),
+    ({"receivers": "0"}, "receivers"),
+    ({"clock.sync_req_us": "-1"}, "clock.sync_req_us"),
+    ({"clock.sync_resp_us": "-1"}, "clock.sync_req_us"),
+    ({"clock.sync_loss_rate": "2"}, "clock.sync_loss_rate"),
+])
+def test_each_scenario_range_rule_names_its_key(overrides, key):
+    # validate is the one rule set: the runtime objects a run builds from a
+    # config check none of these ranges again
+    cfg = ScenarioConfig()
+    assert apply_overrides(cfg, overrides) == []
+    assert key in [d.key for d in validate(cfg)]
+
+
 def test_unknown_key_is_rejected():
     cfg, diags = parse_config_text("no.such.key=1\n")
     assert any("unknown" in d.constraint for d in diags)
@@ -150,14 +196,14 @@ def test_endpoint_factory_takes_transport_settings():
     cfg = ScenarioConfig(stream_id=7, segment_payload_size=8_000)
     assert apply_overrides(cfg, {
         "transport.packet_payload_size": "256", "transport.overhead_bits_per_packet": "428",
-        "transport.retention_frames": "3", "transport.max_frame_bytes": "9000",
+        "transport.retention_frames": "3",
         "transport.nack_delay_ms": "1.5", "transport.tail_timeout_ms": "4",
         "transport.max_nack_rounds": "5", "transport.deadline_ms": "40"}) == []
     clock = NodeClock("n")
     s = cfg.sender_endpoint(1_500_000_000, clock)
     assert (s.stream_id, s.pacer.rate_bps, s.clock) == (7, 1_500_000_000, clock)
     assert (s.segment_payload_size, s.packet_payload_size, s.overhead_bits,
-            s.retention_frames, s.max_frame_bytes) == (8_000, 256, 428, 3, 9000)
+            s.retention_frames) == (8_000, 256, 428, 3)
     for ep in (cfg.receiver_endpoint(), cfg.receiver_endpoint(relay=True)):
         assert ep.stream_id == 7
         assert (ep.nack_delay_ns, ep.tail_timeout_ns, ep.max_nack_rounds,

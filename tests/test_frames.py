@@ -64,12 +64,6 @@ def test_segment_exact_fit_and_remainder():
     assert len(segs) == 2 and len(segs[1]) == 1
 
 
-def test_segment_zero_size_is_config_error():
-    frame = make_synthetic_frame(1, 10, 0, 0, seed=1)
-    with pytest.raises(ConfigError):
-        segment_frame(frame, 0)
-
-
 def _bursts(payload: bytes, packet_payload_size: int):
     # the production packetizer: one-segment frames sent by a SenderEndpoint
     sender = SenderEndpoint(1, 10**9, NodeClock("s"), segment_payload_size=65_000,
@@ -81,11 +75,6 @@ def test_packetize_counts():
     assert [b.count for b in _bursts(b"a" * 65_000, 1_400)] == [47]   # ceil(65000/1400)
     assert [b.count for b in _bursts(b"a" * 65_000, 452)] == [144]    # ceil(65000/452)
     assert [b.count for b in _bursts(b"x", 1_400)] == [1]
-
-
-def test_packetize_zero_size_is_config_error():
-    with pytest.raises(ConfigError):
-        _bursts(b"abc", 0)
 
 
 def test_packetize_concatenation_restores_segment():

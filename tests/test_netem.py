@@ -66,15 +66,6 @@ def test_load_factor_scales_receive_stages():
     assert node.rx_hw_effective_ns == 20_000
 
 
-def test_link_model_validation():
-    with pytest.raises(ConfigError):
-        LinkModel(bandwidth_bps=0)
-    with pytest.raises(ConfigError):
-        LinkModel(bandwidth_bps=1, loss_rate=1.5)
-    with pytest.raises(ConfigError):
-        LinkModel(bandwidth_bps=1, hop_delay_min_ns=10, hop_delay_max_ns=5)
-
-
 # -- event queue ----------------------------------------------------------------
 
 
@@ -259,9 +250,3 @@ def test_probe_is_lossless_whatever_the_link_model(hops):
     assert results == run_probe_experiment(lossy, tx, rx, [128, 1024], 50, seed=3)
 
 
-def test_probe_rejects_bad_input():
-    link, tx, rx = _probe_setup()
-    with pytest.raises(ConfigError):
-        run_probe_experiment(link, tx, rx, [], 10, seed=1)
-    with pytest.raises(ConfigError):
-        run_probe_experiment(link, tx, rx, [128], 0, seed=1)

@@ -1,10 +1,6 @@
-import pytest
-
 from volstream.config import apply_overrides
-from volstream.errors import ConfigError
 from volstream.frames import make_synthetic_frame
 from volstream.pipeline import run_simulation
-from volstream.relay import StallModel
 from volstream.scenarios import scenario_config
 
 MS = 1_000_000
@@ -115,13 +111,6 @@ def test_sampled_stall_count_is_seeded_and_plausible(small_cfg):
     count = run(5)
     assert count == run(5)                     # reproducible per seed
     assert 15 <= count <= 45                   # ~30 of 300 at p=0.1
-
-
-def test_stall_model_validation():
-    with pytest.raises(ConfigError):
-        StallModel(probability=1.5)
-    with pytest.raises(ConfigError):
-        StallModel(probability=0.5, min_ns=10, max_ns=5)
 
 
 def test_no_stall_deterministic_inputs_zero_distribution_variance(small_cfg):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from volstream.clock import NodeClock
-from volstream.errors import ConfigError, TransportError
+from volstream.errors import TransportError
 from volstream.frames import make_synthetic_frame
 from volstream.pacing import RatePacer
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
@@ -113,13 +113,10 @@ def test_first_transmission_order_is_lexicographic():
 
 
 def test_oversize_and_sequence_errors():
-    sender = SenderEndpoint(1, 10**9, _clock(), max_frame_bytes=1000)
-    with pytest.raises(TransportError, match="max"):
-        sender.send_frame(_frame(size=2000), 0)
-    sender2 = _sender()
-    sender2.send_frame(_frame(frame_id=1), 0)
+    sender = _sender()
+    sender.send_frame(_frame(frame_id=1), 0)
     with pytest.raises(TransportError, match="increase by 1"):
-        sender2.send_frame(_frame(frame_id=3), 0)
+        sender.send_frame(_frame(frame_id=3), 0)
 
 
 def test_retransmit_counts_and_staleness():
@@ -299,12 +296,6 @@ def test_rounds_exhausted_drops_frame():
             late_count += 1
     assert late_count >= 1 and receiver.late_packets == late_count
     assert (receiver.packets_received, receiver.duplicates) == (received, duplicates)
-
-
-def test_nack_rounds_need_a_tail_timer():
-    with pytest.raises(ConfigError, match="tail_timeout"):
-        _receiver(tail_timeout_ns=0)
-    assert _receiver(tail_timeout_ns=0, max_nack_rounds=0).max_nack_rounds == 0
 
 
 def test_deadline_drops_slow_frame():
