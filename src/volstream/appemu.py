@@ -39,6 +39,7 @@ class CaptureProfile:
     color_bytes: int = 1_400_000
     depth_bytes: int = 1_920_000
     audio_bytes: int = 200_000
+    part_size: int | None = None     # the sender's segment size: body views align to it
 
     @property
     def interval_ns(self) -> int:
@@ -81,7 +82,7 @@ def capture_tick(
     """
     app_tx = profile.app_tx.sample(rng)
     frame = make_synthetic_frame(frame_id, profile.color_bytes, profile.depth_bytes,
-                                 profile.audio_bytes, seed)
+                                 profile.audio_bytes, seed, profile.part_size)
     record = AppTxRecord(
         frame_id=frame_id,
         capture_start_ns=tick_ns,

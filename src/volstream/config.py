@@ -179,7 +179,7 @@ class ScenarioConfig:
             fps=c.fps,
             app_tx=DurationDist(_ms(c.app_tx_ms), _ms(c.app_tx_jitter_ms)),
             color_bytes=c.color_bytes, depth_bytes=c.depth_bytes,
-            audio_bytes=c.audio_bytes,
+            audio_bytes=c.audio_bytes, part_size=self.segment_payload_size,
         )
 
     def render_profile(self) -> RenderProfile:
@@ -522,4 +522,7 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
           "must be > 0")
     check(1 <= cfg.socket.base_port <= 65_000, "socket.base_port",
           cfg.socket.base_port, "must be a usable port")
+    for key in ("setup_wait_s", "drain_timeout_s"):
+        val = getattr(cfg.socket, key)
+        check(val >= 0, f"socket.{key}", val, "must be >= 0")
     return d

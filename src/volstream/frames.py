@@ -10,9 +10,12 @@ original bytes exactly.
 
 A frame holds its payload as parts, buffers whose concatenation it is, and
 carries the payload's crc32. A synthetic frame is its 24-byte tag and a
-view of a cached body; its crc32 is combined from the tag's and the body's
+cached body, cut at multiples of the sender's segment size into read-only
+views of one window: the seeded block tiled just far enough to hold one
+part at any phase. Its crc32 is combined from the tag's and the body's
 (``multmodp``, after zlib's ``crc32_combine``), so building one reads and
-copies no body bytes, and neither does segmenting it.
+copies no body bytes. Segmenting it copies only segment 1, which spans
+the tag; every later segment is one body part.
 
 Sizes follow decimal units throughout: 1 Kbyte = 1e3 bytes, 1 Mbyte = 1e6.
 """
@@ -26,10 +29,12 @@ from functools import lru_cache
 
 from .errors import ConfigError, InvalidFrameError
 
-# Base block size for synthetic payload generation. One seeded block is
-# tiled to the requested length once per (seed, length), and the tiled body
-# is cached with its crc32; each frame is then its 24-byte tag followed by a
-# view of that body, so a multi-megabyte frame costs the tag alone.
+# Base block size for synthetic payload generation. Payload byte i is byte
+# i % _SYNTH_BLOCK of one seeded block, so any run of n bytes is a slice of
+# the block tiled 1 + ceil(n / _SYNTH_BLOCK) times. The body is cached as
+# such slices with its crc32 once per (seed, length, part size); each frame
+# is then its 24-byte tag followed by those views, so a multi-megabyte frame
+# costs the tag alone.
 _SYNTH_BLOCK = 65_536
 _SYNTH_TAG = struct.Struct(">QIIII")
 
@@ -95,39 +100,51 @@ def make_synthetic_frame(
     depth_bytes: int,
     audio_bytes: int,
     seed: int,
+    part_size: int | None = None,
 ) -> VolumetricFrame:
     """Build a frame with deterministic pseudo-random content.
 
     The payload is a pure function of ``(seed, frame_id)`` and the section
     sizes: a seeded base block is tiled to length and the head is overwritten
     with a tag of the generating arguments so distinct frames differ even
-    under the same seed. The frame's parts are the tag and a view of the
-    cached body, and its crc32 is combined from theirs.
+    under the same seed. The frame's parts are the tag and the cached body's
+    views, cut at multiples of ``part_size`` (one view when it is None), and
+    its crc32 is combined from theirs.
     """
     total = color_bytes + depth_bytes + audio_bytes
     tag = _SYNTH_TAG.pack(seed & 0xFFFFFFFFFFFFFFFF, frame_id,
                           color_bytes, depth_bytes, audio_bytes)[:total]
-    body, body_crc, shift = _synthetic_body(seed, total)
+    body, body_crc, shift = _synthetic_body(seed, total, part_size or total)
     return VolumetricFrame(
         frame_id=frame_id,
         color_bytes=color_bytes,
         depth_bytes=depth_bytes,
         audio_bytes=audio_bytes,
-        payload=(tag, body),
+        payload=(tag, *body),
         crc32=multmodp(shift, zlib.crc32(tag)) ^ body_crc,
     )
 
 
 @lru_cache(maxsize=4)
-def _synthetic_body(seed: int, total: int) -> tuple[memoryview, int, int]:
+def _synthetic_body(seed: int, total: int, part_size: int
+                    ) -> tuple[tuple[memoryview, ...], int, int]:
     """Bytes ``[24, total)`` of the seeded block tiled to ``total`` bytes.
 
-    Returned as a read-only view, with its crc32 and the operator
-    ``x2nmodp(len, 3)`` that moves a crc32 of preceding bytes past it.
+    Returned as read-only views of one window, cut at every multiple of
+    ``part_size``, with their crc32 and the operator ``x2nmodp(len, 3)``
+    that moves a crc32 of preceding bytes past them.
     """
     block = random.Random(f"payload:{seed}").randbytes(_SYNTH_BLOCK)
-    body = (block * -(-total // _SYNTH_BLOCK))[_SYNTH_TAG.size:total]
-    return memoryview(body), zlib.crc32(body), x2nmodp(len(body), 3)
+    window = memoryview(block * (1 + -(-min(part_size, total) // _SYNTH_BLOCK)))
+    parts, crc = [], 0
+    start = _SYNTH_TAG.size
+    while start < total:
+        stop = min((start // part_size + 1) * part_size, total)
+        phase = start % _SYNTH_BLOCK
+        parts.append(window[phase:phase + stop - start])
+        crc = zlib.crc32(parts[-1], crc)
+        start = stop
+    return tuple(parts), crc, x2nmodp(max(total - _SYNTH_TAG.size, 0), 3)
 
 
 # crc32 arithmetic over GF(2), after zlib's crc32.c (Mark Adler). A crc32
@@ -165,21 +182,23 @@ def segment_frame(frame: VolumetricFrame, segment_payload_size: int) -> list:
 
     Returns the segments' payload buffers in order: segment ``k`` (1-based,
     as on the wire) is entry ``k - 1``. All segments except the last carry
-    exactly ``segment_payload_size`` bytes. A segment that lies inside one
-    of the frame's parts is a zero-copy view of it; only a segment that
-    spans a boundary between parts is joined.
+    exactly ``segment_payload_size`` bytes. One pass over the frame's parts
+    cuts them at the segment bounds: a segment that lies inside one part is
+    a zero-copy view of it; only a segment that spans a boundary between
+    parts is joined.
     """
-    spans = []                        # (view, start, stop) of each part
-    offset = 0
+    total = frame.size
+    segments, pieces = [], []
+    offset, hi = 0, min(segment_payload_size, total)
     for part in frame.parts:
-        spans.append((memoryview(part), offset, offset + len(part)))
-        offset += len(part)
-    segments = []
-    for lo in range(0, offset, segment_payload_size):
-        hi = lo + segment_payload_size
-        pieces = [view[max(lo - start, 0):hi - start]
-                  for view, start, stop in spans if start < hi and lo < stop]
-        segments.append(pieces[0] if len(pieces) == 1 else b"".join(pieces))
+        view = memoryview(part)
+        while view:
+            piece, view = view[:hi - offset], view[hi - offset:]
+            pieces.append(piece)
+            offset += len(piece)
+            if offset == hi:
+                segments.append(pieces[0] if len(pieces) == 1 else b"".join(pieces))
+                pieces, hi = [], min(hi + segment_payload_size, total)
     return segments
 
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -45,6 +46,19 @@ def ingest_packet(receiver, datagram, recv_true_ns):
     body = memoryview(datagram)[HEADER_SIZE:]
     return receiver.ingest_run(frame_id, seg, n, seq, 1, body, max(len(body), 1),
                                recv_true_ns, recv_true_ns, stamp, flags)
+
+
+def traced_peak_bytes(fn) -> int:
+    """The most bytes ``fn()`` held allocated at once, above what was
+    allocated when it was called, as ``tracemalloc`` counts them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -99,6 +99,16 @@ def test_validate_judges_the_values_a_run_uses(tmp_path, monkeypatch, capsys, sc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["socket.setup_wait_s", "socket.drain_timeout_s"])
+def test_negative_socket_timing_exits_2(monkeypatch, capsys, key):
+    # a socket run sleeps for setup_wait_s and waits drain_timeout_s for
+    # stragglers; time.sleep refuses a negative length
+    monkeypatch.setenv("VOLSTREAM_MODE", "socket")
+    monkeypatch.setenv("VOLSTREAM_" + key.upper().replace(".", "_"), "-1")
+    assert main(["validate", "--scenario", "paper-default"]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 def test_run_experiment_refuses_an_invalid_config_before_writing(tmp_path):
     from volstream.errors import ConfigError
     from volstream.runner import run_experiment

@@ -1,3 +1,4 @@
+import itertools
 import random
 import struct
 import zlib
@@ -8,10 +9,16 @@ import hypothesis.strategies as st
 
 from volstream.clock import NodeClock
 from volstream.errors import CodecError, ConfigError, InvalidFrameError
-from volstream.frames import (VolumetricFrame, make_synthetic_frame, multmodp,
-                              required_bandwidth_bps, segment_frame, x2nmodp)
+from volstream.frames import (VolumetricFrame, _synthetic_body, make_synthetic_frame,
+                              multmodp, required_bandwidth_bps, segment_frame, x2nmodp)
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
 from volstream.wire import data_header, parse_header
+
+from conftest import traced_peak_bytes
+
+# Part sizes below, at and above the 24 B tag and the 65,536 B block; None
+# is one part for the whole body.
+PART_SIZES = [1, 23, 24, 25, 1_000, 65_000, 65_536, 70_000, None]
 
 
 def test_synthetic_frame_reference_section_sizes():
@@ -62,6 +69,27 @@ def test_segment_exact_fit_and_remainder():
     frame = make_synthetic_frame(1, 65_001, 0, 0, seed=1)
     segs = segment_frame(frame, 65_000)
     assert len(segs) == 2 and len(segs[1]) == 1
+
+
+def test_paper_frame_body_is_segment_aligned_views_of_one_window():
+    frame = make_synthetic_frame(1, 3_520_000, 0, 0, seed=1, part_size=65_000)
+    tag, *body = frame.parts
+    window = body[0].obj
+    assert len(tag) == 24 and len(window) <= 131_072
+    assert all(isinstance(part, memoryview) and part.obj is window for part in body)
+    segs = segment_frame(frame, 65_000)
+    assert len(segs) == len(body) == 55
+    for seg, part in zip(segs[1:], body[1:], strict=True):
+        assert seg.obj is window and seg == part
+
+
+def test_paper_frame_is_built_in_a_fraction_of_its_size():
+    # the block and its 131 KB window are the only body bytes allocated; one
+    # frame-sized copy of the body would exceed the bound seven times over
+    _synthetic_body.cache_clear()
+    peak = traced_peak_bytes(
+        lambda: make_synthetic_frame(1, 3_520_000, 0, 0, seed=1, part_size=65_000))
+    assert peak <= 500_000
 
 
 def _bursts(payload: bytes, packet_payload_size: int):
@@ -144,19 +172,31 @@ def _tiled_reference(frame_id, color, depth, audio, seed):
     ((1_000, 2_000, 300), 2**64 + 5),    # seed wider than the tag field
 ])
 def test_synthetic_frame_matches_tiled_reference(sections, seed):
+    total = sum(sections)
     for frame_id in (1, 2):
-        frame = make_synthetic_frame(frame_id, *sections, seed=seed)
-        assert frame.payload == _tiled_reference(frame_id, *sections, seed)
+        expect = _tiled_reference(frame_id, *sections, seed)
+        for part_size in PART_SIZES:
+            if total > (part_size or total) * MAX_SEGMENTS:
+                continue
+            frame = make_synthetic_frame(frame_id, *sections, seed=seed, part_size=part_size)
+            assert frame.payload == expect, part_size
 
 
 @settings(max_examples=60, deadline=None)
-@given(total=st.integers(min_value=1, max_value=4 * 65_536 + 100),
+@given(data=st.data(),
        seed=st.one_of(st.sampled_from([0, 1, 2**64 + 5]), st.integers(0, 2**70)),
        frame_id=st.integers(min_value=0, max_value=0xFFFFFFFF))
-def test_synthetic_frame_crc_is_crc_of_payload(total, seed, frame_id):
+def test_synthetic_frame_crc_is_crc_of_payload(data, seed, frame_id):
     # totals under 24 B truncate the tag and leave the body empty
+    part_size = data.draw(st.sampled_from(PART_SIZES), label="part_size")
+    most = min(4 * 65_536 + 100, (part_size or 4 * 65_536) * MAX_SEGMENTS)
+    total = data.draw(st.one_of(
+        st.integers(min_value=1, max_value=most),
+        st.sampled_from([t for t in (1, 23, 24, 25, 65_536, 2 * 65_536, 4 * 65_536)
+                         if t <= most])), label="total")
     color = total // 3
-    frame = make_synthetic_frame(frame_id, color, total - color, 0, seed=seed)
+    frame = make_synthetic_frame(frame_id, color, total - color, 0, seed=seed,
+                                 part_size=part_size)
     assert frame.crc32 == zlib.crc32(frame.payload)
 
 
@@ -175,6 +215,25 @@ def test_segments_concatenate_to_payload(seg_size, total):
     segs = segment_frame(frame, seg_size)
     assert len(segs) == -(-total // seg_size)
     assert b"".join(segs) == frame.payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.binary(max_size=300), min_size=1, max_size=8).filter(any),
+       size=st.integers(min_value=1, max_value=700))
+def test_segment_frame_cuts_any_parts(parts, size):
+    payload = b"".join(parts)
+    segs = segment_frame(VolumetricFrame(1, len(payload), 0, 0, payload=tuple(parts)), size)
+    assert b"".join(segs) == payload
+    assert len(segs) == -(-len(payload) // size)
+    bounds = list(itertools.accumulate(map(len, parts), initial=0))
+    for k, seg in enumerate(segs):
+        lo, hi = k * size, min((k + 1) * size, len(payload))
+        inside = [part for part, start, stop in zip(parts, bounds, bounds[1:])
+                  if start <= lo and hi <= stop]
+        if inside:                    # a view of the part it lies in, not a join
+            assert isinstance(seg, memoryview) and seg.obj is inside[0]
+        else:
+            assert isinstance(seg, bytes)
 
 
 def test_segment_and_packet_index_bounds():

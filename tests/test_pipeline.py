@@ -2,11 +2,12 @@ import hashlib
 import os
 
 from volstream import pipeline, transport
-from volstream.frames import make_synthetic_frame
+from volstream.frames import _synthetic_body, make_synthetic_frame
 from volstream.pipeline import run_simulation
 from volstream.runner import run_experiment
+from volstream.scenarios import scenario_config
 
-from conftest import make_small_config
+from conftest import make_small_config, traced_peak_bytes
 
 MS = 1_000_000
 
@@ -318,3 +319,16 @@ def test_summary_counts_each_hops_drops_by_reason(small_cfg):
                      for why in ("deadline", "rounds_exhausted", "unfinished")}
         assert sum(by_reason.values()) == len(ep.dropped) > 0
         assert by_reason["rounds_exhausted"] > 0
+
+
+def test_paper_run_holds_no_frame_sized_buffer(tmp_path):
+    # 30 frames of 3.52 MB: the body is views of a 131 KB window and no layer
+    # copies a whole frame; a frame-sized buffer alongside the run's own
+    # allocations would pass the bound
+    cfg = scenario_config("paper-default")
+    cfg.duration_s = 1.0
+    cfg.out_dir = str(tmp_path / "out")
+    _synthetic_body.cache_clear()
+    result = []
+    assert traced_peak_bytes(lambda: result.append(run_simulation(cfg))) <= 3_000_000
+    assert result[0].primary.summary.frames_completed == 30
