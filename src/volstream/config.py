@@ -153,7 +153,6 @@ class ScenarioConfig:
     receivers: int = 1
     segment_payload_size: int = 65_000
     verify_payload: bool = True
-    retain_payloads: bool = False
     capture: CaptureCfg = field(default_factory=CaptureCfg)
     render: RenderCfg = field(default_factory=RenderCfg)
     transport: TransportCfg = field(default_factory=TransportCfg)
@@ -235,8 +234,8 @@ class ScenarioConfig:
     def receiver_endpoint(self, relay: bool = False) -> ReceiverEndpoint:
         """A receiving endpoint: a final receiver, or the relay's upstream.
 
-        Only final receivers check payloads and retain them; nothing reads
-        the relay's frame checksums.
+        Only final receivers check payloads; nothing reads the relay's frame
+        checksums.
         """
         t = self.transport
         return ReceiverEndpoint(
@@ -245,7 +244,6 @@ class ScenarioConfig:
             tail_timeout_ns=_ms(t.tail_timeout_ms),
             max_nack_rounds=t.max_nack_rounds,
             deadline_ns=_ms(t.deadline_ms),
-            retain_payloads=self.retain_payloads and not relay,
             compute_crc=self.verify_payload and not relay,
         )
 
@@ -525,4 +523,7 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
     for key in ("setup_wait_s", "drain_timeout_s"):
         val = getattr(cfg.socket, key)
         check(val >= 0, f"socket.{key}", val, "must be >= 0")
+    if cfg.mode == "socket":    # receiver r binds socket.base_port + 10 + r
+        check(cfg.socket.base_port + 10 + cfg.receivers - 1 <= 65_535, "receivers",
+              cfg.receivers, "socket mode needs socket.base_port + 10 + receivers - 1 <= 65535")
     return d

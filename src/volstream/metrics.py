@@ -15,11 +15,11 @@ Per completed frame the record carries, all in integer nanoseconds:
     protocol_tx/rx/l and network_l per hop (1: sender->relay, 2: relay->receiver)
 
 Each node's logs record every instant once, in its driver's time (true time
-in the sim, the host clock in socket mode), and ``RunLogs`` carries each
-node's ``NodeClock``. ``assemble_record`` is where local readings are
-taken: spans, one-way delays and ``server_dist`` are measured on each
-node's clock as the paper measures them, and corrected to the master by
-the clocks' estimated offsets. Ground-truth diagnostics are plain
+in the sim, the host clock in socket mode), and each node's record in
+``RunLogs`` carries its ``NodeClock``. ``assemble_record`` is where local
+readings are taken: spans, one-way delays and ``server_dist`` are measured
+on each node's clock as the paper measures them, and corrected to the
+master by the clocks' estimated offsets. Ground-truth diagnostics are plain
 differences of the stored instants.
 
 The three latency identities (service, frame, per-hop protocol) hold exactly
@@ -101,22 +101,44 @@ class FrameLatencyRecord:
             raise MetricsError(f"frame {self.frame_id}: hop-2 protocol identity violated")
 
 
+# One record per node: its clock, its logs keyed by frame_id, and its
+# endpoints' ``counters()``. Sim and socket mode build them with the same
+# ``pipeline`` builders; a socket role writes its record as JSON.
+
+
+@dataclass
+class SenderLog:
+    clock: NodeClock
+    app_tx: dict            # AppTxRecord
+    send_log: dict          # SendLogEntry
+    counters: dict          # SenderEndpoint.counters()
+
+
+@dataclass
+class RelayLog:
+    clock: NodeClock
+    recv_log: dict          # RecvLogEntry, the upstream's completed frames
+    dropped: dict           # RecvLogEntry, the upstream's drops
+    send_logs: list         # per receiver: SendLogEntry by frame_id
+    counters: dict          # RelayNode.counters()
+
+
+@dataclass
+class ReceiverLog:
+    clock: NodeClock
+    recv_log: dict          # RecvLogEntry
+    dropped: dict           # RecvLogEntry
+    app_rx: dict            # AppRxRecord
+    counters: dict          # ReceiverEndpoint.counters()
+
+
 @dataclass
 class RunLogs:
-    """Everything the per-frame assembly needs: the logs, keyed by frame_id,
-    and the clock of each node that wrote them."""
+    """Every node's log: all that the per-frame assembly and the reports read."""
 
-    app_tx: dict
-    send_log: dict
-    relay_recv: dict
-    relay_send: list        # per receiver: dict
-    recv: list              # per receiver: dict
-    app_rx: list            # per receiver: dict
-    sender_clock: NodeClock
-    relay_clock: NodeClock
-    receiver_clocks: list   # per receiver: NodeClock
-    relay_dropped: dict     # the relay upstream's drops
-    dropped: list           # per receiver: dict
+    sender: SenderLog
+    relay: RelayLog
+    receivers: list         # ReceiverLog per receiver
     has_ground_truth: bool = True
 
 
@@ -140,15 +162,15 @@ def assemble_record(
             raise MetricsError(f"frame {frame_id}: no entry in {source} log")
         return entry
 
-    app_tx = need(logs.app_tx, "sender application")
-    send = need(logs.send_log, "sender transport")
-    relay_recv = need(logs.relay_recv, "relay upstream")
-    relay_send = need(logs.relay_send[receiver], f"relay downstream[{receiver}]")
-    recv = need(logs.recv[receiver], f"receiver[{receiver}] transport")
-    app_rx = need(logs.app_rx[receiver], f"receiver[{receiver}] application")
+    sender, relay, final = logs.sender, logs.relay, logs.receivers[receiver]
+    app_tx = need(sender.app_tx, "sender application")
+    send = need(sender.send_log, "sender transport")
+    relay_recv = need(relay.recv_log, "relay upstream")
+    relay_send = need(relay.send_logs[receiver], f"relay downstream[{receiver}]")
+    recv = need(final.recv_log, f"receiver[{receiver}] transport")
+    app_rx = need(final.app_rx, f"receiver[{receiver}] application")
 
-    sender_clock, relay_clock = logs.sender_clock, logs.relay_clock
-    receiver_clock = logs.receiver_clocks[receiver]
+    sender_clock, relay_clock, receiver_clock = sender.clock, relay.clock, final.clock
     at_sender = sender_clock.local_from_true
     at_relay = relay_clock.local_from_true
     at_receiver = receiver_clock.local_from_true

@@ -17,11 +17,13 @@ runs, each with its first and last arrival and the packet that arrived
 first, and each run is scheduled as one ``ingest_run`` call at its last
 arrival; losses split runs and NACK-driven retransmissions fill them back
 in. Every log records its instants in the driver's time, here true time.
-After the event queue drains, ``receiver_reports`` turns the per-node logs,
-their clocks and the endpoint counters into each receiver's per-frame
-records and summary, which ``write_reports`` writes as the CSV report.
-Socket mode merges its role logs through the same two functions, and a
-stream run in either mode returns a ``StreamResult``.
+After the event queue drains, ``sender_log``, ``relay_log`` and
+``receiver_log`` gather each node's clock, logs and endpoint counters into
+its record of ``metrics.RunLogs``; ``receiver_reports`` turns those into
+each receiver's per-frame records and summary, which ``write_reports``
+writes as the CSV report. Each socket role builds its node's record with
+the same builder and the orchestrator merges them through the same two
+functions, and a stream run in either mode returns a ``StreamResult``.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from .appemu import capture_tick, render_complete
 from .clock import AnomalyLog, NodeClock, SyncPath, estimate_offset
 from .config import ScenarioConfig, _ms, _us
 from .errors import SyncError
-from .metrics import (FrameLatencyRecord, RunLogs, RunSummary, assemble_record,
-                      format_summary_table, summarize, write_report)
+from .metrics import (FrameLatencyRecord, ReceiverLog, RelayLog, RunLogs, RunSummary,
+                      SenderLog, assemble_record, format_summary_table, summarize,
+                      write_report)
 from .netem import TRACE_COLUMNS, EventQueue, Link
 from .transport import DROP_REASONS, ReceiverEndpoint, SenderEndpoint
 from .wire import ControlPacket, PacketType, encode_packet
@@ -252,6 +255,26 @@ def render_on_frame(cfg: ScenarioConfig, rng, app_rx: dict):
     return on_frame
 
 
+# Each node's record of ``RunLogs`` at the end of its run, over its live logs.
+# The sim and every socket role build theirs here; a receiving endpoint's
+# frames still in flight count as dropped.
+
+
+def sender_log(clock: NodeClock, ep: SenderEndpoint, app_tx: dict) -> SenderLog:
+    return SenderLog(clock, app_tx, ep.send_log, ep.counters())
+
+
+def relay_log(clock: NodeClock, relay) -> RelayLog:
+    relay.upstream.finalize()
+    return RelayLog(clock, relay.upstream.recv_log, relay.upstream.dropped,
+                    [d.send_log for d in relay.downstreams], relay.counters())
+
+
+def receiver_log(clock: NodeClock, ep: ReceiverEndpoint, app_rx: dict) -> ReceiverLog:
+    ep.finalize()
+    return ReceiverLog(clock, ep.recv_log, ep.dropped, app_rx, ep.counters())
+
+
 @dataclass
 class StreamResult:
     """A stream run's reports, in sim or socket mode."""
@@ -356,26 +379,12 @@ class SimulationRun:
         schedule_captures(self.driver, self.hop1, cfg, self._rng("apptx"), 0,
                           self.app_tx_records)
         self.evq.run()
-        for ep in (self.relay_up, *self.receivers):
-            ep.finalize()
-
-        logs = RunLogs(
-            app_tx=self.app_tx_records,
-            send_log=self.sender.send_log,
-            relay_recv=self.relay_up.recv_log,
-            relay_send=[ep.send_log for ep in self.relay_down],
-            recv=[ep.recv_log for ep in self.receivers],
-            app_rx=self.app_rx_records,
-            sender_clock=self.sender_clock,
-            relay_clock=self.relay_clock,
-            receiver_clocks=self.receiver_clocks,
-            has_ground_truth=True,
-            relay_dropped=self.relay_up.dropped,
-            dropped=[ep.dropped for ep in self.receivers],
-        )
-        counters = {"sender": self.sender.counters(), "relay": self.relay.counters(),
-                    "receivers": [ep.counters() for ep in self.receivers]}
-        return StreamResult(receiver_reports(logs, self.frame_count, counters, self.anomalies),
+        self.logs = RunLogs(
+            sender_log(self.sender_clock, self.sender, self.app_tx_records),
+            relay_log(self.relay_clock, self.relay),
+            [receiver_log(clock, ep, app_rx) for clock, ep, app_rx
+             in zip(self.receiver_clocks, self.receivers, self.app_rx_records)])
+        return StreamResult(receiver_reports(self.logs, self.frame_count, self.anomalies),
                             self.anomalies, self.trace_rows or [], sim=self)
 
 
@@ -388,35 +397,34 @@ def receiver_records(logs: RunLogs, receiver: int, frame_count: int,
     latency zero) otherwise. Sim and socket mode both assemble their
     reports here.
     """
-    tables = (logs.app_tx, logs.send_log, logs.relay_recv, logs.relay_send[receiver],
-              logs.recv[receiver], logs.app_rx[receiver])
+    sender, relay, final = logs.sender, logs.relay, logs.receivers[receiver]
+    tables = (sender.app_tx, sender.send_log, relay.recv_log, relay.send_logs[receiver],
+              final.recv_log, final.app_rx)
     return [assemble_record(f, logs, receiver, anomalies)
             if all(f in t for t in tables) else FrameLatencyRecord(f)
             for f in range(1, frame_count + 1)]
 
 
-def receiver_reports(logs: RunLogs, frame_count: int, counters: dict,
-                     anomalies: AnomalyLog) -> list:
+def receiver_reports(logs: RunLogs, frame_count: int, anomalies: AnomalyLog) -> list:
     """Each receiver's ``ReceiverResult``, in sim and socket mode alike.
 
-    ``counters`` holds the endpoints' own counters as the role logs carry
-    them: ``{"sender": SenderEndpoint.counters(), "relay":
-    RelayNode.counters(), "receivers": [ReceiverEndpoint.counters(), ...]}``.
-    The README's Reports section defines each summary counter. ``anomalies``
-    collects the clock anomalies of every receiver's records.
+    The summary counters come from the nodes' logs: the endpoints' own
+    counters, the drops and the payload check. The README's Reports section
+    defines each one. ``anomalies`` collects the clock anomalies of every
+    receiver's records.
     """
-    sender, relay = counters["sender"], counters["relay"]
+    send_log, sender, relay = logs.sender.send_log, logs.sender.counters, logs.relay.counters
     reports = []
-    for r, recv_log in enumerate(logs.recv):
+    for r, final in enumerate(logs.receivers):
         seen = anomalies.count
         records = receiver_records(logs, r, frame_count, anomalies)
         mismatches = 0
-        for frame_id, got in recv_log.items():
-            sent_log = logs.send_log.get(frame_id)
+        for frame_id, got in final.recv_log.items():
+            sent_log = send_log.get(frame_id)
             if sent_log is None or (sent_log.payload_len, sent_log.payload_checksum) \
                     != (got.payload_len, got.payload_checksum):
                 mismatches += 1
-        receiver = counters["receivers"][r]
+        receiver = final.counters
         counts = {
             "payload_mismatches": mismatches,
             "clock_anomalies": anomalies.count - seen,
@@ -425,9 +433,9 @@ def receiver_reports(logs: RunLogs, frame_count: int, counters: dict,
             "relay_backpressure_events": relay["downstream"][r]["backpressure_events"],
             "relay_stalled_frames": relay["stalled_frames"],
         }
-        for hop, tx, rx, dropped in (("hop1", sender, relay, logs.relay_dropped),
+        for hop, tx, rx, dropped in (("hop1", sender, relay, logs.relay.dropped),
                                      ("hop2", relay["downstream"][r], receiver,
-                                      logs.dropped[r])):
+                                      final.dropped)):
             sent = tx["packets_sent"] + tx["packets_retransmitted"]
             delivered = rx["packets_received"] + rx["duplicates"] + rx["late_packets"]
             reasons = Counter(log.drop_reason for log in dropped.values())

@@ -162,14 +162,18 @@ def run_experiment(cfg: ScenarioConfig, write_outputs: bool = True,
 
     ``config.validate`` is applied first and is the only range check: the
     runtime objects built from ``cfg`` check none again. A config that fails
-    it, or a role in sim mode, is a ``ConfigError`` (listing every
-    diagnostic), raised before anything is written."""
+    it, a role in sim mode, or a receiver role whose index names no
+    receiver, is a ``ConfigError`` (listing every diagnostic), raised before
+    anything is written."""
     diags = validate(cfg)
     if diags:
         raise ConfigError("; ".join(str(d) for d in diags))
     socket_mode = cfg.mode == "socket"
     if role and not socket_mode:
         raise ConfigError(f"role {role!r} needs socket mode; mode is {cfg.mode!r}")
+    if role == "receiver" and not 0 <= role_index < cfg.receivers:
+        raise ConfigError(f"receiver role index {role_index} is not in "
+                          f"0..{cfg.receivers - 1}")
     if socket_mode:
         from . import sockets    # keeps socket, subprocess and json out of sim runs
         if role:

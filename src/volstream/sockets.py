@@ -4,11 +4,13 @@ Each role is its own process and runs the sim's protocol code: its
 half-hops are ``pipeline.Hop``s built with the sim's factories, fed by a
 ``SocketDriver`` instead of the event queue and links. The sender holds hop
 1's sending half, the relay hop 1's receiving half and one sending half per
-receiver, and each receiver its hop 2's receiving half. Each role writes its
-logs and endpoint counters as JSON; on one host the orchestrator spawns the
-roles on loopback and merges the logs with the sim's ``receiver_reports``,
-so records, counters and the payload check mean the same in both modes.
-For multi-host use, start each role by hand with ``--role``.
+receiver, and each receiver its hop 2's receiving half. At its end a role
+builds its node's record of ``metrics.RunLogs`` (clock, logs and endpoint
+counters) with the builder the sim uses and writes it as JSON; on one host
+the orchestrator spawns the roles on loopback, reads the records back into
+``RunLogs`` and merges them with the sim's ``receiver_reports``, so
+records, counters and the payload check mean the same in both modes. For
+multi-host use, start each role by hand with ``--role``.
 
 A frame's send span comes from its pacer plan, as in the sim; each
 datagram's stamp records when it was actually sent. A data datagram goes out
@@ -19,7 +21,7 @@ time is a wall-anchored monotonic host clock, comparable across processes on
 one host, so its logs hold its own local readings. Every other role syncs
 against receiver 0 from its own loop, at its start and every
 ``clock.sync_interval_s``, with the sim's ``pipeline.Sync`` over a socket of
-its own, and writes its ``NodeClock`` with its logs. The emulated link
+its own; its ``NodeClock`` travels in its record. The emulated link
 models and the sim's sync path (``clock.sync_req_us``, ``sync_resp_us`` and
 ``sync_loss_rate``) do not apply here; socket mode warns and ignores them.
 """
@@ -42,11 +44,11 @@ from .appemu import AppRxRecord, AppTxRecord
 from .clock import AnomalyLog, NodeClock
 from .config import ScenarioConfig
 from .errors import CodecError, VolstreamError
-from .metrics import RunLogs
-from .pipeline import (Hop, StreamResult, Sync, receiver_reports, render_on_frame,
-                       schedule_captures, schedule_syncs, write_reports)
-from .relay import RelayNode
-from .transport import ReceiverEndpoint, RecvLogEntry, SenderEndpoint, SendLogEntry
+from .metrics import ReceiverLog, RelayLog, RunLogs, SenderLog
+from .pipeline import (Hop, StreamResult, Sync, receiver_log, receiver_reports, relay_log,
+                       render_on_frame, schedule_captures, schedule_syncs, sender_log,
+                       write_reports)
+from .transport import RecvLogEntry, SendLogEntry
 from .wire import (HEADER_SIZE, ControlPacket, PacketType, decode_packet, encode_packet,
                    parse_header)
 
@@ -74,65 +76,42 @@ def _ports(cfg: ScenarioConfig):
     }
 
 
-# -- log (de)serialization -----------------------------------------------------
+# -- node logs as JSON ------------------------------------------------------------
+
+# The entry class of each frame_id-keyed log in a node's record; ``send_logs``
+# holds one such log per receiver.
+_ENTRY_CLASSES = {"app_tx": AppTxRecord, "send_log": SendLogEntry,
+                  "send_logs": SendLogEntry, "recv_log": RecvLogEntry,
+                  "dropped": RecvLogEntry, "app_rx": AppRxRecord}
 
 
-def _dump_map(mapping) -> dict:
-    return {str(k): dataclasses.asdict(v) for k, v in mapping.items()}
-
-
-def _load_map(mapping, cls) -> dict:
-    return {int(k): cls(**v) for k, v in mapping.items()}
-
-
-def _write_role_log(out_dir: str, role: str, payload: dict) -> None:
+def _write_role_log(out_dir: str, role: str, log) -> None:
+    """Write ``log``, a node's record of ``metrics.RunLogs``, as ``{role}_log.json``."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"{role}_log.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump(dataclasses.asdict(log), fh)
 
 
-# Each role's log: its node's clock, its frame_id-keyed logs and its
-# endpoints' counters, in the layout ``merge_socket_logs`` reads.
+def _load_field(key: str, value):
+    if key == "clock":
+        return NodeClock(**value)
+    cls = _ENTRY_CLASSES.get(key)
+    if cls is None:
+        return value
+    if isinstance(value, list):
+        return [_load_field(key, m) for m in value]
+    return {int(k): cls(**v) for k, v in value.items()}
 
 
-def _write_sender_log(out_dir: str, clock: NodeClock, ep: SenderEndpoint,
-                      app_tx: dict) -> None:
-    _write_role_log(out_dir, "sender", {
-        "clock": dataclasses.asdict(clock),
-        "send_log": _dump_map(ep.send_log),
-        "app_tx": _dump_map(app_tx),
-        "counters": ep.counters(),
-    })
-
-
-def _write_relay_log(out_dir: str, clock: NodeClock, relay: RelayNode) -> None:
-    _write_role_log(out_dir, "relay", {
-        "clock": dataclasses.asdict(clock),
-        "recv_log": _dump_map(relay.upstream.recv_log),
-        "dropped": _dump_map(relay.upstream.dropped),
-        "send_logs": [_dump_map(d.send_log) for d in relay.downstreams],
-        "counters": relay.counters(),
-    })
-
-
-def _write_receiver_log(out_dir: str, index: int, clock: NodeClock, ep: ReceiverEndpoint,
-                        app_rx: dict) -> None:
-    _write_role_log(out_dir, f"receiver{index}", {
-        "clock": dataclasses.asdict(clock),
-        "recv_log": _dump_map(ep.recv_log),
-        "dropped": _dump_map(ep.dropped),
-        "app_rx": _dump_map(app_rx),
-        "counters": ep.counters(),
-    })
-
-
-def _read_role_log(out_dir: str, role: str) -> dict:
+def _read_role_log(out_dir: str, role: str, log_cls):
+    """The ``log_cls`` record that ``_write_role_log`` wrote for ``role``."""
     path = os.path.join(out_dir, f"{role}_log.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise VolstreamError(f"missing role log {path}: {exc}") from exc
+    return log_cls(**{key: _load_field(key, value) for key, value in raw.items()})
 
 
 # -- the socket driver -------------------------------------------------------------
@@ -338,7 +317,7 @@ def run_sender_role(cfg: ScenarioConfig, out_dir: str) -> None:
         schedule_captures(driver, hop, cfg, random.Random(f"{cfg.seed}:apptx"),
                           driver.now() + NS_PER_S // 20, app_tx)
         _run_until_drained(cfg, driver, hop.sender.send_log)
-    _write_sender_log(out_dir, node_clock, hop.sender, app_tx)
+    _write_role_log(out_dir, "sender", sender_log(node_clock, hop.sender, app_tx))
 
 
 def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
@@ -362,8 +341,7 @@ def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
         for hop in (up, *downs):
             driver.add_hop(hop)
         _run_until_drained(cfg, driver, up.receiver.recv_log, up.receiver.dropped)
-    up.receiver.finalize()
-    _write_relay_log(out_dir, node_clock, relay)
+    _write_role_log(out_dir, "relay", relay_log(node_clock, relay))
 
 
 def run_receiver_role(cfg: ScenarioConfig, out_dir: str, index: int = 0) -> None:
@@ -378,8 +356,7 @@ def run_receiver_role(cfg: ScenarioConfig, out_dir: str, index: int = 0) -> None
         driver.add_hop(Hop(None, (sock, None), (sock, None), ep, driver))
         _add_sync(cfg, driver, node_clock, cfg.socket.receiver_host)
         _run_until_drained(cfg, driver, ep.recv_log, ep.dropped)
-    ep.finalize()
-    _write_receiver_log(out_dir, index, node_clock, ep, app_rx)
+    _write_role_log(out_dir, f"receiver{index}", receiver_log(node_clock, ep, app_rx))
 
 
 def run_role(cfg: ScenarioConfig, role: str, role_index: int = 0) -> None:
@@ -434,32 +411,17 @@ def run_socket_orchestrated(cfg: ScenarioConfig, cfg_path: str) -> StreamResult:
 def merge_socket_logs(cfg: ScenarioConfig) -> StreamResult:
     """Combine role logs into per-receiver records and write the CSV report.
 
-    Each receiver's records and summary are built by the sim's
-    ``receiver_reports`` from the logs, the node clocks and the endpoint
-    counters the roles wrote.
+    The roles' node records are read back into ``RunLogs``, and each
+    receiver's records and summary are built from them by the sim's
+    ``receiver_reports``.
     """
     out = cfg.out_dir
-    sender = _read_role_log(out, "sender")
-    relay = _read_role_log(out, "relay")
-    receivers = [_read_role_log(out, f"receiver{r}") for r in range(cfg.receivers)]
-    logs = RunLogs(
-        app_tx=_load_map(sender["app_tx"], AppTxRecord),
-        send_log=_load_map(sender["send_log"], SendLogEntry),
-        relay_recv=_load_map(relay["recv_log"], RecvLogEntry),
-        relay_send=[_load_map(m, SendLogEntry) for m in relay["send_logs"]],
-        recv=[_load_map(r["recv_log"], RecvLogEntry) for r in receivers],
-        app_rx=[_load_map(r["app_rx"], AppRxRecord) for r in receivers],
-        sender_clock=NodeClock(**sender["clock"]),
-        relay_clock=NodeClock(**relay["clock"]),
-        receiver_clocks=[NodeClock(**r["clock"]) for r in receivers],
-        has_ground_truth=False,
-        relay_dropped=_load_map(relay["dropped"], RecvLogEntry),
-        dropped=[_load_map(r["dropped"], RecvLogEntry) for r in receivers],
-    )
-    counters = {"sender": sender["counters"], "relay": relay["counters"],
-                "receivers": [r["counters"] for r in receivers]}
+    logs = RunLogs(_read_role_log(out, "sender", SenderLog),
+                   _read_role_log(out, "relay", RelayLog),
+                   [_read_role_log(out, f"receiver{r}", ReceiverLog)
+                    for r in range(cfg.receivers)],
+                   has_ground_truth=False)
     anomalies = AnomalyLog()
-    result = StreamResult(receiver_reports(logs, cfg.frame_count(), counters, anomalies),
-                          anomalies)
+    result = StreamResult(receiver_reports(logs, cfg.frame_count(), anomalies), anomalies)
     write_reports(result.receivers, out)
     return result

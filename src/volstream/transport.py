@@ -29,13 +29,13 @@ bytes are never copied on the way: each run keeps a view of the buffer it
 arrived in, a segment that one run covers is that view, and only a segment
 split by loss or retransmission is joined. At frame completion the length
 and crc32 are streamed over the segment buffers in order, ``on_frame``
-receives that list of buffers, and the frame is joined into one ``bytes``
-only when payloads are retained. A completed segment holds its bytes and
-drops its pieces. A frame in flight holds its receive log from its first
-arrival on: every run updates first/last arrival, the embedded timestamp of
-the earliest-arriving packet (what the one-way delay metrics use) and the
-packet counts in place, and completion or drop moves that one record into
-``recv_log`` or ``dropped``.
+receives that list of buffers, and nothing joins the frame into one
+``bytes``. A completed segment holds its bytes and drops its pieces. A
+frame in flight holds its receive log from its first arrival on: every run
+updates first/last arrival, the embedded timestamp of the earliest-arriving
+packet (what the one-way delay metrics use) and the packet counts in place,
+and completion or drop moves that one record into ``recv_log`` or
+``dropped``.
 
 Timing conventions: every instant an endpoint logs is recorded once, in
 the time of its driver's ``now()``: true time in the sim, the host clock
@@ -478,7 +478,6 @@ class ReceiverEndpoint:
         tail_timeout_ns: int = 5_000_000,
         max_nack_rounds: int = 3,
         deadline_ns: int = 66_600_000,   # 0 disables the deadline
-        retain_payloads: bool = False,
         compute_crc: bool = True,
         on_segment=None,   # (frame_id, segment_index, data, now, is_final): a segment is whole
         on_frame=None,     # (frame_id, segments, log): the frame is whole
@@ -489,13 +488,11 @@ class ReceiverEndpoint:
         self.tail_timeout_ns = tail_timeout_ns
         self.max_nack_rounds = max_nack_rounds
         self.deadline_ns = deadline_ns
-        self.retain_payloads = retain_payloads
         self.compute_crc = compute_crc
         self.on_segment = on_segment
         self.on_frame = on_frame
         self.on_drop = on_drop
         self.recv_log: dict[int, RecvLogEntry] = {}
-        self.payloads: dict[int, bytes] = {}
         self.dropped: dict[int, RecvLogEntry] = {}
         self.packets_received = 0
         self.duplicates = 0
@@ -600,8 +597,6 @@ class ReceiverEndpoint:
         log.payload_len = length
         log.payload_checksum = crc
         self.recv_log[log.frame_id] = log
-        if self.retain_payloads:
-            self.payloads[log.frame_id] = b"".join(segments)
         if self.on_frame is not None:
             self.on_frame(log.frame_id, segments, log)
         del self._frames[log.frame_id]

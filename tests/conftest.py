@@ -48,6 +48,21 @@ def ingest_packet(receiver, datagram, recv_true_ns):
                                recv_true_ns, recv_true_ns, stamp, flags)
 
 
+def collect_frames(receiver) -> dict:
+    """Chain ``receiver.on_frame`` so that every frame it completes is also
+    joined into ``bytes``; returns the frame_id -> bytes dict this fills."""
+    frames = {}
+    chained = receiver.on_frame
+
+    def on_frame(frame_id, segments, log):
+        frames[frame_id] = b"".join(segments)
+        if chained is not None:
+            chained(frame_id, segments, log)
+
+    receiver.on_frame = on_frame
+    return frames
+
+
 def traced_peak_bytes(fn) -> int:
     """The most bytes ``fn()`` held allocated at once, above what was
     allocated when it was called, as ``tracemalloc`` counts them."""

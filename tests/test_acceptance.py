@@ -13,11 +13,11 @@ import pytest
 
 from volstream.frames import make_synthetic_frame, required_bandwidth_bps
 from volstream.netem import NodeStageModel, run_probe_experiment
-from volstream.pipeline import run_simulation
+from volstream.pipeline import SimulationRun, run_simulation
 from volstream.runner import run_probe, run_sweep
 from volstream.scenarios import scenario_config
 
-from conftest import make_small_config
+from conftest import collect_frames, make_small_config
 
 MS = 1_000_000
 
@@ -161,16 +161,17 @@ def test_criterion_6_reliability_under_loss():
         spans = []
         for seed in range(20):
             cfg = make_small_config(
-                out_dir="unused", seed=seed, retain_payloads=True,
+                out_dir="unused", seed=seed,
                 **{"duration_s": 10.0, "capture.fps": 30,
                    "hop1.loss_rate": loss, "hop2.loss_rate": loss,
                    "transport.deadline_ms": 0.0,
                    "transport.max_nack_rounds": 256})
-            result = run_simulation(cfg, write_outputs=False)
+            sim = SimulationRun(cfg)
+            payloads = collect_frames(sim.receivers[0])
+            result = sim.run()
             summary = result.primary.summary
             assert summary.frames_sent == 300
             assert summary.frames_completed == 300, (loss, seed)
-            payloads = result.sim.receivers[0].payloads
             assert len(payloads) == 300
             for fid, payload in payloads.items():
                 expect = make_synthetic_frame(fid, 12_000, 6_000, 2_000, seed).payload

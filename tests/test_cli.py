@@ -137,6 +137,52 @@ def test_max_frame_bytes_is_an_unknown_key(tmp_path, capsys):
     assert "transport.max_frame_bytes" in capsys.readouterr().err
 
 
+def test_retain_payloads_is_an_unknown_key(tmp_path, capsys):
+    # a final receiver hands each completed frame to on_frame; nothing in a
+    # run wrote the frames that retaining held in memory
+    path = tmp_path / "old.cfg"
+    path.write_text("retain_payloads=true\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert "retain_payloads" in capsys.readouterr().err
+
+
+def test_receiver_ports_past_65535_exit_2(monkeypatch, capsys):
+    # receiver r binds socket.base_port + 10 + r: receiver 599 of 600 at
+    # base port 65,000 would bind 65,609, which bind() refuses
+    monkeypatch.setenv("VOLSTREAM_MODE", "socket")
+    monkeypatch.setenv("VOLSTREAM_SOCKET_BASE_PORT", "65000")
+    monkeypatch.setenv("VOLSTREAM_RECEIVERS", "600")
+    assert main(["validate", "--scenario", "paper-default"]) == EXIT_CONFIG
+    assert "receivers=600" in capsys.readouterr().err
+    monkeypatch.setenv("VOLSTREAM_RECEIVERS", "526")     # the last port is 65,535
+    assert main(["validate", "--scenario", "paper-default"]) == EXIT_OK
+    monkeypatch.setenv("VOLSTREAM_RECEIVERS", "527")
+    assert main(["validate", "--scenario", "paper-default"]) == EXIT_CONFIG
+    monkeypatch.setenv("VOLSTREAM_MODE", "sim")          # the sim binds no port
+    monkeypatch.setenv("VOLSTREAM_RECEIVERS", "600")
+    assert main(["validate", "--scenario", "paper-default"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("index", [-1, 1, 7])
+def test_receiver_role_index_outside_the_receivers_exits_2(tmp_path, monkeypatch, capsys,
+                                                           index):
+    # a receiver role with no such receiver binds a port no relay sends
+    # to: a config error before any role runs or anything is written
+    from volstream import sockets
+    calls = []
+    monkeypatch.setattr(sockets, "run_role", lambda *args: calls.append(args))
+    path = _write_cfg(tmp_path, mode="socket", duration_s=0.2)
+    out = tmp_path / "role_out"
+    assert main(["run", "--config", path, "--role", "receiver", "--role-index", str(index),
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and f"index {index}" in err
+    assert calls == [] and not out.exists()
+    assert main(["run", "--config", path, "--role", "receiver", "--role-index", "0",
+                 "--out", str(out)]) == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == EXIT_CONFIG
 

@@ -14,7 +14,7 @@ from volstream.frames import (VolumetricFrame, _synthetic_body, make_synthetic_f
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
 from volstream.wire import data_header, parse_header
 
-from conftest import traced_peak_bytes
+from conftest import collect_frames, traced_peak_bytes
 
 # Part sizes below, at and above the 24 B tag and the 65,536 B block; None
 # is one part for the whole body.
@@ -134,7 +134,8 @@ def test_reassembly_identity(data):
     frame = VolumetricFrame(1, length, 0, 0, payload=payload)
     sender = SenderEndpoint(1, 10**9, NodeClock("s"), segment_payload_size=seg_size,
                             packet_payload_size=pkt_size)
-    receiver = ReceiverEndpoint(1, deadline_ns=0, retain_payloads=True)
+    receiver = ReceiverEndpoint(1, deadline_ns=0)
+    frames = collect_frames(receiver)
     bursts = sender.send_frame(frame, 0)
     assert len(bursts) == -(-length // seg_size)
     runs = []
@@ -147,7 +148,7 @@ def test_reassembly_identity(data):
         view = memoryview(b.payload)[lo * pkt_size:hi * pkt_size]
         receiver.ingest_run(1, b.segment_index, b.packets_in_segment, b.seq_start + lo,
                             hi - lo, view, pkt_size, t, t, b.stamp(lo), b.flags)
-    assert receiver.payloads[1] == payload
+    assert frames[1] == payload
     log = receiver.recv_log[1]
     assert log.payload_checksum == zlib.crc32(payload)
     assert log.packets_received == sum(b.count for b in bursts)

@@ -5,9 +5,9 @@ import pytest
 from volstream.appemu import AppRxRecord, AppTxRecord
 from volstream.clock import NodeClock
 from volstream.errors import MetricsError
-from volstream.metrics import (CSV_COLUMNS, FrameLatencyRecord, RunLogs,
-                               assemble_record, ns_to_ms_str, render_frames_csv,
-                               summarize, write_report)
+from volstream.metrics import (CSV_COLUMNS, FrameLatencyRecord, ReceiverLog, RelayLog,
+                               RunLogs, SenderLog, assemble_record, ns_to_ms_str,
+                               render_frames_csv, summarize, write_report)
 from volstream.transport import RecvLogEntry, SendLogEntry
 
 MS = 1_000_000
@@ -43,12 +43,10 @@ def _logs(network_l1_ns=342_000, protocol_rx1_ns=15_200_000, sender_clock=None,
                         complete_ns=recv_first + 19_500_000)
     app_rx = AppRxRecord(frame_id=1, app_rx_ns=22_000_000,
                          display_ns=recv.complete_ns + 22_000_000)
-    return RunLogs(app_tx={1: app_tx}, send_log={1: send}, relay_recv={1: relay_recv},
-                   relay_send=[{1: relay_send}],
-                   recv=[{1: recv}], app_rx=[{1: app_rx}],
-                   sender_clock=sender_clock, relay_clock=relay_clock,
-                   receiver_clocks=[NodeClock("receiver0", "master")],
-                   relay_dropped={}, dropped=[{}])
+    return RunLogs(SenderLog(sender_clock, {1: app_tx}, {1: send}, {}),
+                   RelayLog(relay_clock, {1: relay_recv}, {}, [{1: relay_send}], {}),
+                   [ReceiverLog(NodeClock("receiver0", "master"), {1: recv}, {},
+                                {1: app_rx}, {})])
 
 
 def test_assemble_reproduces_reference_decomposition():
@@ -83,8 +81,8 @@ def test_assemble_reads_each_instant_on_its_nodes_clock():
                       syncs=[(0, -1_250_000)])
     logs = _logs(sender_clock=sender, relay_clock=relay)
     s, r = sender.local_from_true, relay.local_from_true
-    send, relay_recv = logs.send_log[1], logs.relay_recv[1]
-    relay_send, recv = logs.relay_send[0][1], logs.recv[0][1]
+    send, relay_recv = logs.sender.send_log[1], logs.relay.recv_log[1]
+    relay_send, recv = logs.relay.send_logs[0][1], logs.receivers[0].recv_log[1]
     rec = assemble_record(1, logs)
     assert rec.frame_tx_ns == s(send.last_send_end_ns) - s(send.first_send_ns) != 14_080_000
     assert rec.protocol_rx1_ns == r(relay_recv.last_recv_ns) - r(relay_recv.first_recv_ns)
@@ -102,7 +100,7 @@ def test_assemble_reads_each_instant_on_its_nodes_clock():
     assert rec.network_l1_true_ns == 342_000
     assert rec.network_l2_true_ns == recv.first_recv_ns - relay_send.first_send_ns
     assert rec.capture_start_ns == s(0) == -3 * MS
-    assert rec.display_ns == logs.app_rx[0][1].display_ns
+    assert rec.display_ns == logs.receivers[0].app_rx[1].display_ns
     logs.has_ground_truth = False
     assert assemble_record(1, logs).network_l_true_ns == 0
 
@@ -114,7 +112,7 @@ def test_all_zero_record_holds_identities_degenerately():
 
 def test_missing_log_entry_names_its_source():
     logs = _logs()
-    del logs.relay_send[0][1]
+    del logs.relay.send_logs[0][1]
     with pytest.raises(MetricsError, match=r"relay downstream\[0\]"):
         assemble_record(1, logs)
 

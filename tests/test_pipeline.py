@@ -1,13 +1,14 @@
+import copy
 import hashlib
 import os
 
 from volstream import pipeline, transport
 from volstream.frames import _synthetic_body, make_synthetic_frame
-from volstream.pipeline import run_simulation
+from volstream.pipeline import SimulationRun, run_simulation
 from volstream.runner import run_experiment
 from volstream.scenarios import scenario_config
 
-from conftest import make_small_config, traced_peak_bytes
+from conftest import collect_frames, make_small_config, traced_peak_bytes
 
 MS = 1_000_000
 
@@ -47,14 +48,14 @@ def test_different_seed_changes_lossy_run(tmp_path):
 
 
 def test_loss_recovery_end_to_end_byte_identity(small_cfg):
-    cfg = small_cfg(retain_payloads=True,
-                    **{"hop1.loss_rate": 0.05, "hop2.loss_rate": 0.05,
+    cfg = small_cfg(**{"hop1.loss_rate": 0.05, "hop2.loss_rate": 0.05,
                        "transport.deadline_ms": 0.0,
                        "transport.max_nack_rounds": 64})
-    result = run_simulation(cfg, write_outputs=False)
+    sim = SimulationRun(cfg)
+    payloads = collect_frames(sim.receivers[0])
+    result = sim.run()
     summary = result.primary.summary
     assert summary.frames_completed == summary.frames_sent
-    payloads = result.sim.receivers[0].payloads
     for fid, payload in payloads.items():
         assert payload == make_synthetic_frame(fid, 12_000, 6_000, 2_000,
                                                cfg.seed).payload
@@ -173,18 +174,12 @@ def test_frame_missing_from_any_log_gets_a_dropped_record(small_cfg):
     sim = result.sim
     assert all(rec.completed for rr in result.receivers for rec in rr.records)
     for r in range(2):
-        for name in ("app_tx", "send_log", "relay_recv", "relay_send", "recv", "app_rx"):
-            logs = pipeline.RunLogs(
-                app_tx=dict(sim.app_tx_records), send_log=dict(sim.sender.send_log),
-                relay_recv=dict(sim.relay_up.recv_log),
-                relay_send=[dict(ep.send_log) for ep in sim.relay_down],
-                recv=[dict(ep.recv_log) for ep in sim.receivers],
-                app_rx=[dict(m) for m in sim.app_rx_records],
-                sender_clock=sim.sender_clock, relay_clock=sim.relay_clock,
-                receiver_clocks=sim.receiver_clocks,
-                relay_dropped=dict(sim.relay_up.dropped),
-                dropped=[dict(ep.dropped) for ep in sim.receivers])
-            table = getattr(logs, name)
+        for node, name in (("sender", "app_tx"), ("sender", "send_log"),
+                           ("relay", "recv_log"), ("relay", "send_logs"),
+                           ("receiver", "recv_log"), ("receiver", "app_rx")):
+            logs = copy.deepcopy(sim.logs)
+            owner = logs.receivers[r] if node == "receiver" else getattr(logs, node)
+            table = getattr(owner, name)
             del (table[r] if isinstance(table, list) else table)[2]
             records = pipeline.receiver_records(logs, r, sim.frame_count)
             frame_ids = list(range(1, sim.frame_count + 1))
@@ -232,24 +227,24 @@ def test_identities_hold_over_random_scenarios():
 
 
 def test_reordering_does_not_break_reassembly(small_cfg):
-    cfg = small_cfg(retain_payloads=True,
-                    **{"hop1.reorder_rate": 0.05, "hop2.reorder_rate": 0.05,
+    cfg = small_cfg(**{"hop1.reorder_rate": 0.05, "hop2.reorder_rate": 0.05,
                        "hop1.reorder_extra_us": 300.0,
                        "hop2.reorder_extra_us": 300.0,
                        "transport.deadline_ms": 0.0,
                        "transport.max_nack_rounds": 64})
-    result = run_simulation(cfg, write_outputs=False)
+    sim = SimulationRun(cfg)
+    payloads = collect_frames(sim.receivers[0])
+    result = sim.run()
     summary = result.primary.summary
     assert summary.frames_completed == summary.frames_sent
-    assert result.sim.h1f.reordered + result.sim.h2f[0].reordered > 0
-    for fid, payload in result.sim.receivers[0].payloads.items():
+    assert sim.h1f.reordered + sim.h2f[0].reordered > 0
+    for fid, payload in payloads.items():
         assert payload == make_synthetic_frame(fid, 12_000, 6_000, 2_000,
                                                cfg.seed).payload
 
 
 def test_lost_nacks_on_reverse_path_still_recover(small_cfg):
-    cfg = small_cfg(retain_payloads=True,
-                    **{"hop1.loss_rate": 0.05, "hop2.loss_rate": 0.05,
+    cfg = small_cfg(**{"hop1.loss_rate": 0.05, "hop2.loss_rate": 0.05,
                        "hop1.reverse_loss_rate": 0.3,
                        "hop2.reverse_loss_rate": 0.3,
                        "transport.deadline_ms": 0.0,

@@ -1,7 +1,9 @@
 from volstream.config import apply_overrides
 from volstream.frames import make_synthetic_frame
-from volstream.pipeline import run_simulation
+from volstream.pipeline import SimulationRun, run_simulation
 from volstream.scenarios import scenario_config
+
+from conftest import collect_frames
 
 MS = 1_000_000
 
@@ -51,10 +53,10 @@ def test_cut_through_not_slower_than_store_forward(small_cfg):
 
 
 def test_replication_to_two_receivers_is_byte_identical(small_cfg):
-    cfg = small_cfg(receivers=2, retain_payloads=True, **{"duration_s": 0.5})
-    result = run_simulation(cfg, write_outputs=False)
-    sim = result.sim
-    a, b = sim.receivers[0].payloads, sim.receivers[1].payloads
+    cfg = small_cfg(receivers=2, **{"duration_s": 0.5})
+    sim = SimulationRun(cfg)
+    a, b = (collect_frames(ep) for ep in sim.receivers)
+    sim.run()
     assert set(a) == set(b) and a
     for fid in a:
         expect = make_synthetic_frame(fid, 12_000, 6_000, 2_000, cfg.seed).payload

@@ -20,7 +20,7 @@ from volstream.transport import ReceiverEndpoint, SenderEndpoint
 from volstream.wire import (HEADER_SIZE, ControlPacket, PacketType, decode_packet,
                             encode_packet, parse_header)
 
-from conftest import ingest_packet, make_small_config
+from conftest import collect_frames, ingest_packet, make_small_config
 
 MS = 1_000_000
 NOW = 5_000 * MS
@@ -41,7 +41,7 @@ class _Recorder:
 
 
 def _receiver():
-    return ReceiverEndpoint(1, retain_payloads=True)
+    return ReceiverEndpoint(1)
 
 
 def _datagrams(size, seg_size, pps, stream_id=1):
@@ -91,10 +91,12 @@ def test_each_data_datagram_is_one_packet_run():
     batch = [(datagrams[i], PEER, NOW + k * 1_000) for k, i in enumerate(order)]
 
     reference = _receiver()
+    reference_frames = collect_frames(reference)
     for data, _, arrival in batch:
         ingest_packet(reference, data, arrival)
 
     got, calls, sock = _receiver(), [], _Recorder()
+    got_frames = collect_frames(got)
     ingest_run = got.ingest_run
 
     def counted(*run):
@@ -110,7 +112,7 @@ def test_each_data_datagram_is_one_packet_run():
     assert got.recv_log == reference.recv_log
     assert got.dropped == reference.dropped
     assert got.counters() == reference.counters()
-    assert got.payloads == reference.payloads
+    assert got_frames == reference_frames
     assert [c for c in sock.sent if c.packet_type == PacketType.NACK] == \
         reference.pending_control
     # the gap left behind is the same: the same timers, the same NACKs

@@ -2,11 +2,13 @@
 
 The loopback smoke tests assert functional outcomes (delivery, identities,
 report shape), not absolute latencies: timings on a shared CI host are
-whatever they are. The merge tests need no sockets: they write a sim's
-logs with the roles' log writers and merge them with ``merge_socket_logs``.
+whatever they are. The merge and round-trip tests need no sockets: they
+write a sim's node logs (``SimulationRun.logs``) with the roles' writer,
+``_write_role_log``, and read them back as ``merge_socket_logs`` does.
 """
 
 import csv
+import dataclasses
 import json
 import os
 from decimal import Decimal
@@ -14,12 +16,15 @@ from pathlib import Path
 
 import pytest
 
+from volstream.appemu import AppRxRecord, AppTxRecord
+from volstream.clock import NodeClock
 from volstream.config import apply_overrides, load_config_file, render_config, validate
+from volstream.metrics import ReceiverLog, RelayLog, SenderLog
 from volstream.pipeline import run_simulation
 from volstream.runner import run_experiment
 from volstream.scenarios import scenario_config
-from volstream.sockets import (_write_receiver_log, _write_relay_log, _write_sender_log,
-                               merge_socket_logs)
+from volstream.sockets import _read_role_log, _write_role_log, merge_socket_logs
+from volstream.transport import RecvLogEntry, SendLogEntry
 
 from conftest import make_small_config
 
@@ -118,12 +123,12 @@ def _merge_sim_run(tmp_path, overrides, tamper=None):
     sim_dir, merged_dir = tmp_path / "sim", tmp_path / "merged"
     assert apply_overrides(cfg, {"duration_s": "1", "out_dir": str(sim_dir),
                                  **overrides}) == []
-    sim = run_simulation(cfg).sim
+    logs = run_simulation(cfg).sim.logs
     out = str(merged_dir)
-    _write_sender_log(out, sim.sender_clock, sim.sender, sim.app_tx_records)
-    _write_relay_log(out, sim.relay_clock, sim.relay)
-    for r, ep in enumerate(sim.receivers):
-        _write_receiver_log(out, r, sim.receiver_clocks[r], ep, sim.app_rx_records[r])
+    _write_role_log(out, "sender", logs.sender)
+    _write_role_log(out, "relay", logs.relay)
+    for r, log in enumerate(logs.receivers):
+        _write_role_log(out, f"receiver{r}", log)
     if tamper is not None:
         tamper(out)
     cfg.out_dir = out
@@ -176,3 +181,47 @@ def test_merged_report_counts_each_receivers_own_mismatches_and_anomalies(tmp_pa
     assert first["payload_mismatches"] == "0" and int(first["clock_anomalies"]) > 0
     assert second["payload_mismatches"] == "1" and second["clock_anomalies"] == "0"
     assert [summary.packet_counts["payload_mismatches"] for _, summary in merged] == [0, 1]
+
+
+# The entry class of each frame_id-keyed log of a node's record.
+_ENTRY_CLASSES = {"app_tx": AppTxRecord, "send_log": SendLogEntry, "send_logs": SendLogEntry,
+                  "recv_log": RecvLogEntry, "dropped": RecvLogEntry, "app_rx": AppRxRecord}
+
+
+def test_node_logs_round_trip_through_json(tmp_path):
+    # write -> read -> write gives the same bytes for every node kind, and
+    # the read record holds the written clock, counters and typed entries
+    cfg = make_small_config(receivers=2, **{"duration_s": 0.5, "clock.sync_interval_s": 0.2,
+                                            "clock.sender_offset_ms": 1.5,
+                                            "clock.drift_ppm": 20})
+    logs = run_simulation(cfg, write_outputs=False).sim.logs
+    logs.relay.dropped[90] = RecvLogEntry(90, 5, 9, -3, packets_received=2,
+                                          drop_reason="deadline")
+    logs.receivers[1].dropped[91] = RecvLogEntry(91, 7, 8, 6, nack_count=3,
+                                                 drop_reason="rounds_exhausted")
+    assert len(logs.relay.send_logs) == 2
+    assert logs.sender.clock.syncs and logs.relay.clock.syncs
+    nodes = [("sender", logs.sender, SenderLog), ("relay", logs.relay, RelayLog),
+             *((f"receiver{r}", log, ReceiverLog) for r, log in enumerate(logs.receivers))]
+    for role, log, cls in nodes:
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        _write_role_log(first, role, log)
+        loaded = _read_role_log(first, role, cls)
+        _write_role_log(second, role, loaded)
+        name = f"{role}_log.json"
+        assert (tmp_path / "second" / name).read_bytes() == \
+            (tmp_path / "first" / name).read_bytes(), role
+        assert type(loaded) is cls and type(loaded.clock) is NodeClock
+        assert dataclasses.asdict(loaded.clock) == json.loads(json.dumps(
+            dataclasses.asdict(log.clock)))
+        assert loaded.counters == log.counters
+        for field in dataclasses.fields(cls):
+            entry = _ENTRY_CLASSES.get(field.name)
+            if entry is None:
+                continue
+            got, sent = getattr(loaded, field.name), getattr(log, field.name)
+            tables = zip(got, sent) if isinstance(got, list) else [(got, sent)]
+            for got_table, sent_table in tables:
+                assert got_table == sent_table, (role, field.name)
+                assert all(type(k) is int and type(v) is entry
+                           for k, v in got_table.items()), (role, field.name)

@@ -14,7 +14,7 @@ from volstream.transport import ReceiverEndpoint, SenderEndpoint
 from volstream.wire import (MAX_NACK_DATAGRAM, MAX_NACK_RANGES, ControlPacket, PacketType,
                             encode_packet)
 
-from conftest import ingest_packet
+from conftest import collect_frames, ingest_packet
 
 MS = 1_000_000
 
@@ -33,7 +33,6 @@ def _receiver(**kw):
     kw.setdefault("tail_timeout_ns", 5 * MS)
     kw.setdefault("max_nack_rounds", 3)
     kw.setdefault("deadline_ns", 0)
-    kw.setdefault("retain_payloads", True)
     return ReceiverEndpoint(1, **kw)
 
 
@@ -178,13 +177,14 @@ def _deliver_frame(sender, receiver, frame, t0=0, drop=None, delay=50_000):
 
 def test_in_order_delivery_completes_frame():
     sender, receiver = _sender(), _receiver()
+    frames = collect_frames(receiver)
     frame = _frame(size=200_000, seed=9)
     results = _deliver_frame(sender, receiver, frame)
     # only the completing packet returns the frame's receive log
     assert results[:-1] == [None] * (len(results) - 1)
     log = results[-1]
     assert log is receiver.recv_log[1]
-    assert receiver.payloads[1] == frame.payload
+    assert frames[1] == frame.payload
     assert log.first_recv_ns < log.last_recv_ns == log.complete_ns
     assert log.packets_received == sender.send_log[1].packet_count
     assert _delivered_upward(receiver) <= sender.packets_sent
@@ -244,6 +244,7 @@ def test_gap_nack_ranges_examples():
 
 def test_nack_round_trip_recovers_single_loss():
     sender, receiver = _sender(), _receiver()
+    frames = collect_frames(receiver)
     frame = _frame(size=100_000, seed=3)
     dropped = []
 
@@ -266,7 +267,7 @@ def test_nack_round_trip_recovers_single_loss():
         for emit_ns, pkt in _packets(burst):
             log = ingest_packet(receiver, pkt, emit_ns + 50_000)
     assert log is receiver.recv_log[1]
-    assert receiver.payloads[1] == frame.payload
+    assert frames[1] == frame.payload
     assert log.nack_count == 1
     assert sender.send_log[1].retransmit_count == 1
 
@@ -317,6 +318,7 @@ def test_reliability_under_random_loss(loss, seed):
     rng = random.Random(seed)
     sender = _sender(rate=10**9)
     receiver = _receiver(max_nack_rounds=10_000)
+    frames = collect_frames(receiver)
     frame = _frame(size=60_000, seed=seed)
     _deliver_frame(sender, receiver, frame, drop=lambda seg, seq: rng.random() < loss)
     now = 0
@@ -331,7 +333,7 @@ def test_reliability_under_random_loss(loss, seed):
                     if rng.random() < loss:
                         continue
                     ingest_packet(receiver, pkt, emit_ns + 50_000)
-    assert receiver.payloads.get(1) == frame.payload
+    assert frames.get(1) == frame.payload
     sent_total = sender.packets_sent + sender.packets_retransmitted
     assert _delivered_upward(receiver) <= sent_total
 
@@ -340,6 +342,7 @@ def test_lost_tail_segment_is_recovered_by_speculative_nack():
     # every packet of the last segment is lost, so the receiver never sees
     # the final-segment marker and must ask for the next unseen segment
     sender, receiver = _sender(), _receiver()
+    frames = collect_frames(receiver)
     frame = _frame(size=100_000, seed=11)   # 2 segments
     _deliver_frame(sender, receiver, frame, drop=lambda seg, seq: seg == 2)
     deadline = receiver.next_timer_ns()
@@ -352,7 +355,7 @@ def test_lost_tail_segment_is_recovered_by_speculative_nack():
         for emit_ns, pkt in _packets(burst):
             log = ingest_packet(receiver, pkt, emit_ns + 50_000)
     assert log is receiver.recv_log[1]
-    assert receiver.payloads[1] == frame.payload
+    assert frames[1] == frame.payload
 
 
 def test_conservation_counters():
@@ -478,7 +481,7 @@ def test_frame_completion_allocates_no_payload_copy():
     frame = _frame()
     bursts = _sender().send_frame(frame, 0)
     assert [b.count for b in bursts] == [47] * 54 + [8]
-    receiver = _receiver(retain_payloads=False)
+    receiver = _receiver()
     tracemalloc.start()
     try:
         for b in bursts:
