@@ -55,10 +55,10 @@ class NodeClock:
             local += int(true_ns * self.drift_ppm) // 1_000_000
         return local
 
-    @property
-    def estimated_offset_ns(self) -> int:
-        """The last exchange's estimate, or 0 before any exchange."""
-        return self.syncs[-1][1] if self.syncs else 0
+    def to_master(self, local_ns: int) -> int:
+        """This node's reading ``local_ns`` on the master clock, corrected by
+        the last exchange's estimate (none before any exchange)."""
+        return local_ns + (self.syncs[-1][1] if self.syncs else 0)
 
 
 @dataclass(frozen=True)
@@ -89,27 +89,15 @@ class AnomalyLog:
             self.samples.append(raw_ns)
 
 
-def one_way_delay(
-    recv_ts_local: int,
-    embedded_send_ts_remote: int,
-    sender_offset_rel_receiver_ns: int,
-    anomalies: AnomalyLog | None = None,
-) -> int:
-    """Offset-corrected one-way delay in ns, never negative.
+def one_way_delay(recv_master_ns: int, send_master_ns: int,
+                  anomalies: AnomalyLog | None = None) -> int:
+    """One-way delay in ns between two master-clock readings, never negative.
 
-    ``sender_offset_rel_receiver_ns`` converts sender-clock timestamps onto
-    the receiver clock; for nodes synced to a common master it is the
-    difference of their estimated corrections. A negative result is a clock
-    anomaly: it is recorded and clamped to zero.
+    A negative result is a clock anomaly: it is recorded and clamped to zero.
     """
-    delay = recv_ts_local - (embedded_send_ts_remote + sender_offset_rel_receiver_ns)
+    delay = recv_master_ns - send_master_ns
     if delay < 0:
         if anomalies is not None:
             anomalies.record(delay)
         return 0
     return delay
-
-
-def pairwise_offset(sender_offset_to_master: int, receiver_offset_to_master: int) -> int:
-    """Correction converting sender-clock timestamps to the receiver clock."""
-    return sender_offset_to_master - receiver_offset_to_master

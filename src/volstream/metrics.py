@@ -17,10 +17,11 @@ Per completed frame the record carries, all in integer nanoseconds:
 Each node's logs record every instant once, in its driver's time (true time
 in the sim, the host clock in socket mode), and each node's record in
 ``RunLogs`` carries its ``NodeClock``. ``assemble_record`` is where local
-readings are taken: spans, one-way delays and ``server_dist`` are measured
-on each node's clock as the paper measures them, and corrected to the
-master by the clocks' estimated offsets. Ground-truth diagnostics are plain
-differences of the stored instants.
+readings are taken: spans and ``server_dist`` are measured on each node's
+clock as the paper measures them, and each one-way delay is the difference
+of two readings taken to the master clock by their nodes'
+``NodeClock.to_master``. Ground-truth diagnostics are plain differences of
+the stored instants.
 
 The three latency identities (service, frame, per-hop protocol) hold exactly
 at ns resolution on every record by construction, and survive into the CSV,
@@ -34,7 +35,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .clock import AnomalyLog, NodeClock, one_way_delay, pairwise_offset
+from .clock import AnomalyLog, NodeClock, one_way_delay
 from .errors import MetricsError
 from .stats import jitter, mean, percentile_nearest_rank
 
@@ -148,27 +149,24 @@ def assemble_record(
     receiver: int = 0,
     anomalies: AnomalyLog | None = None,
 ) -> FrameLatencyRecord:
-    """Merge the per-node logs of one completed frame into a latency record.
+    """Merge the per-node logs of one frame into its latency record.
 
-    Raises ``MetricsError`` naming the missing source if any log lacks the
-    frame. Every instant is read on its node's clock. The end-to-end
-    one-way delay uses the sender's first emission against the receiver's
-    first arrival; per-hop delays use the embedded timestamp of each hop's
-    earliest-arriving packet.
+    A frame that any of the six logs lacks gets the dropped record
+    ``FrameLatencyRecord(frame_id)`` (``completed`` false, every latency
+    zero). Every instant is read on its node's clock, and each one-way
+    delay is the difference of its two readings on the master clock
+    (``NodeClock.to_master``). The end-to-end one-way delay uses the
+    sender's first emission against the receiver's first arrival; per-hop
+    delays use the embedded timestamp of each hop's earliest-arriving
+    packet.
     """
-    def need(table, source):
-        entry = table.get(frame_id)
-        if entry is None:
-            raise MetricsError(f"frame {frame_id}: no entry in {source} log")
-        return entry
-
     sender, relay, final = logs.sender, logs.relay, logs.receivers[receiver]
-    app_tx = need(sender.app_tx, "sender application")
-    send = need(sender.send_log, "sender transport")
-    relay_recv = need(relay.recv_log, "relay upstream")
-    relay_send = need(relay.send_logs[receiver], f"relay downstream[{receiver}]")
-    recv = need(final.recv_log, f"receiver[{receiver}] transport")
-    app_rx = need(final.app_rx, f"receiver[{receiver}] application")
+    entries = (sender.app_tx.get(frame_id), sender.send_log.get(frame_id),
+               relay.recv_log.get(frame_id), relay.send_logs[receiver].get(frame_id),
+               final.recv_log.get(frame_id), final.app_rx.get(frame_id))
+    if None in entries:
+        return FrameLatencyRecord(frame_id)
+    app_tx, send, relay_recv, relay_send, recv, app_rx = entries
 
     sender_clock, relay_clock, receiver_clock = sender.clock, relay.clock, final.clock
     at_sender = sender_clock.local_from_true
@@ -182,15 +180,14 @@ def assemble_record(
     recv_first = at_receiver(recv.first_recv_ns)
     frame_rx = at_receiver(recv.last_recv_ns) - recv_first
 
-    sender_est = sender_clock.estimated_offset_ns
-    relay_est = relay_clock.estimated_offset_ns
-    recv_est = receiver_clock.estimated_offset_ns
-    network_l1 = one_way_delay(relay_first, relay_recv.embedded_first_send_ts,
-                               pairwise_offset(sender_est, relay_est), anomalies)
-    network_l2 = one_way_delay(recv_first, recv.embedded_first_send_ts,
-                               pairwise_offset(relay_est, recv_est), anomalies)
-    network_l = one_way_delay(recv_first, first_send,
-                              pairwise_offset(sender_est, recv_est), anomalies)
+    relay_first_m = relay_clock.to_master(relay_first)
+    recv_first_m = receiver_clock.to_master(recv_first)
+    network_l1 = one_way_delay(relay_first_m,
+                               sender_clock.to_master(relay_recv.embedded_first_send_ts),
+                               anomalies)
+    network_l2 = one_way_delay(recv_first_m,
+                               relay_clock.to_master(recv.embedded_first_send_ts), anomalies)
+    network_l = one_way_delay(recv_first_m, sender_clock.to_master(first_send), anomalies)
 
     rec = FrameLatencyRecord(
         frame_id=frame_id,

@@ -38,9 +38,8 @@ from .appemu import capture_tick, render_complete
 from .clock import AnomalyLog, NodeClock, SyncPath, estimate_offset
 from .config import ScenarioConfig, _ms, _us
 from .errors import SyncError
-from .metrics import (FrameLatencyRecord, ReceiverLog, RelayLog, RunLogs, RunSummary,
-                      SenderLog, assemble_record, format_summary_table, summarize,
-                      write_report)
+from .metrics import (ReceiverLog, RelayLog, RunLogs, RunSummary, SenderLog, assemble_record,
+                      format_summary_table, summarize, write_report)
 from .netem import TRACE_COLUMNS, EventQueue, Link
 from .transport import DROP_REASONS, ReceiverEndpoint, SenderEndpoint
 from .wire import ControlPacket, PacketType, encode_packet
@@ -388,25 +387,9 @@ class SimulationRun:
                             self.anomalies, self.trace_rows or [], sim=self)
 
 
-def receiver_records(logs: RunLogs, receiver: int, frame_count: int,
-                     anomalies: AnomalyLog | None = None) -> list:
-    """Receiver ``receiver``'s latency record of each frame ``1..frame_count``.
-
-    A frame gets a completed record when every log ``assemble_record``
-    reads holds it, and a dropped record (``completed`` false, every
-    latency zero) otherwise. Sim and socket mode both assemble their
-    reports here.
-    """
-    sender, relay, final = logs.sender, logs.relay, logs.receivers[receiver]
-    tables = (sender.app_tx, sender.send_log, relay.recv_log, relay.send_logs[receiver],
-              final.recv_log, final.app_rx)
-    return [assemble_record(f, logs, receiver, anomalies)
-            if all(f in t for t in tables) else FrameLatencyRecord(f)
-            for f in range(1, frame_count + 1)]
-
-
 def receiver_reports(logs: RunLogs, frame_count: int, anomalies: AnomalyLog) -> list:
-    """Each receiver's ``ReceiverResult``, in sim and socket mode alike.
+    """Each receiver's ``ReceiverResult``, in sim and socket mode alike: the
+    ``assemble_record`` of each frame ``1..frame_count`` and their summary.
 
     The summary counters come from the nodes' logs: the endpoints' own
     counters, the drops and the payload check. The README's Reports section
@@ -417,7 +400,7 @@ def receiver_reports(logs: RunLogs, frame_count: int, anomalies: AnomalyLog) -> 
     reports = []
     for r, final in enumerate(logs.receivers):
         seen = anomalies.count
-        records = receiver_records(logs, r, frame_count, anomalies)
+        records = [assemble_record(f, logs, r, anomalies) for f in range(1, frame_count + 1)]
         mismatches = 0
         for frame_id, got in final.recv_log.items():
             sent_log = send_log.get(frame_id)

@@ -222,7 +222,7 @@ def test_criterion_8_clock_correction(tmp_path):
         "clock.sender_offset_ms": 3.0,
         "trace.enabled": True})
     result = run_simulation(cfg, write_outputs=False)
-    assert result.sim.sender_clock.estimated_offset_ns == 3 * MS  # symmetric paths: exact
+    assert result.sim.sender_clock.syncs[-1][1] == 3 * MS  # symmetric paths: exact
     summary = result.primary.summary
     assert summary.frames_completed == 300
     for rec in result.primary.records:

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from volstream.clock import (AnomalyLog, NodeClock, SyncPath, estimate_offset,
-                             one_way_delay, pairwise_offset)
+from volstream.clock import AnomalyLog, NodeClock, SyncPath, estimate_offset, one_way_delay
 from volstream.errors import SyncError
 from volstream.netem import EventQueue
 from volstream.pipeline import SimDriver, Sync
@@ -23,7 +22,7 @@ def _sync(slave, path, now_true_ns=0, rng=None, attempts=3):
                 path.req_delay_ns + path.resp_delay_ns, attempts)
     evq.schedule(now_true_ns, sync.request)
     evq.run()
-    return slave.estimated_offset_ns
+    return slave.syncs[-1][1] if slave.syncs else 0
 
 
 def test_symmetric_sync_recovers_true_offset_exactly():
@@ -76,12 +75,12 @@ def test_sync_retries_then_fails_on_lossy_path():
 
 
 def test_one_way_delay_basic():
-    assert one_way_delay(1_000_000, 900_000, 0) == 100_000
+    assert one_way_delay(1_000_000, 900_000) == 100_000
 
 
 def test_one_way_delay_negative_flags_anomaly():
     log = AnomalyLog()
-    assert one_way_delay(900_000, 1_000_000, 0, log) == 0
+    assert one_way_delay(900_000, 1_000_000, log) == 0
     assert log.count == 1
     assert log.samples == [-100_000]
 
@@ -95,7 +94,8 @@ def test_offset_correction_recovers_true_delay():
     recv_local = receiver.local_from_true(recv_true)
     uncorrected = recv_local - stamp
     assert uncorrected == 100 * US + 2 * MS     # inflated by the offset
-    corrected = one_way_delay(recv_local, stamp, pairwise_offset(2 * MS, 0))
+    sender.syncs.append((0, 2 * MS))
+    corrected = one_way_delay(receiver.to_master(recv_local), sender.to_master(stamp))
     assert corrected == 100 * US
 
 

@@ -181,7 +181,8 @@ def test_frame_missing_from_any_log_gets_a_dropped_record(small_cfg):
             owner = logs.receivers[r] if node == "receiver" else getattr(logs, node)
             table = getattr(owner, name)
             del (table[r] if isinstance(table, list) else table)[2]
-            records = pipeline.receiver_records(logs, r, sim.frame_count)
+            records = [pipeline.assemble_record(f, logs, r)
+                       for f in range(1, sim.frame_count + 1)]
             frame_ids = list(range(1, sim.frame_count + 1))
             assert [rec.frame_id for rec in records] == frame_ids
             assert [rec.completed for rec in records] == [f != 2 for f in frame_ids]
@@ -258,7 +259,7 @@ def test_lost_nacks_on_reverse_path_still_recover(small_cfg):
 def test_clock_offset_correction(small_cfg):
     cfg = small_cfg(**{"clock.sender_offset_ms": 3.0})
     result = run_simulation(cfg, write_outputs=False)
-    assert result.sim.sender_clock.estimated_offset_ns == 3 * MS
+    assert result.sim.sender_clock.syncs[-1][1] == 3 * MS
     for rec in result.primary.records:
         if not rec.completed:
             continue
