@@ -14,13 +14,21 @@ estimate equals the true correction exactly; with asymmetric delays it is
 biased by half the asymmetry. ``pipeline.Sync`` runs the exchanges, in both
 modes, and each slave's ``NodeClock`` keeps what they estimated.
 
-One-way delay of a data packet is then receive time minus the embedded send
-timestamp converted into the receiver's clock.
+``NodeClock.to_master`` takes a local reading to the master clock with the
+estimate in force at it, interpolated between the exchanges around it
+(offline skew removal: Paxson, SIGMETRICS 1998; Moon, Skelly and Towsley,
+INFOCOM 1999). Under a constant drift and symmetric paths that is exact up
+to half an exchange's round trip times the drift, because an estimate is
+anchored at t4 rather than at the exchange's midpoint. A one-way delay is
+then the difference of two master-clock readings, the receive time and the
+embedded send timestamp.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 @dataclass
@@ -56,9 +64,19 @@ class NodeClock:
         return local
 
     def to_master(self, local_ns: int) -> int:
-        """This node's reading ``local_ns`` on the master clock, corrected by
-        the last exchange's estimate (none before any exchange)."""
-        return local_ns + (self.syncs[-1][1] if self.syncs else 0)
+        """This node's reading ``local_ns`` on the master clock.
+
+        The correction is the estimate in force at the reading: interpolated
+        between the two exchanges around it, and extrapolated from the
+        nearest two before the first and past the last. One exchange's
+        estimate applies throughout, and no exchange corrects nothing.
+        """
+        syncs = self.syncs
+        if len(syncs) < 2:
+            return local_ns + (syncs[0][1] if syncs else 0)
+        i = min(max(bisect_right(syncs, local_ns, key=itemgetter(0)), 1), len(syncs) - 1)
+        (x0, e0), (x1, e1) = syncs[i - 1], syncs[i]
+        return local_ns + e0 + (e1 - e0) * (local_ns - x0) // (x1 - x0)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from volstream.clock import AnomalyLog, NodeClock, SyncPath, estimate_offset, one_way_delay
+from volstream.config import apply_overrides, validate
 from volstream.errors import SyncError
 from volstream.netem import EventQueue
-from volstream.pipeline import SimDriver, Sync
+from volstream.pipeline import SimDriver, Sync, run_simulation
+from volstream.scenarios import scenario_config
 
 MS = 1_000_000
 US = 1_000
@@ -111,6 +113,23 @@ def test_drift_shifts_local_clock():
     assert clk.local_from_true(1_000_000_000) == 1_000_000_000 + 10_000
 
 
+def test_to_master_applies_the_estimate_in_force_at_the_reading():
+    clk = NodeClock("s", "slave")
+    assert clk.to_master(7) == 7                      # no exchange: no correction
+    clk.syncs.append((1_000, 100))
+    assert [clk.to_master(t) for t in (0, 5_000)] == [100, 5_100]  # one: throughout
+    clk.syncs.append((2_000, 300))
+    clk.syncs.append((4_000, 500))
+    # interpolated between the exchanges around the reading, extrapolated
+    # from the nearest two before the first and past the last
+    assert [clk.to_master(t) for t in (1_000, 1_500, 2_000, 3_000)] == \
+        [1_100, 1_700, 2_300, 3_400]
+    assert clk.to_master(0) == -100
+    assert clk.to_master(6_000) == 6_700
+    # a role log reloaded from JSON holds the pairs as lists
+    assert NodeClock("s", "slave", syncs=[list(p) for p in clk.syncs]).to_master(1_500) == 1_700
+
+
 def test_failed_resync_keeps_the_last_estimate():
     # once a slave has an estimate, an exchange that runs out of attempts
     # is abandoned without an error and the estimate stays in force
@@ -119,3 +138,42 @@ def test_failed_resync_keeps_the_last_estimate():
     assert _sync(slave, SyncPath(loss_rate=1.0), now_true_ns=5 * MS,
                  rng=random.Random(1), attempts=3) == 1 * MS
     assert slave.syncs == [(200 * US, 1 * MS)]
+
+
+# 3 s of paper-default with a resync every 0.5 s and offset sender and relay
+# clocks; receiver 0 is the master.
+RESYNC = {"duration_s": "3", "clock.sync_interval_s": "0.5",
+          "clock.sender_offset_ms": "2", "clock.relay_offset_ms": "-1"}
+
+
+@pytest.mark.parametrize("overrides, bias_ns, tolerance_ns, anomalies", [
+    # drift: each reading is corrected with the estimate in force at it
+    ({"clock.drift_ppm": "35"}, 0, 1 * US, 0),
+    ({"clock.drift_ppm": "-35"}, 0, 1 * US, 0),
+    # asymmetric sync paths bias every slave's estimate by half the
+    # asymmetry, which cancels on hop 1 (both ends are slaves) and shows on
+    # the delays into receiver 0
+    ({"clock.sync_req_us": "40", "clock.sync_resp_us": "260"}, 110 * US, 0, 0),
+    # a bias below the 26-34 us hop-2 delays clamps each of them to 0
+    ({"clock.sync_req_us": "150", "clock.sync_resp_us": "50"}, -50 * US, 0, 90),
+])
+def test_each_delay_is_corrected_with_the_estimate_in_force(overrides, bias_ns,
+                                                            tolerance_ns, anomalies):
+    cfg = scenario_config("paper-default")
+    assert apply_overrides(cfg, {**RESYNC, **overrides}) == []
+    assert validate(cfg) == []
+    primary = run_simulation(cfg, write_outputs=False).primary
+    assert primary.summary.frames_completed == 90
+    clamped = 0
+    for rec in primary.records:
+        for name, bias in (("network_l", bias_ns), ("network_l1", 0),
+                           ("network_l2", bias_ns)):
+            got = getattr(rec, f"{name}_ns")
+            expected = getattr(rec, f"{name}_true_ns") + bias
+            if expected < 0:
+                clamped += 1
+                assert got == 0
+            else:
+                assert abs(got - expected) <= tolerance_ns, (rec.frame_id, name)
+    assert clamped == anomalies
+    assert primary.summary.packet_counts["clock_anomalies"] == clamped
