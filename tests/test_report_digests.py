@@ -9,12 +9,14 @@ two receivers and offset, drifting sender and relay clocks; and negative
 drift with opposite offsets and hop-2 loss, under which a node's local
 reading is not strictly increasing in true time; and 3 s with a resync
 every 0.5 s, two receivers and offset, drifting sender and relay clocks, the
-only pin whose run syncs again after t = 0. Correcting each delay with the
-estimate in force at its instant (ROADMAP item 2) will change that pin's
-reports, and re-pin it on purpose. The two lossy pins were re-pinned when
-NACK recovery became reliable at paper scale: loss is drawn per loss, and
-each missing range has its own retry budget, so both now complete 30 of 30
-frames (0 and 18 before). The first five
+only pin whose run syncs again after t = 0. It was re-pinned when each
+reading came to be corrected with the estimate in force at it, interpolated
+between the exchanges around it, instead of with the last exchange's: its
+network latencies moved to within a few ns of the ground truth (its mean
+``network_l`` from 1.234830 to 1.199495 ms). The two lossy pins were
+re-pinned when NACK recovery became reliable at paper scale: loss is drawn
+per loss, and each missing range has its own retry budget, so both now
+complete 30 of 30 frames (0 and 18 before). The first five
 pins were computed before bursts were carried as delivered runs, on the
 per-packet link code, and the two multi-receiver pins before the two hops
 shared one set of handlers, so a change to how the sim computes arrivals or
@@ -74,10 +76,10 @@ GOLDEN = {
         "summary.csv": "b2f713d55937ca9a150454877d8e95e836c09fb02800272775812c245e2b20dc",
     },
     "paper-default-3s-resync-2rx-drift": {
-        "frames.csv": "3732eaf81664da72c837f515f7f6a3723ea2fc884dd84c29e14b54908502c9d4",
-        "frames_r1.csv": "d16ba28e50d377708481565edd66c5b7f1c7e0a6480bc72cd56686592ecf77d2",
-        "summary.csv": "f1c575fee923109249277021a9bb1069c7191ba906f9cf631d009f129cd66135",
-        "summary_r1.csv": "09879fee6049794a17c603a68fd0d2d6b1f5b47856998a725402fa3776205828",
+        "frames.csv": "922e262d5f6c7be89667a47ec17ac313dcfef91cb355d07523899c25920b77ae",
+        "frames_r1.csv": "f7a3a31be6a469357492e617131d31d32ad3ebe407935381ea69b5223a2b281b",
+        "summary.csv": "58c1ac6f9439546e8e7fe4d48080e2d956a2f4c087202e650e6bbf67dac16143",
+        "summary_r1.csv": "3c913bef0ce41ccbe89c00284d303ffc14f120c9db19c132bd4c9cd226776371",
     },
     "paper-default-4rx-pps256": {
         "frames.csv": "b8a0b8eb821c9e3117a1eaaaeca37576872b5d8e8de4a854ca4d52cfafc604f7",
