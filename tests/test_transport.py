@@ -532,11 +532,37 @@ def test_nack_with_more_ranges_than_a_datagram_holds_is_split():
 
 def test_retransmit_skips_packets_not_yet_emitted():
     # a NACK that reaches the sender while the segment is still in its
-    # pacer re-emits only the packets already emitted once
+    # pacer re-emits only the packets already emitted once, whether it
+    # names a range or the whole segment
     sender = _sender(rate=10**9)
     [burst] = sender.send_frame(_frame(size=14_000), 0)     # 10 packets, 11.2 us apart
-    nack = ControlPacket(packet_type=PacketType.NACK, stream_id=1, frame_id=1,
-                         ranges=((1, 1, 0),))
-    emitted = [e for e in burst.emissions if e <= burst.emissions[3]]
-    assert sum(b.count for b in sender.retransmit(nack, burst.emissions[3])) == len(emitted) == 4
-    assert sender.retransmit(nack, burst.first_ns - 1) == []
+    now = burst.emissions[3]
+    assert [e for e in burst.emissions if e <= now] == burst.emissions[:4]
+
+    def resent(ranges, at=now):
+        nack = ControlPacket(packet_type=PacketType.NACK, stream_id=1, frame_id=1,
+                             ranges=ranges)
+        return [b.seq_start + i for b in sender.retransmit(nack, at) for i in range(b.count)]
+
+    assert resent(((1, 1, 0),)) == [1, 2, 3, 4]
+    assert resent(((1, 2, 8),)) == [2, 3, 4]
+    assert resent(((1, 5, 9),)) == []
+    assert resent(((1, 1, 0),), burst.first_ns - 1) == []
+    assert sender.packets_retransmitted == 7
+
+
+def test_retention_window_keeps_the_last_frames():
+    # with a window of 8, sending frames 1..10 keeps 3..10: a NACK for
+    # frame 3 is answered, and one for frame 2 is stale
+    sender = _sender(rate=10**9, retention_frames=8)
+    for fid in range(1, 11):
+        sender.send_frame(_frame(size=14_000, frame_id=fid), (fid - 1) * MS)
+
+    def nack(frame_id):
+        return ControlPacket(packet_type=PacketType.NACK, stream_id=1, frame_id=frame_id,
+                             ranges=((1, 1, 1),))
+
+    assert sum(b.count for b in sender.retransmit(nack(3), 20 * MS)) == 1
+    assert sender.stale_nacks == 0
+    assert sender.retransmit(nack(2), 20 * MS) == []
+    assert sender.stale_nacks == 1
