@@ -14,14 +14,10 @@ estimate equals the true correction exactly; with asymmetric delays it is
 biased by half the asymmetry. ``pipeline.Sync`` runs the exchanges, in both
 modes, and each slave's ``NodeClock`` keeps what they estimated.
 
-``NodeClock.to_master`` takes a local reading to the master clock with the
-estimate in force at it, interpolated between the exchanges around it
-(offline skew removal: Paxson, SIGMETRICS 1998; Moon, Skelly and Towsley,
-INFOCOM 1999). Under a constant drift and symmetric paths that is exact up
-to half an exchange's round trip times the drift, because an estimate is
-anchored at t4 rather than at the exchange's midpoint. A one-way delay is
-then the difference of two master-clock readings, the receive time and the
-embedded send timestamp.
+``NodeClock.to_master`` takes a reading to the master clock with the
+estimate interpolated between the exchanges around it (offline skew
+removal: Paxson, SIGMETRICS 1998; Moon, Skelly and Towsley, INFOCOM 1999),
+and a one-way delay is the difference of two master-clock readings.
 """
 
 from __future__ import annotations
