@@ -180,14 +180,13 @@ def assemble_record(
     recv_first = at_receiver(recv.first_recv_ns)
     frame_rx = at_receiver(recv.last_recv_ns) - recv_first
 
-    relay_first_m = relay_clock.to_master(relay_first)
-    recv_first_m = receiver_clock.to_master(recv_first)
-    network_l1 = one_way_delay(relay_first_m,
+    recv_master = receiver_clock.to_master(recv_first)
+    network_l1 = one_way_delay(relay_clock.to_master(relay_first),
                                sender_clock.to_master(relay_recv.embedded_first_send_ts),
                                anomalies)
-    network_l2 = one_way_delay(recv_first_m,
+    network_l2 = one_way_delay(recv_master,
                                relay_clock.to_master(recv.embedded_first_send_ts), anomalies)
-    network_l = one_way_delay(recv_first_m, sender_clock.to_master(first_send), anomalies)
+    network_l = one_way_delay(recv_master, sender_clock.to_master(first_send), anomalies)
 
     rec = FrameLatencyRecord(
         frame_id=frame_id,
