@@ -81,7 +81,6 @@ class HopCfg:
     pacing_bps: list = field(default_factory=lambda: [2_000_000_000])
     bandwidth_bps: int = 10_000_000_000
     distance_km: float = 0.0
-    propagation_us_per_km: float = 5.0
     hops: int = 1
     hop_delay_us_min: float = 5.0
     hop_delay_us_max: float = 10.0
@@ -97,7 +96,6 @@ class NodeCfg:
     tx_hw_us: float = 1.0
     rx_sw_us: float = 4.0
     rx_hw_us: float = 2.0
-    load_factor: float = 1.0
 
 
 @dataclass
@@ -105,7 +103,6 @@ class ClockCfg:
     sender_offset_ms: float = 0.0
     relay_offset_ms: float = 0.0
     drift_ppm: float = 0.0
-    sync_enabled: bool = True
     sync_interval_s: float = 1.0
     sync_req_us: float = 100.0
     sync_resp_us: float = 100.0
@@ -189,7 +186,6 @@ class ScenarioConfig:
         return LinkModel(
             bandwidth_bps=hop.bandwidth_bps,
             distance_km=hop.distance_km,
-            propagation_ns_per_km=_us(hop.propagation_us_per_km),
             hops=hop.hops,
             hop_delay_min_ns=_us(hop.hop_delay_us_min),
             hop_delay_max_ns=_us(hop.hop_delay_us_max),
@@ -202,7 +198,6 @@ class ScenarioConfig:
         return NodeStageModel(
             tx_sw_ns=_us(node.tx_sw_us), tx_hw_ns=_us(node.tx_hw_us),
             rx_sw_ns=_us(node.rx_sw_us), rx_hw_ns=_us(node.rx_hw_us),
-            load_factor=node.load_factor,
         )
 
     def relay_node(self, upstream, downstreams, scheduler, emit, stall_rng) -> RelayNode:
@@ -478,8 +473,6 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
               "must be > 0")
         check(hop.distance_km >= 0, f"{hop_name}.distance_km", hop.distance_km,
               "must be >= 0")
-        check(hop.propagation_us_per_km >= 0, f"{hop_name}.propagation_us_per_km",
-              hop.propagation_us_per_km, "must be >= 0")
         check(hop.hops >= 0, f"{hop_name}.hops", hop.hops, "must be >= 0")
         check(0 <= hop.hop_delay_us_min <= hop.hop_delay_us_max,
               f"{hop_name}.hop_delay_us_min", (hop.hop_delay_us_min, hop.hop_delay_us_max),
@@ -496,8 +489,6 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
         for key in ("tx_sw_us", "tx_hw_us", "rx_sw_us", "rx_hw_us"):
             val = getattr(node, key)
             check(val >= 0, f"{node_name}.{key}", val, "must be >= 0")
-        check(node.load_factor >= 0, f"{node_name}.load_factor", node.load_factor,
-              "must be >= 0")
 
     k = cfg.clock
     check(int(k.sync_interval_s * NS_PER_S) > 0, "clock.sync_interval_s", k.sync_interval_s,

@@ -10,9 +10,8 @@ A link carries packets through a fixed stage pipeline:
           -> per-hop switching -> rx_hw -> rx_sw
 
 Serialization is FIFO per link: a packet's wire time begins when the
-previous packet's ends, which models a switch egress port. Kernel and NIC
-stage delays come from per-node models; the receiving side may be scaled by
-a load factor to emulate a busy host.
+previous packet's ends, which models a switch egress port. Propagation is
+5 µs per km of fiber. Kernel and NIC stage delays come from per-node models.
 
 Data bursts arrive as pacer progressions and leave as delivered runs
 (``Link.carry``). A burst paced no faster than the link serializes never
@@ -39,6 +38,7 @@ from .errors import ConfigError
 from .stats import mean, percentile_nearest_rank
 
 NS_PER_S = 1_000_000_000
+PROPAGATION_NS_PER_KM = 5_000   # light in fiber, about 2/3 c
 _MAX_LOSS_GAP = 1 << 62
 
 
@@ -49,7 +49,6 @@ class LinkModel:
 
     bandwidth_bps: int
     distance_km: float = 0.0
-    propagation_ns_per_km: int = 5_000
     hops: int = 0
     hop_delay_min_ns: int = 5_000
     hop_delay_max_ns: int = 10_000
@@ -59,7 +58,7 @@ class LinkModel:
 
     @property
     def propagation_ns(self) -> int:
-        return int(self.distance_km * self.propagation_ns_per_km)
+        return int(self.distance_km * PROPAGATION_NS_PER_KM)
 
 
 @dataclass(frozen=True)
@@ -70,15 +69,6 @@ class NodeStageModel:
     tx_hw_ns: int = 0
     rx_sw_ns: int = 0
     rx_hw_ns: int = 0
-    load_factor: float = 1.0
-
-    @property
-    def rx_sw_effective_ns(self) -> int:
-        return int(self.rx_sw_ns * self.load_factor)
-
-    @property
-    def rx_hw_effective_ns(self) -> int:
-        return int(self.rx_hw_ns * self.load_factor)
 
 
 class EventQueue:
@@ -147,8 +137,7 @@ class Link:
         # Fixed per-packet delay before the egress queue, and after
         # serialization apart from switching.
         self._tx_ns = node_tx.tx_sw_ns + node_tx.tx_hw_ns
-        self._after_ns = (model.propagation_ns + node_rx.rx_hw_effective_ns
-                          + node_rx.rx_sw_effective_ns)
+        self._after_ns = model.propagation_ns + node_rx.rx_hw_ns + node_rx.rx_sw_ns
         # ``carry``'s run path: switching draws per packet, and the delay
         # from emission to arrival apart from serialization and jitter.
         self._span = model.hop_delay_max_ns - model.hop_delay_min_ns
@@ -348,7 +337,7 @@ class Link:
                       first_seq + i, "lost" if lost else "delivered",
                       self.node_tx.tx_sw_ns, self.node_tx.tx_hw_ns,
                       start - ready, ser, m.propagation_ns, sw,
-                      self.node_rx.rx_hw_effective_ns, self.node_rx.rx_sw_effective_ns,
+                      self.node_rx.rx_hw_ns, self.node_rx.rx_sw_ns,
                       e, stamps[i] if stamps else 0)
 
         self.sent += len(arrivals)

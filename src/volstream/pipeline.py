@@ -369,12 +369,11 @@ class SimulationRun:
     def run(self) -> StreamResult:
         cfg = self.cfg
         k = cfg.clock
-        if k.sync_enabled:
-            path = SyncPath(_us(k.sync_req_us), _us(k.sync_resp_us), k.sync_loss_rate)
-            for clk in (self.sender_clock, self.relay_clock, *self.receiver_clocks[1:]):
-                sync = Sync(clk, self.receiver_clocks[0], (path, self._rng("sync")), self.driver,
-                            path.req_delay_ns + path.resp_delay_ns, k.sync_retries)
-                schedule_syncs(self.driver, sync, cfg, 0)
+        path = SyncPath(_us(k.sync_req_us), _us(k.sync_resp_us), k.sync_loss_rate)
+        for clk in (self.sender_clock, self.relay_clock, *self.receiver_clocks[1:]):
+            sync = Sync(clk, self.receiver_clocks[0], (path, self._rng("sync")), self.driver,
+                        path.req_delay_ns + path.resp_delay_ns, k.sync_retries)
+            schedule_syncs(self.driver, sync, cfg, 0)
         schedule_captures(self.driver, self.hop1, cfg, self._rng("apptx"), 0,
                           self.app_tx_records)
         self.evq.run()

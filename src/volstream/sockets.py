@@ -280,8 +280,6 @@ class SocketDriver:
 def _add_sync(cfg: ScenarioConfig, driver: SocketDriver, clock: NodeClock, host: str) -> None:
     """Receiver 0 answers sync requests on the sync port; every other role
     runs ``clock``'s exchanges against it from a socket on ``host``."""
-    if not cfg.clock.sync_enabled:
-        return
     port = _ports(cfg)["sync"]
     if clock.role == "master":
         sync = Sync(None, clock, (driver.open(host, port), None), driver)

@@ -101,7 +101,7 @@ def test_carry_matches_per_packet_reference(hops, hop_min, span, loss, pacing_bp
                       loss_rate=loss)
     tx_sw, tx_hw, rx_sw, rx_hw = stages
     node_tx = NodeStageModel(tx_sw_ns=tx_sw, tx_hw_ns=tx_hw)
-    node_rx = NodeStageModel(rx_sw_ns=rx_sw, rx_hw_ns=rx_hw, load_factor=1.5)
+    node_rx = NodeStageModel(rx_sw_ns=int(rx_sw * 1.5), rx_hw_ns=int(rx_hw * 1.5))
     offset, drift = clock
     sender = SenderEndpoint(1, pacing_bps, NodeClock("s", true_offset_ns=offset,
                                                      drift_ppm=drift),

@@ -146,6 +146,18 @@ def test_retain_payloads_is_an_unknown_key(tmp_path, capsys):
     assert "retain_payloads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", [
+    "hop1.propagation_us_per_km", "hop2.propagation_us_per_km", "node.sender.load_factor",
+    "node.relay.load_factor", "node.receiver.load_factor", "clock.sync_enabled"])
+def test_deleted_knobs_are_unknown_keys(tmp_path, capsys, key):
+    # propagation is a fixed 5 us per km of distance_km, a node's receive
+    # cost is its rx_sw_us and rx_hw_us, and every run syncs its clocks
+    path = tmp_path / "old.cfg"
+    path.write_text(f"{key}=1\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 def test_receiver_ports_past_65535_exit_2(monkeypatch, capsys):
     # receiver r binds socket.base_port + 10 + r: receiver 599 of 600 at
     # base port 65,000 would bind 65,609, which bind() refuses

@@ -60,12 +60,6 @@ def test_serialization_only_when_all_other_stages_zero():
     assert delay == stages["serialization_ns"] == (500 * 8 * 10**9) // 2_000_000_000
 
 
-def test_load_factor_scales_receive_stages():
-    node = NodeStageModel(rx_sw_ns=4_000, rx_hw_ns=2_000, load_factor=10.0)
-    assert node.rx_sw_effective_ns == 40_000
-    assert node.rx_hw_effective_ns == 20_000
-
-
 # -- event queue ----------------------------------------------------------------
 
 
@@ -209,7 +203,7 @@ def test_switching_jitter_is_seeded_and_bounded():
 def _probe_setup(rx_load=1.0):
     link = LinkModel(bandwidth_bps=10_000_000_000, distance_km=1.0, hops=2)
     tx = NodeStageModel(tx_sw_ns=2_000, tx_hw_ns=1_000)
-    rx = NodeStageModel(rx_sw_ns=4_000, rx_hw_ns=2_000, load_factor=rx_load)
+    rx = NodeStageModel(rx_sw_ns=int(4_000 * rx_load), rx_hw_ns=int(2_000 * rx_load))
     return link, tx, rx
 
 

@@ -119,9 +119,10 @@ def test_raising_pacing_never_slows_reception(small_cfg):
 
 def test_loaded_relay_inverts_hop_latency_despite_fiber(small_cfg):
     # hop 2 crosses 1 km of fiber and two switches, yet inflating the relay's
-    # receive-side kernel cost makes hop 1 the slower segment
+    # receive-side kernel cost tenfold makes hop 1 the slower segment
     baseline = run_simulation(small_cfg(), write_outputs=False)
-    loaded = run_simulation(small_cfg(**{"node.relay.load_factor": 10.0}),
+    loaded = run_simulation(small_cfg(**{"node.relay.rx_sw_us": 40.0,
+                                         "node.relay.rx_hw_us": 20.0}),
                             write_outputs=False)
     base = baseline.primary.summary
     load = loaded.primary.summary
