@@ -180,7 +180,8 @@ class Link:
         each packet's arrival is its emission plus a fixed delay plus its
         switching jitter. Only packets emitted within ``slack`` of a run's
         first or last emission can hold the run's earliest or latest
-        arrival; jitter is drawn for those and skipped past for the rest.
+        arrival; jitter is drawn for a fixed window of packets at each end,
+        which holds all of those, and skipped past for the rest.
         Bursts that can queue, links with reorder or a trace, one-packet
         bursts and links so lossy that most packets would need draws go
         through ``traverse`` instead.
@@ -195,9 +196,10 @@ class Link:
 
     def _burst_plan(self, rate, step_bits, full_wire, last_wire):
         """What ``_carry_unqueued`` needs of a burst's pacing and packet
-        sizes: the packets its two draw windows can hold per run, the fixed
-        delays of a full and of the last packet, the windows' slack and the
-        last packet's serialization. None when such bursts could queue."""
+        sizes: the packets in each draw window, the fixed delays of a full
+        and of the last packet, and the last packet's serialization. None
+        when such bursts could queue. Emissions are at least ``spacing``
+        apart, so a window holds every packet within ``slack`` of its end."""
         spacing = step_bits * NS_PER_S // rate
         bw = self.model.bandwidth_bps
         ser_full = (full_wire * 8 * NS_PER_S) // bw
@@ -205,8 +207,8 @@ class Link:
         if spacing == 0 or spacing < ser_full:
             return None
         slack = ser_full - ser_last + self._jitter * (self._span - 1)
-        return (2 * (slack // spacing + 1), self._fixed_ns + ser_full,
-                self._fixed_ns + ser_last, slack, ser_last)
+        return (slack // spacing + 1, self._fixed_ns + ser_full,
+                self._fixed_ns + ser_last, ser_last)
 
     def _carry_unqueued(self, burst):
         """``carry``'s run path; None when the burst could queue or the link
@@ -219,11 +221,11 @@ class Link:
             plan = self._plans[key] = self._burst_plan(*key)
         if plan is None:
             return None
-        window, k_full, k_last, slack, ser_last = plan
+        window, k_full, k_last, ser_last = plan
         loss_random = self._loss_random
-        # Each run draws for at most ``window`` packets.
+        # Each run draws for at most two windows of packets.
         expected_runs = 1 + n * self.model.loss_rate if loss_random is not None else 1
-        if burst.first_ns + self._tx_ns < self._busy_until or window * expected_runs >= n:
+        if burst.first_ns + self._tx_ns < self._busy_until or 2 * window * expected_runs >= n:
             return None
 
         base = burst.base_ns
@@ -243,21 +245,13 @@ class Link:
             if end == first:
                 first = end + 1
                 continue
-            # Candidates for the earliest arrival are [first, p), the packets
-            # emitted at most ``slack`` after ``first``; for the latest
-            # [q, end), those emitted at most ``slack`` before ``end - 1``.
-            # The two windows never overlap.
-            lim = (bits + first * step) // rate + slack + 1
-            p = min(end, max(first + 1, -((bits - lim * rate) // step)))
-            if p == end:
-                windows = ((first, end),)
-            else:
-                lim = (bits + (end - 1) * step) // rate - slack
-                q = max(p, min(end - 1, -((bits - lim * rate) // step)))
-                windows = ((first, p), (q, end))
+            # The earliest arrival is among [first, p) and the latest among
+            # [q, end); the two windows never overlap.
+            p = min(end, first + window)
+            q = max(p, end - window)
             mn = mx = None
             arg = first
-            for lo, hi in windows:
+            for lo, hi in ((first, p), (q, end)):
                 skip = (lo - cursor) * jitter
                 if skip:
                     switch.getrandbits(64 * skip)
