@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from volstream.clock import NodeClock
@@ -126,6 +128,15 @@ def test_parse_comments_and_bad_lines():
     assert cfg.seed == 5
     assert cfg.capture.fps == 60
     assert len(diags) == 1 and "key=value" in diags[0].constraint
+
+
+def test_readme_configuration_example_loads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A taste:\n\n```\n", 1)[1].split("```", 1)[0]
+    cfg, diags = parse_config_text(block)
+    assert diags == []
+    assert validate(cfg) == []
+    assert cfg.hop2.pacing_bps == [1_500_000_000]
 
 
 def test_scientific_notation_for_int_keys():
