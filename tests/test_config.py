@@ -60,6 +60,7 @@ def test_counts_past_the_u16_header_fields_are_invalid():
 @pytest.mark.parametrize("overrides, key", [
     ({"hop1.bandwidth_bps": "0"}, "hop1.bandwidth_bps"),
     ({"hop1.distance_km": "-1"}, "hop1.distance_km"),
+    ({"relay.queue_high_water_ms": "0"}, "relay.queue_high_water_ms"),
     ({"hop1.hop_delay_us_min": "11", "hop1.hop_delay_us_max": "10"},
      "hop1.hop_delay_us_min"),
     ({"hop2.hops": "-1"}, "hop2.hops"),
@@ -68,6 +69,7 @@ def test_counts_past_the_u16_header_fields_are_invalid():
     ({"hop2.reorder_rate": "1.5"}, "hop2.reorder_rate"),
     ({"hop1.reorder_extra_us": "-1"}, "hop1.reorder_extra_us"),
     ({"hop2.pacing_bps": "0"}, "hop2.pacing_bps"),
+    ({"node.relay.rx_sw_us": "-1"}, "node.relay.rx_sw_us"),
     ({"node.sender.tx_sw_us": "-1"}, "node.sender.tx_sw_us"),
     ({"node.receiver.rx_hw_us": "-1"}, "node.receiver.rx_hw_us"),
     ({"stall.probability": "1.5"}, "stall.probability"),
