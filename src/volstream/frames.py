@@ -9,13 +9,13 @@ contiguous splits, so concatenating the pieces in order reproduces the
 original bytes exactly.
 
 A frame holds its payload as parts, buffers whose concatenation it is, and
-carries the payload's crc32. A synthetic frame is its 24-byte tag and a
-cached body, cut at multiples of the sender's segment size into read-only
-views of one window: the seeded block tiled just far enough to hold one
-part at any phase. Its crc32 is combined from the tag's and the body's
-(``multmodp``, after zlib's ``crc32_combine``), so building one reads and
-copies no body bytes. Segmenting it copies only segment 1, which spans
-the tag; every later segment is one body part.
+carries the payload's crc32. A synthetic frame is a cached body followed by
+its 24-byte tag. The body is cut at multiples of the sender's segment size
+into read-only views of one window: the seeded block tiled just far enough
+to hold one part at any phase. Its crc32 is the body's cached crc32
+continued over the tag, so building one reads and copies no body bytes.
+Segmenting it copies only the last segment, which spans the tag; every
+earlier segment is one body part.
 
 Sizes follow decimal units throughout: 1 Kbyte = 1e3 bytes, 1 Mbyte = 1e6.
 """
@@ -33,7 +33,7 @@ from .errors import ConfigError, InvalidFrameError
 # i % _SYNTH_BLOCK of one seeded block, so any run of n bytes is a slice of
 # the block tiled 1 + ceil(n / _SYNTH_BLOCK) times. The body is cached as
 # such slices with its crc32 once per (seed, length, part size); each frame
-# is then its 24-byte tag followed by those views, so a multi-megabyte frame
+# is then those views followed by its 24-byte tag, so a multi-megabyte frame
 # costs the tag alone.
 _SYNTH_BLOCK = 65_536
 _SYNTH_TAG = struct.Struct(">QIIII")
@@ -44,7 +44,7 @@ class VolumetricFrame:
 
     The payload holds the three sections back to back. It is kept as
     ``parts``, buffers whose concatenation it is: the one buffer a frame was
-    built from, or a synthetic frame's tag and body view. ``crc32`` is the
+    built from, or a synthetic frame's body views and tag. ``crc32`` is the
     payload's zlib crc32, computed here once unless the builder passes it.
     The section byte counts are retained so a consumer could split them out
     again.
@@ -105,76 +105,45 @@ def make_synthetic_frame(
     """Build a frame with deterministic pseudo-random content.
 
     The payload is a pure function of ``(seed, frame_id)`` and the section
-    sizes: a seeded base block is tiled to length and the head is overwritten
+    sizes: a seeded base block is tiled to length and the tail is overwritten
     with a tag of the generating arguments so distinct frames differ even
-    under the same seed. The frame's parts are the tag and the cached body's
-    views, cut at multiples of ``part_size`` (one view when it is None), and
-    its crc32 is combined from theirs.
+    under the same seed. The frame's parts are the cached body's views, cut
+    at multiples of ``part_size`` (one view when it is None), and the tag;
+    its crc32 is the body's continued over the tag.
     """
     total = color_bytes + depth_bytes + audio_bytes
     tag = _SYNTH_TAG.pack(seed & 0xFFFFFFFFFFFFFFFF, frame_id,
                           color_bytes, depth_bytes, audio_bytes)[:total]
-    body, body_crc, shift = _synthetic_body(seed, total, part_size or total)
+    body, body_crc = _synthetic_body(seed, total - len(tag), part_size or total)
     return VolumetricFrame(
         frame_id=frame_id,
         color_bytes=color_bytes,
         depth_bytes=depth_bytes,
         audio_bytes=audio_bytes,
-        payload=(tag, *body),
-        crc32=multmodp(shift, zlib.crc32(tag)) ^ body_crc,
+        payload=(*body, tag),
+        crc32=zlib.crc32(tag, body_crc),
     )
 
 
 @lru_cache(maxsize=4)
-def _synthetic_body(seed: int, total: int, part_size: int
-                    ) -> tuple[tuple[memoryview, ...], int, int]:
-    """Bytes ``[24, total)`` of the seeded block tiled to ``total`` bytes.
+def _synthetic_body(seed: int, length: int, part_size: int
+                    ) -> tuple[tuple[memoryview, ...], int]:
+    """The seeded block tiled to ``length`` bytes, with its crc32.
 
     Returned as read-only views of one window, cut at every multiple of
-    ``part_size``, with their crc32 and the operator ``x2nmodp(len, 3)``
-    that moves a crc32 of preceding bytes past them.
+    ``part_size``.
     """
     block = random.Random(f"payload:{seed}").randbytes(_SYNTH_BLOCK)
-    window = memoryview(block * (1 + -(-min(part_size, total) // _SYNTH_BLOCK)))
+    window = memoryview(block * (1 + -(-min(part_size, length) // _SYNTH_BLOCK)))
     parts, crc = [], 0
-    start = _SYNTH_TAG.size
-    while start < total:
-        stop = min((start // part_size + 1) * part_size, total)
+    start = 0
+    while start < length:
+        stop = min(start + part_size, length)
         phase = start % _SYNTH_BLOCK
         parts.append(window[phase:phase + stop - start])
         crc = zlib.crc32(parts[-1], crc)
         start = stop
-    return tuple(parts), crc, x2nmodp(max(total - _SYNTH_TAG.size, 0), 3)
-
-
-# crc32 arithmetic over GF(2), after zlib's crc32.c (Mark Adler). A crc32
-# is a polynomial modulo P in reflected bit order: bit 31 is x^0. Then
-# crc32(a + b) == multmodp(x2nmodp(len(b), 3), crc32(a)) ^ crc32(b).
-_CRC32_POLY = 0xEDB88320
-
-
-def multmodp(a: int, b: int) -> int:
-    """The product ``a * b`` modulo P."""
-    p = 0
-    for bit in range(31, -1, -1):     # x^0 .. x^31 of a
-        if a >> bit & 1:
-            p ^= b
-        b = (b >> 1) ^ _CRC32_POLY if b & 1 else b >> 1     # b * x
-    return p
-
-
-def x2nmodp(n: int, k: int) -> int:
-    """``x ** (n * 2 ** k)`` modulo P; a shift past ``n`` bytes is ``k == 3``."""
-    p = 1 << 31                       # x^0
-    square = 1 << 30                  # x^1, squared up to x^(2^k)
-    for _ in range(k):
-        square = multmodp(square, square)
-    while n:
-        if n & 1:
-            p = multmodp(square, p)
-        n >>= 1
-        square = multmodp(square, square)
-    return p
+    return tuple(parts), crc
 
 
 def segment_frame(frame: VolumetricFrame, segment_payload_size: int) -> list:

@@ -61,13 +61,13 @@ def test_data_datagram_bytes_are_pinned():
 
 
 def test_each_datagram_is_sent_as_a_header_and_a_view_of_its_burst():
-    # two 47-packet segments; the second lies inside the synthetic body, so
+    # two 47-packet segments; the first lies inside the synthetic body, so
     # its payload is a view of the body the frame was built from
     sender = SenderEndpoint(1, 10**9, NodeClock("sender", "master"))
     frame = make_synthetic_frame(1, 130_000, 0, 0, seed=1)
     bursts = sender.send_frame(frame, 0)
     assert [b.count for b in bursts] == [47, 47]
-    assert bursts[1].payload.obj is frame.parts[1].obj
+    assert bursts[0].payload.obj is frame.parts[0].obj
     sock = _Recorder()
     with SocketDriver(HostClock()) as driver:
         hop = Hop(sender, (sock, PEER), (sock, PEER), None, driver)
