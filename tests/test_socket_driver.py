@@ -57,7 +57,7 @@ def test_data_datagram_bytes_are_pinned():
     datagrams = _datagrams(2 * 4_900 + 1_000, 4_900, 1_400)
     assert [len(d) for d in datagrams] == [1_432] * 3 + [732] + [1_432] * 3 + [732, 1_032]
     assert hashlib.sha256(b"".join(datagrams)).hexdigest() == \
-        "b216fc8246c7c8edd36239de6a263cd8768bab2881bc005e2abf9932e3a4a1c6"
+        "7be8735eb33f1628ae3e9c461dc8d10a7e3158259520798f1f21ecf58b148dac"
 
 
 def test_each_datagram_is_sent_as_a_header_and_a_view_of_its_burst():
