@@ -18,9 +18,9 @@ Data bursts arrive as pacer progressions and leave as delivered runs
 queues, so a run's first and last arrivals can only come from the few
 packets emitted near its ends; only those draw switching jitter, and the
 switch stream is advanced past the rest in one call. Everything else
-(control packets, queued or one-packet bursts, very lossy links, reorder,
-tracing) goes packet by packet through ``Link.traverse``, and both paths
-consume every seeded stream identically.
+(control packets, bursts that could queue, reorder, tracing) goes packet by
+packet through ``Link.traverse``, and both paths consume every seeded
+stream identically.
 
 The isolated-packet probe (``run_probe_experiment``) sends its packets
 through ``Link.traverse`` as well and reads every stage from the trace
@@ -182,11 +182,10 @@ class Link:
         first or last emission can hold the run's earliest or latest
         arrival; jitter is drawn for a fixed window of packets at each end,
         which holds all of those, and skipped past for the rest.
-        Bursts that can queue, links with reorder or a trace, one-packet
-        bursts and links so lossy that most packets would need draws go
-        through ``traverse`` instead.
+        Bursts that can queue and links with reorder or a trace go through
+        ``traverse`` instead.
         """
-        if burst.count > 1 and self._trace is None and self._reorder_random is None:
+        if self._trace is None and self._reorder_random is None:
             runs = self._carry_unqueued(burst)
             if runs is not None:
                 return runs
@@ -211,8 +210,7 @@ class Link:
                 self._fixed_ns + ser_last, ser_last)
 
     def _carry_unqueued(self, burst):
-        """``carry``'s run path; None when the burst could queue or the link
-        is so lossy that most packets would need their jitter drawn."""
+        """``carry``'s run path; None when the burst could queue."""
         n = burst.count
         rate = burst.rate_bps
         key = (rate, burst.step_bits, burst.full_wire, burst.last_wire)
@@ -222,16 +220,13 @@ class Link:
         if plan is None:
             return None
         window, k_full, k_last, ser_last = plan
-        loss_random = self._loss_random
-        # Each run draws for at most two windows of packets.
-        expected_runs = 1 + n * self.model.loss_rate if loss_random is not None else 1
-        if burst.first_ns + self._tx_ns < self._busy_until or 2 * window * expected_runs >= n:
+        if burst.first_ns + self._tx_ns < self._busy_until:
             return None
 
         base = burst.base_ns
         bits = burst.bits0 * NS_PER_S
         step = burst.step_bits * NS_PER_S
-        lost = self._losses(n) if loss_random is not None else []
+        lost = self._losses(n) if self._loss_random is not None else []
         span = self._span
         switch = self._switch_rng
         jitter = self._jitter

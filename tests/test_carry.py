@@ -82,7 +82,7 @@ _plan = st.tuples(st.integers(1, 20_000), st.integers(0, 3_000_000),
     hops=st.integers(0, 3),
     hop_min=st.integers(0, 10_000),
     span=st.one_of(st.just(0), st.integers(1, 20_000)),
-    loss=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    loss=st.one_of(st.sampled_from([0.0, 0.9, 1.0]), st.floats(0.0, 0.5)),
     pacing_bps=st.integers(10**7, 5 * 10**9),
     bandwidth_bps=st.integers(10**8, 10**10),
     busy=st.one_of(st.just(0), st.integers(1, 2_000_000)),
@@ -165,20 +165,17 @@ def test_paced_burst_skips_the_per_packet_path(monkeypatch):
     assert sum(end - first for first, end, *_ in runs) == link.delivered
 
 
-def test_one_packet_and_very_lossy_bursts_go_packet_by_packet(monkeypatch):
-    calls = []
-    traverse = Link.traverse
+def test_one_packet_and_very_lossy_bursts_skip_the_per_packet_path(monkeypatch):
+    def per_packet(*args, **kwargs):
+        raise AssertionError("a burst that cannot queue must not go packet by packet")
 
-    def counted(self, *args, **kwargs):
-        calls.append(len(args[0]))
-        return traverse(self, *args, **kwargs)
-
-    monkeypatch.setattr(Link, "traverse", counted)
+    monkeypatch.setattr(Link, "traverse", per_packet)
     link, sender = _paced_setup()
     link.carry(sender._plan_burst(0, 1, 1, 1, 1, 1, bytes(200), 0))
     lossy, sender = _paced_setup(loss=0.5)
     lossy.carry(sender._plan_burst(0, 1, 1, 254, 1, 254, bytes(65_000), 0))
-    assert calls == [1, 254]
+    assert (link.sent, lossy.sent) == (1, 254)
+    assert lossy.lost > 0 and lossy.delivered + lossy.lost == 254
 
 
 @settings(max_examples=50, deadline=None)
