@@ -339,7 +339,11 @@ def parse_config_text(text: str, base: ScenarioConfig | None = None
             diags.append(Diagnostic(f"line {lineno}", stripped, "expected key=value"))
             continue
         key, _, value = stripped.partition("=")
-        overrides[key.strip()] = value.strip()
+        key, value = key.strip(), value.strip()
+        if "#" in value:
+            diags.append(Diagnostic(key, value, "a # comment takes a whole line"))
+            continue
+        overrides[key] = value
     diags.extend(apply_overrides(cfg, overrides))
     return cfg, diags
 

@@ -146,6 +146,15 @@ def test_retain_payloads_is_an_unknown_key(tmp_path, capsys):
     assert "retain_payloads" in capsys.readouterr().err
 
 
+def test_inline_comment_exits_2(tmp_path, capsys):
+    # the comment would otherwise become part of the trace file's name
+    path = tmp_path / "comment.cfg"
+    path.write_text("trace.file=t.csv   # per-packet trace\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "trace.file" in err and "whole line" in err
+
+
 @pytest.mark.parametrize("key", [
     "hop1.propagation_us_per_km", "hop2.propagation_us_per_km", "node.sender.load_factor",
     "node.relay.load_factor", "node.receiver.load_factor", "clock.sync_enabled"])

@@ -132,6 +132,18 @@ def test_parse_comments_and_bad_lines():
     assert len(diags) == 1 and "key=value" in diags[0].constraint
 
 
+@pytest.mark.parametrize("line,key", [
+    ("trace.file=t.csv   # per-packet trace", "trace.file"),
+    ("socket.relay_host=127.0.0.1 # loopback", "socket.relay_host"),
+    ("seed=5 # fixed", "seed"),
+])
+def test_inline_comment_is_a_diagnostic(line, key):
+    # a string value would otherwise keep the comment as part of itself
+    cfg, diags = parse_config_text(line + "\n")
+    assert [(d.key, "whole line" in d.constraint) for d in diags] == [(key, True)]
+    assert render_config(cfg) == render_config(ScenarioConfig())
+
+
 def test_readme_configuration_example_loads():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("A taste:\n\n```\n", 1)[1].split("```", 1)[0]
