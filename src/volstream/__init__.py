@@ -6,7 +6,7 @@ mode, a real UDP socket mode, per-node offset clocks, and layered latency
 metrics written as CSV reports.
 """
 
-from .frames import VolumetricFrame, make_synthetic_frame, required_bandwidth_bps, segment_frame
+from .frames import VolumetricFrame, make_synthetic_frame, required_bandwidth_bps
 from .wire import (ControlPacket, PacketType, data_header, decode_packet, encode_packet,
                    parse_header)
 from .clock import NodeClock, SyncPath, estimate_offset, one_way_delay

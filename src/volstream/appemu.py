@@ -2,8 +2,10 @@
 
 Real capture hardware and mesh rendering are out of scope; both ends are
 modeled as configurable processing-time distributions around the frame
-cadence. The capture side emits synthetic frames on an exact fps grid; the
-render side turns a completed frame into a display instant. Instants are
+cadence. The capture side emits synthetic frames on an exact fps grid,
+each already cut into the segments the transport sends (``segment_size``,
+the scenario's ``segment_payload_size``); the render side turns a
+completed frame into a display instant. Instants are
 in the time of the node's driver (true time in the sim, the host clock in
 socket mode); ``metrics.assemble_record`` reads them through the node's
 clock.
@@ -39,7 +41,7 @@ class CaptureProfile:
     color_bytes: int = 1_400_000
     depth_bytes: int = 1_920_000
     audio_bytes: int = 200_000
-    part_size: int | None = None     # the sender's segment size: body views align to it
+    segment_size: int = 65_000       # the frame is cut into segments of this size
 
     @property
     def interval_ns(self) -> int:
@@ -82,7 +84,7 @@ def capture_tick(
     """
     app_tx = profile.app_tx.sample(rng)
     frame = make_synthetic_frame(frame_id, profile.color_bytes, profile.depth_bytes,
-                                 profile.audio_bytes, seed, profile.part_size)
+                                 profile.audio_bytes, seed, profile.segment_size)
     record = AppTxRecord(
         frame_id=frame_id,
         capture_start_ns=tick_ns,

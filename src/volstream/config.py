@@ -175,7 +175,7 @@ class ScenarioConfig:
             fps=c.fps,
             app_tx=DurationDist(_ms(c.app_tx_ms), _ms(c.app_tx_jitter_ms)),
             color_bytes=c.color_bytes, depth_bytes=c.depth_bytes,
-            audio_bytes=c.audio_bytes, part_size=self.segment_payload_size,
+            audio_bytes=c.audio_bytes, segment_size=self.segment_payload_size,
         )
 
     def render_profile(self) -> RenderProfile:
@@ -219,7 +219,6 @@ class ScenarioConfig:
         t = self.transport
         return SenderEndpoint(
             self.stream_id, rate_bps, clock,
-            segment_payload_size=self.segment_payload_size,
             packet_payload_size=t.packet_payload_size,
             overhead_bits_per_packet=t.overhead_bits_per_packet,
             retention_frames=t.retention_frames,
@@ -290,7 +289,13 @@ def _parse_scalar(text: str, default):
             return False
         raise ValueError(f"not a boolean: {text!r}")
     if isinstance(default, int):
-        return int(float(text)) if any(c in text for c in ".eE") else int(text, 0)
+        try:
+            return int(text, 0)
+        except ValueError:
+            value = float(text)       # 2e9, 5.0; a fraction is not truncated
+        if not value.is_integer():
+            raise ValueError(f"not an integer: {text!r}")
+        return int(value)
     if isinstance(default, float):
         return float(text)
     if isinstance(default, list):
@@ -408,8 +413,10 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
     key, duration = (("sweep.duration_s", cfg.sweep.duration_s) if cfg.experiment == "sweep"
                      else ("duration_s", cfg.duration_s))
     if cfg.experiment != "probe" and duration > 0 and c.fps > 0:
-        check(cfg.frame_count(duration) >= 1, key, duration,
-              "must hold at least one frame at capture.fps")
+        frames = cfg.frame_count(duration)
+        check(frames >= 1, key, duration, "must hold at least one frame at capture.fps")
+        check(frames <= 0xFFFFFFFF, key, duration,
+              "must hold at most 4294967295 frames at capture.fps: frame_id is u32")
     check(c.app_tx_ms >= 0, "capture.app_tx_ms", c.app_tx_ms, "must be >= 0")
     check(0 <= c.app_tx_jitter_ms <= c.app_tx_ms, "capture.app_tx_jitter_ms",
           c.app_tx_jitter_ms, "must be in [0, app_tx_ms]")
@@ -521,4 +528,13 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
     if cfg.mode == "socket":    # receiver r binds socket.base_port + 10 + r
         check(cfg.socket.base_port + 10 + cfg.receivers - 1 <= 65_535, "receivers",
               cfg.receivers, "socket mode needs socket.base_port + 10 + receivers - 1 <= 65535")
+
+    # config.txt holds each value as one key=value line that a run reloads
+    for key, obj, name in flat_items(cfg):
+        value = getattr(obj, name)
+        if isinstance(value, str):
+            check("#" not in value and len(value.splitlines()) <= 1
+                  and value == value.strip(), key, repr(value),
+                  "must hold no # and no line break, and start and end with no "
+                  "whitespace: config.txt could not hold it")
     return d

@@ -5,10 +5,6 @@ class VolstreamError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidFrameError(VolstreamError):
-    """A volumetric frame violates a structural constraint."""
-
-
 class ConfigError(VolstreamError):
     """A configuration value is outside its allowed range."""
 

@@ -6,7 +6,8 @@ threads or owns sockets. ``pipeline.Hop`` is the one caller of its event
 methods, in the simulation and in socket mode alike, over either mode's
 driver.
 
-Sender side: frames are segmented, packetized, and emitted through a rate
+Sender side: a frame arrives as its segments, cut by the application
+layer (``frames``); each segment is packetized and emitted through a rate
 pacer. Every segment, of a whole frame or forwarded by the relay, is
 planned by ``send_segment``, the one writer of the per-frame send log.
 Each segment's packets form one ``SegmentBurst`` that carries the
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 
 from .clock import NodeClock
 from .errors import TransportError
-from .frames import VolumetricFrame, segment_frame
+from .frames import VolumetricFrame
 from .wire import (FLAG_FINAL_SEGMENT, HEADER_SIZE, MAX_NACK_RANGES, ControlPacket, PacketType,
                    data_header)
 from .pacing import NS_PER_S, RatePacer
@@ -180,7 +181,6 @@ class SenderEndpoint:
         stream_id: int,
         pacing_rate_bps: int,
         clock: NodeClock,
-        segment_payload_size: int = 65_000,
         packet_payload_size: int = 1_400,
         overhead_bits_per_packet: int = 0,
         retention_frames: int = 8,
@@ -189,7 +189,6 @@ class SenderEndpoint:
         self.stream_id = stream_id
         self.clock = clock
         self.pacer = RatePacer(pacing_rate_bps)
-        self.segment_payload_size = segment_payload_size
         self.packet_payload_size = packet_payload_size
         self.overhead_bits = overhead_bits_per_packet
         self.retention_frames = retention_frames
@@ -224,7 +223,8 @@ class SenderEndpoint:
     def send_frame(self, frame: VolumetricFrame, now_ns: int) -> list[SegmentBurst]:
         """Plan the paced emission of every packet of ``frame``, in order.
 
-        Returns one burst per segment, each planned by ``send_segment``, so
+        Returns one burst per segment of the frame, each planned by
+        ``send_segment`` over that segment's buffer as it is, so
         packets are emitted in (segment_index, packet_seq) order and the send
         log records the span from the first emission start to the last
         pacer-serialization end. This method adds only the frame-id check and
@@ -237,10 +237,9 @@ class SenderEndpoint:
             )
         self._last_frame_id = frame.frame_id
 
-        segments = segment_frame(frame, self.segment_payload_size)
-        last = len(segments)
+        last = len(frame.segments)
         bursts = [self.send_segment(frame.frame_id, k, payload, now_ns, is_final=k == last)
-                  for k, payload in enumerate(segments, 1)]
+                  for k, payload in enumerate(frame.segments, 1)]
         if self.compute_crc:
             self.send_log[frame.frame_id].payload_checksum = frame.crc32
         return bursts

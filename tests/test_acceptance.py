@@ -174,7 +174,7 @@ def test_criterion_6_reliability_under_loss():
             assert summary.frames_completed == 300, (loss, seed)
             assert len(payloads) == 300
             for fid, payload in payloads.items():
-                expect = make_synthetic_frame(fid, 12_000, 6_000, 2_000, seed).payload
+                expect = b"".join(make_synthetic_frame(fid, 12_000, 6_000, 2_000, seed).segments)
                 assert payload == expect, (loss, seed, fid)
             spans.extend(r.frame_rx_ns for r in result.primary.records)
         mean_frame_rx[loss] = sum(spans) / len(spans)

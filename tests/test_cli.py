@@ -155,6 +155,15 @@ def test_inline_comment_exits_2(tmp_path, capsys):
     assert "trace.file" in err and "whole line" in err
 
 
+def test_out_dir_config_txt_cannot_hold_exits_2(tmp_path, monkeypatch, capsys):
+    # config.txt would reload the # as a diagnostic, and a socket run's roles
+    # load config.txt: the run is refused before it writes anything
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--scenario", "paper-default", "--out", "x#1", "--quiet"]) == EXIT_CONFIG
+    assert "out_dir" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("key", [
     "hop1.propagation_us_per_km", "hop2.propagation_us_per_km", "node.sender.load_factor",
     "node.relay.load_factor", "node.receiver.load_factor", "clock.sync_enabled"])

@@ -3,8 +3,8 @@ from pathlib import Path
 import pytest
 
 from volstream.clock import NodeClock
-from volstream.config import (ScenarioConfig, apply_overrides, env_overrides,
-                              flat_keys, load_config_file, parse_config_text,
+from volstream.config import (ScenarioConfig, TraceCfg, apply_overrides, env_overrides,
+                              flat_items, flat_keys, load_config_file, parse_config_text,
                               render_config, validate)
 from volstream.errors import ConfigError
 from volstream.scenarios import CANNED, scenario_config, scenario_names
@@ -94,6 +94,10 @@ def test_counts_past_the_u16_header_fields_are_invalid():
     ({"clock.sync_req_us": "-1"}, "clock.sync_req_us"),
     ({"clock.sync_resp_us": "-1"}, "clock.sync_req_us"),
     ({"clock.sync_loss_rate": "2"}, "clock.sync_loss_rate"),
+    ({"capture.color_bytes": "-1"}, "capture.color_bytes"),
+    ({"capture.color_bytes": "0", "capture.depth_bytes": "0", "capture.audio_bytes": "0"},
+     "capture.color_bytes"),
+    ({"duration_s": "2e8"}, "duration_s"),      # 6e9 frames: frame_id is u32
 ])
 def test_each_scenario_range_rule_names_its_key(overrides, key):
     # validate is the one rule set: the runtime objects a run builds from a
@@ -160,6 +164,53 @@ def test_scientific_notation_for_int_keys():
     assert cfg.hop1.pacing_bps == [1_500_000_000]
 
 
+def test_int_keys_parse_hex_and_whole_floats():
+    cfg, diags = parse_config_text("socket.base_port=0xBEE\nseed=0x10\nreceivers=2.0\n")
+    assert diags == []
+    assert (cfg.socket.base_port, cfg.seed, cfg.receivers) == (0xBEE, 16, 2)
+
+
+@pytest.mark.parametrize("line", [
+    "transport.max_nack_rounds=0.5",     # would turn NACK recovery off
+    "receivers=1.9",
+    "hop2.pacing_bps=1e9,2.5",
+])
+def test_a_fraction_for_an_int_key_is_a_diagnostic(line):
+    # truncating it would run a different scenario than the file names
+    cfg, diags = parse_config_text(line + "\n")
+    assert [d.key for d in diags] == [line.partition("=")[0]]
+    assert render_config(cfg) == render_config(ScenarioConfig())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("out_dir", "runs/#3"),
+    ("out_dir", "a\nb"),
+    ("out_dir", " out"),
+    ("trace.file", "trace.csv\r"),
+    ("socket.relay_host", "127.0.0.1 "),
+])
+def test_a_string_config_txt_cannot_hold_is_invalid(key, value):
+    # a run writes its config as config.txt, and a socket run's roles load
+    # that file back: a value it would not reload as itself is a diagnostic
+    def field(cfg):
+        [(obj, name)] = [(obj, name) for k, obj, name in flat_items(cfg) if k == key]
+        return obj, name
+
+    cfg = ScenarioConfig()
+    setattr(*field(cfg), value)
+    assert [d.key for d in validate(cfg)] == [key]
+    reloaded, diags = parse_config_text(render_config(cfg))
+    assert diags or getattr(*field(reloaded)) != value
+
+
+def test_a_string_config_txt_holds_is_valid():
+    cfg = ScenarioConfig(out_dir="runs/a b", trace=TraceCfg(file="t 1.csv"))
+    assert validate(cfg) == []
+    reloaded, diags = parse_config_text(render_config(cfg))
+    assert diags == []
+    assert (reloaded.out_dir, reloaded.trace.file) == ("runs/a b", "t 1.csv")
+
+
 def test_env_override_mapping():
     environ = {"VOLSTREAM_HOP1_LOSS_RATE": "0.125", "VOLSTREAM_SEED": "77",
                "VOLSTREAM_NODE_RELAY_RX_SW_US": "40",
@@ -222,8 +273,9 @@ def test_endpoint_factory_takes_transport_settings():
     clock = NodeClock("n")
     s = cfg.sender_endpoint(1_500_000_000, clock)
     assert (s.stream_id, s.pacer.rate_bps, s.clock) == (7, 1_500_000_000, clock)
-    assert (s.segment_payload_size, s.packet_payload_size, s.overhead_bits,
-            s.retention_frames) == (8_000, 256, 428, 3)
+    assert (s.packet_payload_size, s.overhead_bits, s.retention_frames) == (256, 428, 3)
+    # the application layer cuts a frame into segments; the sender sends them
+    assert cfg.capture_profile().segment_size == cfg.segment_payload_size
     for ep in (cfg.receiver_endpoint(), cfg.receiver_endpoint(relay=True)):
         assert ep.stream_id == 7
         assert (ep.nack_delay_ns, ep.tail_timeout_ns, ep.max_nack_rounds,

@@ -1,4 +1,3 @@
-import itertools
 import random
 import struct
 import zlib
@@ -8,79 +7,61 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from volstream.clock import NodeClock
-from volstream.errors import CodecError, ConfigError, InvalidFrameError
+from volstream.errors import CodecError, ConfigError
 from volstream.frames import (VolumetricFrame, _synthetic_body, make_synthetic_frame,
-                              required_bandwidth_bps, segment_frame)
+                              required_bandwidth_bps)
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
 from volstream.wire import data_header, parse_header
 
 from conftest import collect_frames, traced_peak_bytes
 
-# Part sizes below, at and above the 24 B tag and the 65,536 B block; None
-# is one part for the whole body.
-PART_SIZES = [1, 23, 24, 25, 1_000, 65_000, 65_536, 70_000, None]
+# Segment sizes below, at and above the 24 B tag and the 65,536 B block;
+# 4,000,000 B holds every frame here in one segment.
+SEGMENT_SIZES = [1, 23, 24, 25, 1_000, 65_000, 65_536, 70_000, 4_000_000]
 
 
 def test_synthetic_frame_reference_section_sizes():
     # 1.4 MB color + 2.1 MB depth + 200 KB audio, decimal units
     frame = make_synthetic_frame(1, 1_400_000, 2_100_000, 200_000, seed=7)
-    assert frame.size == 3_700_000
-    assert len(frame.payload) == 3_700_000
-
-
-def test_synthetic_frame_rejects_all_empty_sections():
-    with pytest.raises(InvalidFrameError):
-        make_synthetic_frame(7, 0, 0, 0, seed=1)
+    assert sum(len(seg) for seg in frame.segments) == 3_700_000
+    assert len(b"".join(frame.segments)) == 3_700_000
 
 
 def test_synthetic_frame_section_sum():
     frame = make_synthetic_frame(2, 100, 200, 300, seed=1)
-    assert frame.size == 600
+    assert sum(len(seg) for seg in frame.segments) == 600
 
 
 def test_synthetic_frame_is_pure():
     a = make_synthetic_frame(5, 1000, 2000, 300, seed=42)
     b = make_synthetic_frame(5, 1000, 2000, 300, seed=42)
-    assert a.payload == b.payload
+    assert b"".join(a.segments) == b"".join(b.segments)
     c = make_synthetic_frame(6, 1000, 2000, 300, seed=42)
-    assert c.payload != a.payload
+    assert b"".join(c.segments) != b"".join(a.segments)
     d = make_synthetic_frame(5, 1000, 2000, 300, seed=43)
-    assert d.payload != a.payload
-
-
-def test_frame_invariants():
-    with pytest.raises(InvalidFrameError):
-        VolumetricFrame(1, 10, 0, 0, payload=b"x" * 9)
-    with pytest.raises(InvalidFrameError):
-        VolumetricFrame(1, -1, 2, 0, payload=b"x")
+    assert b"".join(d.segments) != b"".join(a.segments)
 
 
 def test_segment_counts_for_reference_frame_size():
-    frame = make_synthetic_frame(1, 3_520_000, 0, 0, seed=1)
-    segs = segment_frame(frame, 65_000)
+    segs = make_synthetic_frame(1, 3_520_000, 0, 0, seed=1, segment_size=65_000).segments
     assert len(segs) == 55                       # ceil(3_520_000 / 65_000)
     assert len(segs[-1]) == 10_000
     assert all(len(s) == 65_000 for s in segs[:-1])
 
 
 def test_segment_exact_fit_and_remainder():
-    frame = make_synthetic_frame(1, 65_000, 0, 0, seed=1)
-    assert len(segment_frame(frame, 65_000)) == 1
-    frame = make_synthetic_frame(1, 65_001, 0, 0, seed=1)
-    segs = segment_frame(frame, 65_000)
+    assert len(make_synthetic_frame(1, 65_000, 0, 0, seed=1, segment_size=65_000).segments) == 1
+    segs = make_synthetic_frame(1, 65_001, 0, 0, seed=1, segment_size=65_000).segments
     assert len(segs) == 2 and len(segs[1]) == 1
 
 
 def test_paper_frame_body_is_segment_aligned_views_of_one_window():
-    frame = make_synthetic_frame(1, 3_520_000, 0, 0, seed=1, part_size=65_000)
-    *body, tag = frame.parts
-    window = body[0].obj
-    assert len(tag) == 24 and len(window) <= 131_072
-    assert all(isinstance(part, memoryview) and part.obj is window for part in body)
-    segs = segment_frame(frame, 65_000)
-    assert len(segs) == len(body) == 55
-    for seg, part in zip(segs[:-1], body[:-1], strict=True):
-        assert isinstance(seg, memoryview) and seg.obj is window and seg == part
+    segs = make_synthetic_frame(1, 3_520_000, 0, 0, seed=1, segment_size=65_000).segments
+    assert len(segs) == 55
+    window = segs[0].obj
+    assert len(window) <= 131_072
+    for seg in segs[:-1]:
+        assert isinstance(seg, memoryview) and seg.obj is window and len(seg) == 65_000
     # the last segment spans the tag and is the frame's one join
     assert isinstance(segs[-1], bytes) and len(segs[-1]) == 10_000
 
@@ -90,15 +71,19 @@ def test_paper_frame_is_built_in_a_fraction_of_its_size():
     # frame-sized copy of the body would exceed the bound seven times over
     _synthetic_body.cache_clear()
     peak = traced_peak_bytes(
-        lambda: make_synthetic_frame(1, 3_520_000, 0, 0, seed=1, part_size=65_000))
+        lambda: make_synthetic_frame(1, 3_520_000, 0, 0, seed=1, segment_size=65_000))
     assert peak <= 500_000
+
+
+def _cut(payload: bytes, size: int) -> list:
+    """``payload`` cut into views of ``size`` bytes, the last one shorter."""
+    return [memoryview(payload)[i:i + size] for i in range(0, len(payload), size)]
 
 
 def _bursts(payload: bytes, packet_payload_size: int):
     # the production packetizer: one-segment frames sent by a SenderEndpoint
-    sender = SenderEndpoint(1, 10**9, NodeClock("s"), segment_payload_size=65_000,
-                            packet_payload_size=packet_payload_size)
-    return sender.send_frame(VolumetricFrame(1, len(payload), 0, 0, payload=payload), 0)
+    sender = SenderEndpoint(1, 10**9, NodeClock("s"), packet_payload_size=packet_payload_size)
+    return sender.send_frame(VolumetricFrame(1, _cut(payload, 65_000)), 0)
 
 
 def test_packetize_counts():
@@ -133,9 +118,8 @@ def test_reassembly_identity(data):
     pkt_size = data.draw(st.integers(min_value=1, max_value=9_000), label="pkt_size")
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32), label="seed"))
     payload = rng.randbytes(length)
-    frame = VolumetricFrame(1, length, 0, 0, payload=payload)
-    sender = SenderEndpoint(1, 10**9, NodeClock("s"), segment_payload_size=seg_size,
-                            packet_payload_size=pkt_size)
+    frame = VolumetricFrame(1, _cut(payload, seg_size))
+    sender = SenderEndpoint(1, 10**9, NodeClock("s"), packet_payload_size=pkt_size)
     receiver = ReceiverEndpoint(1, deadline_ns=0)
     frames = collect_frames(receiver)
     bursts = sender.send_frame(frame, 0)
@@ -178,11 +162,12 @@ def test_synthetic_frame_matches_tiled_reference(sections, seed):
     total = sum(sections)
     for frame_id in (1, 2):
         expect = _tiled_reference(frame_id, *sections, seed)
-        for part_size in PART_SIZES:
-            if total > (part_size or total) * MAX_SEGMENTS:
+        for size in SEGMENT_SIZES:
+            if total > size * MAX_SEGMENTS:
                 continue
-            frame = make_synthetic_frame(frame_id, *sections, seed=seed, part_size=part_size)
-            assert frame.payload == expect, part_size
+            segs = make_synthetic_frame(frame_id, *sections, seed=seed, segment_size=size).segments
+            assert b"".join(segs) == expect, size
+            assert all(len(seg) == size for seg in segs[:-1]), size
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,50 +176,32 @@ def test_synthetic_frame_matches_tiled_reference(sections, seed):
        frame_id=st.integers(min_value=0, max_value=0xFFFFFFFF))
 def test_synthetic_frame_crc_is_crc_of_payload(data, seed, frame_id):
     # totals under 24 B truncate the tag and leave the body empty
-    part_size = data.draw(st.sampled_from(PART_SIZES), label="part_size")
-    most = min(4 * 65_536 + 100, (part_size or 4 * 65_536) * MAX_SEGMENTS)
+    size = data.draw(st.sampled_from(SEGMENT_SIZES), label="segment_size")
+    most = min(4 * 65_536 + 100, size * MAX_SEGMENTS)
     total = data.draw(st.one_of(
         st.integers(min_value=1, max_value=most),
         st.sampled_from([t for t in (1, 23, 24, 25, 65_536, 2 * 65_536, 4 * 65_536)
                          if t <= most])), label="total")
     color = total // 3
     frame = make_synthetic_frame(frame_id, color, total - color, 0, seed=seed,
-                                 part_size=part_size)
-    assert frame.crc32 == zlib.crc32(frame.payload)
+                                 segment_size=size)
+    assert frame.crc32 == zlib.crc32(b"".join(frame.segments))
 
 
 @pytest.mark.parametrize("seg_size", [1, 7, 23, 24, 25, 1_000, 65_000])
-@pytest.mark.parametrize("total", [10, 24, 70_000])
+@pytest.mark.parametrize("total", [10, 24, 70_000, 65_010])
 def test_segments_concatenate_to_payload(seg_size, total):
-    # segments below, at and above the 24 B tag: views inside a part, joins across
-    frame = make_synthetic_frame(3, total, 0, 0, seed=5)
-    segs = segment_frame(frame, seg_size)
+    # segments below, at and above the 24 B tag: body views, and a tail the
+    # tag may span (65,010 B in 65,000 B segments: the tag's last 10 B are
+    # segment 2)
+    segs = make_synthetic_frame(3, total, 0, 0, seed=5, segment_size=seg_size).segments
     assert len(segs) == -(-total // seg_size)
-    assert b"".join(segs) == frame.payload
-
-
-@settings(max_examples=200, deadline=None)
-@given(parts=st.lists(st.binary(max_size=300), min_size=1, max_size=8).filter(any),
-       size=st.integers(min_value=1, max_value=700))
-def test_segment_frame_cuts_any_parts(parts, size):
-    payload = b"".join(parts)
-    segs = segment_frame(VolumetricFrame(1, len(payload), 0, 0, payload=tuple(parts)), size)
-    assert b"".join(segs) == payload
-    assert len(segs) == -(-len(payload) // size)
-    bounds = list(itertools.accumulate(map(len, parts), initial=0))
-    for k, seg in enumerate(segs):
-        lo, hi = k * size, min((k + 1) * size, len(payload))
-        inside = [part for part, start, stop in zip(parts, bounds, bounds[1:])
-                  if start <= lo and hi <= stop]
-        if inside:                    # a view of the part it lies in, not a join
-            assert isinstance(seg, memoryview) and seg.obj is inside[0]
-        else:
-            assert isinstance(seg, bytes)
+    assert b"".join(segs) == _tiled_reference(3, total, 0, 0, 5)
 
 
 def test_segment_and_packet_index_bounds():
-    # segment_frame yields segments 1..count, each nonempty, as entries 0..count-1
-    segs = segment_frame(make_synthetic_frame(1, 10_000, 0, 0, seed=1), 4_000)
+    # a frame holds segments 1..count, each nonempty, as entries 0..count-1
+    segs = make_synthetic_frame(1, 10_000, 0, 0, seed=1, segment_size=4_000).segments
     assert [len(s) for s in segs] == [4_000, 4_000, 2_000]
     # a data datagram outside those bounds is rejected where it is received
     for seg, seq, n, field in ((1, 0, 2, "packet_seq"), (1, 3, 2, "packet_seq"),

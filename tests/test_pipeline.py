@@ -57,8 +57,8 @@ def test_loss_recovery_end_to_end_byte_identity(small_cfg):
     summary = result.primary.summary
     assert summary.frames_completed == summary.frames_sent
     for fid, payload in payloads.items():
-        assert payload == make_synthetic_frame(fid, 12_000, 6_000, 2_000,
-                                               cfg.seed).payload
+        assert payload == b"".join(make_synthetic_frame(fid, 12_000, 6_000, 2_000,
+                                                        cfg.seed).segments)
     assert summary.packet_counts["hop1_lost"] > 0
     assert summary.packet_counts["hop2_lost"] > 0
 
@@ -241,8 +241,8 @@ def test_reordering_does_not_break_reassembly(small_cfg):
     assert summary.frames_completed == summary.frames_sent
     assert sim.h1f.reordered + sim.h2f[0].reordered > 0
     for fid, payload in payloads.items():
-        assert payload == make_synthetic_frame(fid, 12_000, 6_000, 2_000,
-                                               cfg.seed).payload
+        assert payload == b"".join(make_synthetic_frame(fid, 12_000, 6_000, 2_000,
+                                                        cfg.seed).segments)
 
 
 def test_lost_nacks_on_reverse_path_still_recover(small_cfg):

@@ -34,8 +34,7 @@ US = 1_000
 class ReceiverMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.sender = SenderEndpoint(1, 10**9, NodeClock("s", "master"),
-                                     segment_payload_size=SEGMENT, packet_payload_size=PPS)
+        self.sender = SenderEndpoint(1, 10**9, NodeClock("s", "master"), packet_payload_size=PPS)
         self.receiver = ReceiverEndpoint(1, nack_delay_ns=200 * US, tail_timeout_ns=500 * US,
                                          max_nack_rounds=ROUNDS, deadline_ns=5_000 * US,
                                          on_frame=self._on_frame)
@@ -48,13 +47,13 @@ class ReceiverMachine(RuleBasedStateMachine):
 
     def _on_frame(self, frame_id, segments, log):
         self.upward[frame_id] = self.upward.get(frame_id, 0) + 1
-        assert b"".join(segments) == self.frames[frame_id].payload
+        assert b"".join(segments) == b"".join(self.frames[frame_id].segments)
 
     @precondition(lambda self: len(self.frames) < 3)
     @rule(size=st.integers(1, 2_000))
     def send_frame(self, size):
         frame_id = len(self.frames) + 1
-        frame = make_synthetic_frame(frame_id, size, 0, 0, seed=frame_id)
+        frame = make_synthetic_frame(frame_id, size, 0, 0, seed=frame_id, segment_size=SEGMENT)
         self.frames[frame_id] = frame
         self.segments[frame_id] = {
             b.segment_index: ([b.datagram(i, b.stamp(i), 1) for i in range(b.count)], b.flags)

@@ -59,7 +59,7 @@ def test_replication_to_two_receivers_is_byte_identical(small_cfg):
     sim.run()
     assert set(a) == set(b) and a
     for fid in a:
-        expect = make_synthetic_frame(fid, 12_000, 6_000, 2_000, cfg.seed).payload
+        expect = b"".join(make_synthetic_frame(fid, 12_000, 6_000, 2_000, cfg.seed).segments)
         assert a[fid] == expect
         assert b[fid] == expect
     # schedules are independent logs

@@ -45,9 +45,8 @@ def _receiver():
 
 
 def _datagrams(size, seg_size, pps, stream_id=1):
-    sender = SenderEndpoint(1, 10**9, NodeClock("sender", "master"),
-                            segment_payload_size=seg_size, packet_payload_size=pps)
-    frame = make_synthetic_frame(1, size, 0, 0, seed=size)
+    sender = SenderEndpoint(1, 10**9, NodeClock("sender", "master"), packet_payload_size=pps)
+    frame = make_synthetic_frame(1, size, 0, 0, seed=size, segment_size=seg_size)
     return [b"".join(b.datagram(i, b.stamp(i), stream_id))
             for b in sender.send_frame(frame, 0) for i in range(b.count)]
 
@@ -67,7 +66,7 @@ def test_each_datagram_is_sent_as_a_header_and_a_view_of_its_burst():
     frame = make_synthetic_frame(1, 130_000, 0, 0, seed=1)
     bursts = sender.send_frame(frame, 0)
     assert [b.count for b in bursts] == [47, 47]
-    assert bursts[0].payload.obj is frame.parts[0].obj
+    assert bursts[0].payload.obj is frame.segments[0].obj
     sock = _Recorder()
     with SocketDriver(HostClock()) as driver:
         hop = Hop(sender, (sock, PEER), (sock, PEER), None, driver)
@@ -201,8 +200,7 @@ def test_one_hop_over_loopback_recovers_a_withheld_datagram():
         tx.bind(("127.0.0.1", 0))
         rx.bind(("127.0.0.1", 0))
         tx_addr = tx.getsockname()
-        sender = SenderEndpoint(1, 100_000_000, NodeClock("sender", "master"),
-                                segment_payload_size=8_000)
+        sender = SenderEndpoint(1, 100_000_000, NodeClock("sender", "master"))
         receiver = ReceiverEndpoint(1, deadline_ns=0)
         sending = Hop(sender, (tx, rx.getsockname()), (tx, rx.getsockname()), None, driver)
         receiving = Hop(None, (rx, None), (rx, None), receiver, driver)
@@ -211,7 +209,7 @@ def test_one_hop_over_loopback_recovers_a_withheld_datagram():
         start = driver.now()
         for k in range(5):
             # frame 1 is planned 5 ms in the past, so it goes out late
-            frame = make_synthetic_frame(k + 1, 20_000, 0, 0, seed=k)
+            frame = make_synthetic_frame(k + 1, 20_000, 0, 0, seed=k, segment_size=8_000)
             driver.schedule(start + k * 10 * MS, lambda f, late: sending.deliver(
                 sender.send_frame(f, driver.now() - late)), frame, 5 * MS if k == 0 else 0)
         driver.run(lambda: sender.frames_acked == 5, 20 * MS, start + 10_000 * MS)

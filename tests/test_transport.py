@@ -36,8 +36,8 @@ def _receiver(**kw):
     return ReceiverEndpoint(1, **kw)
 
 
-def _frame(size=3_520_000, frame_id=1, seed=1):
-    return make_synthetic_frame(frame_id, size, 0, 0, seed=seed)
+def _frame(size=3_520_000, frame_id=1, seed=1, segment_size=65_000):
+    return make_synthetic_frame(frame_id, size, 0, 0, seed=seed, segment_size=segment_size)
 
 
 def _packets(burst):
@@ -91,10 +91,9 @@ def test_single_packet_frame_span_is_its_own_serialization():
 @given(size=st.integers(1, 500_000), rate=st.sampled_from([10**8, 10**9, 2 * 10**9]),
        overhead=st.integers(0, 500))
 def test_pacing_lower_bound(size, rate, overhead):
-    sender = SenderEndpoint(1, rate, _clock(), segment_payload_size=20_000,
-                            packet_payload_size=1400,
+    sender = SenderEndpoint(1, rate, _clock(), packet_payload_size=1400,
                             overhead_bits_per_packet=overhead)
-    sender.send_frame(_frame(size=size), 0)
+    sender.send_frame(_frame(size=size, segment_size=20_000), 0)
     span = sender.send_log[1].last_send_end_ns - sender.send_log[1].first_send_ns
     floor = (size * 8 * 10**9) // rate
     assert span >= floor
@@ -184,7 +183,7 @@ def test_in_order_delivery_completes_frame():
     assert results[:-1] == [None] * (len(results) - 1)
     log = results[-1]
     assert log is receiver.recv_log[1]
-    assert frames[1] == frame.payload
+    assert frames[1] == b"".join(frame.segments)
     assert log.first_recv_ns < log.last_recv_ns == log.complete_ns
     assert log.packets_received == sender.send_log[1].packet_count
     assert _delivered_upward(receiver) <= sender.packets_sent
@@ -213,8 +212,7 @@ def test_gap_nack_ranges_examples():
     # the NACK that on_timer emits at the next deadline names the missing
     # (segment_index, seq_start, seq_end) ranges, sorted
     sender, receiver = _sender(pps=1000), _receiver()
-    frame = _frame(size=3 * 20_000)   # 3 segments of 20 packets at pps=1000
-    sender.segment_payload_size = 20_000
+    frame = _frame(size=3 * 20_000, segment_size=20_000)   # 3 segments of 20 packets at pps=1000
     bursts = sender.send_frame(frame, 0)
     by_seg = {b.segment_index: _packets(b) for b in bursts}
     # segments 1..2 complete, segment 3 receives seqs 1..10 of 20
@@ -267,7 +265,7 @@ def test_nack_round_trip_recovers_single_loss():
         for emit_ns, pkt in _packets(burst):
             log = ingest_packet(receiver, pkt, emit_ns + 50_000)
     assert log is receiver.recv_log[1]
-    assert frames[1] == frame.payload
+    assert frames[1] == b"".join(frame.segments)
     assert log.nack_count == 1
     assert sender.send_log[1].retransmit_count == 1
 
@@ -333,7 +331,7 @@ def test_reliability_under_random_loss(loss, seed):
                     if rng.random() < loss:
                         continue
                     ingest_packet(receiver, pkt, emit_ns + 50_000)
-    assert frames.get(1) == frame.payload
+    assert frames.get(1) == b"".join(frame.segments)
     sent_total = sender.packets_sent + sender.packets_retransmitted
     assert _delivered_upward(receiver) <= sent_total
 
@@ -355,7 +353,7 @@ def test_lost_tail_segment_is_recovered_by_speculative_nack():
         for emit_ns, pkt in _packets(burst):
             log = ingest_packet(receiver, pkt, emit_ns + 50_000)
     assert log is receiver.recv_log[1]
-    assert frames[1] == frame.payload
+    assert frames[1] == b"".join(frame.segments)
 
 
 def test_conservation_counters():
@@ -415,8 +413,8 @@ def test_frame_record_matches_its_runs(size, seed):
     # frame's one receive record is computed from exactly those runs
     rng = random.Random(seed)
     pps = 100
-    sender = _sender(pps=pps, segment_payload_size=1_000)
-    frame = _frame(size=size, seed=seed % 97)
+    sender = _sender(pps=pps)
+    frame = _frame(size=size, seed=seed % 97, segment_size=1_000)
     runs = _split_runs(sender.send_frame(frame, 0), rng, pps)
     total = sender.packets_sent
     copies = runs + [r for r in runs if rng.random() < 0.3]
@@ -437,7 +435,7 @@ def test_frame_record_matches_its_runs(size, seed):
     log = receiver.recv_log[1]
     _assert_record(log, ref)
     assert log.complete_ns == ref["done"]
-    assert (log.payload_len, log.payload_checksum) == (frame.size, frame.crc32)
+    assert (log.payload_len, log.payload_checksum) == (size, frame.crc32)
 
     # withhold every copy of one run: the frame is dropped at its deadline
     # and its record, NACK rounds included, moves to ``dropped``
@@ -457,9 +455,10 @@ def test_frame_record_matches_its_runs(size, seed):
 
 
 def test_frame_send_allocates_no_payload_copy():
-    # with the body cache warm, a synthetic paper frame is its tag and a view
-    # of the cached body, and its crc32 is combined from theirs: synthesis
-    # plus send_frame joins only segment 1 (tag + 64,976 body bytes)
+    # with the body cache warm, a synthetic paper frame is 54 views of the
+    # cached body and its tail, and its crc32 is the body's continued over
+    # the tag: synthesis plus send_frame joins only segment 55 (9,976 body
+    # bytes and the 24-byte tag)
     _frame()
     sender = _sender()
     tracemalloc.start()
@@ -470,7 +469,7 @@ def test_frame_send_allocates_no_payload_copy():
     finally:
         tracemalloc.stop()
     assert len(bursts) == 55
-    assert sender.send_log[1].payload_checksum == zlib.crc32(frame.payload)
+    assert sender.send_log[1].payload_checksum == zlib.crc32(b"".join(frame.segments))
     assert peak < 256_000
 
 
@@ -491,7 +490,8 @@ def test_frame_completion_allocates_no_payload_copy():
     finally:
         tracemalloc.stop()
     log = receiver.recv_log[1]
-    assert (log.payload_len, log.payload_checksum) == (frame.size, zlib.crc32(frame.payload))
+    payload = b"".join(frame.segments)
+    assert (log.payload_len, log.payload_checksum) == (len(payload), zlib.crc32(payload))
     assert peak < 1_000_000
 
 
