@@ -5,9 +5,9 @@
     volstream validate --config lab.cfg
 
 Exit codes: 0 success, 1 runtime failure, also a stream run in which a
-receiver completed no frame or a sweep in which a receiver completed none
-at some rate (either written in full), 2 invalid configuration, also
-``--role`` without socket mode. Any
+receiver completed no frame or one whose payload check failed, or a sweep
+in which a receiver did either at some rate (each written in full), 2
+invalid configuration, also ``--role`` without socket mode. Any
 configuration key can be overridden via ``VOLSTREAM_<KEY>`` environment
 variables (dots become underscores).
 """
@@ -82,12 +82,17 @@ def run(cfg: ScenarioConfig, role: str | None = None, role_index: int = 0,
     if not quiet:
         print(result.table())
         print(f"report written under {cfg.out_dir}")
-    failed = [(label, summary) for label, summary in result.streams()
-              if summary.frames_completed == 0]
-    for label, summary in failed:
-        print(f"runtime error: {label} completed 0 of {summary.frames_sent} frames",
-              file=sys.stderr)
-    return EXIT_RUNTIME if failed else EXIT_OK
+    errors = []
+    for label, summary in result.streams():
+        if summary.frames_completed == 0:
+            errors.append(f"{label} completed 0 of {summary.frames_sent} frames")
+        mismatches = summary.packet_counts["payload_mismatches"]
+        if mismatches:
+            errors.append(f"{label} failed the payload check: "
+                          f"payload_mismatches={mismatches}")
+    for error in errors:
+        print(f"runtime error: {error}", file=sys.stderr)
+    return EXIT_RUNTIME if errors else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -149,7 +149,6 @@ class ScenarioConfig:
     out_dir: str = "out"
     receivers: int = 1
     segment_payload_size: int = 65_000
-    verify_payload: bool = True
     capture: CaptureCfg = field(default_factory=CaptureCfg)
     render: RenderCfg = field(default_factory=RenderCfg)
     transport: TransportCfg = field(default_factory=TransportCfg)
@@ -222,15 +221,12 @@ class ScenarioConfig:
             packet_payload_size=t.packet_payload_size,
             overhead_bits_per_packet=t.overhead_bits_per_packet,
             retention_frames=t.retention_frames,
-            compute_crc=self.verify_payload,
         )
 
-    def receiver_endpoint(self, relay: bool = False) -> ReceiverEndpoint:
+    def receiver_endpoint(self) -> ReceiverEndpoint:
         """A receiving endpoint: a final receiver, or the relay's upstream.
-
-        Only final receivers check payloads; nothing reads the relay's frame
-        checksums.
-        """
+        Neither reads a payload byte: a final receiver's ``on_frame``
+        renders the frame and checks its payload (``appemu``)."""
         t = self.transport
         return ReceiverEndpoint(
             self.stream_id,
@@ -238,7 +234,6 @@ class ScenarioConfig:
             tail_timeout_ns=_ms(t.tail_timeout_ms),
             max_nack_rounds=t.max_nack_rounds,
             deadline_ns=_ms(t.deadline_ms),
-            compute_crc=self.verify_payload and not relay,
         )
 
     def hop2_pacing(self, receiver: int) -> int:
@@ -520,6 +515,8 @@ def validate(cfg: ScenarioConfig) -> list[Diagnostic]:
         check(rate > 0, "sweep.rates_bps", rate, "rates must be > 0")
     check(cfg.sweep.duration_s > 0, "sweep.duration_s", cfg.sweep.duration_s,
           "must be > 0")
+    check(not cfg.trace.enabled or (cfg.mode, cfg.experiment) == ("sim", "stream"),
+          "trace.enabled", cfg.trace.enabled, "only a sim stream writes a trace")
     check(1 <= cfg.socket.base_port <= 65_000, "socket.base_port",
           cfg.socket.base_port, "must be a usable port")
     for key in ("setup_wait_s", "drain_timeout_s"):

@@ -44,17 +44,13 @@ class VolumetricFrame:
 
     ``segments`` are the frame's payload buffers in order: segment ``k``
     (1-based, as on the wire) is entry ``k - 1``, and the transport sends
-    each one as it is. ``crc32`` is the payload's zlib crc32, streamed over
-    the segments here once unless the builder passes it.
+    each one as it is. ``crc32`` is the payload's zlib crc32, which the
+    builder knows.
     """
 
     __slots__ = ("frame_id", "segments", "crc32")
 
-    def __init__(self, frame_id: int, segments, crc32: int | None = None):
-        if crc32 is None:
-            crc32 = 0
-            for segment in segments:
-                crc32 = zlib.crc32(segment, crc32)
+    def __init__(self, frame_id: int, segments, crc32: int):
         self.frame_id = frame_id
         self.segments = segments
         self.crc32 = crc32

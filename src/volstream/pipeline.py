@@ -250,7 +250,7 @@ def render_on_frame(cfg: ScenarioConfig, rng, app_rx: dict):
     profile = cfg.render_profile()
 
     def on_frame(frame_id, segments, log):
-        app_rx[frame_id] = render_complete(profile, frame_id, log.complete_ns, rng)
+        app_rx[frame_id] = render_complete(profile, frame_id, log.complete_ns, segments, rng)
     return on_frame
 
 
@@ -296,7 +296,7 @@ class StreamResult:
                          for r, rr in enumerate(self.receivers))
 
     def streams(self) -> list:
-        """``(label, summary)`` of each receiver; every one must complete a frame."""
+        """``(label, summary)`` of each receiver: each one is a stream."""
         return [(f"receiver {r}", rr.summary) for r, rr in enumerate(self.receivers)]
 
 
@@ -342,7 +342,7 @@ class SimulationRun:
         self.app_rx_records = [dict() for _ in range(cfg.receivers)]
         self.driver = SimDriver(self.evq)
         self.sender = cfg.sender_endpoint(cfg.hop1.pacing_bps[0], self.sender_clock)
-        self.relay_up = cfg.receiver_endpoint(relay=True)
+        self.relay_up = cfg.receiver_endpoint()
         self.relay_down = [cfg.sender_endpoint(cfg.hop2_pacing(r), self.relay_clock)
                            for r in range(cfg.receivers)]
         self.receivers = [cfg.receiver_endpoint() for _ in range(cfg.receivers)]
@@ -391,20 +391,21 @@ def receiver_reports(logs: RunLogs, frame_count: int, anomalies: AnomalyLog) -> 
     ``assemble_record`` of each frame ``1..frame_count`` and their summary.
 
     The summary counters come from the nodes' logs: the endpoints' own
-    counters, the drops and the payload check. The README's Reports section
-    defines each one. ``anomalies`` collects the clock anomalies of every
-    receiver's records.
+    counters, the drops and the payload check, which compares each rendered
+    frame's length and crc32 with its capture record's. The README's
+    Reports section defines each one. ``anomalies`` collects the clock
+    anomalies of every receiver's records.
     """
-    send_log, sender, relay = logs.sender.send_log, logs.sender.counters, logs.relay.counters
+    app_tx, sender, relay = logs.sender.app_tx, logs.sender.counters, logs.relay.counters
     reports = []
     for r, final in enumerate(logs.receivers):
         seen = anomalies.count
         records = [assemble_record(f, logs, r, anomalies) for f in range(1, frame_count + 1)]
         mismatches = 0
-        for frame_id, got in final.recv_log.items():
-            sent_log = send_log.get(frame_id)
-            if sent_log is None or (sent_log.payload_len, sent_log.payload_checksum) \
-                    != (got.payload_len, got.payload_checksum):
+        for frame_id, got in final.app_rx.items():
+            captured = app_tx.get(frame_id)
+            if captured is None or (captured.payload_len, captured.payload_crc32) \
+                    != (got.payload_len, got.payload_crc32):
                 mismatches += 1
         receiver = final.counters
         counts = {

@@ -2,7 +2,7 @@
 run's config, picks what runs and writes ``config.txt``) and the probe and
 sweep experiments. Each result has ``table()``, its console text, and
 ``streams()``, the ``(label, RunSummary)`` of every stream that must
-complete a frame."""
+complete a frame and pass the payload check."""
 
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ class SweepRunResult:
         return "\n".join(lines)
 
     def streams(self) -> list:
-        """Every receiver at every rate must complete a frame."""
+        """Every receiver at every rate is a stream."""
         return [(f"sweep rate {row.rate_bps} bps" + (f" receiver {r}" if r else ""),
                  rr.summary)
                 for row, result in zip(self.rows, self.results)

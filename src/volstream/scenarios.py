@@ -34,7 +34,6 @@ CANNED: dict[str, dict] = {
         "transport.overhead_bits_per_packet": "428",
         "capture.app_tx_ms": "0",
         "render.app_rx_ms": "0",
-        "verify_payload": "false",
     },
     "paper-probe": {
         "experiment": "probe",
@@ -43,7 +42,6 @@ CANNED: dict[str, dict] = {
         "experiment": "sweep",
         "capture.app_tx_ms": "0",
         "render.app_rx_ms": "0",
-        "verify_payload": "false",
         **_ZERO_STAGES,
     },
 }

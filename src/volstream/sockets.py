@@ -325,8 +325,7 @@ def run_relay_role(cfg: ScenarioConfig, out_dir: str) -> None:
     with SocketDriver(clock) as driver:
         _add_sync(cfg, driver, node_clock, cfg.socket.relay_host)
         sock = driver.open(cfg.socket.relay_host, ports["relay_up"])
-        up = Hop(None, (sock, None), (sock, None),
-                 cfg.receiver_endpoint(relay=True), driver)
+        up = Hop(None, (sock, None), (sock, None), cfg.receiver_endpoint(), driver)
         downs = []
         for r in range(cfg.receivers):
             sock = driver.open(cfg.socket.relay_host, 0)

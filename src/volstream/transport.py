@@ -28,15 +28,15 @@ handed upward exactly once, when every packet of every segment has arrived.
 The sender re-emits only packets it has already emitted once. Payload
 bytes are never copied on the way: each run keeps a view of the buffer it
 arrived in, a segment that one run covers is that view, and only a segment
-split by loss or retransmission is joined. At frame completion the length
-and crc32 are streamed over the segment buffers in order, ``on_frame``
-receives that list of buffers, and nothing joins the frame into one
-``bytes``. A completed segment holds its bytes and drops its pieces. A
-frame in flight holds its receive log from its first arrival on: every run
-updates first/last arrival, the embedded timestamp of the earliest-arriving
-packet (what the one-way delay metrics use) and the packet counts in place,
-and completion or drop moves that one record into ``recv_log`` or
-``dropped``.
+split by loss or retransmission is joined. At frame completion
+``on_frame`` receives the segment buffers in order, and nothing joins the
+frame into one ``bytes``. The payload check is the application's
+(``appemu``): no endpoint reads a payload byte. A completed segment holds
+its bytes and drops its pieces. A frame in flight holds its receive log
+from its first arrival on: every run updates first/last arrival, the
+embedded timestamp of the earliest-arriving packet (what the one-way delay
+metrics use) and the packet counts in place, and completion or drop moves
+that one record into ``recv_log`` or ``dropped``.
 
 Timing conventions: every instant an endpoint logs is recorded once, in
 the time of its driver's ``now()``: true time in the sim, the host clock
@@ -53,7 +53,6 @@ separately).
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 from .clock import NodeClock
@@ -148,8 +147,6 @@ class SendLogEntry:
     last_send_end_ns: int = 0         # last packet pacer-serialization end
     packet_count: int = 0
     retransmit_count: int = 0
-    payload_len: int = 0
-    payload_checksum: int = 0
 
 
 @dataclass(slots=True)
@@ -162,8 +159,6 @@ class RecvLogEntry:
     packets_received: int = 0
     duplicates: int = 0
     nack_count: int = 0
-    payload_len: int = 0
-    payload_checksum: int = 0
     drop_reason: str = ""             # one of DROP_REASONS once dropped
 
 
@@ -184,7 +179,6 @@ class SenderEndpoint:
         packet_payload_size: int = 1_400,
         overhead_bits_per_packet: int = 0,
         retention_frames: int = 8,
-        compute_crc: bool = True,
     ):
         self.stream_id = stream_id
         self.clock = clock
@@ -192,7 +186,6 @@ class SenderEndpoint:
         self.packet_payload_size = packet_payload_size
         self.overhead_bits = overhead_bits_per_packet
         self.retention_frames = retention_frames
-        self.compute_crc = compute_crc
         self.send_log: dict[int, SendLogEntry] = {}
         self.packets_sent = 0
         self.packets_retransmitted = 0
@@ -227,9 +220,7 @@ class SenderEndpoint:
         ``send_segment`` over that segment's buffer as it is, so
         packets are emitted in (segment_index, packet_seq) order and the send
         log records the span from the first emission start to the last
-        pacer-serialization end. This method adds only the frame-id check and
-        the frame's crc32, which the frame carries: the sender hashes
-        nothing.
+        pacer-serialization end. This method adds only the frame-id check.
         """
         if self._last_frame_id is not None and frame.frame_id != self._last_frame_id + 1:
             raise TransportError(
@@ -238,11 +229,8 @@ class SenderEndpoint:
         self._last_frame_id = frame.frame_id
 
         last = len(frame.segments)
-        bursts = [self.send_segment(frame.frame_id, k, payload, now_ns, is_final=k == last)
-                  for k, payload in enumerate(frame.segments, 1)]
-        if self.compute_crc:
-            self.send_log[frame.frame_id].payload_checksum = frame.crc32
-        return bursts
+        return [self.send_segment(frame.frame_id, k, payload, now_ns, is_final=k == last)
+                for k, payload in enumerate(frame.segments, 1)]
 
     def send_segment(self, frame_id: int, segment_index: int, payload,
                      now_ns: int, is_final: bool = False) -> SegmentBurst:
@@ -254,8 +242,7 @@ class SenderEndpoint:
         the earliest emission and the latest serialization end across its
         segments.
         """
-        size = len(payload)
-        n = -(-size // self.packet_payload_size)
+        n = -(-len(payload) // self.packet_payload_size)
         burst = self._plan_burst(now_ns, frame_id, segment_index, n, 1, n, payload,
                                  FLAG_FINAL_SEGMENT if is_final else 0)
         self.packets_sent += n
@@ -272,7 +259,6 @@ class SenderEndpoint:
         if end > entry.last_send_end_ns:
             entry.last_send_end_ns = end
         entry.packet_count += n
-        entry.payload_len += size
         if frame_id in self._retained:
             self._retained[frame_id][segment_index] = burst
         return burst
@@ -477,7 +463,6 @@ class ReceiverEndpoint:
         tail_timeout_ns: int = 5_000_000,
         max_nack_rounds: int = 3,
         deadline_ns: int = 66_600_000,   # 0 disables the deadline
-        compute_crc: bool = True,
         on_segment=None,   # (frame_id, segment_index, data, now, is_final): a segment is whole
         on_frame=None,     # (frame_id, segments, log): the frame is whole
         on_drop=None,      # (frame_id): the frame is dropped
@@ -487,7 +472,6 @@ class ReceiverEndpoint:
         self.tail_timeout_ns = tail_timeout_ns
         self.max_nack_rounds = max_nack_rounds
         self.deadline_ns = deadline_ns
-        self.compute_crc = compute_crc
         self.on_segment = on_segment
         self.on_frame = on_frame
         self.on_drop = on_drop
@@ -585,19 +569,12 @@ class ReceiverEndpoint:
         return None
 
     def _complete(self, state: _FrameState, now: int) -> RecvLogEntry:
-        segments = [state.segments[i].data for i in range(1, state.segment_count + 1)]
-        length = crc = 0
-        for buf in segments:
-            length += len(buf)
-            if self.compute_crc:
-                crc = zlib.crc32(buf, crc)
         log = state.log
         log.complete_ns = now
-        log.payload_len = length
-        log.payload_checksum = crc
         self.recv_log[log.frame_id] = log
         if self.on_frame is not None:
-            self.on_frame(log.frame_id, segments, log)
+            self.on_frame(log.frame_id, [state.segments[i].data
+                                         for i in range(1, state.segment_count + 1)], log)
         del self._frames[log.frame_id]
         return log
 

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import settings
 
+from volstream import pipeline, transport
 from volstream.config import ScenarioConfig, apply_overrides, validate
 from volstream.wire import HEADER_SIZE, parse_header
 
@@ -61,6 +62,35 @@ def collect_frames(receiver) -> dict:
 
     receiver.on_frame = on_frame
     return frames
+
+
+def flip_one_byte(monkeypatch, link: str) -> list:
+    """Flip one byte of the first segment reassembled on the sim link named
+    ``link`` (``hop1``, ``hop2_r0``, ...); returns a list that holds one
+    entry once the byte is flipped."""
+    at_link, flipped = [False], []
+    assemble = transport._SegmentState.assemble
+    ingest = pipeline.Hop.ingest
+
+    def corrupting_assemble(self):
+        data = assemble(self)
+        if not at_link[0] or flipped:
+            return data
+        buf = bytearray(data)
+        buf[len(buf) // 2] ^= 0x01
+        flipped.append(1)
+        return bytes(buf)
+
+    def flagged_ingest(self, *args):
+        at_link[0] = self.forward.name == link
+        try:
+            ingest(self, *args)
+        finally:
+            at_link[0] = False
+
+    monkeypatch.setattr(transport._SegmentState, "assemble", corrupting_assemble)
+    monkeypatch.setattr(pipeline.Hop, "ingest", flagged_ingest)
+    return flipped
 
 
 def traced_peak_bytes(fn) -> int:

@@ -8,7 +8,7 @@ import pytest
 from volstream.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from volstream.config import render_config
 
-from conftest import make_small_config
+from conftest import flip_one_byte, make_small_config
 
 
 def _write_cfg(tmp_path, **overrides):
@@ -166,10 +166,12 @@ def test_out_dir_config_txt_cannot_hold_exits_2(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("key", [
     "hop1.propagation_us_per_km", "hop2.propagation_us_per_km", "node.sender.load_factor",
-    "node.relay.load_factor", "node.receiver.load_factor", "clock.sync_enabled"])
+    "node.relay.load_factor", "node.receiver.load_factor", "clock.sync_enabled",
+    "verify_payload"])
 def test_deleted_knobs_are_unknown_keys(tmp_path, capsys, key):
     # propagation is a fixed 5 us per km of distance_km, a node's receive
-    # cost is its rx_sw_us and rx_hw_us, and every run syncs its clocks
+    # cost is its rx_sw_us and rx_hw_us, and every run syncs its clocks and
+    # checks its payloads
     path = tmp_path / "old.cfg"
     path.write_text(f"{key}=1\n")
     assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
@@ -312,6 +314,30 @@ def test_sweep_rate_that_completes_no_frame_exits_1(tmp_path, monkeypatch, capsy
     assert "281.600" in captured.out
     assert "runtime error: sweep rate 100000000 bps completed 0 of 6 frames" in captured.err
     assert "1000000000 bps" not in captured.err and "Traceback" not in captured.err
+
+
+def test_run_whose_payload_check_fails_exits_1(tmp_path, monkeypatch, capsys):
+    # one byte flipped at receiver 1 of 2: every report is written, and the
+    # run is not valid
+    flipped = flip_one_byte(monkeypatch, "hop2_r1")
+    path = _write_cfg(tmp_path, receivers=2, duration_s=0.2)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), "--quiet"]) == EXIT_RUNTIME
+    assert flipped
+    assert (out / "summary.csv").exists() and (out / "summary_r1.csv").exists()
+    err = capsys.readouterr().err
+    assert "runtime error: receiver 1 failed the payload check: payload_mismatches=1" in err
+    assert "receiver 0" not in err
+
+
+def test_trace_outside_a_sim_stream_exits_2(tmp_path, monkeypatch, capsys):
+    # a sweep writes no trace.csv, and collecting one would force every
+    # burst onto the per-packet path: the run is refused before it writes
+    monkeypatch.setenv("VOLSTREAM_TRACE_ENABLED", "true")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--scenario", "bandwidth-sweep", "--out", "out"]) == EXIT_CONFIG
+    assert "trace.enabled" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_run_survives_a_failed_resync(tmp_path, monkeypatch, capsys):

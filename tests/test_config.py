@@ -232,6 +232,17 @@ def test_every_flat_key_is_unique():
     assert len(env_names) == len(keys)     # env mapping is collision-free
 
 
+@pytest.mark.parametrize("key, value", [("experiment", "sweep"), ("experiment", "probe"),
+                                        ("mode", "socket")])
+def test_trace_is_only_for_a_sim_stream(key, value):
+    # a sweep, a probe or a socket run writes no trace.csv
+    cfg = ScenarioConfig()
+    cfg.trace.enabled = True
+    assert validate(cfg) == []
+    setattr(cfg, key, value)
+    assert [d.key for d in validate(cfg)] == ["trace.enabled"]
+
+
 def test_socket_mode_restricts_experiment():
     cfg = ScenarioConfig()
     cfg.mode = "socket"
@@ -253,16 +264,6 @@ def test_load_config_file_missing(tmp_path):
         load_config_file(str(tmp_path / "absent.cfg"))
 
 
-@pytest.mark.parametrize("verify", [True, False])
-def test_endpoint_factory_payload_options(verify):
-    # senders and final receivers follow verify_payload; the relay's
-    # upstream never checksums
-    cfg = ScenarioConfig(verify_payload=verify)
-    assert cfg.sender_endpoint(10**9, NodeClock("n")).compute_crc is verify
-    assert cfg.receiver_endpoint().compute_crc is verify
-    assert cfg.receiver_endpoint(relay=True).compute_crc is False
-
-
 def test_endpoint_factory_takes_transport_settings():
     cfg = ScenarioConfig(stream_id=7, segment_payload_size=8_000)
     assert apply_overrides(cfg, {
@@ -276,7 +277,7 @@ def test_endpoint_factory_takes_transport_settings():
     assert (s.packet_payload_size, s.overhead_bits, s.retention_frames) == (256, 428, 3)
     # the application layer cuts a frame into segments; the sender sends them
     assert cfg.capture_profile().segment_size == cfg.segment_payload_size
-    for ep in (cfg.receiver_endpoint(), cfg.receiver_endpoint(relay=True)):
-        assert ep.stream_id == 7
-        assert (ep.nack_delay_ns, ep.tail_timeout_ns, ep.max_nack_rounds,
-                ep.deadline_ns) == (1_500_000, 4_000_000, 5, 40_000_000)
+    ep = cfg.receiver_endpoint()
+    assert ep.stream_id == 7
+    assert (ep.nack_delay_ns, ep.tail_timeout_ns, ep.max_nack_rounds,
+            ep.deadline_ns) == (1_500_000, 4_000_000, 5, 40_000_000)

@@ -66,8 +66,10 @@ def test_without_deadline_or_round_limit_every_frame_completes_intact(overrides)
     result = run_simulation(cfg, write_outputs=False)
     assert result.payload_mismatches == 0
     sent = result.sim.sender.send_log
-    for ep, rr in zip(result.sim.receivers, result.receivers):
+    captured = result.sim.app_tx_records
+    for app_rx, rr in zip(result.sim.app_rx_records, result.receivers):
         assert rr.summary.frames_completed == rr.summary.frames_sent == len(sent)
-        for frame_id, log in ep.recv_log.items():
-            assert (log.payload_len, log.payload_checksum) == \
-                (sent[frame_id].payload_len, sent[frame_id].payload_checksum) != (0, 0)
+        assert app_rx.keys() == sent.keys()
+        for frame_id, got in app_rx.items():
+            assert (got.payload_len, got.payload_crc32) == \
+                (captured[frame_id].payload_len, captured[frame_id].payload_crc32) != (0, 0)

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from volstream.appemu import RenderProfile, render_complete
 from volstream.clock import NodeClock
 from volstream.frames import make_synthetic_frame
 from volstream.netem import Link, LinkModel, NodeStageModel
@@ -132,11 +133,17 @@ def test_bench_ingest_frame(benchmark):
             log = _ingest(receiver, b)
         return log
 
+    rendered = []
+
     def setup():
-        return (ReceiverEndpoint(1, deadline_ns=0),), {}
+        receiver = ReceiverEndpoint(1, deadline_ns=0)
+        receiver.on_frame = lambda frame_id, segments, log: rendered.append(
+            render_complete(RenderProfile(), frame_id, log.complete_ns, segments))
+        return (receiver,), {}
 
     log = benchmark.pedantic(complete, setup=setup, rounds=ROUNDS // 4, iterations=1)
-    assert log is not None and log.frame_id == 1 and log.payload_len == 3_520_000
+    assert log is not None and log.frame_id == 1
+    assert rendered and {record.payload_len for record in rendered} == {3_520_000}
 
 
 def test_bench_capture_send_frame(benchmark):

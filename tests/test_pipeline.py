@@ -2,13 +2,15 @@ import copy
 import hashlib
 import os
 
-from volstream import pipeline, transport
+import pytest
+
+from volstream import pipeline
 from volstream.frames import _synthetic_body, make_synthetic_frame
 from volstream.pipeline import SimulationRun, run_simulation
 from volstream.runner import run_experiment
 from volstream.scenarios import scenario_config
 
-from conftest import collect_frames, make_small_config, traced_peak_bytes
+from conftest import collect_frames, flip_one_byte, make_small_config, traced_peak_bytes
 
 MS = 1_000_000
 
@@ -268,40 +270,22 @@ def test_clock_offset_correction(small_cfg):
         assert rec.network_l_ns == rec.network_l_true_ns
 
 
-def test_payload_check_catches_one_flipped_byte(small_cfg, monkeypatch):
-    # flip one byte of one segment reassembled at receiver 1 of 2; the crc32
-    # streamed over its segments must then disagree with the sender's, and
-    # only receiver 1's summary may count it
-    at_receiver1, flipped = [False], []
-    assemble = transport._SegmentState.assemble
-    ingest = pipeline.Hop.ingest
-
-    def corrupting_assemble(self):
-        data = assemble(self)
-        if not at_receiver1[0] or flipped:
-            return data
-        buf = bytearray(data)
-        buf[len(buf) // 2] ^= 0x01
-        flipped.append(1)
-        return bytes(buf)
-
-    def flagged_ingest(self, *args):
-        at_receiver1[0] = self.forward.name == "hop2_r1"
-        try:
-            ingest(self, *args)
-        finally:
-            at_receiver1[0] = False
-
-    monkeypatch.setattr(transport._SegmentState, "assemble", corrupting_assemble)
-    monkeypatch.setattr(pipeline.Hop, "ingest", flagged_ingest)
+@pytest.mark.parametrize("link, counts", [("hop2_r1", [0, 1]), ("hop1", [1, 1])],
+                         ids=["hop2_r1", "hop1"])
+def test_payload_check_catches_one_flipped_byte(small_cfg, monkeypatch, link, counts):
+    # flip one byte of one segment reassembled on ``link``; the crc32 that a
+    # final receiver renders must then disagree with the capture record's.
+    # At receiver 1 of 2 only its summary counts it; at the relay's
+    # upstream, which hashes nothing, the bad segment is forwarded to both
+    flipped = flip_one_byte(monkeypatch, link)
     cfg = small_cfg(receivers=2, duration_s=0.2)
     result = run_simulation(cfg, write_outputs=True)
     assert flipped
-    assert result.payload_mismatches == 1
-    counts = [[line for line in open(os.path.join(cfg.out_dir, name))
-               if line.startswith("payload_mismatches,")]
-              for name in ("summary.csv", "summary_r1.csv")]
-    assert counts == [["payload_mismatches,0,,,,,,\n"], ["payload_mismatches,1,,,,,,\n"]]
+    assert result.payload_mismatches == sum(counts)
+    lines = [[line for line in open(os.path.join(cfg.out_dir, name))
+              if line.startswith("payload_mismatches,")]
+             for name in ("summary.csv", "summary_r1.csv")]
+    assert lines == [[f"payload_mismatches,{n},,,,,,\n"] for n in counts]
 
 
 def test_summary_counts_each_hops_drops_by_reason(small_cfg):

@@ -252,7 +252,7 @@ def test_relay_stops_only_after_its_delayed_forwards():
         a, b, c, d = (driver.open("127.0.0.1", 0) for _ in range(4))
         sending = Hop(cfg.sender_endpoint(cfg.hop1.pacing_bps[0], clock),
                       (a, b.getsockname()), (a, b.getsockname()), None, driver)
-        up = Hop(None, (b, None), (b, None), cfg.receiver_endpoint(relay=True), driver)
+        up = Hop(None, (b, None), (b, None), cfg.receiver_endpoint(), driver)
         down = Hop(cfg.sender_endpoint(cfg.hop2_pacing(0), clock),
                    (c, d.getsockname()), (c, d.getsockname()), None, driver)
         final = Hop(None, (d, None), (d, None), cfg.receiver_endpoint(), driver)

@@ -171,7 +171,7 @@ def test_merged_report_counts_each_receivers_own_mismatches_and_anomalies(tmp_pa
         paths = [Path(out) / f"receiver{r}_log.json" for r in (0, 1)]
         logs = [json.loads(path.read_text()) for path in paths]
         logs[0]["clock"]["syncs"] = [[0, -1_000_000_000]]
-        logs[1]["recv_log"]["3"]["payload_checksum"] ^= 1
+        logs[1]["app_rx"]["3"]["payload_crc32"] ^= 1
         for path, log in zip(paths, logs):
             path.write_text(json.dumps(log))
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from volstream.appemu import CaptureProfile, RenderProfile, capture_tick, render_complete
 from volstream.clock import NodeClock
 from volstream.errors import TransportError
 from volstream.frames import make_synthetic_frame
@@ -430,12 +431,13 @@ def test_frame_record_matches_its_runs(size, seed):
             receiver.ingest_run(1, seg, n, lo, count, payload, pps, amin, amax, stamp, flags)
 
     receiver = ReceiverEndpoint(1, deadline_ns=0)
+    frames = collect_frames(receiver)
     ingest(receiver, deliveries)
     ref = _reference_record(deliveries, total)
     log = receiver.recv_log[1]
     _assert_record(log, ref)
     assert log.complete_ns == ref["done"]
-    assert (log.payload_len, log.payload_checksum) == (size, frame.crc32)
+    assert frames == {1: b"".join(frame.segments)}
 
     # withhold every copy of one run: the frame is dropped at its deadline
     # and its record, NACK rounds included, moves to ``dropped``
@@ -457,30 +459,36 @@ def test_frame_record_matches_its_runs(size, seed):
 def test_frame_send_allocates_no_payload_copy():
     # with the body cache warm, a synthetic paper frame is 54 views of the
     # cached body and its tail, and its crc32 is the body's continued over
-    # the tag: synthesis plus send_frame joins only segment 55 (9,976 body
-    # bytes and the 24-byte tag)
-    _frame()
+    # the tag: capture plus send_frame joins only segment 55 (9,976 body
+    # bytes and the 24-byte tag), and the capture record reads no payload
+    profile = CaptureProfile()
+    capture_tick(profile, 1, 0, seed=1)
     sender = _sender()
     tracemalloc.start()
     try:
-        frame = _frame()
+        frame, record = capture_tick(profile, 1, 0, seed=1)
         bursts = sender.send_frame(frame, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(bursts) == 55
-    assert sender.send_log[1].payload_checksum == zlib.crc32(b"".join(frame.segments))
+    assert record.payload_crc32 == zlib.crc32(b"".join(frame.segments))
+    assert record.payload_len == 3_520_000
     assert peak < 256_000
 
 
 def test_frame_completion_allocates_no_payload_copy():
     # one 3.52 MB frame, 55 x 65,000 B segments arriving as one run each:
-    # segments stay views of the arriving buffers and the crc32 is streamed
-    # over them, so completion allocates nothing frame- or segment-sized
+    # segments stay views of the arriving buffers and render_complete
+    # streams the crc32 over them, so completion and rendering allocate
+    # nothing frame- or segment-sized
     frame = _frame()
     bursts = _sender().send_frame(frame, 0)
     assert [b.count for b in bursts] == [47] * 54 + [8]
     receiver = _receiver()
+    rendered = {}
+    receiver.on_frame = lambda frame_id, segments, log: rendered.setdefault(
+        frame_id, render_complete(RenderProfile(), frame_id, log.complete_ns, segments))
     tracemalloc.start()
     try:
         for b in bursts:
@@ -489,9 +497,9 @@ def test_frame_completion_allocates_no_payload_copy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    log = receiver.recv_log[1]
+    record = rendered[1]
     payload = b"".join(frame.segments)
-    assert (log.payload_len, log.payload_checksum) == (len(payload), zlib.crc32(payload))
+    assert (record.payload_len, record.payload_crc32) == (len(payload), zlib.crc32(payload))
     assert peak < 1_000_000
 
 
