@@ -34,12 +34,13 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, VolstreamError
 from .stats import mean, percentile_nearest_rank
 
 NS_PER_S = 1_000_000_000
 PROPAGATION_NS_PER_KM = 5_000   # light in fiber, about 2/3 c
 _MAX_LOSS_GAP = 1 << 62
+MAX_EVENTS_PER_INSTANT = 100_000   # a busy run fires at most about 10
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,21 @@ class EventQueue:
 
     def run(self) -> int:
         """Fire events in (time, insertion) order until none is left;
-        returns the number fired."""
+        returns the number fired. More than ``MAX_EVENTS_PER_INSTANT``
+        events at one instant is a livelock (say, an event rescheduling
+        itself at ``now``): it raises ``VolstreamError`` naming the event."""
         heap = self._heap
         fired = 0
+        limit = MAX_EVENTS_PER_INSTANT
         while heap:
             at, _, fn, args = heapq.heappop(heap)
-            self.now = at
+            if at != self.now:
+                self.now = at
+                limit = fired + MAX_EVENTS_PER_INSTANT
+            elif fired >= limit:
+                raise VolstreamError(
+                    f"livelock: more than {MAX_EVENTS_PER_INSTANT} events at {at} ns;"
+                    f" the last was {getattr(fn, '__qualname__', fn)}")
             fn(*args)
             fired += 1
         return fired

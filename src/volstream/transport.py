@@ -16,8 +16,11 @@ per-packet lists; each packet's send timestamp is its emission instant on
 the sender's clock, derived when needed. No packet object is built: the
 sim carries whole bursts, and socket mode sends packet ``i`` as
 ``SegmentBurst.datagram`` gives it, a 32-byte header and a view of the
-burst's payload. Recently sent frames are retained so NACKs can be
-answered; retransmissions share the same pacer and get fresh timestamps.
+burst's payload. A frame's bursts are retained from its first send until
+its FRAME_ACK, so NACKs can be answered; at most ``retention_frames``
+un-acknowledged frames are retained, the oldest evicted first, and a NACK
+for an acknowledged or evicted frame counts in ``stale_nacks``.
+Retransmissions share the same pacer and get fresh timestamps.
 
 Receiver side: packets are tracked per segment as covered seq intervals
 (duplicates are idempotent). A gap behind the reception front is NACKed once,
@@ -165,6 +168,12 @@ class RecvLogEntry:
 class SenderEndpoint:
     """Paced, retention-backed sending side of one stream hop.
 
+    A frame's bursts are retained from its first send until its FRAME_ACK
+    arrives. At most ``retention_frames`` un-acknowledged frames are
+    retained: a frame whose ACK was lost, or that the receiver dropped,
+    leaves once that many newer un-acknowledged frames are sent. A NACK for
+    an acknowledged or evicted frame counts in ``stale_nacks``.
+
     The sizes, overhead, retention and pacing rate are taken as given:
     ``config.validate`` range-checks them, and ``segment_payload_size`` and
     ``packet_payload_size`` there also bound a frame's segment and packet
@@ -272,9 +281,9 @@ class SenderEndpoint:
 
         Each range is trimmed to the packets whose first emission is planned
         at or before ``now_ns``: a packet still queued in the pacer is not
-        lost, only late. NACKs for frames that fell out of the retention
-        window count as stale and emit nothing. Re-emitted packets carry
-        fresh timestamps.
+        lost, only late. NACKs for frames no longer retained (acknowledged,
+        or evicted by the window) count as stale and emit nothing.
+        Re-emitted packets carry fresh timestamps.
         """
         if nack.packet_type != PacketType.NACK:
             raise TransportError(f"expected NACK, got {nack.packet_type!r}")
@@ -303,7 +312,9 @@ class SenderEndpoint:
         return bursts
 
     def on_frame_ack(self, ack: ControlPacket) -> None:
+        """The receiver holds the whole frame: release its bursts."""
         self.frames_acked += 1
+        self._retained.pop(ack.frame_id, None)
 
     def counters(self) -> dict:
         """Packet and frame counters, as the run's reports read them."""

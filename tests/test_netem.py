@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from volstream.errors import ConfigError
+from volstream.errors import ConfigError, VolstreamError
 from volstream.netem import (TRACE_COLUMNS, EventQueue, Link, LinkModel,
                              NodeStageModel, run_probe_experiment)
 
@@ -87,6 +87,19 @@ def test_scheduling_in_the_past_fails_fast():
     q.run()
     with pytest.raises(ConfigError):
         q.schedule(5, lambda: None)
+
+
+def test_an_event_rescheduling_itself_at_now_raises_with_its_name():
+    # a livelock at one virtual instant is an error that names the event,
+    # not a hang
+    q = EventQueue()
+
+    def again():
+        q.schedule(q.now, again)
+    q.schedule(7, again)
+    with pytest.raises(VolstreamError, match=r"at 7 ns.*again"):
+        q.run()
+    assert q.now == 7
 
 
 def test_large_random_schedule_replays_identically():

@@ -313,3 +313,29 @@ def test_paper_run_holds_no_frame_sized_buffer(tmp_path):
     result = []
     assert traced_peak_bytes(lambda: result.append(run_simulation(cfg))) <= 3_000_000
     assert result[0].primary.summary.frames_completed == 30
+
+
+def test_lossy_paper_run_retains_only_unacknowledged_frames(tmp_path):
+    # 60 frames of 3.52 MB at 1% loss on both hops: every loss splits a
+    # segment, whose joined copy the relay forwards and retains. Released
+    # on each FRAME_ACK, the sender and relay hold a frame or two; a window
+    # of 8 acknowledged frames kept alive would exceed the bound
+    cfg = scenario_config("paper-default")
+    cfg.duration_s = 2.0
+    cfg.hop1.loss_rate = cfg.hop2.loss_rate = 0.01
+    cfg.out_dir = str(tmp_path / "out")
+    _synthetic_body.cache_clear()
+    result = []
+    assert traced_peak_bytes(lambda: result.append(run_simulation(cfg))) <= 7_000_000
+    assert result[0].primary.summary.frames_completed == 59   # one exhausts its rounds
+
+
+def test_acknowledged_frames_leave_every_sender(small_cfg):
+    # every frame completes on both hops, so every FRAME_ACK reaches its
+    # sender and no sender retains a burst at the end of the run
+    result = run_simulation(small_cfg(**{"receivers": 2, "hop1.loss_rate": 0.05}),
+                            write_outputs=False)
+    sim = result.sim
+    assert all(rr.summary.frames_completed == 30 for rr in result.receivers)
+    assert sim.sender.frames_acked == 30
+    assert [len(s._retained) for s in (sim.sender, *sim.relay_down)] == [0, 0, 0]

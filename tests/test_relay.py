@@ -1,7 +1,10 @@
+from volstream.clock import NodeClock
 from volstream.config import apply_overrides
 from volstream.frames import make_synthetic_frame
 from volstream.pipeline import SimulationRun, run_simulation
+from volstream.relay import RelayNode
 from volstream.scenarios import scenario_config
+from volstream.transport import ReceiverEndpoint, SenderEndpoint
 
 from conftest import collect_frames
 
@@ -163,3 +166,19 @@ def test_dropped_frames_leave_no_forwarding_gate(tmp_path):
     sim = run_simulation(cfg, write_outputs=False).sim
     assert sim.relay_up.dropped
     assert sim.relay._gates == {}
+
+
+def test_backpressure_counts_only_a_backlog_past_the_high_water_mark():
+    # at 1 Gbps a 1,000-byte segment is 8,000 ns of pacer backlog; with the
+    # mark at 8,000 ns a backlog of exactly 8,000 counts nothing, and one
+    # of 8,001 counts one event
+    sender = SenderEndpoint(1, 10**9, NodeClock("relay", "master"))
+    relay = RelayNode(ReceiverEndpoint(1), [sender], lambda *a: None, lambda r, b: None,
+                      queue_high_water_ns=8_000)
+    segment = bytes(1_000)
+    relay.forward_segment(1, 1, segment, False, 0)
+    relay.forward_segment(1, 2, segment, False, 0)
+    assert sender.pacer.busy_until_ns == 16_000
+    assert relay.backpressure_events == 0
+    relay.forward_segment(1, 3, segment, True, 7_999)
+    assert relay.backpressure_events == 1

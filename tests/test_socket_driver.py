@@ -216,6 +216,7 @@ def test_one_hop_over_loopback_recovers_a_withheld_datagram():
     assert tx.withheld is not None
     assert sorted(receiver.recv_log) == [1, 2, 3, 4, 5]
     assert sender.frames_acked == 5
+    assert len(sender._retained) == 0      # each ACK released its frame
     assert receiver.recv_log[3].nack_count >= 1
     assert sender.packets_retransmitted >= 1
     assert receiving.reverse == (rx, tx_addr)
@@ -270,3 +271,4 @@ def test_relay_stops_only_after_its_delayed_forwards():
     assert sorted(up.receiver.recv_log) == [1, 2, 3]
     assert sorted(final.receiver.recv_log) == [1, 2, 3]
     assert down.sender.frames_acked == 3
+    assert len(down.sender._retained) == 0

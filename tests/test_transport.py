@@ -63,6 +63,18 @@ def test_pacer_spacing_and_rebase():
     assert p.busy_until_ns == 108_000
 
 
+def test_pacer_does_not_rebase_when_charged_at_its_busy_instant():
+    # at 3 bps one bit keeps the pacer busy until 333,333,333; a charge at
+    # exactly that instant continues the progression, so packet 2 of three
+    # one-bit packets starts at 3 bits, 1 s. A rebase would give 999,999,999
+    p = RatePacer(3)
+    p.charge(0, 1, 1, 1)
+    assert p.busy_until_ns == 333_333_333
+    base, bits0 = p.charge(333_333_333, 3, 1, 1)
+    assert [base + ((bits0 + i) * 10**9) // 3 for i in range(3)] == [
+        333_333_333, 666_666_666, 1_000_000_000]
+
+
 # -- send side -------------------------------------------------------------------
 
 
@@ -559,18 +571,53 @@ def test_retransmit_skips_packets_not_yet_emitted():
     assert sender.packets_retransmitted == 7
 
 
+def _ack(frame_id):
+    return ControlPacket(packet_type=PacketType.FRAME_ACK, stream_id=1, frame_id=frame_id)
+
+
+def _nack(frame_id):
+    return ControlPacket(packet_type=PacketType.NACK, stream_id=1, frame_id=frame_id,
+                         ranges=((1, 1, 1),))
+
+
+def test_unacknowledged_frame_stays_until_the_window_evicts_it():
+    # frame 1's ACK never arrives: ten acknowledged frames leave it
+    # retained, and only the third un-acknowledged one after it, with a
+    # window of 3, evicts it
+    sender = _sender(rate=10**9, retention_frames=3)
+    sender.send_frame(_frame(size=14_000, frame_id=1), 0)
+    for fid in range(2, 12):
+        sender.send_frame(_frame(size=14_000, frame_id=fid), (fid - 1) * MS)
+        sender.on_frame_ack(_ack(fid))
+    for fid in range(12, 14):
+        sender.send_frame(_frame(size=14_000, frame_id=fid), (fid - 1) * MS)
+    assert sum(b.count for b in sender.retransmit(_nack(1), 20 * MS)) == 1
+    assert len(sender._retained) == 3
+    sender.send_frame(_frame(size=14_000, frame_id=14), 13 * MS)
+    assert len(sender._retained) == 3
+    assert sender.retransmit(_nack(1), 20 * MS) == []
+    assert (sender.stale_nacks, sender.frames_acked) == (1, 10)
+
+
+def test_nack_after_its_frames_ack_is_stale():
+    # the ACK overtook the NACK on the reverse link: the receiver holds the
+    # frame, so nothing is resent
+    sender = _sender(rate=10**9)
+    sender.send_frame(_frame(size=14_000, frame_id=1), 0)
+    sender.on_frame_ack(_ack(1))
+    assert sender.retransmit(_nack(1), 20 * MS) == []
+    assert (sender.stale_nacks, sender.packets_retransmitted) == (1, 0)
+    assert sender.send_log[1].retransmit_count == 0
+    assert len(sender._retained) == 0
+
+
 def test_retention_window_keeps_the_last_frames():
     # with a window of 8, sending frames 1..10 keeps 3..10: a NACK for
     # frame 3 is answered, and one for frame 2 is stale
     sender = _sender(rate=10**9, retention_frames=8)
     for fid in range(1, 11):
         sender.send_frame(_frame(size=14_000, frame_id=fid), (fid - 1) * MS)
-
-    def nack(frame_id):
-        return ControlPacket(packet_type=PacketType.NACK, stream_id=1, frame_id=frame_id,
-                             ranges=((1, 1, 1),))
-
-    assert sum(b.count for b in sender.retransmit(nack(3), 20 * MS)) == 1
+    assert sum(b.count for b in sender.retransmit(_nack(3), 20 * MS)) == 1
     assert sender.stale_nacks == 0
-    assert sender.retransmit(nack(2), 20 * MS) == []
+    assert sender.retransmit(_nack(2), 20 * MS) == []
     assert sender.stale_nacks == 1
