@@ -5,18 +5,18 @@ modeled as configurable processing-time distributions around the frame
 cadence. The capture side emits synthetic frames on an exact fps grid,
 each already cut into the segments the transport sends (``segment_size``,
 the scenario's ``segment_payload_size``); the render side turns a
-completed frame into a display instant. Both records carry the frame's
-length and crc32, the ends of the payload check that
-``pipeline.receiver_reports`` makes: no other layer reads a payload byte
-for it. Instants are
-in the time of the node's driver (true time in the sim, the host clock in
+completed frame into a display instant. The render record carries the
+payload check's verdict: whether the rendered segments are byte for byte
+the frame the sender captured (``frames.is_synthetic_frame``), which
+``pipeline.render_on_frame`` compares and ``pipeline.receiver_reports``
+counts. No other layer reads a payload byte for it. Instants are in the
+time of the node's driver (true time in the sim, the host clock in
 socket mode); ``metrics.assemble_record`` reads them through the node's
 clock.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 from .frames import VolumetricFrame, make_synthetic_frame
@@ -64,8 +64,6 @@ class AppTxRecord:
     capture_end_ns: int
     app_tx_ns: int
     overrun: bool
-    payload_len: int
-    payload_crc32: int
 
 
 @dataclass(slots=True)
@@ -73,8 +71,7 @@ class AppRxRecord:
     frame_id: int
     app_rx_ns: int
     display_ns: int
-    payload_len: int
-    payload_crc32: int
+    payload_intact: bool
 
 
 def capture_tick(
@@ -99,8 +96,6 @@ def capture_tick(
         capture_end_ns=tick_ns + app_tx,
         app_tx_ns=app_tx,
         overrun=app_tx >= profile.interval_ns,
-        payload_len=sum(len(segment) for segment in frame.segments),
-        payload_crc32=frame.crc32,
     )
     return frame, record
 
@@ -109,15 +104,11 @@ def render_complete(
     profile: RenderProfile,
     frame_id: int,
     complete_ns: int,
-    segments,
+    payload_intact: bool,
     rng=None,
 ) -> AppRxRecord:
-    """Turn a reassembled frame, its ``segments`` in order, into a display
-    instant; its length and crc32 are streamed over them without a join."""
-    length = crc = 0
-    for buf in segments:
-        length += len(buf)
-        crc = zlib.crc32(buf, crc)
+    """Turn a reassembled frame into a display instant; ``payload_intact``
+    is the verdict of its payload check."""
     app_rx = profile.app_rx.sample(rng)
     return AppRxRecord(frame_id=frame_id, app_rx_ns=app_rx, display_ns=complete_ns + app_rx,
-                       payload_len=length, payload_crc32=crc)
+                       payload_intact=payload_intact)

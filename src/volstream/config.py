@@ -226,7 +226,7 @@ class ScenarioConfig:
     def receiver_endpoint(self) -> ReceiverEndpoint:
         """A receiving endpoint: a final receiver, or the relay's upstream.
         Neither reads a payload byte: a final receiver's ``on_frame``
-        renders the frame and checks its payload (``appemu``)."""
+        (``pipeline.render_on_frame``) checks and renders each frame."""
         t = self.transport
         return ReceiverEndpoint(
             self.stream_id,

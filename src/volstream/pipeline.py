@@ -38,6 +38,7 @@ from .appemu import capture_tick, render_complete
 from .clock import AnomalyLog, NodeClock, SyncPath, estimate_offset
 from .config import ScenarioConfig, _ms, _us
 from .errors import SyncError
+from .frames import is_synthetic_frame
 from .metrics import (ReceiverLog, RelayLog, RunLogs, RunSummary, SenderLog, assemble_record,
                       format_summary_table, summarize, write_report)
 from .netem import TRACE_COLUMNS, EventQueue, Link
@@ -246,11 +247,15 @@ def schedule_syncs(driver, sync: Sync, cfg: ScenarioConfig, start_ns: int) -> No
 
 
 def render_on_frame(cfg: ScenarioConfig, rng, app_rx: dict):
-    """A final receiver's ``on_frame``: render each completed frame into ``app_rx``."""
-    profile = cfg.render_profile()
+    """A final receiver's ``on_frame``: check each completed frame's
+    segments against the frame captured under that id, in place, and render
+    it into ``app_rx`` with the verdict."""
+    profile, c = cfg.render_profile(), cfg.capture_profile()
 
     def on_frame(frame_id, segments, log):
-        app_rx[frame_id] = render_complete(profile, frame_id, log.complete_ns, segments, rng)
+        intact = is_synthetic_frame(segments, frame_id, c.color_bytes, c.depth_bytes,
+                                    c.audio_bytes, cfg.seed, c.segment_size)
+        app_rx[frame_id] = render_complete(profile, frame_id, log.complete_ns, intact, rng)
     return on_frame
 
 
@@ -391,22 +396,18 @@ def receiver_reports(logs: RunLogs, frame_count: int, anomalies: AnomalyLog) -> 
     ``assemble_record`` of each frame ``1..frame_count`` and their summary.
 
     The summary counters come from the nodes' logs: the endpoints' own
-    counters, the drops and the payload check, which compares each rendered
-    frame's length and crc32 with its capture record's. The README's
-    Reports section defines each one. ``anomalies`` collects the clock
-    anomalies of every receiver's records.
+    counters, the drops and the payload check, which counts each rendered
+    frame whose segments differed from the captured frame's, or that was
+    never captured. The README's Reports section defines each one.
+    ``anomalies`` collects the clock anomalies of every receiver's records.
     """
     app_tx, sender, relay = logs.sender.app_tx, logs.sender.counters, logs.relay.counters
     reports = []
     for r, final in enumerate(logs.receivers):
         seen = anomalies.count
         records = [assemble_record(f, logs, r, anomalies) for f in range(1, frame_count + 1)]
-        mismatches = 0
-        for frame_id, got in final.app_rx.items():
-            captured = app_tx.get(frame_id)
-            if captured is None or (captured.payload_len, captured.payload_crc32) \
-                    != (got.payload_len, got.payload_crc32):
-                mismatches += 1
+        mismatches = sum(not got.payload_intact or frame_id not in app_tx
+                         for frame_id, got in final.app_rx.items())
         receiver = final.counters
         counts = {
             "payload_mismatches": mismatches,

@@ -52,9 +52,9 @@ def test_overrun_flags_but_does_not_skip_ticks():
 
 
 def test_render_fixed_and_zero_delay():
-    rec = render_complete(RenderProfile(app_rx=DurationDist(22 * MS)), 1, 100 * MS, [])
+    rec = render_complete(RenderProfile(app_rx=DurationDist(22 * MS)), 1, 100 * MS, True)
     assert rec.display_ns == 122 * MS
-    rec = render_complete(RenderProfile(app_rx=DurationDist(0)), 1, 100 * MS, [])
+    rec = render_complete(RenderProfile(app_rx=DurationDist(0)), 1, 100 * MS, True)
     assert rec.display_ns == 100 * MS
 
 
@@ -63,7 +63,7 @@ def test_render_distribution_is_seeded_and_bounded():
 
     def sample_run(seed):
         rng = random.Random(seed)
-        return [render_complete(profile, i, 0, [], rng).app_rx_ns for i in range(50)]
+        return [render_complete(profile, i, 0, True, rng).app_rx_ns for i in range(50)]
 
     a, b = sample_run(7), sample_run(7)
     assert a == b

@@ -12,10 +12,11 @@ mismatch.
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from volstream.frames import make_synthetic_frame
 from volstream.metrics import render_frames_csv, render_summary_csv
-from volstream.pipeline import run_simulation
+from volstream.pipeline import SimulationRun, run_simulation
 
-from conftest import make_small_config
+from conftest import collect_frames, make_small_config
 
 CONFIGS = st.fixed_dictionaries({
     "seed": st.integers(1, 1_000),
@@ -60,16 +61,21 @@ def test_trace_path_gives_the_same_reports(overrides):
 @given(overrides=CONFIGS)
 def test_without_deadline_or_round_limit_every_frame_completes_intact(overrides):
     # with no deadline and no limit on NACK rounds, recovery must complete
-    # every frame at every receiver, each matching the sender's crc32
+    # every frame at every receiver, each passing the payload check and
+    # equal, joined, to the frame the sender captured
     cfg = make_small_config(duration_s=0.4, **overrides, **{
         "transport.deadline_ms": 0, "transport.max_nack_rounds": 10**9})
-    result = run_simulation(cfg, write_outputs=False)
+    sim = SimulationRun(cfg)
+    joined = [collect_frames(ep) for ep in sim.receivers]
+    result = sim.run()
     assert result.payload_mismatches == 0
-    sent = result.sim.sender.send_log
-    captured = result.sim.app_tx_records
-    for app_rx, rr in zip(result.sim.app_rx_records, result.receivers):
+    sent = sim.sender.send_log
+    c = cfg.capture_profile()
+    for app_rx, frames, rr in zip(sim.app_rx_records, joined, result.receivers):
         assert rr.summary.frames_completed == rr.summary.frames_sent == len(sent)
-        assert app_rx.keys() == sent.keys()
+        assert app_rx.keys() == frames.keys() == sent.keys()
         for frame_id, got in app_rx.items():
-            assert (got.payload_len, got.payload_crc32) == \
-                (captured[frame_id].payload_len, captured[frame_id].payload_crc32) != (0, 0)
+            assert got.payload_intact is True
+            assert frames[frame_id] == b"".join(make_synthetic_frame(
+                frame_id, c.color_bytes, c.depth_bytes, c.audio_bytes, cfg.seed,
+                c.segment_size).segments)

@@ -1,6 +1,5 @@
 import random
 import struct
-import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +7,8 @@ import hypothesis.strategies as st
 
 from volstream.clock import NodeClock
 from volstream.errors import CodecError, ConfigError
-from volstream.frames import (VolumetricFrame, _synthetic_body, make_synthetic_frame,
-                              required_bandwidth_bps)
+from volstream.frames import (VolumetricFrame, _synthetic_body, is_synthetic_frame,
+                              make_synthetic_frame, required_bandwidth_bps)
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
 from volstream.wire import data_header, parse_header
 
@@ -75,6 +74,42 @@ def test_paper_frame_is_built_in_a_fraction_of_its_size():
     assert peak <= 500_000
 
 
+PAPER = (1, 1_400_000, 1_920_000, 200_000, 1, 65_000)   # frame_id, sections, seed, segment size
+
+
+@pytest.mark.parametrize("as_type", [bytes, memoryview, bytearray])
+def test_check_accepts_a_frames_own_segments_as_any_buffer(as_type):
+    segs = make_synthetic_frame(*PAPER).segments
+    assert is_synthetic_frame([as_type(seg) for seg in segs], *PAPER)
+    assert is_synthetic_frame(segs, *PAPER)
+
+
+def _flip(seg, at: int) -> bytes:
+    buf = bytearray(seg)
+    buf[at] ^= 0x01
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda s: [s[0], _flip(s[1], 40_000), *s[2:]],      # one body byte
+    lambda s: [*s[:-1], _flip(s[-1], len(s[-1]) - 1)],  # one tag byte
+    lambda s: [s[1], s[0], *s[2:]],                     # two equal-length segments swapped
+    lambda s: [*s[:-1], s[-1][:-1]],                    # last segment truncated
+    lambda s: s[:-1],                                   # last segment missing
+    lambda s: [*s, b""],                                # an extra empty segment
+], ids=["body-byte", "tag-byte", "swapped", "truncated", "missing", "extra-empty"])
+def test_check_rejects_a_tampered_frame(tamper):
+    segs = make_synthetic_frame(*PAPER).segments
+    assert not is_synthetic_frame(tamper(list(segs)), *PAPER)
+
+
+def test_check_rejects_another_frames_segments():
+    # the same sizes under another frame id or seed differ only in the tag
+    segs = make_synthetic_frame(*PAPER).segments
+    assert not is_synthetic_frame(segs, 2, *PAPER[1:])
+    assert not is_synthetic_frame(segs, *PAPER[:4], 2, PAPER[5])
+
+
 def _cut(payload: bytes, size: int) -> list:
     """``payload`` cut into views of ``size`` bytes, the last one shorter."""
     return [memoryview(payload)[i:i + size] for i in range(0, len(payload), size)]
@@ -83,7 +118,7 @@ def _cut(payload: bytes, size: int) -> list:
 def _bursts(payload: bytes, packet_payload_size: int):
     # the production packetizer: one-segment frames sent by a SenderEndpoint
     sender = SenderEndpoint(1, 10**9, NodeClock("s"), packet_payload_size=packet_payload_size)
-    return sender.send_frame(VolumetricFrame(1, _cut(payload, 65_000), zlib.crc32(payload)), 0)
+    return sender.send_frame(VolumetricFrame(1, _cut(payload, 65_000)), 0)
 
 
 def test_packetize_counts():
@@ -118,7 +153,7 @@ def test_reassembly_identity(data):
     pkt_size = data.draw(st.integers(min_value=1, max_value=9_000), label="pkt_size")
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32), label="seed"))
     payload = rng.randbytes(length)
-    frame = VolumetricFrame(1, _cut(payload, seg_size), zlib.crc32(payload))
+    frame = VolumetricFrame(1, _cut(payload, seg_size))
     sender = SenderEndpoint(1, 10**9, NodeClock("s"), packet_payload_size=pkt_size)
     receiver = ReceiverEndpoint(1, deadline_ns=0)
     frames = collect_frames(receiver)
@@ -173,8 +208,10 @@ def test_synthetic_frame_matches_tiled_reference(sections, seed):
 @given(data=st.data(),
        seed=st.one_of(st.sampled_from([0, 1, 2**64 + 5]), st.integers(0, 2**70)),
        frame_id=st.integers(min_value=0, max_value=0xFFFFFFFF))
-def test_synthetic_frame_crc_is_crc_of_payload(data, seed, frame_id):
-    # totals under 24 B truncate the tag and leave the body empty
+def test_synthetic_frame_matches_only_its_own_bytes(data, seed, frame_id):
+    # totals under 24 B truncate the tag and leave the body empty; the
+    # frame's own segments match, and so do their copies, but one flipped
+    # byte anywhere, body or tag, does not
     size = data.draw(st.sampled_from(SEGMENT_SIZES), label="segment_size")
     most = min(4 * 65_536 + 100, size * MAX_SEGMENTS)
     total = data.draw(st.one_of(
@@ -182,9 +219,14 @@ def test_synthetic_frame_crc_is_crc_of_payload(data, seed, frame_id):
         st.sampled_from([t for t in (1, 23, 24, 25, 65_536, 2 * 65_536, 4 * 65_536)
                          if t <= most])), label="total")
     color = total // 3
-    frame = make_synthetic_frame(frame_id, color, total - color, 0, seed=seed,
-                                 segment_size=size)
-    assert frame.crc32 == zlib.crc32(b"".join(frame.segments))
+    args = (frame_id, color, total - color, 0, seed, size)
+    segs = make_synthetic_frame(*args).segments
+    assert is_synthetic_frame(segs, *args)
+    assert is_synthetic_frame([bytes(seg) for seg in segs], *args)
+    at = data.draw(st.integers(min_value=0, max_value=total - 1), label="byte")
+    flipped = [bytearray(seg) for seg in segs]
+    flipped[at // size][at % size] ^= data.draw(st.integers(1, 255), label="mask")
+    assert not is_synthetic_frame(flipped, *args)
 
 
 @pytest.mark.parametrize("seg_size", [1, 7, 23, 24, 25, 1_000, 65_000])

@@ -21,8 +21,7 @@ def _logs(network_l1_ns=342_000, protocol_rx1_ns=15_200_000, sender_clock=None,
     sender_clock = sender_clock or NodeClock("sender")
     relay_clock = relay_clock or NodeClock("relay")
     app_tx = AppTxRecord(frame_id=1, capture_start_ns=0, capture_end_ns=7_300_000,
-                         app_tx_ns=7_300_000, overrun=False, payload_len=3_520_000,
-                         payload_crc32=1)
+                         app_tx_ns=7_300_000, overrun=False)
     send = SendLogEntry(frame_id=1, first_send_ns=7_300_000,
                         last_send_end_ns=7_300_000 + 14_080_000,
                         packet_count=2546)
@@ -43,8 +42,7 @@ def _logs(network_l1_ns=342_000, protocol_rx1_ns=15_200_000, sender_clock=None,
                             relay_send.first_send_ns),
                         complete_ns=recv_first + 19_500_000)
     app_rx = AppRxRecord(frame_id=1, app_rx_ns=22_000_000,
-                         display_ns=recv.complete_ns + 22_000_000, payload_len=3_520_000,
-                         payload_crc32=1)
+                         display_ns=recv.complete_ns + 22_000_000, payload_intact=True)
     return RunLogs(SenderLog(sender_clock, {1: app_tx}, {1: send}, {}),
                    RelayLog(relay_clock, {1: relay_recv}, {}, [{1: relay_send}], {}),
                    [ReceiverLog(NodeClock("receiver0", "master"), {1: recv}, {},

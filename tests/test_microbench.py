@@ -1,14 +1,14 @@
-"""Microbenchmarks of burst planning, carriage, datagram building and
-reassembly (pytest-benchmark).
+"""Microbenchmarks of burst planning, carriage, datagram building,
+reassembly and the payload check (pytest-benchmark).
 
 Sizes are the two benchmark geometries: 47-packet bursts (one 65,000 B
 segment of 1,400 B packets, ``paper-default``) and 254-packet bursts (256 B
-packets, ``fanout-small``); reassembly, and frame synthesis plus
-``send_frame``, use the 3.52 MB ``paper-default`` frame of 55 segments.
-Rounds are fixed so the whole file stays cheap inside the tier-1 run;
-compare the printed means across revisions. Totals are asserted against
-the rounds that ran, so the file also passes under ``--benchmark-disable``,
-which runs each benchmark once.
+packets, ``fanout-small``); reassembly, the payload check, and frame
+synthesis plus ``send_frame``, use the 3.52 MB ``paper-default`` frame of 55
+segments. Rounds are fixed so the whole file stays cheap inside the tier-1
+run; compare the printed means across revisions. Totals are asserted
+against the rounds that ran, so the file also passes under
+``--benchmark-disable``, which runs each benchmark once.
 """
 
 import random
@@ -17,7 +17,7 @@ import pytest
 
 from volstream.appemu import RenderProfile, render_complete
 from volstream.clock import NodeClock
-from volstream.frames import make_synthetic_frame
+from volstream.frames import is_synthetic_frame, make_synthetic_frame
 from volstream.netem import Link, LinkModel, NodeStageModel
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
 from volstream.wire import FLAG_FINAL_SEGMENT, HEADER_SIZE
@@ -124,7 +124,7 @@ def test_bench_ingest_segment(benchmark):
 
 
 def test_bench_ingest_frame(benchmark):
-    # 55 one-run segments complete a 3.52 MB frame, crc32 included
+    # 55 one-run segments complete a 3.52 MB frame, its payload check included
     bursts = _sender(1_400).send_frame(make_synthetic_frame(1, 3_520_000, 0, 0, seed=1), 0)
     assert len(bursts) == 55 and bursts[-1].flags & FLAG_FINAL_SEGMENT
 
@@ -138,12 +138,23 @@ def test_bench_ingest_frame(benchmark):
     def setup():
         receiver = ReceiverEndpoint(1, deadline_ns=0)
         receiver.on_frame = lambda frame_id, segments, log: rendered.append(
-            render_complete(RenderProfile(), frame_id, log.complete_ns, segments))
+            render_complete(RenderProfile(), frame_id, log.complete_ns, is_synthetic_frame(
+                segments, frame_id, 3_520_000, 0, 0, 1, 65_000)))
         return (receiver,), {}
 
     log = benchmark.pedantic(complete, setup=setup, rounds=ROUNDS // 4, iterations=1)
     assert log is not None and log.frame_id == 1
-    assert rendered and {record.payload_len for record in rendered} == {3_520_000}
+    assert rendered and all(record.payload_intact for record in rendered)
+
+
+def test_bench_payload_check(benchmark):
+    # the receiver's payload check of one 3.52 MB paper frame whose 55
+    # segments are copies, so no segment aliases the generator's window
+    args = (1, 1_400_000, 1_920_000, 200_000, 1, 65_000)
+    segments = [bytes(segment) for segment in make_synthetic_frame(*args).segments]
+    assert sum(map(len, segments)) == 3_520_000
+    assert benchmark.pedantic(is_synthetic_frame, args=(segments, *args), rounds=ROUNDS,
+                              iterations=1)
 
 
 def test_bench_capture_send_frame(benchmark):

@@ -165,13 +165,17 @@ def test_merged_role_logs_reproduce_sim_frames_csvs(tmp_path, overrides):
 
 
 def test_merged_report_counts_each_receivers_own_mismatches_and_anomalies(tmp_path):
-    # receiver 0's role log has a clock offset far off, and receiver 1's one
-    # altered crc32: each summary counts only its own receiver's faults
+    # receiver 0's role log has a clock offset far off, and receiver 1's
+    # has frame 3 rendered with a failed payload check and an intact frame
+    # 99 that the sender never captured: each summary counts only its own
+    # receiver's faults
     def tamper(out):
         paths = [Path(out) / f"receiver{r}_log.json" for r in (0, 1)]
         logs = [json.loads(path.read_text()) for path in paths]
         logs[0]["clock"]["syncs"] = [[0, -1_000_000_000]]
-        logs[1]["app_rx"]["3"]["payload_crc32"] ^= 1
+        assert logs[1]["app_rx"]["3"]["payload_intact"] is True
+        logs[1]["app_rx"]["99"] = dict(logs[1]["app_rx"]["3"], frame_id=99)
+        logs[1]["app_rx"]["3"]["payload_intact"] = False
         for path, log in zip(paths, logs):
             path.write_text(json.dumps(log))
 
@@ -179,8 +183,8 @@ def test_merged_report_counts_each_receivers_own_mismatches_and_anomalies(tmp_pa
     first = _summary_counts(merged_dir / "summary.csv")
     second = _summary_counts(merged_dir / "summary_r1.csv")
     assert first["payload_mismatches"] == "0" and int(first["clock_anomalies"]) > 0
-    assert second["payload_mismatches"] == "1" and second["clock_anomalies"] == "0"
-    assert [summary.packet_counts["payload_mismatches"] for _, summary in merged] == [0, 1]
+    assert second["payload_mismatches"] == "2" and second["clock_anomalies"] == "0"
+    assert [summary.packet_counts["payload_mismatches"] for _, summary in merged] == [0, 2]
 
 
 # The entry class of each frame_id-keyed log of a node's record.

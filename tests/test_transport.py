@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +8,7 @@ import hypothesis.strategies as st
 from volstream.appemu import CaptureProfile, RenderProfile, capture_tick, render_complete
 from volstream.clock import NodeClock
 from volstream.errors import TransportError
-from volstream.frames import make_synthetic_frame
+from volstream.frames import is_synthetic_frame, make_synthetic_frame
 from volstream.pacing import RatePacer
 from volstream.transport import ReceiverEndpoint, SenderEndpoint
 from volstream.wire import (MAX_NACK_DATAGRAM, MAX_NACK_RANGES, ControlPacket, PacketType,
@@ -470,9 +469,9 @@ def test_frame_record_matches_its_runs(size, seed):
 
 def test_frame_send_allocates_no_payload_copy():
     # with the body cache warm, a synthetic paper frame is 54 views of the
-    # cached body and its tail, and its crc32 is the body's continued over
-    # the tag: capture plus send_frame joins only segment 55 (9,976 body
-    # bytes and the 24-byte tag), and the capture record reads no payload
+    # cached body and its tail: capture plus send_frame joins only segment
+    # 55 (9,976 body bytes and the 24-byte tag), and the capture record
+    # reads no payload
     profile = CaptureProfile()
     capture_tick(profile, 1, 0, seed=1)
     sender = _sender()
@@ -483,24 +482,25 @@ def test_frame_send_allocates_no_payload_copy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(bursts) == 55
-    assert record.payload_crc32 == zlib.crc32(b"".join(frame.segments))
-    assert record.payload_len == 3_520_000
+    assert len(bursts) == 55 and record.frame_id == frame.frame_id == 1
+    assert sum(len(segment) for segment in frame.segments) == 3_520_000
     assert peak < 256_000
 
 
 def test_frame_completion_allocates_no_payload_copy():
     # one 3.52 MB frame, 55 x 65,000 B segments arriving as one run each:
-    # segments stay views of the arriving buffers and render_complete
-    # streams the crc32 over them, so completion and rendering allocate
-    # nothing frame- or segment-sized
+    # segments stay views of the arriving buffers and the payload check
+    # compares each in place, so completion, the check and rendering
+    # allocate nothing frame- or segment-sized (a copy of one segment
+    # would exceed the bound)
     frame = _frame()
     bursts = _sender().send_frame(frame, 0)
     assert [b.count for b in bursts] == [47] * 54 + [8]
     receiver = _receiver()
     rendered = {}
     receiver.on_frame = lambda frame_id, segments, log: rendered.setdefault(
-        frame_id, render_complete(RenderProfile(), frame_id, log.complete_ns, segments))
+        frame_id, render_complete(RenderProfile(), frame_id, log.complete_ns, is_synthetic_frame(
+            segments, frame_id, 3_520_000, 0, 0, 1, 65_000)))
     tracemalloc.start()
     try:
         for b in bursts:
@@ -509,10 +509,8 @@ def test_frame_completion_allocates_no_payload_copy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    record = rendered[1]
-    payload = b"".join(frame.segments)
-    assert (record.payload_len, record.payload_crc32) == (len(payload), zlib.crc32(payload))
-    assert peak < 1_000_000
+    assert rendered[1].payload_intact
+    assert peak < 65_000
 
 
 def test_each_drop_records_its_reason():
