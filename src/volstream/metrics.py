@@ -1,4 +1,5 @@
-"""Layered latency records, run statistics, and the canonical CSV report.
+"""Layered latency records, run statistics, the canonical CSV report, and
+``write_text``, the one writer of every output file.
 
 Per completed frame the record carries, all in integer nanoseconds:
 
@@ -27,7 +28,12 @@ The three latency identities (service, frame, per-hop protocol) hold exactly
 at ns resolution on every record by construction, and survive into the CSV,
 which prints milliseconds with six decimals (1 ns) via exact integer
 formatting. Dropped frames appear with ``completed=0`` and zeroed latencies
-and are excluded from the summary statistics.
+and are excluded from the summary statistics (``stats.describe`` of each
+metric).
+
+``write_text`` writes ``frames*.csv`` and ``summary*.csv`` (through
+``write_report``), ``probe.csv``, ``sweep*.csv``, ``config.txt``, the trace
+and the socket roles' logs; no other code opens a file for writing.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 
 from .clock import AnomalyLog, NodeClock, one_way_delay
 from .errors import MetricsError
-from .stats import jitter, mean, percentile_nearest_rank
+from .stats import Stats, describe
 
 NS_PER_MS = 1_000_000
 
@@ -223,25 +229,14 @@ def assemble_record(
 
 
 @dataclass
-class MetricStats:
-    mean_ns: float
-    p50_ns: int
-    p95_ns: int
-    p99_ns: int
-    min_ns: int
-    max_ns: int
-    jitter_ns: float
-
-
-@dataclass
 class RunSummary:
     frames_sent: int
     frames_completed: int
     frames_dropped: int
-    stats: dict                 # metric name -> MetricStats
+    stats: dict                 # metric name -> Stats
     packet_counts: dict         # counter name -> int
 
-    def stat(self, metric: str) -> MetricStats:
+    def stat(self, metric: str) -> Stats:
         return self.stats[metric]
 
 
@@ -251,20 +246,8 @@ def summarize(records, packet_counts: dict | None = None) -> RunSummary:
     if not records:
         raise MetricsError("cannot summarize an empty run")
     done = [r for r in records if r.completed]
-    stats = {}
-    for metric in SUMMARY_METRICS:
-        values = [getattr(r, metric + "_ns") for r in done]
-        if values:
-            ordered = sorted(values)
-            stats[metric] = MetricStats(
-                mean_ns=mean(values),
-                p50_ns=percentile_nearest_rank(ordered, 50),
-                p95_ns=percentile_nearest_rank(ordered, 95),
-                p99_ns=percentile_nearest_rank(ordered, 99),
-                min_ns=ordered[0],
-                max_ns=ordered[-1],
-                jitter_ns=jitter(values),
-            )
+    stats = {metric: describe([getattr(r, metric + "_ns") for r in done])
+             for metric in SUMMARY_METRICS} if done else {}
     return RunSummary(
         frames_sent=len(records),
         frames_completed=len(done),
@@ -341,6 +324,21 @@ def format_summary_table(summary: RunSummary) -> str:
     return "\n".join(lines)
 
 
+def write_text(out_dir: str, name: str, lines) -> str:
+    """Write ``lines``, an iterable of strings that each end in their own
+    line break (a whole text is one such string), as ``name`` under
+    ``out_dir``, made if missing; returns the file's path. An ``OSError`` is
+    raised as a ``MetricsError`` that names ``out_dir``."""
+    path = os.path.join(out_dir, name)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise MetricsError(f"cannot write {name} under {out_dir}: {exc}") from exc
+    return path
+
+
 def write_report(records, summary: RunSummary, out_dir: str,
                  suffix: str = "") -> tuple[str, str]:
     """Write frames{suffix}.csv and summary{suffix}.csv under ``out_dir``.
@@ -351,16 +349,5 @@ def write_report(records, summary: RunSummary, out_dir: str,
     records = list(records)
     if not records:
         raise MetricsError("refusing to write a report for an empty record set")
-    frames_txt = render_frames_csv(records)
-    summary_txt = render_summary_csv(summary)
-    os.makedirs(out_dir, exist_ok=True)
-    frames_path = os.path.join(out_dir, f"frames{suffix}.csv")
-    summary_path = os.path.join(out_dir, f"summary{suffix}.csv")
-    try:
-        with open(frames_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(frames_txt)
-        with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(summary_txt)
-    except OSError as exc:
-        raise MetricsError(f"cannot write report under {out_dir}: {exc}") from exc
-    return frames_path, summary_path
+    return (write_text(out_dir, f"frames{suffix}.csv", [render_frames_csv(records)]),
+            write_text(out_dir, f"summary{suffix}.csv", [render_summary_csv(summary)]))

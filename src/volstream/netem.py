@@ -24,7 +24,8 @@ stream identically.
 
 The isolated-packet probe (``run_probe_experiment``) sends its packets
 through ``Link.traverse`` as well and reads every stage from the trace
-rows, so the probe and the stream cross one stage model.
+rows, so the probe and the stream cross one stage model; each stage's
+statistics are its samples' ``stats.describe``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ConfigError, VolstreamError
-from .stats import mean, percentile_nearest_rank
+from .stats import describe
 
 NS_PER_S = 1_000_000_000
 PROPAGATION_NS_PER_KM = 5_000   # light in fiber, about 2/3 c
@@ -367,19 +368,10 @@ TRACE_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class StageStats:
-    """mean/p50/p99 of one delay stage over a probe batch, in ns."""
-
-    mean_ns: float
-    p50_ns: int
-    p99_ns: int
-
-
-@dataclass(frozen=True)
 class ProbeSizeResult:
     packet_bytes: int
     samples: int
-    stages: dict  # stage name -> StageStats
+    stages: dict  # stage name -> stats.Stats, in report order
 
 
 def run_probe_experiment(
@@ -390,7 +382,8 @@ def run_probe_experiment(
     samples_per_size: int,
     seed,
 ) -> list[ProbeSizeResult]:
-    """Send isolated probe packets per size and report per-stage statistics.
+    """Send isolated probe packets per size and report per-stage statistics,
+    the stages in link order and then ``total``.
 
     The probes cross a ``Link`` built with no loss or reorder stream, so
     every probe arrives, and each stage is read from the link's trace rows.
@@ -412,14 +405,8 @@ def run_probe_experiment(
         t = 0
         for _ in range(samples_per_size):
             [t] = probe.traverse([t], [size])
-        stages = {name: _stage_stats([row[i] for row in rows]) for name, i in columns.items()}
-        stages["total"] = _stage_stats([row[0] - row[emitted] for row in rows])
+        stages = {name: describe([row[i] for row in rows]) for name, i in columns.items()}
+        stages["total"] = describe([row[0] - row[emitted] for row in rows])
         results.append(ProbeSizeResult(packet_bytes=size, samples=samples_per_size,
                                        stages=stages))
     return results
-
-
-def _stage_stats(values) -> StageStats:
-    ordered = sorted(values)
-    return StageStats(mean_ns=mean(values), p50_ns=percentile_nearest_rank(ordered, 50),
-                      p99_ns=percentile_nearest_rank(ordered, 99))

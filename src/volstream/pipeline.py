@@ -28,10 +28,10 @@ functions, and a stream run in either mode returns a ``StreamResult``.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 from .appemu import capture_tick, render_complete
@@ -40,7 +40,7 @@ from .config import ScenarioConfig, _ms, _us
 from .errors import SyncError
 from .frames import is_synthetic_frame
 from .metrics import (ReceiverLog, RelayLog, RunLogs, RunSummary, SenderLog, assemble_record,
-                      format_summary_table, summarize, write_report)
+                      format_summary_table, summarize, write_report, write_text)
 from .netem import TRACE_COLUMNS, EventQueue, Link
 from .transport import DROP_REASONS, ReceiverEndpoint, SenderEndpoint
 from .wire import ControlPacket, PacketType, encode_packet
@@ -441,15 +441,13 @@ def write_reports(receivers, out_dir: str, suffix: str = "") -> None:
 
 def run_simulation(cfg: ScenarioConfig, write_outputs: bool = True) -> StreamResult:
     """Run one stream-experiment simulation; optionally write its reports
-    and trace under ``cfg.out_dir``."""
+    and trace under ``cfg.out_dir``. The trace's rows are sorted and written
+    one line at a time."""
     result = SimulationRun(cfg).run()
     if write_outputs:
         write_reports(result.receivers, cfg.out_dir)
         if cfg.trace.enabled:
-            path = os.path.join(cfg.out_dir, cfg.trace.file)
-            rows = sorted(result.trace_rows)
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(",".join(TRACE_COLUMNS) + "\n")
-                for row in rows:
-                    fh.write(",".join(str(v) for v in row) + "\n")
+            write_text(cfg.out_dir, cfg.trace.file, chain(
+                [",".join(TRACE_COLUMNS) + "\n"],
+                (",".join(map(str, row)) + "\n" for row in sorted(result.trace_rows))))
     return result

@@ -2,22 +2,19 @@
 run's config, picks what runs and writes ``config.txt``) and the probe and
 sweep experiments. Each result has ``table()``, its console text, and
 ``streams()``, the ``(label, RunSummary)`` of every stream that must
-complete a frame and pass the payload check."""
+complete a frame and pass the payload check. ``config.txt``, ``probe.csv``
+and ``sweep*.csv`` are written by ``metrics.write_text``."""
 
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass
 
 from .config import ScenarioConfig, render_config, validate
 from .errors import ConfigError
-from .metrics import NS_PER_MS, ns_to_ms_str
+from .metrics import NS_PER_MS, ns_to_ms_str, write_text
 from .netem import run_probe_experiment
 from .pipeline import run_simulation, write_reports
-
-PROBE_STAGE_ORDER = ("tx_sw", "tx_hw", "serialization", "propagation",
-                     "switching", "rx_hw", "rx_sw", "total")
 
 
 @dataclass
@@ -28,8 +25,8 @@ class ProbeRunResult:
         """``(hop, size result, stage, stage stats)`` in report order."""
         for hop, size_results in self.per_hop.items():
             for sr in size_results:
-                for stage in PROBE_STAGE_ORDER:
-                    yield hop, sr, stage, sr.stages[stage]
+                for stage, st in sr.stages.items():
+                    yield hop, sr, stage, st
 
     def table(self) -> str:
         lines = [f"{'hop':<6} {'bytes':>6} {'stage':<14} {'mean_us':>10} {'p50_us':>10} "
@@ -74,15 +71,6 @@ class SweepRunResult:
                 for r, rr in enumerate(result.receivers)]
 
 
-def _write_text(out_dir: str, name: str, text: str) -> str:
-    """Write ``text`` as ``name`` under ``out_dir``; returns its path."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    return path
-
-
 def run_probe(cfg: ScenarioConfig, write_outputs: bool = True) -> ProbeRunResult:
     """Probe both hops with isolated packets of the configured sizes."""
     result = ProbeRunResult(per_hop={
@@ -96,11 +84,11 @@ def run_probe(cfg: ScenarioConfig, write_outputs: bool = True) -> ProbeRunResult
             f"{cfg.seed}:hop2"),
     })
     if write_outputs:
-        lines = ["hop,packet_bytes,samples,stage,mean_us,p50_us,p99_us"]
+        lines = ["hop,packet_bytes,samples,stage,mean_us,p50_us,p99_us\n"]
         lines += [f"{hop},{sr.packet_bytes},{sr.samples},{stage},{st.mean_ns / 1000:.3f},"
-                  f"{st.p50_ns / 1000:.3f},{st.p99_ns / 1000:.3f}"
+                  f"{st.p50_ns / 1000:.3f},{st.p99_ns / 1000:.3f}\n"
                   for hop, sr, stage, st in result.stage_rows()]
-        _write_text(cfg.out_dir, "probe.csv", "\n".join(lines) + "\n")
+        write_text(cfg.out_dir, "probe.csv", lines)
     return result
 
 
@@ -126,13 +114,12 @@ def run_sweep(cfg: ScenarioConfig, write_outputs: bool = True) -> SweepRunResult
     if write_outputs:
         for r, receiver_rows in enumerate(rows):
             lines = ["rate_bps,frames_completed,mean_protocol_tx1_ms,"
-                     "ideal_serialization_ms,mean_frame_rx_ms"]
+                     "ideal_serialization_ms,mean_frame_rx_ms\n"]
             lines += [f"{row.rate_bps},{row.frames_completed},"
                       f"{_mean_ms(row.mean_protocol_tx1_ns, '.6f')},"
                       f"{ns_to_ms_str(row.ideal_serialization_ns)},"
-                      f"{_mean_ms(row.mean_frame_rx_ns, '.6f')}" for row in receiver_rows]
-            _write_text(cfg.out_dir, f"sweep_r{r}.csv" if r else "sweep.csv",
-                        "\n".join(lines) + "\n")
+                      f"{_mean_ms(row.mean_frame_rx_ns, '.6f')}\n" for row in receiver_rows]
+            write_text(cfg.out_dir, f"sweep_r{r}.csv" if r else "sweep.csv", lines)
     return SweepRunResult(rows=rows[0], results=results)
 
 
@@ -180,7 +167,7 @@ def run_experiment(cfg: ScenarioConfig, write_outputs: bool = True,
             sockets.run_role(cfg, role, role_index)
             return None
     if write_outputs or socket_mode:
-        config_path = _write_text(cfg.out_dir, "config.txt", render_config(cfg))
+        config_path = write_text(cfg.out_dir, "config.txt", [render_config(cfg)])
     if socket_mode:
         return sockets.run_socket_orchestrated(cfg, config_path)
     if cfg.experiment == "probe":

@@ -44,7 +44,7 @@ from .appemu import AppRxRecord, AppTxRecord
 from .clock import AnomalyLog, NodeClock
 from .config import ScenarioConfig
 from .errors import CodecError, VolstreamError
-from .metrics import ReceiverLog, RelayLog, RunLogs, SenderLog
+from .metrics import ReceiverLog, RelayLog, RunLogs, SenderLog, write_text
 from .pipeline import (Hop, StreamResult, Sync, receiver_log, receiver_reports, relay_log,
                        render_on_frame, schedule_captures, schedule_syncs, sender_log,
                        write_reports)
@@ -87,9 +87,7 @@ _ENTRY_CLASSES = {"app_tx": AppTxRecord, "send_log": SendLogEntry,
 
 def _write_role_log(out_dir: str, role: str, log) -> None:
     """Write ``log``, a node's record of ``metrics.RunLogs``, as ``{role}_log.json``."""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"{role}_log.json"), "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(log), fh)
+    write_text(out_dir, f"{role}_log.json", [json.dumps(dataclasses.asdict(log))])
 
 
 def _load_field(key: str, value):

@@ -271,6 +271,16 @@ def test_probe_scenario_runs(tmp_path, capsys):
     assert os.path.exists(tmp_path / "probe" / "probe.csv")
 
 
+@pytest.mark.parametrize("scenario", ["paper-default", "paper-probe", "bandwidth-sweep"])
+def test_out_dir_under_a_regular_file_exits_1(tmp_path, capsys, scenario):
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "out")
+    assert main(["run", "--scenario", scenario, "--out", out, "--quiet"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("runtime error: cannot write config.txt under " + out + ": ")
+
+
 def test_rerun_same_seed_same_csv_via_cli(tmp_path):
     path = _write_cfg(tmp_path, **{"duration_s": 0.2})
     a, b = str(tmp_path / "r1"), str(tmp_path / "r2")

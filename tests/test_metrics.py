@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ from volstream.clock import NodeClock
 from volstream.errors import MetricsError
 from volstream.metrics import (CSV_COLUMNS, FrameLatencyRecord, ReceiverLog, RelayLog,
                                RunLogs, SenderLog, assemble_record, ns_to_ms_str,
-                               render_frames_csv, summarize, write_report)
+                               render_frames_csv, summarize, write_report, write_text)
 from volstream.transport import RecvLogEntry, SendLogEntry
 
 MS = 1_000_000
@@ -189,6 +190,21 @@ def test_write_report_shapes_and_determinism(tmp_path):
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert open(f1, "rb").read() == open(f2, "rb").read()
     assert open(s1, "rb").read() == open(s2, "rb").read()
+
+
+def test_write_text_writes_its_lines_as_given(tmp_path):
+    out = tmp_path / "new" / "dir"
+    path = write_text(str(out), "t.csv", (line for line in ("a,b\n", "1,2\r\n", "3")))
+    assert path == str(out / "t.csv")
+    assert (out / "t.csv").read_bytes() == b"a,b\n1,2\r\n3"
+
+
+def test_a_failed_report_write_names_the_out_dir(tmp_path):
+    (tmp_path / "summary.csv").mkdir()
+    recs = [assemble_record(1, _logs())]
+    message = f"cannot write summary.csv under {tmp_path}: "
+    with pytest.raises(MetricsError, match=re.escape(message)):
+        write_report(recs, summarize(recs), str(tmp_path))
 
 
 def test_write_report_empty_records_creates_nothing(tmp_path):

@@ -1,7 +1,7 @@
 """Golden digests: the sim's reports are a pure function of (config, seed).
 
 Every report CSV of the four canned scenarios (streams cut to 1 s; the probe
-runs as it is) and of five ``paper-default`` variants is pinned by its
+runs as it is) and of six ``paper-default`` variants is pinned by its
 sha256. The variants cover what the canned scenarios leave out: 1% loss on
 both hops; four receivers with 256 B packets (four hop-2 links, senders and
 receivers, and many small runs); and store-and-forward with relay stalls,
@@ -9,11 +9,13 @@ two receivers and offset, drifting sender and relay clocks; and negative
 drift with opposite offsets and hop-2 loss, under which a node's local
 reading is not strictly increasing in true time; and 3 s with a resync
 every 0.5 s, two receivers and offset, drifting sender and relay clocks, the
-only pin whose run syncs again after t = 0. It was re-pinned when each
-reading came to be corrected with the estimate in force at it, interpolated
-between the exchanges around it, instead of with the last exchange's: its
-network latencies moved to within a few ns of the ground truth (its mean
-``network_l`` from 1.234830 to 1.199495 ms). The two lossy pins were
+only pin whose run syncs again after t = 0; and 0.2 s with the per-packet
+trace on, the only pin of ``trace.csv`` (about 2.7 MB). The 3 s pin was
+re-pinned when each reading came to be corrected with the estimate in force
+at it, interpolated between the exchanges around it, instead of with the
+last exchange's: its network latencies moved to within a few ns of the
+ground truth (its mean ``network_l`` from 1.234830 to 1.199495 ms). The
+two lossy pins were
 re-pinned when NACK recovery became reliable at paper scale: loss is drawn
 per loss, and each missing range has its own retry budget, so both now
 complete 30 of 30 frames (0 and 18 before). The first five
@@ -57,6 +59,7 @@ CASES = {
         "duration_s": "3", "receivers": "2", "clock.sync_interval_s": "0.5",
         "clock.drift_ppm": "35", "clock.sender_offset_ms": "2",
         "clock.relay_offset_ms": "-1"}),
+    "paper-default-trace": ("paper-default", {"duration_s": "0.2", "trace.enabled": "true"}),
 }
 
 GOLDEN = {
@@ -104,6 +107,11 @@ GOLDEN = {
         "frames_r1.csv": "1220576a56afa194dea883625a7e3c0fb8ada59093fdd5fe6247fda930eacb7b",
         "summary.csv": "6d039e120c14ac2991ecdd79da62607c5ce124d91a2b68a60bc57549c07cea9c",
         "summary_r1.csv": "37ad74b1962dd83bca90b92855c5398e5f4c6fe8969ebedfe96110c9044ed1b4",
+    },
+    "paper-default-trace": {
+        "frames.csv": "a452893d71ab6d4690b3f7ce0c3f9158606869b99c46cc7a2955a9b91410c38a",
+        "summary.csv": "63b688d5e981dbe94d1de15d66d46f03f10b39bd0af9a2ba983bc8a084106864",
+        "trace.csv": "cf85d5ee9ab5d25abfaba888aa4e8ea6d811f4c2db307367c726294e4a8de108",
     },
     "paper-probe": {
         "probe.csv": "e64972f113c978ebf80d7e3796be00b12751515314051776a577812a1d639082",
