@@ -9,7 +9,9 @@ drift and sync loss).
 
 The clock-sync keys have no such relation: on the stressed run a shorter
 ``clock.sync_interval_s`` moves the reports (the estimates change), and a
-high ``clock.sync_loss_rate`` can fail the first exchange outright.
+high ``clock.sync_loss_rate`` can fail the first exchange outright. Drift
+has a bounded relation instead: on a run with three exchanges it moves no
+one-way delay by more than a few ns (``DRIFT_FREE``).
 """
 
 import pytest
@@ -50,6 +52,9 @@ SHIFTS = [
 INVARIANT = [("clock.sender_offset_ms", "2.5"), ("clock.relay_offset_ms", "-1.75"),
              ("stream_id", "7")]
 
+# one-way delays and the spans built from them: clock drift must not move them
+DRIFT_FREE = ("network_l", "network_l1", "network_l2", "frame_l", "service_l", "protocol_l2")
+
 
 def _reports(base: dict, overrides: dict) -> list:
     """``(frames.csv, summary.csv)`` text of each receiver of a run."""
@@ -87,6 +92,22 @@ def test_override_shifts_exactly_its_columns(clean, key, value, shifts):
     assert all(row["completed"] == 1 for row in base)
     for before, after in zip(base, moved):
         assert {c: after[c] - before[c] for c in before if after[c] != before[c]} == shifts
+
+
+def test_drift_moves_no_one_way_delay():
+    # With three exchanges, each reading is corrected with the estimate
+    # interpolated between the exchanges around it, so drift cancels out of
+    # every delay measured between two clocks. Spans read on one drifting
+    # clock (frame_tx, protocol_*1, protocol_tx2, server_dist) stretch with
+    # it and are left out.
+    synced = {**CLEAN, "clock.sync_interval_s": "0.1"}
+    base = _columns(_reports(synced, {})[0][0])
+    drifted = _columns(_reports(synced, {"clock.drift_ppm": "35"})[0][0])
+    assert len(base) == len(drifted) == 9
+    for before, after in zip(base, drifted):
+        assert after["completed"] == before["completed"] == 1
+        for column in DRIFT_FREE:
+            assert abs(after[column] - before[column]) <= 10, column
 
 
 @pytest.mark.parametrize("key, value", INVARIANT, ids=[row[0] for row in INVARIANT])

@@ -252,6 +252,22 @@ def test_gap_nack_ranges_examples():
     assert receiver.next_timer_ns() is None and receiver.on_timer(10**12) == []
 
 
+def test_gap_timer_asks_for_the_unreceived_tail_of_a_passed_segment():
+    # segment 1 stops at seq 5 of 10 and segment 2 then arrives whole: the
+    # tail of segment 1 opened behind the front, so the gap timer (not the
+    # later tail timer) asks for it
+    sender, receiver = _sender(pps=1000), _receiver()
+    frame = _frame(size=3 * 10_000, segment_size=10_000)   # 3 segments of 10 packets
+    by_seg = {b.segment_index: _packets(b) for b in sender.send_frame(frame, 0)}
+    for _, pkt in by_seg[1][:5]:
+        ingest_packet(receiver, pkt, 100)
+    for _, pkt in by_seg[2]:
+        ingest_packet(receiver, pkt, 200)
+    gap_due = 200 + 2 * MS
+    assert receiver.next_timer_ns() == gap_due
+    assert [n.ranges for n in receiver.on_timer(gap_due)] == [((1, 6, 10),)]
+
+
 def test_nack_round_trip_recovers_single_loss():
     sender, receiver = _sender(), _receiver()
     frames = collect_frames(receiver)
