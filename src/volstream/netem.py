@@ -14,13 +14,15 @@ previous packet's ends, which models a switch egress port. Propagation is
 5 µs per km of fiber. Kernel and NIC stage delays come from per-node models.
 
 Data bursts arrive as pacer progressions and leave as delivered runs
-(``Link.carry``). A burst paced no faster than the link serializes never
-queues, so a run's first and last arrivals can only come from the few
-packets emitted near its ends; only those draw switching jitter, and the
-switch stream is advanced past the rest in one call. Everything else
-(control packets, bursts that could queue, reorder, tracing) goes packet by
-packet through ``Link.traverse``, and both paths consume every seeded
-stream identically.
+(``Link.carry``). A run reports only its first and last arrivals, so
+switching jitter is drawn only for the packets that can hold one of them
+(``_run_extremes``); a packet that cannot draws nothing from the switch
+stream. A burst paced no faster than the link serializes never queues and
+is carried in closed form. Everything else (control packets, bursts that
+could queue, reorder, tracing) goes packet by packet through
+``Link.traverse``, which picks the same packets, draws them from the switch
+stream in the same order, and gives every other packet its jitter from a
+second stream of its own, so both paths give the same reports.
 
 The isolated-packet probe (``run_probe_experiment``) sends its packets
 through ``Link.traverse`` as well and reads every stage from the trace
@@ -116,7 +118,11 @@ class Link:
     converts a list of emission instants into per-packet arrival instants.
     Both apply loss, switching jitter and optional reorder-as-extra-delay,
     and both leave counters, the egress queue and every seeded stream in the
-    same state. Counters satisfy delivered + lost == sent at all times.
+    same state. Switching jitter comes from the switch stream only for the
+    packets ``_run_extremes`` visits; ``traverse`` draws the rest from a
+    second stream, seeded from the switch stream's state when the link is
+    built (without drawing from it), which ``carry``'s run path never
+    touches. Counters satisfy delivered + lost == sent at all times.
     """
 
     def __init__(
@@ -134,7 +140,6 @@ class Link:
         self.model = model
         self.node_tx = node_tx
         self.node_rx = node_rx
-        self._switch_rng = switch_rng
         self._trace = trace
         # Draw functions, None where the model never draws from that stream.
         self._loss_random = loss_rng.random if model.loss_rate > 0 and loss_rng else None
@@ -144,16 +149,23 @@ class Link:
         self._to_loss = self._loss_gap() if self._loss_random is not None else 0
         self._reorder_random = (reorder_rng.random if model.reorder_rate > 0 and reorder_rng
                                 else None)
-        self._switch_random = switch_rng.random if switch_rng is not None else None
         # Fixed per-packet delay before the egress queue, and after
-        # serialization apart from switching.
+        # serialization apart from switching jitter.
         self._tx_ns = node_tx.tx_sw_ns + node_tx.tx_hw_ns
-        self._after_ns = model.propagation_ns + node_rx.rx_hw_ns + node_rx.rx_sw_ns
-        # ``carry``'s run path: switching draws per packet, and the delay
-        # from emission to arrival apart from serialization and jitter.
-        self._span = model.hop_delay_max_ns - model.hop_delay_min_ns
-        self._jitter = model.hops if self._span and switch_rng is not None else 0
-        self._fixed_ns = self._tx_ns + self._after_ns + model.hops * model.hop_delay_min_ns
+        self._after_ns = (model.propagation_ns + node_rx.rx_hw_ns + node_rx.rx_sw_ns
+                          + model.hops * model.hop_delay_min_ns)
+        # One packet's switching jitter: ``hops`` draws of [0, span) each,
+        # at most ``_top`` in all. ``traverse`` draws the packets that
+        # ``_run_extremes`` leaves out from a spare stream, seeded from the
+        # first words of the switch stream's state.
+        span = model.hop_delay_max_ns - model.hop_delay_min_ns
+        hops = range(model.hops if span and switch_rng is not None else 0)
+        self._top = len(hops) * (span - 1)
+        self._switch_rng = switch_rng
+        self._draw = _jitter_draw(switch_rng, span, hops)
+        self._spare_draw = _jitter_draw(
+            random.Random(f"spare:{switch_rng.getstate()[1][:9]}") if hops else None,
+            span, hops)
         self._plans: dict = {}      # _burst_plan per (rate, step, packet sizes)
         self._busy_until = 0
         self.sent = 0
@@ -189,12 +201,9 @@ class Link:
 
         A burst paced no faster than the link serializes never queues, so
         each packet's arrival is its emission plus a fixed delay plus its
-        switching jitter. Only packets emitted within ``slack`` of a run's
-        first or last emission can hold the run's earliest or latest
-        arrival; jitter is drawn for a fixed window of packets at each end,
-        which holds all of those, and skipped past for the rest.
-        Bursts that can queue and links with reorder or a trace go through
-        ``traverse`` instead.
+        switching jitter, and ``_run_extremes`` finds each run's ends from
+        the few packets that can hold them. Bursts that can queue and links
+        with reorder or a trace go through ``traverse`` instead.
         """
         if self._trace is None and self._reorder_random is None:
             runs = self._carry_unqueued(burst)
@@ -206,19 +215,18 @@ class Link:
 
     def _burst_plan(self, rate, step_bits, full_wire, last_wire):
         """What ``_carry_unqueued`` needs of a burst's pacing and packet
-        sizes: the packets in each draw window, the fixed delays of a full
-        and of the last packet, and the last packet's serialization. None
-        when such bursts could queue. Emissions are at least ``spacing``
-        apart, so a window holds every packet within ``slack`` of its end."""
+        sizes: how much later a full packet arrives than the last one
+        emitted at the same instant would, the delay from emission to
+        jitter-free arrival of a full and of the last packet, and the last
+        packet's serialization. None when such bursts could queue."""
         spacing = step_bits * NS_PER_S // rate
         bw = self.model.bandwidth_bps
         ser_full = (full_wire * 8 * NS_PER_S) // bw
         ser_last = (last_wire * 8 * NS_PER_S) // bw
         if spacing == 0 or spacing < ser_full:
             return None
-        slack = ser_full - ser_last + self._jitter * (self._span - 1)
-        return (slack // spacing + 1, self._fixed_ns + ser_full,
-                self._fixed_ns + ser_last, ser_last)
+        fixed = self._tx_ns + self._after_ns
+        return ser_full - ser_last, fixed + ser_full, fixed + ser_last, ser_last
 
     def _carry_unqueued(self, burst):
         """``carry``'s run path; None when the burst could queue."""
@@ -230,52 +238,28 @@ class Link:
             plan = self._plans[key] = self._burst_plan(*key)
         if plan is None:
             return None
-        window, k_full, k_last, ser_last = plan
+        spread, k_full, k_last, ser_last = plan
         if burst.first_ns + self._tx_ns < self._busy_until:
             return None
 
         base = burst.base_ns
         bits = burst.bits0 * NS_PER_S
         step = burst.step_bits * NS_PER_S
-        lost = self._losses(n) if self._loss_random is not None else []
-        span = self._span
-        switch = self._switch_rng
-        jitter = self._jitter
         last = n - 1
-        rand = self._switch_random
-        draws = range(jitter)
-        cursor = 0           # first packet whose switching draws are still pending
+
+        def arrival(i):
+            return (bits + i * step) // rate + (k_last if i == last else k_full)
+
+        lost = self._losses(n) if self._loss_random is not None else []
+        top = self._top
+        draw = self._draw
         runs = []
         first = 0
         for end in lost + [n]:
-            if end == first:
-                first = end + 1
-                continue
-            # The earliest arrival is among [first, p) and the latest among
-            # [q, end); the two windows never overlap.
-            p = min(end, first + window)
-            q = max(p, end - window)
-            mn = mx = None
-            arg = first
-            for lo, hi in ((first, p), (q, end)):
-                skip = (lo - cursor) * jitter
-                if skip:
-                    switch.getrandbits(64 * skip)
-                for i in range(lo, hi):
-                    a = (bits + i * step) // rate + (k_last if i == last else k_full)
-                    for _ in draws:
-                        a += int(rand() * span)
-                    if mn is None or a < mn:
-                        mn = a
-                        arg = i
-                    if mx is None or a > mx:
-                        mx = a
-                cursor = hi
-            runs.append((first, end, base + mn, arg, base + mx))
+            if end > first:
+                mn, arg, mx, _ = _run_extremes(first, end, arrival, spread, top, draw)
+                runs.append((first, end, base + mn, arg, base + mx))
             first = end + 1
-        skip = (n - cursor) * jitter
-        if skip:
-            switch.getrandbits(64 * skip)
 
         nlost = len(lost)
         self.sent += n
@@ -292,59 +276,129 @@ class Link:
         (sender-local send timestamps) are only used for trace rows.
         """
         m = self.model
-        losses = iter(self._losses(len(emissions)) if self._loss_random is not None else ())
-        next_lost = next(losses, -1)
+        n = len(emissions)
+        lost = self._losses(n) if self._loss_random is not None else []
+        is_lost = set(lost)
         reorder_rate = m.reorder_rate
         reorder_random = self._reorder_random
-        switch_random = self._switch_random
-        hops = m.hops
-        lo = m.hop_delay_min_ns
-        span = m.hop_delay_max_ns - lo
         tx_ns = self._tx_ns
         after_ns = self._after_ns
         bw = m.bandwidth_bps
-        busy = self._busy_until
-        trace = self._trace
         bits_ns = 8 * NS_PER_S
-        fixed_sw = hops * lo
-        draws = range(hops) if span and switch_random is not None else ()
-        lost_count = 0
-        arrivals = []
-        append = arrivals.append
-
+        busy = self._busy_until
+        # Jitter-free arrival of each packet; ``waits``, ``sers`` and
+        # ``departs`` only feed the trace rows.
+        jitter_free, waits, sers, departs = [], [], [], []
+        extra = 0
         for i, e in enumerate(emissions):
-            lost = i == next_lost
-            if lost:
-                next_lost = next(losses, -1)
             ready = e + tx_ns
             start = busy if busy > ready else ready
             ser = (wire_bytes[i] * bits_ns) // bw
             busy = start + ser
-            sw = fixed_sw
-            for _ in draws:
-                sw += int(switch_random() * span)
-            if lost:
-                lost_count += 1
-                append(None)
-            else:
-                arrival = busy + after_ns + sw
-                if reorder_random is not None and reorder_random() < reorder_rate:
-                    arrival += m.reorder_extra_ns
-                    self.reordered += 1
-                append(arrival)
-            if trace is not None:
-                trace(busy if lost else arrival, self.name, frame_id, segment_index,
-                      first_seq + i, "lost" if lost else "delivered",
-                      self.node_tx.tx_sw_ns, self.node_tx.tx_hw_ns,
-                      start - ready, ser, m.propagation_ns, sw,
-                      self.node_rx.rx_hw_ns, self.node_rx.rx_sw_ns,
-                      e, stamps[i] if stamps else 0)
+            arrival = busy + after_ns
+            if (i not in is_lost and reorder_random is not None
+                    and reorder_random() < reorder_rate):
+                arrival += m.reorder_extra_ns
+                extra = m.reorder_extra_ns
+                self.reordered += 1
+            jitter_free.append(arrival)
+            waits.append(start - ready)
+            sers.append(ser)
+            departs.append(busy)
 
-        self.sent += len(arrivals)
-        self.lost += lost_count
-        self.delivered += len(arrivals) - lost_count
+        # Arrivals lie within ``spread`` above departure plus the shortest
+        # serialization plus the fixed delays, which never decreases.
+        spread = max(sers, default=0) - min(sers, default=0) + extra
+        jitters = [None] * n
+        first = 0
+        for end in lost + [n]:
+            if end > first:
+                *_, drawn = _run_extremes(first, end, jitter_free.__getitem__, spread,
+                                          self._top, self._draw)
+                for i, j in drawn.items():
+                    jitters[i] = j
+            first = end + 1
+        spare = self._spare_draw
+        trace = self._trace
+        fixed_sw = m.hops * m.hop_delay_min_ns
+        arrivals = []
+        for i, j in enumerate(jitters):
+            if j is None:
+                j = spare(i)
+            status = "lost" if i in is_lost else "delivered"
+            arrival = None if i in is_lost else jitter_free[i] + j
+            arrivals.append(arrival)
+            if trace is not None:
+                trace(departs[i] if arrival is None else arrival, self.name, frame_id,
+                      segment_index, first_seq + i, status,
+                      self.node_tx.tx_sw_ns, self.node_tx.tx_hw_ns, waits[i], sers[i],
+                      m.propagation_ns, fixed_sw + j, self.node_rx.rx_hw_ns,
+                      self.node_rx.rx_sw_ns, emissions[i], stamps[i] if stamps else 0)
+
+        self.sent += n
+        self.lost += len(lost)
+        self.delivered += n - len(lost)
         self._busy_until = busy
         return arrivals
+
+
+def _jitter_draw(rng, span, hops):
+    """One packet's switching jitter from ``rng``: the sum of one draw of
+    ``int(random() * span)`` per hop. The packet index is not used."""
+    rand = rng.random if rng is not None else None
+
+    def draw(i):
+        j = 0
+        for _ in hops:
+            j += int(rand() * span)
+        return j
+    return draw
+
+
+def _run_extremes(first, end, arrival, spread, top, draw):
+    """Earliest arrival, its packet and latest arrival of the delivered run
+    ``first .. end-1``, drawing switching jitter only for the packets that
+    can hold one of them.
+
+    ``arrival(i)`` is packet ``i``'s jitter-free arrival. It lies at most
+    ``spread`` above a bound that never decreases with ``i`` (the arrival
+    with the shortest serialization and no reorder extra). ``draw(i)`` gives
+    the packet's jitter, in ``[0, top]``.
+
+    The min side walks forward, drawing each packet whose jitter-free
+    arrival is below the earliest arrival so far, until the bound reaches
+    it. The max side walks back from ``end - 1``, drawing each packet whose
+    jitter-free arrival plus ``top`` is above the latest arrival so far,
+    until the bound plus ``spread`` plus ``top`` cannot pass it. Each
+    visited packet draws once, in visiting order, and the lowest index wins
+    a tie for the earliest arrival. Returns ``(earliest, argmin, latest,
+    drawn)``, ``drawn`` mapping each visited packet to its jitter.
+    """
+    j = draw(first)
+    drawn = {first: j}
+    mn = mx = arrival(first) + j
+    arg = first
+    for i in range(first + 1, end):
+        c = arrival(i)
+        if c - spread >= mn:
+            break
+        if c < mn:
+            j = drawn[i] = draw(i)
+            a = c + j
+            if a < mn:
+                mn = a
+                arg = i
+            elif a > mx:
+                mx = a
+    for i in range(end - 1, first, -1):
+        c = arrival(i)
+        if c + spread + top <= mx:
+            break
+        if c + top > mx and i not in drawn:
+            j = drawn[i] = draw(i)
+            if c + j > mx:
+                mx = c + j
+    return mn, arg, mx, drawn
 
 
 def _runs(arrivals) -> list[tuple[int, int, int, int, int]]:

@@ -1,19 +1,26 @@
-"""``Link.carry`` against the per-packet reference.
+"""``Link.carry`` against the per-packet reference, and the rule that picks
+which packets draw switching jitter.
 
 The reference is the per-packet path: ``Link.traverse`` gives one arrival
 per packet, and the burst is split into delivered runs the way the
 simulation did before bursts were carried as runs. Twin links on the same
 seeds must agree on every run, every stamp, every counter, the egress queue
 and the state of every seeded stream afterwards.
+
+``_run_extremes`` is checked on its own against a brute-force minimum and
+maximum over every packet of a run, with each packet's jitter given by its
+index.
 """
 
 import random
+from pathlib import Path
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import volstream
 from volstream.clock import NodeClock
-from volstream.netem import Link, LinkModel, NodeStageModel
+from volstream.netem import Link, LinkModel, NodeStageModel, _run_extremes
 from volstream.pacing import RatePacer
 from volstream.transport import SenderEndpoint
 
@@ -163,6 +170,85 @@ def test_paced_burst_skips_the_per_packet_path(monkeypatch):
     runs = link.carry(burst)
     assert link.sent == 254 and link.delivered + link.lost == 254
     assert sum(end - first for first, end, *_ in runs) == link.delivered
+
+
+class _CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+def test_a_paced_burst_draws_jitter_for_few_packets():
+    # the fanout-small hop-2 shape: 254 packets of 256 B paced at 1.5 Gbps
+    # over 2 switch hops of 5-10 us each. Drawing a fixed window of 7
+    # packets at each end of the run took 2 x 2 x 7 draws; skipping the
+    # draws of the packets in between took a getrandbits over them all.
+    switch = _CountingRandom(2)
+    model = LinkModel(bandwidth_bps=10_000_000_000, hops=2)
+    node = NodeStageModel(tx_sw_ns=2_000, tx_hw_ns=1_000, rx_sw_ns=4_000, rx_hw_ns=2_000)
+    link = Link("l", model, node, node, switch_rng=switch)
+    _, sender = _paced_setup()
+    [run] = link.carry(sender._plan_burst(0, 1, 1, 254, 1, 254, bytes(65_000), 0))
+    assert run[:2] == (0, 254)
+    assert 0 < switch.calls < 2 * 2 * 7
+    sources = sorted(Path(volstream.__file__).parent.glob("*.py"))
+    assert sources and [p.name for p in sources if "getrandbits" in p.read_text()] == []
+
+
+@st.composite
+def _run_case(draw):
+    """A run of jitter-free arrivals with the shapes a link produces, and a
+    jitter for each packet: ``(first, end, arrivals, spread, top, jitter)``.
+
+    Emissions are non-decreasing, every packet but the last serializes for
+    ``ser_full`` (the last for no longer), departures queue behind a link
+    busy until ``busy``, and some packets carry a reorder extra. ``spread``
+    is how far an arrival may lie above the non-decreasing bound."""
+    n = draw(st.integers(1, 40))
+    gaps = draw(st.lists(st.integers(0, 4_000), min_size=n, max_size=n))
+    ser_full = draw(st.integers(0, 3_000))
+    ser_last = draw(st.integers(0, ser_full))
+    busy = draw(st.integers(0, 30_000))
+    extra = draw(st.integers(1, 50_000))
+    reordered = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    hops = draw(st.integers(0, 3))
+    span = draw(st.integers(1, 20_000))
+    top = hops * (span - 1)
+    jitter = draw(st.lists(st.one_of(st.just(0), st.just(top), st.integers(0, top)),
+                           min_size=n, max_size=n))
+    arrivals, emission = [], 0
+    for i, gap in enumerate(gaps):
+        emission += gap
+        busy = max(emission, busy) + (ser_last if i == n - 1 else ser_full)
+        arrivals.append(busy + (extra if i in reordered else 0))
+    first = draw(st.integers(0, n - 1))
+    end = draw(st.integers(first + 1, n))
+    spread = ser_full - ser_last + (extra if reordered else 0)
+    return first, end, arrivals, spread, top, jitter
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_run_case())
+def test_run_extremes_match_every_packet(case):
+    first, end, arrivals, spread, top, jitter = case
+    visits = []
+
+    def draw(i):
+        visits.append(i)
+        return jitter[i]
+
+    mn, arg, mx, drawn = _run_extremes(first, end, arrivals.__getitem__, spread, top, draw)
+    jittered = [arrivals[i] + jitter[i] for i in range(first, end)]
+    assert (mn, arg, mx) == (min(jittered), first + jittered.index(min(jittered)),
+                             max(jittered))
+    # each visited packet draws once, in visiting order, and only packets
+    # of the run are visited
+    assert list(drawn) == visits and len(set(visits)) == len(visits)
+    assert all(first <= i < end and drawn[i] == jitter[i] for i in visits)
 
 
 def test_one_packet_and_very_lossy_bursts_skip_the_per_packet_path(monkeypatch):
