@@ -18,11 +18,15 @@ ground truth (its mean ``network_l`` from 1.234830 to 1.199495 ms). The
 two lossy pins were
 re-pinned when NACK recovery became reliable at paper scale: loss is drawn
 per loss, and each missing range has its own retry budget, so both now
-complete 30 of 30 frames (0 and 18 before). The first five
-pins were computed before bursts were carried as delivered runs, on the
-per-packet link code, and the two multi-receiver pins before the two hops
-shared one set of handlers, so a change to how the sim computes arrivals or
-routes a hop must reproduce the old reports byte for byte.
+complete 30 of 30 frames (0 and 18 before). Every pin but the probe's was
+re-pinned when switching jitter came to be drawn only for the packets that
+can hold a run's first or last arrival (``netem._run_extremes``): each
+run's extremes keep their distribution, but the switch stream is read in
+another order, so the jittered sample path changed; the losses and the
+frames completed did not. The probe sends one packet at a time, so its
+draws, and its pin, stayed as they were. Apart from that re-pin, a change
+to how the sim computes arrivals or routes a hop must reproduce the old
+reports byte for byte.
 
 To re-pin after a deliberate change of the reports, print
 ``_csv_digests(...)`` for each case and paste the result.
@@ -64,61 +68,61 @@ CASES = {
 
 GOLDEN = {
     "bandwidth-sweep": {
-        "frames_1000000000.csv": "e13ae4f3b859ab796e9ff9f472ba536fc62bced43d4d4f5bb44337ae441f86e4",
-        "frames_10000000000.csv": "64aac8b62bf813d7cebf18574e665aa37cd3ea3b6750af57042b4e8c4d136d28",
-        "frames_2000000000.csv": "5cb573fef4578bea07c8f987ce4167333cfb177749970fa06d91e0a019eba68f",
-        "frames_5000000000.csv": "8a17c39073a9df7fac046b9b2edfface023c8cc386ac637c3563ebe555ff68e9",
-        "summary_1000000000.csv": "2d458eb09ccc8f0ce8ab02acc8fd0ed80ed05c6e5d3e09d1aaf0506f6871f008",
-        "summary_10000000000.csv": "11f05bce10832008ed5fa1f0f0fa10665ee6d1b24019bbd8e5e48a0dfb92c31e",
-        "summary_2000000000.csv": "424c450e9ad58a87b0afaf5219583e7f1809a39a7d66a246a3f8b28620d298b9",
-        "summary_5000000000.csv": "9784d9ba37f0223a90ae6cb924bbadd48f2ae86b7670ccda9c267f5ba3637e8f",
-        "sweep.csv": "31519a4d409b9e9d282f8e7dfbbcc0042e1dfab6e8828244e154532198ce27b2",
+        "frames_1000000000.csv": "550beb4819fa615885fcf8dffec14d24f1deb2dd9190bac0bc21c7dd17a70f60",
+        "frames_10000000000.csv": "f33b58b18e9dd53137bc2156387a63b15b33414595b2cb8e9257771f06675078",
+        "frames_2000000000.csv": "6e9887b84b89b8f3f7158cd986ef2ef07979a3c2383ac8ca529267dfb017e4a7",
+        "frames_5000000000.csv": "1530f88341fbea2087caeb852101289953ad9aae74948749d50cbf70a34e6413",
+        "summary_1000000000.csv": "4a5800b2886a9be519cc856efeda886981dc8bbcbc6a0e24a19d29c04e226589",
+        "summary_10000000000.csv": "f85a67ee3f244f15eecf2b1d4ba86d034de0d32f4eae43a6f59eff11124ca645",
+        "summary_2000000000.csv": "545656acaf980183df8b62f811abd20a059e3aa9aa5a1d6d6c4f58956b1f815f",
+        "summary_5000000000.csv": "d560517003d9b6203e41a4558b00afe9c878da3dc77497d8ad3493bdc4e26992",
+        "sweep.csv": "5a6edea110a3817a9f9ea837ae741b6aa0600d1d1cd268fc9737f9142a218de8",
     },
     "paper-default": {
-        "frames.csv": "7bf213176c829fc55c9f8e7848620f017302d91a194ff5c98e75c0152abc91a7",
-        "summary.csv": "b2f713d55937ca9a150454877d8e95e836c09fb02800272775812c245e2b20dc",
+        "frames.csv": "efda5ebd3fa91cfc6644e93108ea9143bf2d1a1478cad4afd01156a9bf9ef1e0",
+        "summary.csv": "bafd5906f19892edcd9cfd27c98d55ee4a41680f4567c8fb7c9a2d91fffdfe9d",
     },
     "paper-default-3s-resync-2rx-drift": {
-        "frames.csv": "922e262d5f6c7be89667a47ec17ac313dcfef91cb355d07523899c25920b77ae",
-        "frames_r1.csv": "f7a3a31be6a469357492e617131d31d32ad3ebe407935381ea69b5223a2b281b",
-        "summary.csv": "58c1ac6f9439546e8e7fe4d48080e2d956a2f4c087202e650e6bbf67dac16143",
-        "summary_r1.csv": "3c913bef0ce41ccbe89c00284d303ffc14f120c9db19c132bd4c9cd226776371",
+        "frames.csv": "d2739812d92c7c54a3e6435624b191d4c1f4c16578c9983416d46b21f376808b",
+        "frames_r1.csv": "126e79cdb2e9afbe84ddfcf22d411a196e8002bd64dd4f7fffb6e5bd895a19ba",
+        "summary.csv": "6a0b218f365e51c6cbb59b47d8aa2a732ddddea14bca9c3fe3aa90e04496ac45",
+        "summary_r1.csv": "35e4854174146d18a00b50d0797d14a236f7240507ab95ee4b856ee80d15a863",
     },
     "paper-default-4rx-pps256": {
-        "frames.csv": "b8a0b8eb821c9e3117a1eaaaeca37576872b5d8e8de4a854ca4d52cfafc604f7",
-        "frames_r1.csv": "d42a7c01543832946391e405a236118129bef25d0c2d431191604cbe4f0fec6d",
-        "frames_r2.csv": "fe4ab4cfe9983c23425e6c838720304f7ef6f29eb9e04be53c99385ecfa1e509",
-        "frames_r3.csv": "cabf04120ebce6eda29b21fd4fe40eda989b9b83a84f95b69305f1577c4f8491",
-        "summary.csv": "2cb73d9083b01cd25a2e6a4818df5739ebbdf4acd6d5c64150c05140206d22ca",
-        "summary_r1.csv": "c900c5327de54d71d21047bcd1efb94d0a668d7c9b29462ae88ea34f17d62dfb",
-        "summary_r2.csv": "2f4701aa67c0b9ded52cce82f3072449bb1dc5028fe15e65d27fcce206f6b962",
-        "summary_r3.csv": "7ca101fb05a3ba2f00ea2568e07bb3ade3e9c554c4a87418549d06b458eea660",
+        "frames.csv": "4559cc6f67cf10d536cd71ab912a52397adee7c5d29416e181333a2ba72babf2",
+        "frames_r1.csv": "d2c7f601cb55743340e1a17a71a3fd754ae59ae1b7f5d7a5ab483077d7e212e9",
+        "frames_r2.csv": "835ca8f3385f60be60adb718398d9887dda056d6f39f74e30be924a982bd727e",
+        "frames_r3.csv": "994a39cc2781e4826d67b8442d010926c4ca96fa3e3d13b712d399609fa0e04b",
+        "summary.csv": "f8f475c5c4536ecdada1d6a1e828eb05395e95deb9f32875e3235c3621474778",
+        "summary_r1.csv": "33b90e31d72efe441430b0cdc3d821c3a6667eb587a3aed8c0d48b94c679b2fd",
+        "summary_r2.csv": "87f54840faa91b2cd0abacfb07c3675800b56174bd2860222d65605f4ec57504",
+        "summary_r3.csv": "d73b1e2c2bf61f55767d1fdb388369faee9543af7ecc29f8dcb594592ac152fc",
     },
     "paper-default-lossy1pct": {
-        "frames.csv": "774b5f6de5553f923a0dd699878e664556b5db67e991a03709e5d028a0124b2e",
-        "summary.csv": "23d71ad5e3b16327e3d640d4aaebc425fc7f205fef19e376ffbbf71e488fedc4",
+        "frames.csv": "3b80fea7ccd0c5ccae8f9c868f19eb5c48b7f641f4826d8e3e8d83c2d7db7751",
+        "summary.csv": "9578fd36439a009a46d26c19e9a3360e623440e49bbb7fad5adca25bd800c874",
     },
     "paper-default-negdrift-lossy-hop2": {
-        "frames.csv": "7f9e8ab5834f395e6a904d2ac7bcab6fb0d61a71bb95c8abf88e42644da448eb",
-        "summary.csv": "c63cf127fab2afdf6c60a90ec1b21010c58e853c30e02cf9a1406b39b8ffcaa8",
+        "frames.csv": "25f0e1d65b1e1b1a9dd7f169faccfaee30cafb6f755ce52c5abfdf40f94285cb",
+        "summary.csv": "b7413fc48a3d74de323d9c19fc9fd5542859ad7dc7aacdce1fd51cc8ba253c5e",
     },
     "paper-default-storefwd-stall-2rx-skew": {
-        "frames.csv": "525019b2a69277518ff91ed1da39f24e643c0d8c5c7064617a4ea5ea2c80f8f6",
-        "frames_r1.csv": "1220576a56afa194dea883625a7e3c0fb8ada59093fdd5fe6247fda930eacb7b",
-        "summary.csv": "6d039e120c14ac2991ecdd79da62607c5ce124d91a2b68a60bc57549c07cea9c",
-        "summary_r1.csv": "37ad74b1962dd83bca90b92855c5398e5f4c6fe8969ebedfe96110c9044ed1b4",
+        "frames.csv": "471aa5fdc0883a8a65b1217892c37c9fc84db345e6687d0e9d47494d03cae1f2",
+        "frames_r1.csv": "9ef16f72b9b35ee92568e5a16dbb8d3845ddbbaf07ea157d4f50f98438010731",
+        "summary.csv": "bc9bb9ef802bfddccb1e7b8c5ba35cc46a2db4557b8bac9bb81039a1e5a516ff",
+        "summary_r1.csv": "c43de542bb64083e1134b9f5f3f07a63f97eed04fa0ac9ac78c65da17094eb98",
     },
     "paper-default-trace": {
-        "frames.csv": "a452893d71ab6d4690b3f7ce0c3f9158606869b99c46cc7a2955a9b91410c38a",
-        "summary.csv": "63b688d5e981dbe94d1de15d66d46f03f10b39bd0af9a2ba983bc8a084106864",
-        "trace.csv": "cf85d5ee9ab5d25abfaba888aa4e8ea6d811f4c2db307367c726294e4a8de108",
+        "frames.csv": "4cca5700d1a6a7ecebb864aa60cec3075d49b4e51356f1246b1b879053dec7b9",
+        "summary.csv": "aa12e27288a8c39bbbaad91c58cc90bf823baaa5de318f7510890a32c82d6e6f",
+        "trace.csv": "7c714fb445f46ef335df08c21d72630af973d6fb776955116c68a6170611876d",
     },
     "paper-probe": {
         "probe.csv": "e64972f113c978ebf80d7e3796be00b12751515314051776a577812a1d639082",
     },
     "paper-protocol": {
-        "frames.csv": "0830bcc01a573f85f5f013cccb2d021bcb24fa862934e81ab2a7f877f72a4e9b",
-        "summary.csv": "89dce29f9f40cc2392a298c16ef786a3632862aab7b2ff3e202c590ae700fbff",
+        "frames.csv": "7bc01e96b6e3d00b6e27fd19b5f3dd3a8dedbc4c1f9edf26d910513b8c825dc5",
+        "summary.csv": "5f51837d9c98df4851c92cfa9bd7e41079676e0246971e29f21761c2a3830de6",
     },
 }
 
