@@ -155,9 +155,8 @@ class Link:
         self._after_ns = (model.propagation_ns + node_rx.rx_hw_ns + node_rx.rx_sw_ns
                           + model.hops * model.hop_delay_min_ns)
         # One packet's switching jitter: ``hops`` draws of [0, span) each,
-        # at most ``_top`` in all. ``traverse`` draws the packets that
-        # ``_run_extremes`` leaves out from a spare stream, seeded from the
-        # first words of the switch stream's state.
+        # at most ``_top`` in all; the spare stream is seeded from the first
+        # words of the switch stream's state.
         span = model.hop_delay_max_ns - model.hop_delay_min_ns
         hops = range(model.hops if span and switch_rng is not None else 0)
         self._top = len(hops) * (span - 1)
@@ -309,28 +308,24 @@ class Link:
         # Arrivals lie within ``spread`` above departure plus the shortest
         # serialization plus the fixed delays, which never decreases.
         spread = max(sers, default=0) - min(sers, default=0) + extra
-        jitters = [None] * n
+        drawn = {}
         first = 0
         for end in lost + [n]:
             if end > first:
-                *_, drawn = _run_extremes(first, end, jitter_free.__getitem__, spread,
-                                          self._top, self._draw)
-                for i, j in drawn.items():
-                    jitters[i] = j
+                drawn.update(_run_extremes(first, end, jitter_free.__getitem__, spread,
+                                           self._top, self._draw)[3])
             first = end + 1
         spare = self._spare_draw
         trace = self._trace
         fixed_sw = m.hops * m.hop_delay_min_ns
         arrivals = []
-        for i, j in enumerate(jitters):
-            if j is None:
-                j = spare(i)
-            status = "lost" if i in is_lost else "delivered"
-            arrival = None if i in is_lost else jitter_free[i] + j
+        for i, a in enumerate(jitter_free):
+            j = drawn[i] if i in drawn else spare(i)
+            arrival = None if i in is_lost else a + j
             arrivals.append(arrival)
             if trace is not None:
                 trace(departs[i] if arrival is None else arrival, self.name, frame_id,
-                      segment_index, first_seq + i, status,
+                      segment_index, first_seq + i, "lost" if arrival is None else "delivered",
                       self.node_tx.tx_sw_ns, self.node_tx.tx_hw_ns, waits[i], sers[i],
                       m.propagation_ns, fixed_sw + j, self.node_rx.rx_hw_ns,
                       self.node_rx.rx_sw_ns, emissions[i], stamps[i] if stamps else 0)
