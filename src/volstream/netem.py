@@ -214,10 +214,9 @@ class Link:
 
     def _burst_plan(self, rate, step_bits, full_wire, last_wire):
         """What ``_carry_unqueued`` needs of a burst's pacing and packet
-        sizes: how much later a full packet arrives than the last one
-        emitted at the same instant would, the delay from emission to
-        jitter-free arrival of a full and of the last packet, and the last
-        packet's serialization. None when such bursts could queue."""
+        sizes: the delay from emission to jitter-free arrival of a full and
+        of the last packet, and the last packet's serialization. None when
+        such bursts could queue."""
         spacing = step_bits * NS_PER_S // rate
         bw = self.model.bandwidth_bps
         ser_full = (full_wire * 8 * NS_PER_S) // bw
@@ -225,7 +224,7 @@ class Link:
         if spacing == 0 or spacing < ser_full:
             return None
         fixed = self._tx_ns + self._after_ns
-        return ser_full - ser_last, fixed + ser_full, fixed + ser_last, ser_last
+        return fixed + ser_full, fixed + ser_last, ser_last
 
     def _carry_unqueued(self, burst):
         """``carry``'s run path; None when the burst could queue."""
@@ -237,7 +236,7 @@ class Link:
             plan = self._plans[key] = self._burst_plan(*key)
         if plan is None:
             return None
-        spread, k_full, k_last, ser_last = plan
+        k_full, k_last, ser_last = plan
         if burst.first_ns + self._tx_ns < self._busy_until:
             return None
 
@@ -246,6 +245,8 @@ class Link:
         step = burst.step_bits * NS_PER_S
         last = n - 1
 
+        # Packets leave no closer together than they serialize, so
+        # jitter-free arrivals never decrease.
         def arrival(i):
             return (bits + i * step) // rate + (k_last if i == last else k_full)
 
@@ -256,7 +257,7 @@ class Link:
         first = 0
         for end in lost + [n]:
             if end > first:
-                mn, arg, mx, _ = _run_extremes(first, end, arrival, spread, top, draw)
+                mn, arg, mx, _ = _run_extremes(first, end, arrival, 0, top, draw)
                 runs.append((first, end, base + mn, arg, base + mx))
             first = end + 1
 
@@ -305,14 +306,13 @@ class Link:
             sers.append(ser)
             departs.append(busy)
 
-        # Arrivals lie within ``spread`` above departure plus the shortest
-        # serialization plus the fixed delays, which never decreases.
-        spread = max(sers, default=0) - min(sers, default=0) + extra
+        # Departures never decrease, so an arrival lies at most ``extra``
+        # above its departure plus the fixed delays.
         drawn = {}
         first = 0
         for end in lost + [n]:
             if end > first:
-                drawn.update(_run_extremes(first, end, jitter_free.__getitem__, spread,
+                drawn.update(_run_extremes(first, end, jitter_free.__getitem__, extra,
                                            self._top, self._draw)[3])
             first = end + 1
         spare = self._spare_draw
@@ -357,7 +357,7 @@ def _run_extremes(first, end, arrival, spread, top, draw):
 
     ``arrival(i)`` is packet ``i``'s jitter-free arrival. It lies at most
     ``spread`` above a bound that never decreases with ``i`` (the arrival
-    with the shortest serialization and no reorder extra). ``draw(i)`` gives
+    without its reorder extra). ``draw(i)`` gives
     the packet's jitter, in ``[0, top]``.
 
     The min side walks forward, drawing each packet whose jitter-free
